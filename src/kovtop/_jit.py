@@ -16,7 +16,7 @@ try:
     # matching the pure-numpy twins (singularities are detected, not thrown)
     register_jitable = _register_jitable(error_model="numpy")
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional `jit` extra
     HAVE_NUMBA = False
 
     def register_jitable(fn):

@@ -20,10 +20,9 @@ from .errors import (BlowupError, ConfigError, DomainError, KovtopError,
 from .flows import (FlowSpec, euler_top3, generalized_euler,
                     generalized_kovalevskaya, integrate_reference,
                     kovalevskaya3, rk4_states)
-from .invariants import (claimed_invariants, drift_batch,
-                         drift_report, drift_to_csv, drift_to_json,
-                         independence_rank, random_starts, registry,
-                         verify_phi_functional_equation,
+from .invariants import (claimed_invariants, drift_batch, drift_to_csv,
+                         drift_to_json, independence_rank, random_starts,
+                         registry, verify_phi_functional_equation,
                          verify_poly_identity_N4, verify_relation_qq,
                          phi_genhk3, phi_genhk4)
 from .maps import (DiscreteMap, get_map, MAP_NAMES, d_factors, d_polynomial,
@@ -187,14 +186,14 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    if args.map is not None:
-        if args.n is None and args.y0 is None:
-            raise ConfigError("drift needs --n or --y0 to fix the dimension")
-        dim = args.n if args.n is not None else len(_parse_floats(args.y0))
-        target = get_map(args.map, dim)
-    else:
-        dim = args.n if args.n is not None else len(_parse_floats(args.y0))
-        target = _make_flow(args.flow, dim, args.alpha)
+    y0 = None if args.y0 is None else _parse_floats(args.y0)
+    dim = args.n
+    if dim is None and y0 is not None:
+        dim = len(y0)
+    if dim is None and args.flow not in ("kov3", "euler3"):
+        raise ConfigError("drift needs --n or --y0 to fix the dimension")
+    target = (get_map(args.map, dim) if args.map is not None
+              else _make_flow(args.flow, dim, args.alpha))
     invs = claimed_invariants(target, registry(target.dim, args.alpha))
     if args.invariant is not None:
         invs = [v for v in invs if v.name == args.invariant]
@@ -203,15 +202,15 @@ def _cmd_drift(args) -> int:
                               f"claimed for {target.name}")
     if not invs:
         raise ConfigError(f"no invariants registered for {target.name}")
-    if args.y0 is not None:
-        y0 = _parse_floats(args.y0)
+    if y0 is not None:
         if len(y0) != target.dim:
             raise ConfigError(f"--y0 must list {target.dim} coordinates")
-        reports = [drift_report(target, v, np.asarray(y0), args.eps, args.steps)
-                   for v in invs]
+        starts = [y0]
+    elif args.starts < 1:
+        raise ConfigError("--starts must be >= 1")
     else:
         starts = random_starts(args.starts, target.dim, args.seed)
-        reports = drift_batch(target, invs, starts, args.eps, args.steps)
+    reports = drift_batch(target, invs, starts, args.eps, args.steps)
     _emit(drift_to_csv(reports) if args.format == "csv"
           else drift_to_json(reports), args.out)
     return 0

@@ -18,7 +18,8 @@ import numpy as np
 from .core import MapStepScale, QuadraticField, as_state
 from .errors import DimensionError, SingularStepError
 
-#: |det A| below this times the Hadamard row bound counts as singular.
+#: regularity (|det A| over the Hadamard row bound, or a `maps` step's) below
+#: this counts as singular.
 SINGULAR_RTOL = 1e-14
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import as_state, fmt17
 from .errors import DimensionError, DomainError, ParameterError
-from .flows import FlowSpec
+from .flows import FlowSpec, rk4_states
 from .maps import (DiscreteMap, OrbitGuards, d_polynomial,
                    d_polynomial_omitting, gen_hk, r_factor)
 from .numdiff import central_gradient, central_jacobian
@@ -417,25 +417,13 @@ def _orbit_of(target, y0, eps: float, steps: int, guards: OrbitGuards):
     if isinstance(target, DiscreteMap):
         return target.orbit(y0, eps, steps, guards)
     if isinstance(target, FlowSpec):
-        from .flows import rk4_states
         return rk4_states(target, y0, eps, steps)
     raise TypeError(f"cannot iterate {type(target).__name__}")
 
 
-def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
-                 guards: OrbitGuards = TRACKING_GUARDS) -> DriftReport:
-    """Track one invariant along one orbit.
-
-    Records the max over certified points of
-    |F(y_t, eps) - F(ref, eps)| / max(1, |F(ref)|); the reference is the first
-    reliably evaluable point.  Early window end (singularity, blowup,
-    resolution or domain exit) is recorded in first_blowup_step; failures are
-    reported, never raised.
-    """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
-    y0 = as_state(y0, inv.dim)
-    traj, end = _orbit_of(target, y0, eps, steps, guards)
+def _drift_along(target, inv: Invariant, traj: np.ndarray, end: int,
+                 eps: float, steps: int) -> DriftReport:
+    """Read one invariant's drift off an orbit (traj, end) from _orbit_of."""
     vals = inv.values(traj, eps)
     dom = inv.in_domain(traj, eps)
     ok = inv.reliable(traj, eps) & np.isfinite(vals)
@@ -455,30 +443,43 @@ def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
                        first_blowup_step=first_blowup)
 
 
+def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
+                 guards: OrbitGuards = TRACKING_GUARDS) -> DriftReport:
+    """Track one invariant along one orbit.
+
+    Records the max over certified points of
+    |F(y_t, eps) - F(ref, eps)| / max(1, |F(ref)|); the reference is the first
+    reliably evaluable point.  Early window end (singularity, blowup,
+    resolution or domain exit) is recorded in first_blowup_step; failures are
+    reported, never raised.
+    """
+    if steps < 1:
+        raise ParameterError("steps must be >= 1")
+    y0 = as_state(y0, inv.dim)
+    traj, end = _orbit_of(target, y0, eps, steps, guards)
+    return _drift_along(target, inv, traj, end, eps, steps)
+
+
 def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
-                steps: int, guards: OrbitGuards = TRACKING_GUARDS,
-                max_workers: int | None = None) -> list[DriftReport]:
+                steps: int,
+                guards: OrbitGuards = TRACKING_GUARDS) -> list[DriftReport]:
     """Drift over several starts, one aggregated report per invariant
-    (worst drift across starts, earliest window end).  Orbits for distinct
-    starts run on a worker pool; assembly is order-stable."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    (worst drift across starts, earliest window end).  Each start's orbit is
+    computed once and every invariant is read off it as drift_report would,
+    serially in start order; one start gives drift_report's reports."""
+    if steps < 1:
+        raise ParameterError("steps must be >= 1")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-
-    def one(y0):
-        return [drift_report(target, inv, y0, eps, steps, guards) for inv in invs]
-
-    if max_workers is None:
-        max_workers = min(4, len(starts)) or 1
-    if max_workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_start = list(pool.map(one, starts))
-    else:
-        per_start = [one(y0) for y0 in starts]
+    if starts.size == 0:
+        raise ParameterError("drift_batch needs at least one start")
+    per_start = []
+    for y0 in starts:
+        traj, end = _orbit_of(target, y0, eps, steps, guards)
+        per_start.append([_drift_along(target, inv, traj, end, eps, steps)
+                          for inv in invs])
 
     out = []
-    for col, inv in enumerate(invs):
-        rows = [per_start[r][col] for r in range(len(starts))]
+    for inv, rows in zip(invs, zip(*per_start)):
         drifts = [r.max_rel_drift for r in rows if not math.isnan(r.max_rel_drift)]
         worst = max(drifts) if drifts else math.nan
         ends = [r.first_blowup_step for r in rows if r.first_blowup_step is not None]

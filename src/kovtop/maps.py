@@ -16,10 +16,7 @@ import numpy as np
 from . import kernels
 from .core import MapInverse, MapStepScale, as_state
 from .errors import DimensionError, DomainError, SingularStepError
-from .hk_engine import BilinearStepSystem
-
-#: steps whose regularity factor falls below this are refused outright
-SINGULAR_RTOL = 1e-14
+from .hk_engine import SINGULAR_RTOL, BilinearStepSystem
 
 
 @dataclass(frozen=True)

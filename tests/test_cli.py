@@ -176,6 +176,29 @@ def test_invalid_config_exits_one(capsys):
                  "5"]) == 1
 
 
+@pytest.mark.parametrize("flow", ["kov3", "euler3"])
+def test_drift_three_dimensional_flow_needs_no_dimension(capsys, flow):
+    rc, out = _run(capsys, ["drift", "--flow", flow, "--eps", "0.001",
+                            "--steps", "8", "--starts", "2"])
+    assert rc == 0
+    assert len(out.strip().split("\n")) > 1
+
+
+@pytest.mark.parametrize("flow", ["gen-kov", "gen-euler"])
+def test_drift_general_flow_without_dimension_exits_one(capsys, flow):
+    rc = main(["drift", "--flow", flow, "--eps", "0.001", "--steps", "8"])
+    assert rc == 1
+    assert "--n or --y0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_drift_without_starts_exits_one(capsys, starts):
+    rc = main(["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01",
+               "--steps", "8", "--starts", starts])
+    assert rc == 1
+    assert "--starts" in capsys.readouterr().err
+
+
 def test_singular_abort_exits_two(capsys):
     # eps = 0.25 on the diagonal is exactly the singular variety of gen-hk
     rc = main(["map", "--map", "gen-hk", "--n", "4", "--y0", "1,1,1,1",

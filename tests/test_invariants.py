@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import admissible_states
+from kovtop import kernels
 from kovtop.errors import DomainError, ParameterError
-from kovtop.flows import generalized_kovalevskaya
+from kovtop.flows import (euler_top3, generalized_euler, generalized_kovalevskaya,
+                          kovalevskaya3)
 from kovtop.invariants import (DriftReport, TRACKING_GUARDS, altmap_n4_integrals,
                                claimed_invariants, cross_ratio,
                                cross_ratio_integrals, defect_order,
@@ -25,7 +27,8 @@ from kovtop.invariants import (DriftReport, TRACKING_GUARDS, altmap_n4_integrals
                                verify_phi_functional_equation,
                                verify_poly_identity_N4, verify_relation_qq,
                                volume_check)
-from kovtop.maps import alt_map, cosine_law, euler_hk, gen_hk, kov_pullback, kov_sqrt
+from kovtop.maps import (MAP_NAMES, alt_map, cosine_law, euler_hk, gen_hk, get_map,
+                         kov_pullback, kov_sqrt)
 
 
 def test_kov_poly_values():
@@ -142,6 +145,89 @@ def test_drift_batch_aggregates():
     # determinism: same seed, same answers
     again = drift_batch(gen_hk(4), invs, starts, 0.01, 2000)
     assert [r.max_rel_drift for r in reports] == [r.max_rel_drift for r in again]
+
+
+def _drift_reference(target, invs, starts, eps, steps):
+    """drift_batch's aggregation over one drift_report per (start, invariant)."""
+    out = []
+    for inv in invs:
+        rows = [drift_report(target, inv, y0, eps, steps) for y0 in starts]
+        drifts = [r.max_rel_drift for r in rows if not math.isnan(r.max_rel_drift)]
+        ends = [r.first_blowup_step for r in rows if r.first_blowup_step is not None]
+        out.append(DriftReport(map=rows[0].map, invariant=inv.name, eps=eps,
+                               steps=steps,
+                               max_rel_drift=max(drifts) if drifts else math.nan,
+                               first_blowup_step=min(ends) if ends else None))
+    return out
+
+
+def _same_report(a, b):
+    nan_a, nan_b = math.isnan(a.max_rel_drift), math.isnan(b.max_rel_drift)
+    return (a.map, a.invariant, a.eps, a.steps, a.first_blowup_step, nan_a) == \
+        (b.map, b.invariant, b.eps, b.steps, b.first_blowup_step, nan_b) \
+        and (nan_a or a.max_rel_drift == b.max_rel_drift)
+
+
+_DRIFT_TARGETS = (
+    [(get_map(name, 4 if name in ("gen-hk", "alt-map") else None), 0.01, 300)
+     for name in MAP_NAMES]
+    + [(flow, 0.01, 100) for flow in (kovalevskaya3(), euler_top3(),
+                                      generalized_kovalevskaya(4),
+                                      generalized_euler(4))])
+
+
+@pytest.mark.parametrize("target, eps, steps", _DRIFT_TARGETS,
+                         ids=[t.name for t, _, _ in _DRIFT_TARGETS])
+def test_drift_batch_matches_per_invariant_reports(target, eps, steps):
+    invs = claimed_invariants(target, registry(target.dim))
+    assert invs
+    start_sets = [random_starts(3, target.dim, seed) for seed in (5, 6)]
+    if target.name == "gen-hk":
+        # outside the positive orthant, the domain of the phi family
+        outside = np.array([[-0.5, 0.3, 0.4, 0.6]])
+        start_sets += [outside, np.vstack([start_sets[0][:2], outside])]
+    for starts in start_sets:
+        got = drift_batch(target, invs, starts, eps, steps)
+        want = _drift_reference(target, invs, starts, eps, steps)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _same_report(a, b), (a, b)
+    if target.name == "gen-hk":
+        # the outside start alone leaves the phi family with nothing certified
+        assert any(math.isnan(r.max_rel_drift)
+                   for r in drift_batch(target, invs, outside, eps, steps))
+
+
+def test_drift_batch_computes_one_orbit_per_start(monkeypatch):
+    calls = {"map_orbit": 0, "rk4_orbit": 0}
+
+    def counting(name):
+        orig = getattr(kernels, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counting(name))
+    for target, name in ((gen_hk(4), "map_orbit"),
+                         (generalized_kovalevskaya(4), "rk4_orbit")):
+        invs = claimed_invariants(target, registry(4))
+        assert len(invs) > 1
+        drift_batch(target, invs, random_starts(3, 4, seed=7), 0.01, 50)
+        assert calls[name] == 3, (target.name, calls)
+        calls[name] = 0
+
+
+def test_drift_batch_rejects_bad_arguments():
+    invs = cross_ratio_integrals(4)
+    with pytest.raises(ParameterError):
+        drift_batch(gen_hk(4), invs, np.empty((0, 4)), 0.01, 10)
+    with pytest.raises(ParameterError):
+        drift_batch(gen_hk(4), invs, [], 0.01, 10)
+    with pytest.raises(ParameterError):
+        drift_batch(gen_hk(4), invs, random_starts(2, 4, seed=1), 0.01, 0)
 
 
 def test_random_starts_respects_bounds_and_separation():
