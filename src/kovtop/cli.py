@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,6 +50,17 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="kovtop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -61,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="integrate a flow with RK4")
     sp.add_argument("--flow", required=True, choices=FLOW_NAMES)
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--alpha", type=float, default=2.0)
+    sp.add_argument("--alpha", type=_finite_float, default=2.0)
     sp.add_argument("--y0", required=True)
-    sp.add_argument("--t-end", type=float, required=True)
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--t-end", type=_finite_float, required=True)
+    sp.add_argument("--dt", type=_finite_float, required=True)
     sp.add_argument("--with-invariants", action="store_true")
     common(sp)
 
@@ -72,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True, choices=MAP_NAMES)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--y0", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     common(sp)
 
@@ -81,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--map", choices=MAP_NAMES)
     grp.add_argument("--flow", choices=FLOW_NAMES)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=2.0)
+    sp.add_argument("--alpha", type=_finite_float, default=2.0)
     sp.add_argument("--y0", default=None)
     sp.add_argument("--starts", type=int, default=20)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--invariant", default=None,
                     help="restrict to one invariant name")
@@ -94,25 +106,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True, choices=MAP_NAMES)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--y0", required=True)
-    sp.add_argument("--total-time", type=float, default=0.2)
+    sp.add_argument("--total-time", type=_finite_float, default=0.2)
     sp.add_argument("--eps-list", required=True)
-    sp.add_argument("--dt-ref", type=float, default=1e-4)
+    sp.add_argument("--dt-ref", type=_finite_float, default=1e-4)
     common(sp)
 
     sp = sub.add_parser("check", help="exact-identity battery")
     sp.add_argument("--identity", required=True, choices=IDENTITY_NAMES)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--eps", type=float, default=None,
+    sp.add_argument("--eps", type=_finite_float, default=None,
                     help="fixed eps (default: drawn per trial from [0.01, 0.3])")
     common(sp)
 
     sp = sub.add_parser("independence", help="functional-independence rank")
     sp.add_argument("--family", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=2.0)
+    sp.add_argument("--alpha", type=_finite_float, default=2.0)
     sp.add_argument("--points", type=int, default=10)
-    sp.add_argument("--eps", type=float, default=0.01)
+    sp.add_argument("--eps", type=_finite_float, default=0.01)
     common(sp)
 
     return p
@@ -126,11 +138,11 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _make_flow(name: str, n: int, alpha: float) -> FlowSpec:
-    if name == "kov3":
-        return kovalevskaya3()
-    if name == "euler3":
-        return euler_top3()
+def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
+    if name in ("kov3", "euler3"):
+        if n not in (None, 3):
+            raise ConfigError(f"--flow {name} is three-dimensional, not N={n}")
+        return kovalevskaya3() if name == "kov3" else euler_top3()
     if name == "gen-kov":
         return generalized_kovalevskaya(n, alpha)
     return generalized_euler(n)
@@ -142,8 +154,7 @@ def _trajectory_output(traj: TrajectoryRecord, fmt: str, out):
 
 def _cmd_simulate(args) -> int:
     y0 = _parse_floats(args.y0)
-    flow = _make_flow(args.flow, args.n if args.flow.startswith("gen") else len(y0),
-                      args.alpha)
+    flow = _make_flow(args.flow, args.n, args.alpha)
     if len(y0) != flow.dim:
         raise ConfigError(f"--y0 must list {flow.dim} coordinates")
     if args.dt <= 0 or args.t_end < 0:
@@ -173,6 +184,8 @@ def _cmd_map(args) -> int:
     m = get_map(args.map, args.n if args.n is not None else len(y0))
     if len(y0) != m.dim:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")
+    if args.steps < 0:
+        raise ConfigError("--steps must be >= 0")
     states, end = m.orbit(np.asarray(y0), args.eps, args.steps)
     status = "ok" if end == args.steps else "singular"
     times = m.step_time(args.eps) * np.arange(end + 1)
@@ -259,8 +272,8 @@ def _cmd_convergence(args) -> int:
     if len(y0) != m.dim:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")
     eps_list = _parse_floats(args.eps_list)
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ConfigError("--eps-list must be positive")
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ConfigError("--eps-list must be positive and finite")
     if sorted(eps_list, reverse=True) != eps_list:
         raise ConfigError("--eps-list must be strictly decreasing")
     flow = _MAP_FLOW_PAIR[m.name](m.dim)

@@ -154,20 +154,21 @@ def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, 
     """Non-raising RK4 iteration used by the drift harness: returns
     (states, last_step) with last_step < nsteps on blowup."""
     y0 = as_state(y0, flow.dim)
-    if flow.kind == "scaled-quadratic":
-        traj, end = kernels.rk4_orbit(
-            kernels.FLOW_SCALED_QUAD, y0, flow.alpha, np.asarray(flow.s_coeffs),
-            _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
-    elif flow.kind == "product-complement":
-        traj, end = kernels.rk4_orbit(
-            kernels.FLOW_PRODUCT_COMPLEMENT, y0, 0.0, np.zeros(1),
-            _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
-    elif flow.kind == "quadratic-field":
-        traj, end = kernels.rk4_orbit(
-            kernels.FLOW_QUAD_FIELD, y0, 0.0, np.zeros(1),
-            flow.field.coeffs, dt, nsteps, kernels.BLOWUP_CAP)
-    else:
-        traj, end = _rk4_python(flow.rhs, y0, dt, nsteps)
+    with np.errstate(all="ignore"):
+        if flow.kind == "scaled-quadratic":
+            traj, end = kernels.rk4_orbit(
+                kernels.FLOW_SCALED_QUAD, y0, flow.alpha, np.asarray(flow.s_coeffs),
+                _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
+        elif flow.kind == "product-complement":
+            traj, end = kernels.rk4_orbit(
+                kernels.FLOW_PRODUCT_COMPLEMENT, y0, 0.0, np.zeros(1),
+                _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
+        elif flow.kind == "quadratic-field":
+            traj, end = kernels.rk4_orbit(
+                kernels.FLOW_QUAD_FIELD, y0, 0.0, np.zeros(1),
+                flow.field.coeffs, dt, nsteps, kernels.BLOWUP_CAP)
+        else:
+            traj, end = _rk4_python(flow.rhs, y0, dt, nsteps)
     return np.asarray(traj), int(end)
 
 

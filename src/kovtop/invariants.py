@@ -421,28 +421,6 @@ def _orbit_of(target, y0, eps: float, steps: int, guards: OrbitGuards):
     raise TypeError(f"cannot iterate {type(target).__name__}")
 
 
-def _drift_along(target, inv: Invariant, traj: np.ndarray, end: int,
-                 eps: float, steps: int) -> DriftReport:
-    """Read one invariant's drift off an orbit (traj, end) from _orbit_of."""
-    vals = inv.values(traj, eps)
-    dom = inv.in_domain(traj, eps)
-    ok = inv.reliable(traj, eps) & np.isfinite(vals)
-    if not dom.all():
-        cut = int(np.argmin(dom))
-        vals, ok = vals[:cut], ok[:cut]
-        end = min(end, cut - 1)
-    idx = np.flatnonzero(ok)
-    if idx.size >= 1:
-        ref = vals[idx[0]]
-        drift = float(np.max(np.abs(vals[idx] - ref)) / max(1.0, abs(ref)))
-    else:
-        drift = math.nan
-    first_blowup = int(end) if end < steps else None
-    return DriftReport(map=_target_key(target), invariant=inv.name, eps=eps,
-                       steps=steps, max_rel_drift=drift,
-                       first_blowup_step=first_blowup)
-
-
 def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
                  guards: OrbitGuards = TRACKING_GUARDS) -> DriftReport:
     """Track one invariant along one orbit.
@@ -451,13 +429,10 @@ def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
     |F(y_t, eps) - F(ref, eps)| / max(1, |F(ref)|); the reference is the first
     reliably evaluable point.  Early window end (singularity, blowup,
     resolution or domain exit) is recorded in first_blowup_step; failures are
-    reported, never raised.
+    reported, never raised.  This is drift_batch with one start.
     """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
-    y0 = as_state(y0, inv.dim)
-    traj, end = _orbit_of(target, y0, eps, steps, guards)
-    return _drift_along(target, inv, traj, end, eps, steps)
+    return drift_batch(target, [inv], [as_state(y0, inv.dim)], eps, steps,
+                       guards)[0]
 
 
 def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
@@ -465,26 +440,39 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
                 guards: OrbitGuards = TRACKING_GUARDS) -> list[DriftReport]:
     """Drift over several starts, one aggregated report per invariant
     (worst drift across starts, earliest window end).  Each start's orbit is
-    computed once and every invariant is read off it as drift_report would,
-    serially in start order; one start gives drift_report's reports."""
+    computed once, serially in start order; each invariant is evaluated once
+    on the stacked orbits and its drift is read per start as drift_report
+    describes."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.size == 0:
         raise ParameterError("drift_batch needs at least one start")
-    per_start = []
-    for y0 in starts:
-        traj, end = _orbit_of(target, y0, eps, steps, guards)
-        per_start.append([_drift_along(target, inv, traj, end, eps, steps)
-                          for inv in invs])
-
+    orbits = [_orbit_of(target, y0, eps, steps, guards) for y0 in starts]
+    stack = np.concatenate([traj for traj, _ in orbits])
+    bounds = np.cumsum([0] + [len(traj) for traj, _ in orbits])
     out = []
-    for inv, rows in zip(invs, zip(*per_start)):
-        drifts = [r.max_rel_drift for r in rows if not math.isnan(r.max_rel_drift)]
-        worst = max(drifts) if drifts else math.nan
-        ends = [r.first_blowup_step for r in rows if r.first_blowup_step is not None]
-        out.append(DriftReport(map=rows[0].map, invariant=inv.name, eps=eps,
-                               steps=steps, max_rel_drift=worst,
+    for inv in invs:
+        vals = inv.values(stack, eps)
+        dom = inv.in_domain(stack, eps)
+        ok = inv.reliable(stack, eps) & np.isfinite(vals)
+        drifts, ends = [], []
+        for (_, end), lo, hi in zip(orbits, bounds[:-1], bounds[1:]):
+            v, k = vals[lo:hi], ok[lo:hi]
+            if not dom[lo:hi].all():
+                cut = int(np.argmin(dom[lo:hi]))
+                v, k = v[:cut], k[:cut]
+                end = min(end, cut - 1)
+            idx = np.flatnonzero(k)
+            if idx.size >= 1:
+                ref = v[idx[0]]
+                drifts.append(float(np.max(np.abs(v[idx] - ref))
+                                    / max(1.0, abs(ref))))
+            if end < steps:
+                ends.append(int(end))
+        out.append(DriftReport(map=_target_key(target), invariant=inv.name,
+                               eps=eps, steps=steps,
+                               max_rel_drift=max(drifts) if drifts else math.nan,
                                first_blowup_step=min(ends) if ends else None))
     return out
 
@@ -566,6 +554,28 @@ def density_flow_power(alpha: float = 2.0):
 
 # --- functional independence ------------------------------------------------
 
+def invariant_gradients(invs: Sequence[Invariant], y,
+                        eps: float = 0.0) -> np.ndarray:
+    """Central-difference gradients at y, one row per invariant.
+
+    Every invariant is evaluated once on the whole (2N, N) stencil; raises
+    DomainError when a stencil point is non-finite or outside an invariant's
+    domain.
+    """
+    y = as_state(y)
+
+    def stacked(Z):
+        finite = np.isfinite(Z).all(axis=1)
+        V = np.empty((len(invs), Z.shape[0]))
+        for r, inv in enumerate(invs):
+            if not (inv.in_domain(Z, eps) & finite).all():
+                raise DomainError(f"{inv.name} undefined at this point")
+            V[r] = inv.values(Z, eps)
+        return V
+
+    return central_gradient(stacked, y)
+
+
 def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0,
                       sv_rtol: float = 1e-8) -> int:
     """Numerical rank of the stacked finite-difference gradients.
@@ -574,10 +584,8 @@ def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0,
     scales measure functional rank rather than magnitude disparity; singular
     values above sv_rtol times the largest count toward the rank.
     """
-    y = as_state(y)
-    G = np.zeros((len(invs), y.shape[0]))
-    for r, inv in enumerate(invs):
-        G[r] = central_gradient(lambda z, inv=inv: inv.value(z, eps), y)
+    G = invariant_gradients(invs, y, eps)
+    for r in range(G.shape[0]):
         norm = np.linalg.norm(G[r])
         if norm > 1e-12:
             G[r] /= norm

@@ -220,7 +220,7 @@ def _map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
             if a > big:
                 big = a
         if (not finite) or big > cap or reg < theta or aeps * big > resbound \
-                or _coincidence_depth(ynew, even) < coin_tol:
+                or (coin_tol > 0.0 and _coincidence_depth(ynew, even) < coin_tol):
             end = k
             break
         for i in range(n):

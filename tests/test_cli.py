@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -197,6 +198,77 @@ def test_drift_without_starts_exits_one(capsys, starts):
                "--steps", "8", "--starts", starts])
     assert rc == 1
     assert "--starts" in capsys.readouterr().err
+
+
+# the RK4 orbits of these starts overflow before the pole cap stops them
+_GEN_EULER_DRIFT = """\
+map,invariant,eps,steps,max_rel_drift,first_blowup_step
+gen-euler,E12,0.001,500,0.00061881680978353537,209
+gen-euler,E13,0.001,500,0.00150083020449165,209
+gen-euler,E14,0.001,500,0.0015002773807617172,209
+gen-euler,E23,0.001,500,0.00066174137897819462,209
+gen-euler,E24,0.001,500,0.00061963332184794659,209
+gen-euler,E34,0.001,500,0.00062014769237100074,209
+"""
+
+
+def test_flow_drift_keeps_numpy_warnings_off_stderr(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["drift", "--flow", "gen-euler", "--n", "4", "--eps",
+                   "0.001", "--steps", "500", "--starts", "5"])
+    out = capsys.readouterr()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in out.err
+    assert out.out == _GEN_EULER_DRIFT
+
+
+@pytest.mark.parametrize("flow", ["kov3", "euler3"])
+@pytest.mark.parametrize("argv", [
+    ["drift", "--n", "5", "--eps", "0.001", "--steps", "8", "--starts", "1"],
+    ["simulate", "--n", "4", "--y0", "0.1,0.2,0.3", "--t-end", "0.01",
+     "--dt", "0.001"],
+], ids=["drift", "simulate"])
+def test_three_dimensional_flow_rejects_other_dimension(capsys, flow, argv):
+    rc = main(argv[:1] + ["--flow", flow] + argv[1:])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "three-dimensional" in out.err
+
+
+_MAP = ["map", "--map", "gen-hk", "--n", "4", "--y0", "1,2,3,4"]
+_SIMULATE = ["simulate", "--flow", "kov3", "--y0", "0.1,0.2,0.3"]
+_DRIFT = ["drift", "--map", "gen-hk", "--n", "4", "--steps", "8"]
+_CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_MAP + ["--eps", "0.01", "--steps", "-1"], "--steps must be >= 0"),
+    (_MAP + ["--eps", "nan", "--steps", "2"], "--eps"),
+    (_MAP + ["--eps", "inf", "--steps", "2"], "--eps"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "nan"], "--dt"),
+    (_SIMULATE + ["--t-end", "inf", "--dt", "0.001"], "--t-end"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "0.001", "--alpha", "nan"], "--alpha"),
+    (_DRIFT + ["--eps=-inf"], "--eps"),
+    (_DRIFT + ["--eps", "0.01", "--alpha", "inf"], "--alpha"),
+    (["check", "--identity", "d-sum", "--eps", "nan"], "--eps"),
+    (["independence", "--family", "cross-ratio", "--n", "4", "--eps", "nan"],
+     "--eps"),
+    (_CONVERGENCE + ["--eps-list", "0.01,nan"], "--eps-list"),
+    (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "inf"],
+     "--total-time"),
+], ids=["map-steps", "map-eps-nan", "map-eps-inf", "simulate-dt",
+        "simulate-t-end", "simulate-alpha", "drift-eps", "drift-alpha",
+        "check-eps", "independence-eps", "convergence-eps-list",
+        "convergence-total-time"])
+def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert out.err.startswith("error:") and message in out.err
 
 
 def test_singular_abort_exits_two(capsys):

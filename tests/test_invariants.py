@@ -9,9 +9,10 @@ import pytest
 from conftest import admissible_states
 from kovtop import kernels
 from kovtop.errors import DomainError, ParameterError
-from kovtop.flows import (euler_top3, generalized_euler, generalized_kovalevskaya,
-                          kovalevskaya3)
-from kovtop.invariants import (DriftReport, TRACKING_GUARDS, altmap_n4_integrals,
+from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
+                          generalized_kovalevskaya, kovalevskaya3, rk4_states)
+from kovtop.invariants import (DriftReport, Invariant, TRACKING_GUARDS,
+                               altmap_n4_integrals,
                                claimed_invariants, cross_ratio,
                                cross_ratio_integrals, defect_order,
                                density_cross_power, density_euler_hk,
@@ -19,7 +20,8 @@ from kovtop.invariants import (DriftReport, TRACKING_GUARDS, altmap_n4_integrals
                                density_kov_product, drift_batch, drift_report,
                                drift_to_csv, drift_to_json, euler_hk_integrals,
                                flow_power_integrals, genhk_n4_integrals,
-                               independence_rank, kov_hk_integrals,
+                               independence_rank, invariant_gradients,
+                               kov_hk_integrals,
                                kov_poly_integrals, kov_product_integrals,
                                phi_alt3, phi_alt4, phi_genhk3, phi_genhk4,
                                quartet_integrals, random_starts, registry,
@@ -29,6 +31,7 @@ from kovtop.invariants import (DriftReport, TRACKING_GUARDS, altmap_n4_integrals
                                volume_check)
 from kovtop.maps import (MAP_NAMES, alt_map, cosine_law, euler_hk, gen_hk, get_map,
                          kov_pullback, kov_sqrt)
+from kovtop.numdiff import DEFAULT_SCALE
 
 
 def test_kov_poly_values():
@@ -148,14 +151,38 @@ def test_drift_batch_aggregates():
 
 
 def _drift_reference(target, invs, starts, eps, steps):
-    """drift_batch's aggregation over one drift_report per (start, invariant)."""
+    """drift_batch's aggregation of per-(start, invariant) drifts, each read
+    off that start's own orbit one invariant at a time."""
+    per_start = []
+    for y0 in starts:
+        if isinstance(target, FlowSpec):
+            traj, orbit_end = rk4_states(target, y0, eps, steps)
+        else:
+            traj, orbit_end = target.orbit(y0, eps, steps, TRACKING_GUARDS)
+        rows = []
+        for inv in invs:
+            vals = inv.values(traj, eps)
+            dom = inv.in_domain(traj, eps)
+            ok = inv.reliable(traj, eps) & np.isfinite(vals)
+            end = orbit_end
+            if not dom.all():
+                cut = int(np.argmin(dom))
+                vals, ok = vals[:cut], ok[:cut]
+                end = min(end, cut - 1)
+            idx = np.flatnonzero(ok)
+            if idx.size >= 1:
+                ref = vals[idx[0]]
+                drift = float(np.max(np.abs(vals[idx] - ref)) / max(1.0, abs(ref)))
+            else:
+                drift = math.nan
+            rows.append((drift, int(end) if end < steps else None))
+        per_start.append(rows)
     out = []
-    for inv in invs:
-        rows = [drift_report(target, inv, y0, eps, steps) for y0 in starts]
-        drifts = [r.max_rel_drift for r in rows if not math.isnan(r.max_rel_drift)]
-        ends = [r.first_blowup_step for r in rows if r.first_blowup_step is not None]
-        out.append(DriftReport(map=rows[0].map, invariant=inv.name, eps=eps,
-                               steps=steps,
+    for inv, rows in zip(invs, zip(*per_start)):
+        drifts = [d for d, _ in rows if not math.isnan(d)]
+        ends = [e for _, e in rows if e is not None]
+        out.append(DriftReport(map=target.name.split("(")[0], invariant=inv.name,
+                               eps=eps, steps=steps,
                                max_rel_drift=max(drifts) if drifts else math.nan,
                                first_blowup_step=min(ends) if ends else None))
     return out
@@ -293,6 +320,75 @@ def test_independence_ranks():
                for y in pts4)
     assert all(independence_rank(genhk_n4_integrals(), y, 0.01) == 3 for y in pts4)
     assert all(independence_rank(altmap_n4_integrals(), y, 0.01) == 3 for y in pts4)
+
+
+def _reference_gradients(invs, y, eps):
+    """Per-point central differences: 2N scalar Invariant.value calls per
+    invariant, each on its own copy of y."""
+    y = np.asarray(y, dtype=float)
+    G = np.zeros((len(invs), y.shape[0]))
+    for r, inv in enumerate(invs):
+        for i in range(y.shape[0]):
+            h = DEFAULT_SCALE * (1.0 + abs(y[i]))
+            up = y.copy()
+            dn = y.copy()
+            up[i] += h
+            dn[i] -= h
+            G[r, i] = (inv.value(up, eps) - inv.value(dn, eps)) / (2.0 * h)
+    return G
+
+
+def _gradients_or_domain_error(fn, invs, y, eps):
+    try:
+        return fn(invs, y, eps)
+    except DomainError:
+        return DomainError
+
+
+def _gradient_points(N, seed):
+    pts = list(random_starts(6, N, seed))
+    base = pts[0]
+    edge = [base.copy() for _ in range(4)]
+    edge[0][1] = -base[1]        # outside the positive orthant
+    edge[1][2] = 5e-7            # the down-step of y_3 crosses zero
+    edge[2][0] = 0.0             # a zero coordinate
+    edge[3][1] = edge[3][0]      # y_1 = y_2, off every cross-ratio domain
+    return pts + edge
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [2.0, 1.3])
+def test_stacked_gradients_match_per_point_reference(N, alpha):
+    families = {}
+    for inv in registry(N, alpha):
+        families.setdefault(inv.family, []).append(inv)
+    outcomes = set()
+    for invs in families.values():
+        for y in _gradient_points(N, seed=10 * N + int(alpha * 10)):
+            for eps in (0.0, 0.01, 5.0):
+                want = _gradients_or_domain_error(_reference_gradients, invs, y, eps)
+                got = _gradients_or_domain_error(invariant_gradients, invs, y, eps)
+                if want is DomainError:
+                    assert got is DomainError, (invs[0].family, y, eps)
+                else:
+                    assert got is not DomainError, (invs[0].family, y, eps)
+                    assert np.array_equal(got, want), (invs[0].family, y, eps)
+                outcomes.add(want is DomainError)
+    assert outcomes == {True, False}
+
+
+def test_independence_rank_evaluates_each_invariant_once(monkeypatch):
+    calls = []
+    values = Invariant.values
+
+    def counting(self, Y, eps=0.0):
+        calls.append(np.shape(Y))
+        return values(self, Y, eps)
+
+    monkeypatch.setattr(Invariant, "values", counting)
+    invs = altmap_n4_integrals()
+    assert independence_rank(invs, np.array([0.4, 0.9, 1.3, 0.7]), 0.01) == 3
+    assert calls == [(8, 4)] * len(invs)
 
 
 def test_defect_order_sentinel_for_exact_integrals():
