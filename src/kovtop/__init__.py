@@ -8,8 +8,7 @@ quantities and invariant volume densities, and the machinery that certifies
 every claimed conservation law, conjugacy, and algebraic identity in double
 precision.
 """
-from ._jit import JIT_ENABLED
-from .core import (MapInverse, MapStepScale, QuadraticField, StateVector,
+from .core import (MapStepScale, QuadraticField, StateVector,
                    TrajectoryRecord, as_state, elementary_symmetric,
                    evaluate_field, painleve_condition)
 from .errors import (BlowupError, ConfigError, DimensionError, DomainError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import maps as maps_mod
 from .core import TrajectoryRecord, as_state, fmt17
 from .errors import (BlowupError, ConfigError, DomainError, KovtopError,
                      ParameterError, SingularStepError)
-from .flows import (FlowSpec, euler_top3, generalized_euler,
+from .flows import (FlowSpec, _steps_for, euler_top3, generalized_euler,
                     generalized_kovalevskaya, integrate_reference,
                     kovalevskaya3, rk4_states)
 from .invariants import (claimed_invariants, drift_batch, drift_to_csv,
@@ -35,9 +36,18 @@ IDENTITY_NAMES = ("n4-poly", "s-relations", "r-reciprocity", "step-ratio",
                   "d-sum", "r-product", "phi-eq", "sqrt-comp", "engine")
 
 
+# argparse's own pattern takes only -<digits> and -<digits>.<digits> for a
+# negative number; this one also takes an exponent, as in `--eps -1e-3`
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; this tool reserves 2 for
     runtime aborts, so config errors are rethrown and mapped to 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ConfigError(message)
@@ -157,11 +167,10 @@ def _cmd_simulate(args) -> int:
     flow = _make_flow(args.flow, args.n, args.alpha)
     if len(y0) != flow.dim:
         raise ConfigError(f"--y0 must list {flow.dim} coordinates")
-    if args.dt <= 0 or args.t_end < 0:
-        raise ConfigError("need dt > 0 and t-end >= 0")
-    nsteps = round(args.t_end / args.dt) if args.t_end > 0 else 0
-    if abs(nsteps * args.dt - args.t_end) > 1e-9 * max(1.0, args.t_end):
-        raise ConfigError("dt must divide t-end")
+    try:
+        nsteps = _steps_for(args.t_end, args.dt)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     states, end = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
     status = "ok" if end == nsteps else "blowup"
     times = args.dt * np.arange(end + 1)
@@ -364,6 +373,8 @@ def _cmd_check(args) -> int:
         n = args.n
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if args.identity == "phi-eq" and n not in (3, 4):
+        raise ConfigError(f"phi-eq is defined for N = 3 or 4, not N = {n}")
     worst = _check_battery(args.identity, n, args.trials, args.seed, args.eps)
     if args.format == "csv":
         _emit("identity,trials,max_residual\n"

@@ -51,11 +51,6 @@ class MapStepScale(Enum):
         return 1.0 if self is MapStepScale.EPS else 2.0
 
 
-class MapInverse(Enum):
-    NEGATE_EPS = "negate-eps"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class QuadraticField:
     """Purely quadratic vector field dy_i/dt = sum_{j<=k} a[i,j,k] y_j y_k.
@@ -121,19 +116,6 @@ def elementary_symmetric(y, k: int) -> float:
     if not 0 <= k <= n:
         raise IndexError(f"k must be in [0, {n}], got {k}")
     return float(kernels.esp_all(y)[k])
-
-
-def all_elementary_symmetric(Y: np.ndarray) -> np.ndarray:
-    """e_0..e_N for a batch of states, shape (..., N) -> (..., N+1)."""
-    Y = np.asarray(Y, dtype=float)
-    n = Y.shape[-1]
-    e = np.zeros(Y.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
-    for i in range(n):
-        top = min(i + 1, n)
-        for j in range(top, 0, -1):
-            e[..., j] += Y[..., i] * e[..., j - 1]
-    return e
 
 
 def fmt17(x: float) -> str:

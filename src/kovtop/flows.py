@@ -6,7 +6,7 @@ accuracy controlled by dt alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,26 +15,18 @@ from . import kernels
 from .core import QuadraticField, TrajectoryRecord, as_state
 from .errors import BlowupError, DimensionError, ParameterError
 
-_DUMMY_COEFFS = np.zeros((1, 1, 1))
-
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """A named right-hand side together with the data the kernels need.
+    """A named right-hand side dy/dt = rhs(y).
 
-    kind is one of "scaled-quadratic" (dy_i/dt = y_i(s - alpha y_i) with s a
-    polynomial in the elementary symmetric functions), "product-complement"
-    (dx_i/dt = prod_{j != i} x_j), "quadratic-field", or "custom" (python
-    callable only, integrated without the compiled kernels).
+    `rhs` maps a float64 state of length `dim` to a float64 array of the same
+    length; the RK4 kernel calls it directly.
     """
 
     name: str
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
-    alpha: float = 2.0
-    s_coeffs: tuple[float, ...] = ()
-    field: QuadraticField | None = None
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(self.rhs(as_state(y, self.dim)), dtype=float)
@@ -66,15 +58,12 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     def rhs(y):
         return kernels._rhs_scaled_quadratic(np.asarray(y, float), alpha, sc)
 
-    return FlowSpec(name=name, dim=N, rhs=rhs, kind="scaled-quadratic",
-                    alpha=alpha, s_coeffs=tuple(sc))
+    return FlowSpec(name=name, dim=N, rhs=rhs)
 
 
 def kovalevskaya3() -> FlowSpec:
     """The three-dimensional flow dy_i/dt = y_i(-y_i + y_j + y_k)."""
-    flow = generalized_kovalevskaya(3, 2.0)
-    return FlowSpec(name="kov3", dim=3, rhs=flow.rhs, kind="scaled-quadratic",
-                    alpha=2.0, s_coeffs=flow.s_coeffs)
+    return replace(generalized_kovalevskaya(3, 2.0), name="kov3")
 
 
 def generalized_euler(N: int) -> FlowSpec:
@@ -86,22 +75,20 @@ def generalized_euler(N: int) -> FlowSpec:
     def rhs(x):
         return kernels._rhs_product_complement(np.asarray(x, float))
 
-    return FlowSpec(name=f"gen-euler(N={N})", dim=N, rhs=rhs,
-                    kind="product-complement")
+    return FlowSpec(name=f"gen-euler(N={N})", dim=N, rhs=rhs)
 
 
 def euler_top3() -> FlowSpec:
     """The Euler top dx_i/dt = x_j x_k."""
-    flow = generalized_euler(3)
-    return FlowSpec(name="euler3", dim=3, rhs=flow.rhs, kind="product-complement")
+    return replace(generalized_euler(3), name="euler3")
 
 
 def quadratic_flow(field: QuadraticField, name: str = "quadratic") -> FlowSpec:
+    """The flow dy/dt = field(y) of a quadratic field tensor."""
     def rhs(y):
         return kernels._rhs_quadratic_field(field.coeffs, np.asarray(y, float))
 
-    return FlowSpec(name=name, dim=field.dim, rhs=rhs, kind="quadratic-field",
-                    field=field)
+    return FlowSpec(name=name, dim=field.dim, rhs=rhs)
 
 
 def kovalevskaya_field(N: int = 3, alpha: float = 2.0) -> QuadraticField:
@@ -147,7 +134,7 @@ def integrate_reference(flow: FlowSpec, y0, t_end: float, dt: float) -> Trajecto
             f"trajectory of {flow.name} left the finite region at t = {(end + 1) * dt:g}",
             last_time=end * dt, last_state=traj[end])
     times = dt * np.arange(nsteps + 1)
-    return TrajectoryRecord(system=flow.name, times=times, states=np.asarray(traj))
+    return TrajectoryRecord(system=flow.name, times=times, states=traj)
 
 
 def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, int]:
@@ -155,39 +142,7 @@ def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, 
     (states, last_step) with last_step < nsteps on blowup."""
     y0 = as_state(y0, flow.dim)
     with np.errstate(all="ignore"):
-        if flow.kind == "scaled-quadratic":
-            traj, end = kernels.rk4_orbit(
-                kernels.FLOW_SCALED_QUAD, y0, flow.alpha, np.asarray(flow.s_coeffs),
-                _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
-        elif flow.kind == "product-complement":
-            traj, end = kernels.rk4_orbit(
-                kernels.FLOW_PRODUCT_COMPLEMENT, y0, 0.0, np.zeros(1),
-                _DUMMY_COEFFS, dt, nsteps, kernels.BLOWUP_CAP)
-        elif flow.kind == "quadratic-field":
-            traj, end = kernels.rk4_orbit(
-                kernels.FLOW_QUAD_FIELD, y0, 0.0, np.zeros(1),
-                flow.field.coeffs, dt, nsteps, kernels.BLOWUP_CAP)
-        else:
-            traj, end = _rk4_python(flow.rhs, y0, dt, nsteps)
-    return np.asarray(traj), int(end)
-
-
-def _rk4_python(rhs, y0, dt, nsteps):
-    traj = np.empty((nsteps + 1, y0.shape[0]))
-    traj[0] = y0
-    y = y0.copy()
-    end = nsteps
-    for k in range(nsteps):
-        k1 = np.asarray(rhs(y), float)
-        k2 = np.asarray(rhs(y + 0.5 * dt * k1), float)
-        k3 = np.asarray(rhs(y + 0.5 * dt * k2), float)
-        k4 = np.asarray(rhs(y + dt * k3), float)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > kernels.BLOWUP_CAP:
-            end = k
-            break
-        traj[k + 1] = y
-    return traj[: end + 1], end
+        return kernels.rk4_orbit(flow.rhs, y0, dt, nsteps, kernels.BLOWUP_CAP)
 
 
 def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:

@@ -1,9 +1,9 @@
 """Hot numeric kernels: closed-form map steps, orbit iteration, RK4 integration.
 
-Each kernel exists once as plain source; the public names (`map_step`,
-`map_orbit`, `rk4_orbit`, ...) are numba-compiled unless the pure path is
-selected (see `_jit`).  The pure twins stay importable under `py_` prefixes so
-the two paths can be benchmarked and cross-checked against each other.
+Every kernel is plain Python over numpy arrays, one state at a time, and
+every map, flow and command runs through them.  The step kernels accumulate
+over coordinates in a fixed order, so their results do not depend on numpy's
+reduction order.
 
 Step kernels return ``(new_state, regularity)``.  The regularity factor is the
 smallest magnitude among the step's denominator factors, normalised so that it
@@ -14,8 +14,6 @@ wrappers in `maps` translate that into typed exceptions.
 """
 import numpy as np
 
-from ._jit import JIT_ENABLED, jit_compile, register_jitable
-
 # Map dispatch codes (fixed; serialized nowhere, safe to renumber).
 EULER_HK = 0
 COSINE = 1
@@ -24,15 +22,9 @@ KOV_PULLBACK = 3
 GEN_HK = 4
 ALT = 5
 
-# Flow dispatch codes.
-FLOW_SCALED_QUAD = 0
-FLOW_PRODUCT_COMPLEMENT = 1
-FLOW_QUAD_FIELD = 2
-
 BLOWUP_CAP = 1e12
 
 
-@register_jitable
 def _step_euler_hk(x, eps):
     x1 = x[0]
     x2 = x[1]
@@ -46,7 +38,6 @@ def _step_euler_hk(x, eps):
     return out, abs(den)
 
 
-@register_jitable
 def _step_cosine(x, eps):
     # regularity is the signed minimum of 1 - eps^2 x_j^2: <= 0 means the
     # square roots leave the real domain.
@@ -69,7 +60,6 @@ def _step_cosine(x, eps):
     return out, reg
 
 
-@register_jitable
 def _step_kov_sqrt(y, eps):
     out = np.empty(3)
     reg = 1e300
@@ -86,7 +76,6 @@ def _step_kov_sqrt(y, eps):
     return out, reg
 
 
-@register_jitable
 def _step_kov_pullback(y, eps):
     e2 = y[0] * y[1] + y[1] * y[2] + y[2] * y[0]
     e3 = y[0] * y[1] * y[2]
@@ -107,7 +96,6 @@ def _step_kov_pullback(y, eps):
     return out, reg
 
 
-@register_jitable
 def _step_gen_hk(y, eps):
     n = y.shape[0]
     s = 0.0
@@ -130,7 +118,6 @@ def _step_gen_hk(y, eps):
     return out, reg
 
 
-@register_jitable
 def _step_alt(y, eps):
     n = y.shape[0]
     u = np.empty(n)
@@ -151,23 +138,16 @@ def _step_alt(y, eps):
     return out, reg
 
 
-@register_jitable
-def _step_by_code(code, y, eps):
-    if code == 0:
-        return _step_euler_hk(y, eps)
-    elif code == 1:
-        return _step_cosine(y, eps)
-    elif code == 2:
-        return _step_kov_sqrt(y, eps)
-    elif code == 3:
-        return _step_kov_pullback(y, eps)
-    elif code == 4:
-        return _step_gen_hk(y, eps)
-    else:
-        return _step_alt(y, eps)
+# Indexed by map dispatch code.
+_STEPS = (_step_euler_hk, _step_cosine, _step_kov_sqrt, _step_kov_pullback,
+          _step_gen_hk, _step_alt)
 
 
-@register_jitable
+def map_step(code, y, eps):
+    """One step of the map with dispatch `code`: (new_state, regularity)."""
+    return _STEPS[code](y, eps)
+
+
 def _coincidence_depth(y, even):
     # Smallest relative pairwise separation; with `even` the comparison is on
     # magnitudes (systems whose invariants depend on squares).
@@ -187,11 +167,7 @@ def _coincidence_depth(y, even):
     return m
 
 
-def _map_step(code, y, eps):
-    return _step_by_code(code, y, eps)
-
-
-def _map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
+def map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
     """Iterate a map, stopping at the first untrustworthy step.
 
     Stops when the step regularity drops below `theta`, when
@@ -200,15 +176,15 @@ def _map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
     or on non-finite values.  Returns (trajectory, last_step): states
     0..last_step are recorded, and last_step < nsteps means early stop.
     """
+    step = _STEPS[code]
     n = y0.shape[0]
     traj = np.empty((nsteps + 1, n))
-    for i in range(n):
-        traj[0, i] = y0[i]
+    traj[0] = y0
     y = y0.copy()
     end = nsteps
     aeps = abs(eps)
     for k in range(nsteps):
-        ynew, reg = _step_by_code(code, y, eps)
+        ynew, reg = step(y, eps)
         finite = True
         big = 0.0
         for i in range(n):
@@ -223,36 +199,26 @@ def _map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
                 or (coin_tol > 0.0 and _coincidence_depth(ynew, even) < coin_tol):
             end = k
             break
-        for i in range(n):
-            traj[k + 1, i] = ynew[i]
+        traj[k + 1] = ynew
         y = ynew
     return traj[: end + 1], end
 
 
-@register_jitable
-def _esp_all(y):
+def esp_all(y):
     """All elementary symmetric polynomials e_0..e_N of y, by the stable
     one-pass recurrence (coefficients of prod(1 + t*y_i))."""
     n = y.shape[0]
     e = np.zeros(n + 1)
     e[0] = 1.0
     for i in range(n):
-        top = i + 1
-        if top > n:
-            top = n
-        for j in range(top, 0, -1):
+        for j in range(i + 1, 0, -1):
             e[j] += y[i] * e[j - 1]
     return e
 
 
-def _esp_entry(y):
-    return _esp_all(y)
-
-
-@register_jitable
 def _rhs_scaled_quadratic(y, alpha, s_coeffs):
     # dy_i/dt = y_i (s - alpha y_i), s = sum_k s_coeffs[k-1] e_k(y)
-    e = _esp_all(y)
+    e = esp_all(y)
     s = 0.0
     for k in range(s_coeffs.shape[0]):
         s += s_coeffs[k] * e[k + 1]
@@ -263,7 +229,6 @@ def _rhs_scaled_quadratic(y, alpha, s_coeffs):
     return out
 
 
-@register_jitable
 def _rhs_product_complement(x):
     n = x.shape[0]
     out = np.empty(n)
@@ -276,7 +241,6 @@ def _rhs_product_complement(x):
     return out
 
 
-@register_jitable
 def _rhs_quadratic_field(coeffs, y):
     n = y.shape[0]
     out = np.empty(n)
@@ -291,30 +255,20 @@ def _rhs_quadratic_field(coeffs, y):
     return out
 
 
-@register_jitable
-def _flow_rhs(code, y, alpha, s_coeffs, coeffs):
-    if code == 0:
-        return _rhs_scaled_quadratic(y, alpha, s_coeffs)
-    elif code == 1:
-        return _rhs_product_complement(y)
-    else:
-        return _rhs_quadratic_field(coeffs, y)
-
-
-def _rk4_orbit(code, y0, alpha, s_coeffs, coeffs, dt, nsteps, cap):
-    """Classical fixed-step RK4 trajectory.  Returns (trajectory, last_step);
-    last_step < nsteps means the state left the finite region."""
+def rk4_orbit(rhs, y0, dt, nsteps, cap):
+    """Classical fixed-step RK4 trajectory of dy/dt = rhs(y).  Returns
+    (trajectory, last_step); last_step < nsteps means the state left the
+    finite region |y_i| <= cap."""
     n = y0.shape[0]
     traj = np.empty((nsteps + 1, n))
-    for i in range(n):
-        traj[0, i] = y0[i]
+    traj[0] = y0
     y = y0.copy()
     end = nsteps
     for k in range(nsteps):
-        k1 = _flow_rhs(code, y, alpha, s_coeffs, coeffs)
-        k2 = _flow_rhs(code, y + (0.5 * dt) * k1, alpha, s_coeffs, coeffs)
-        k3 = _flow_rhs(code, y + (0.5 * dt) * k2, alpha, s_coeffs, coeffs)
-        k4 = _flow_rhs(code, y + dt * k3, alpha, s_coeffs, coeffs)
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * dt) * k1)
+        k3 = rhs(y + (0.5 * dt) * k2)
+        k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ok = True
         for i in range(n):
@@ -325,26 +279,5 @@ def _rk4_orbit(code, y0, alpha, s_coeffs, coeffs, dt, nsteps, cap):
         if not ok:
             end = k
             break
-        for i in range(n):
-            traj[k + 1, i] = y[i]
+        traj[k + 1] = y
     return traj[: end + 1], end
-
-
-# Selected path (numba when enabled) and always-available pure twins.
-map_step = jit_compile(_map_step)
-map_orbit = jit_compile(_map_orbit)
-rk4_orbit = jit_compile(_rk4_orbit)
-esp_all = jit_compile(_esp_entry)
-
-py_map_step = _map_step
-py_map_orbit = _map_orbit
-py_rk4_orbit = _rk4_orbit
-py_esp_all = _esp_entry
-
-__all__ = [
-    "EULER_HK", "COSINE", "KOV_SQRT", "KOV_PULLBACK", "GEN_HK", "ALT",
-    "FLOW_SCALED_QUAD", "FLOW_PRODUCT_COMPLEMENT", "FLOW_QUAD_FIELD",
-    "BLOWUP_CAP", "JIT_ENABLED",
-    "map_step", "map_orbit", "rk4_orbit", "esp_all",
-    "py_map_step", "py_map_orbit", "py_rk4_orbit", "py_esp_all",
-]

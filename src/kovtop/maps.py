@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .core import MapInverse, MapStepScale, as_state
+from .core import MapStepScale, as_state
 from .errors import DimensionError, DomainError, SingularStepError
-from .hk_engine import SINGULAR_RTOL, BilinearStepSystem
+from .hk_engine import SINGULAR_RTOL
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,14 @@ RAW_GUARDS = OrbitGuards()
 class DiscreteMap:
     """A parametrized step (state, eps) -> state with a declared time scale.
 
-    `kernel_code` selects the compiled step/orbit kernels; maps assembled from
-    other machinery (e.g. the generic bilinear engine) leave it None and
-    iterate in Python.
+    `kernel_code` selects the step kernel in `kernels` that both `step` and
+    `orbit` run.
     """
 
     name: str
     dim: int
     scale: MapStepScale
-    step_raw: Callable[[np.ndarray, float], tuple[np.ndarray, float]]
-    kernel_code: int | None = None
-    inverse_rule: MapInverse = MapInverse.NEGATE_EPS
+    kernel_code: int
     even_invariants: bool = False
 
     def step_time(self, eps: float) -> float:
@@ -66,17 +62,11 @@ class DiscreteMap:
         y = as_state(y, self.dim)
         self._precheck(y, eps)
         with np.errstate(all="ignore"):
-            out, reg = self.step_raw(y, eps)
-        out = np.asarray(out, dtype=float)
+            out, reg = kernels.map_step(self.kernel_code, y, eps)
         if reg < SINGULAR_RTOL or not np.all(np.isfinite(out)):
             raise SingularStepError(
                 f"{self.name}: {self._singular_detail(y, eps)}", state=y, eps=eps)
         return out
-
-    def inverse_step(self, y, eps: float) -> np.ndarray:
-        if self.inverse_rule is not MapInverse.NEGATE_EPS:
-            raise ValueError(f"{self.name} declares no inverse rule")
-        return self.step(y, -eps)
 
     def orbit(self, y0, eps: float, steps: int,
               guards: OrbitGuards = RAW_GUARDS) -> tuple[np.ndarray, int]:
@@ -86,34 +76,11 @@ class DiscreteMap:
         y0 = as_state(y0, self.dim)
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.kernel_code is not None:
-            with np.errstate(all="ignore"):
-                traj, end = kernels.map_orbit(
-                    self.kernel_code, y0, eps, steps, guards.strain,
-                    guards.resolution, guards.coincidence, self.even_invariants,
-                    guards.cap)
-            return np.asarray(traj), int(end)
-        return self._orbit_python(y0, eps, steps, guards)
-
-    def _orbit_python(self, y0, eps, steps, guards):
-        traj = np.empty((steps + 1, self.dim))
-        traj[0] = y0
-        y = y0
-        end = steps
-        for k in range(steps):
-            with np.errstate(all="ignore"):
-                ynew, reg = self.step_raw(y, eps)
-            ynew = np.asarray(ynew, dtype=float)
-            big = np.max(np.abs(ynew)) if np.all(np.isfinite(ynew)) else np.inf
-            if (not np.isfinite(big) or big > guards.cap or reg < guards.strain
-                    or abs(eps) * big > guards.resolution
-                    or kernels._coincidence_depth(ynew, self.even_invariants)
-                    < guards.coincidence):
-                end = k
-                break
-            traj[k + 1] = ynew
-            y = ynew
-        return traj[: end + 1], end
+        with np.errstate(all="ignore"):
+            return kernels.map_orbit(
+                self.kernel_code, y0, eps, steps, guards.strain,
+                guards.resolution, guards.coincidence, self.even_invariants,
+                guards.cap)
 
     def _precheck(self, y, eps):
         if self.kernel_code == kernels.COSINE:
@@ -133,40 +100,28 @@ class DiscreteMap:
         return "step denominator vanished"
 
 
-def _raw_from_code(code):
-    def raw(y, eps):
-        return kernels.map_step(code, y, eps)
-
-    return raw
-
-
 def euler_hk() -> DiscreteMap:
     """Explicit bilinearized Euler top (one application advances 2*eps)."""
     return DiscreteMap("euler-hk", 3, MapStepScale.TWO_EPS,
-                       _raw_from_code(kernels.EULER_HK),
-                       kernel_code=kernels.EULER_HK, even_invariants=True)
+                       kernels.EULER_HK, even_invariants=True)
 
 
 def cosine_law() -> DiscreteMap:
     """Spherical-cosine-law step; its second iterate is euler_hk.  Real only
     on eps^2 x_j^2 < 1, principal square roots."""
     return DiscreteMap("cosine", 3, MapStepScale.EPS,
-                       _raw_from_code(kernels.COSINE),
-                       kernel_code=kernels.COSINE, even_invariants=True)
+                       kernels.COSINE, even_invariants=True)
 
 
 def kov_sqrt() -> DiscreteMap:
     """Birational square-root map: its second iterate is kov_pullback."""
-    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS,
-                       _raw_from_code(kernels.KOV_SQRT),
-                       kernel_code=kernels.KOV_SQRT)
+    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS, kernels.KOV_SQRT)
 
 
 def kov_pullback() -> DiscreteMap:
     """Pull-back of euler_hk under y_i = x_j*x_k/x_i (advances 2*eps)."""
     return DiscreteMap("kov-pullback", 3, MapStepScale.TWO_EPS,
-                       _raw_from_code(kernels.KOV_PULLBACK),
-                       kernel_code=kernels.KOV_PULLBACK)
+                       kernels.KOV_PULLBACK)
 
 
 def gen_hk(N: int) -> DiscreteMap:
@@ -174,9 +129,7 @@ def gen_hk(N: int) -> DiscreteMap:
     ynew_i = y_i / (S * d_i), any N >= 3."""
     if N < 3:
         raise DimensionError("gen-hk needs N >= 3")
-    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS,
-                       _raw_from_code(kernels.GEN_HK),
-                       kernel_code=kernels.GEN_HK)
+    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS, kernels.GEN_HK)
 
 
 def alt_map(N: int) -> DiscreteMap:
@@ -184,24 +137,7 @@ def alt_map(N: int) -> DiscreteMap:
     it coincides with kov_sqrt."""
     if N < 3:
         raise DimensionError("alt-map needs N >= 3")
-    return DiscreteMap("alt-map", N, MapStepScale.EPS,
-                       _raw_from_code(kernels.ALT),
-                       kernel_code=kernels.ALT)
-
-
-def from_bilinear_system(sys: BilinearStepSystem, name: str) -> DiscreteMap:
-    """Adapter wrapping the generic linear-solve engine as a DiscreteMap."""
-
-    def raw(y, eps):
-        A = sys.matrix_builder(y, eps)
-        det = np.linalg.det(A)
-        hadamard = float(np.prod(np.linalg.norm(A, axis=1)))
-        reg = abs(det) / hadamard if hadamard > 0 else 0.0
-        if reg <= SINGULAR_RTOL:
-            return np.full(sys.dim, np.nan), reg
-        return np.linalg.solve(A, y), reg
-
-    return DiscreteMap(name, sys.dim, sys.scale, raw)
+    return DiscreteMap("alt-map", N, MapStepScale.EPS, kernels.ALT)
 
 
 _FIXED_DIM = {"euler-hk": euler_hk, "cosine": cosine_law,

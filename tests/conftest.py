@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 
 def admissible_states(n, dim, seed, low=0.1, high=2.0, min_sep=1e-2):
@@ -11,22 +10,3 @@ def admissible_states(n, dim, seed, low=0.1, high=2.0, min_sep=1e-2):
         if (np.abs(y[:, None] - y[None, :]) + np.eye(dim)).min() >= min_sep:
             out.append(y)
     return out
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first call to each compiled kernel pays the JIT cost; do it once up
-    # front so per-test timings stay meaningful
-    from kovtop import kernels
-    y3 = np.array([0.3, 0.4, 0.5])
-    for code in (kernels.EULER_HK, kernels.COSINE, kernels.KOV_SQRT,
-                 kernels.KOV_PULLBACK, kernels.GEN_HK, kernels.ALT):
-        kernels.map_step(code, y3, 0.01)
-        kernels.map_orbit(code, y3, 0.01, 2, 0.0, np.inf, 0.0, False, 1e12)
-    sc = np.zeros(3)
-    sc[0] = 1.0
-    kernels.rk4_orbit(kernels.FLOW_SCALED_QUAD, y3, 2.0, sc,
-                      np.zeros((1, 1, 1)), 1e-3, 2, 1e12)
-    kernels.rk4_orbit(kernels.FLOW_PRODUCT_COMPLEMENT, y3, 0.0, sc,
-                      np.zeros((1, 1, 1)), 1e-3, 2, 1e12)
-    kernels.esp_all(y3)

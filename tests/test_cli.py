@@ -251,6 +251,8 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (_SIMULATE + ["--t-end", "1", "--dt", "nan"], "--dt"),
     (_SIMULATE + ["--t-end", "inf", "--dt", "0.001"], "--t-end"),
     (_SIMULATE + ["--t-end", "1", "--dt", "0.001", "--alpha", "nan"], "--alpha"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "0"], "dt must be positive"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "0.003"], "does not divide"),
     (_DRIFT + ["--eps=-inf"], "--eps"),
     (_DRIFT + ["--eps", "0.01", "--alpha", "inf"], "--alpha"),
     (["check", "--identity", "d-sum", "--eps", "nan"], "--eps"),
@@ -260,7 +262,8 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "inf"],
      "--total-time"),
 ], ids=["map-steps", "map-eps-nan", "map-eps-inf", "simulate-dt",
-        "simulate-t-end", "simulate-alpha", "drift-eps", "drift-alpha",
+        "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
+        "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
         "check-eps", "independence-eps", "convergence-eps-list",
         "convergence-total-time"])
 def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
@@ -269,6 +272,30 @@ def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     assert rc == 1
     assert out.out == ""
     assert out.err.startswith("error:") and message in out.err
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_phi_eq_rejects_unsupported_dimension(capsys, n):
+    rc = main(["check", "--identity", "phi-eq", "--n", str(n), "--trials",
+               "5", "--seed", "1"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert out.err.startswith("error:") and "phi-eq" in out.err
+
+
+@pytest.mark.parametrize("tail", [["map", "--map", "gen-hk", "--n", "4",
+                                   "--y0", "1,2,3,4", "--steps", "3"],
+                                  ["drift", "--map", "gen-hk", "--n", "4",
+                                   "--steps", "20", "--starts", "2"]],
+                         ids=["map", "drift"])
+def test_negative_exponent_value_after_space(capsys, tail):
+    assert main(tail + ["--eps=-1e-3"]) == 0
+    joined = capsys.readouterr()
+    assert main(tail + ["--eps", "-1e-3"]) == 0
+    spaced = capsys.readouterr()
+    assert spaced.out == joined.out and spaced.out
+    assert spaced.err == joined.err == ""
 
 
 def test_singular_abort_exits_two(capsys):

@@ -3,11 +3,13 @@ import pytest
 
 from conftest import admissible_states
 from kovtop.errors import BlowupError, ParameterError
-from kovtop.flows import (euler_top3, generalized_euler,
+from kovtop.flows import (euler_field, euler_top3, generalized_euler,
                           generalized_kovalevskaya, integrate_reference,
-                          kovalevskaya3, verify_hyperelliptic_relation)
+                          kovalevskaya3, kovalevskaya_field, quadratic_flow,
+                          rk4_states, verify_hyperelliptic_relation)
 from kovtop.invariants import (cross_ratio_integrals, flow_power_integrals,
                                kov_poly_integrals)
+from kovtop.kernels import esp_all
 
 
 def test_kovalevskaya3_rhs_examples():
@@ -56,6 +58,20 @@ def test_rk4_diagonal_closed_form():
     # on the diagonal the flow is dy/dt = y^2, so y(t) = 1/(1 - t)
     traj = integrate_reference(kovalevskaya3(), [1.0, 1.0, 1.0], 0.5, 1e-3)
     np.testing.assert_allclose(traj.states[-1], [2.0, 2.0, 2.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("field, flow", [
+    (kovalevskaya_field(3), generalized_kovalevskaya(3)),
+    (kovalevskaya_field(4), generalized_kovalevskaya(4)),
+    (euler_field(), euler_top3()),
+], ids=["kov-N3", "kov-N4", "euler"])
+def test_quadratic_flow_tracks_closed_form_flow(field, flow):
+    # the coefficient-tensor right-hand side runs through the same RK4 kernel
+    for y0 in admissible_states(3, flow.dim, seed=11, low=0.05, high=0.3):
+        a, end_a = rk4_states(quadratic_flow(field), y0, 1e-3, 500)
+        b, end_b = rk4_states(flow, y0, 1e-3, 500)
+        assert end_a == end_b == 500
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_rk4_zero_time():
@@ -136,8 +152,7 @@ def test_H_decay_law_any_symmetric_s():
     H = (Y[:, 0] - Y[:, 1]) / (Y[:, 0] * Y[:, 1])
     logH = np.log(np.abs(H))
     dlog = (logH[2:] - logH[:-2]) / (2.0 * dt)
-    from kovtop.core import all_elementary_symmetric
-    e = all_elementary_symmetric(Y[1:-1])
+    e = np.array([esp_all(y) for y in Y[1:-1]])
     s = e[:, 1] + 0.5 * e[:, 2]
     assert np.max(np.abs(dlog + s)) < 1e-5
 

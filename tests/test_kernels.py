@@ -1,61 +1,9 @@
-"""Agreement between the numba path and the pure-numpy fallback."""
-import os
-import subprocess
-import sys
+"""The pure-numpy kernels against independent references."""
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from kovtop import kernels
-from kovtop._jit import JIT_ENABLED
-
-needs_jit = pytest.mark.skipif(not JIT_ENABLED, reason="numba path disabled")
-
-ALL_MAP_CODES = (kernels.EULER_HK, kernels.COSINE, kernels.KOV_SQRT,
-                 kernels.KOV_PULLBACK, kernels.GEN_HK, kernels.ALT)
-
-
-@needs_jit
-def test_step_paths_agree_bitwise():
-    rng = np.random.default_rng(71)
-    for code in ALL_MAP_CODES:
-        dim = 3 if code != kernels.GEN_HK and code != kernels.ALT else 5
-        for _ in range(20):
-            y = rng.uniform(0.1, 2.0, dim)
-            eps = rng.uniform(0.001, 0.1)
-            a, ra = kernels.map_step(code, y, eps)
-            b, rb = kernels.py_map_step(code, y, eps)
-            assert np.array_equal(a, b), code
-            assert ra == rb
-
-
-@needs_jit
-def test_orbit_paths_agree_bitwise():
-    rng = np.random.default_rng(72)
-    for code in ALL_MAP_CODES:
-        dim = 3 if code in (kernels.EULER_HK, kernels.COSINE, kernels.KOV_SQRT,
-                            kernels.KOV_PULLBACK) else 4
-        y0 = rng.uniform(0.1, 1.5, dim)
-        args = (y0, 0.01, 500, 0.01, 0.2, 1e-6, False, 1e12)
-        ta, ea = kernels.map_orbit(code, *args)
-        tb, eb = kernels.py_map_orbit(code, *args)
-        assert ea == eb
-        assert np.array_equal(ta, tb)
-
-
-@needs_jit
-def test_rk4_paths_agree_bitwise():
-    sc = np.zeros(4)
-    sc[0] = 1.0
-    y0 = np.array([0.2, 0.3, 0.4, 0.5])
-    dummy = np.zeros((1, 1, 1))
-    a, ea = kernels.rk4_orbit(kernels.FLOW_SCALED_QUAD, y0, 2.0, sc, dummy,
-                              1e-3, 300, 1e12)
-    b, eb = kernels.py_rk4_orbit(kernels.FLOW_SCALED_QUAD, y0, 2.0, sc, dummy,
-                                 1e-3, 300, 1e12)
-    assert ea == eb
-    assert np.array_equal(a, b)
 
 
 def test_esp_kernel_against_bruteforce():
@@ -72,17 +20,3 @@ def test_coincidence_depth():
     assert kernels._coincidence_depth(np.array([1.0, -1.0, 2.0]), True) == 0.0
     d = kernels._coincidence_depth(np.array([1.0, 2.0, 4.0]), False)
     assert abs(d - 1.0 / 3.0) < 1e-15
-
-
-def test_env_flag_selects_pure_path():
-    code = ("import kovtop, numpy as np; "
-            "assert not kovtop.JIT_ENABLED; "
-            "m = kovtop.gen_hk(4); "
-            "out = m.step(np.array([1.0, 1.0, 1.0, 1.0]), 0.1); "
-            "assert abs(out[0] - 5/3) < 1e-14; "
-            "print('pure-path-ok')")
-    env = dict(os.environ, KOVTOP_NUMBA="0")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert "pure-path-ok" in res.stdout

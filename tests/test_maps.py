@@ -81,6 +81,12 @@ def test_gen_hk_examples():
                                [1.0, 2.0, 3.0, 4.0])
 
 
+def test_gen_hk_diagonal_step():
+    # from the diagonal point (1, 1, 1, 1) one step gives 1/(1 - 4 eps)
+    out = gen_hk(4).step(np.array([1.0, 1.0, 1.0, 1.0]), 0.1)
+    assert abs(out[0] - 5 / 3) < 1e-14
+
+
 def test_gen_hk_matches_engine():
     rng = np.random.default_rng(41)
     for N in range(3, 9):
@@ -161,6 +167,13 @@ def test_orbit_matches_repeated_steps():
     for k in range(1, 51):
         y = m.step(y, 0.02)
         np.testing.assert_allclose(traj[k], y, rtol=1e-14)
+    # every map: orbit and step run the same kernel
+    for m in (euler_hk(), cosine_law(), kov_sqrt(), kov_pullback(), gen_hk(4),
+              alt_map(5)):
+        traj, end = m.orbit(np.linspace(0.3, 0.9, m.dim), 0.01, 50)
+        assert end == 50, m.name
+        for k in range(end):
+            assert np.array_equal(m.step(traj[k], 0.01), traj[k + 1]), m.name
 
 
 # --- scalar machinery --------------------------------------------------------
