@@ -8,6 +8,7 @@ column schema, so aborts are reported on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -71,7 +72,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `kovtop` argument parser, built on the first call and shared for
+    the life of the process, so that repeated `main` calls pay for it once.
+    Do not mutate it.  argparse keeps no per-parse state on a parser, so
+    the parses that share it are independent."""
     p = _Parser(prog="kovtop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -148,13 +154,24 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
+def _at_alpha(build, n: int, alpha: float):
+    """build(n, alpha), for the gen-kov flow or the invariant registry.  Both
+    reject alpha = N, where the power-law integrals divide by N - alpha; that
+    is an invalid configuration, not a runtime abort."""
+    try:
+        return build(n, alpha)
+    except ParameterError as exc:
+        raise ConfigError(
+            f"--alpha must differ from the dimension N={n}") from exc
+
+
 def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
     if name in ("kov3", "euler3"):
         if n not in (None, 3):
             raise ConfigError(f"--flow {name} is three-dimensional, not N={n}")
         return kovalevskaya3() if name == "kov3" else euler_top3()
     if name == "gen-kov":
-        return generalized_kovalevskaya(n, alpha)
+        return _at_alpha(generalized_kovalevskaya, n, alpha)
     return generalized_euler(n)
 
 
@@ -177,7 +194,8 @@ def _cmd_simulate(args) -> int:
     rec = TrajectoryRecord(system=flow.name, times=times, states=states,
                            status=status)
     if args.with_invariants:
-        invs = claimed_invariants(flow, registry(flow.dim, args.alpha))
+        invs = claimed_invariants(flow, _at_alpha(registry, flow.dim,
+                                                  args.alpha))
         rec.invariant_names = [v.name for v in invs]
         cols = [v.values(states, 0.0) for v in invs]
         rec.invariants = np.stack(cols, axis=1) if cols else None
@@ -216,7 +234,8 @@ def _cmd_drift(args) -> int:
         raise ConfigError("drift needs --n or --y0 to fix the dimension")
     target = (get_map(args.map, dim) if args.map is not None
               else _make_flow(args.flow, dim, args.alpha))
-    invs = claimed_invariants(target, registry(target.dim, args.alpha))
+    invs = claimed_invariants(target,
+                              _at_alpha(registry, target.dim, args.alpha))
     if args.invariant is not None:
         invs = [v for v in invs if v.name == args.invariant]
         if not invs:
@@ -387,9 +406,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_independence(args) -> int:
-    invs = [v for v in registry(args.n, args.alpha) if v.family == args.family]
+    every = _at_alpha(registry, args.n, args.alpha)
+    invs = [v for v in every if v.family == args.family]
     if not invs:
-        fams = sorted({v.family for v in registry(args.n, args.alpha)})
+        fams = sorted({v.family for v in every})
         raise ConfigError(f"unknown family {args.family!r} at N={args.n}; "
                           f"known: {', '.join(fams)}")
     pts = random_starts(args.points, args.n, args.seed)

@@ -18,6 +18,7 @@ DriftReport.first_blowup_step.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -360,7 +361,19 @@ def altmap_n4_integrals() -> list[Invariant]:
 def registry(N: int, alpha: float = 2.0) -> list[Invariant]:
     """Every invariant family instantiated at dimension N, tagged with the
     flows/maps it is claimed for.  alpha parametrizes the flow power-law
-    family (default 2 is the base system)."""
+    family (default 2 is the base system).
+
+    The families are built once per (N, alpha) and process; each call
+    returns a new list of the same frozen Invariants, which the caller may
+    change."""
+    # -0.0 == 0.0 share a cache key, but the power-law family name spells
+    # the sign of alpha
+    return list(_registry(N, alpha, math.copysign(1.0, alpha)))
+
+
+# bounded, so that a sweep over alpha keeps only the latest families
+@functools.lru_cache(maxsize=32)
+def _registry(N: int, alpha: float, _sign: float) -> tuple[Invariant, ...]:
     if N < 3:
         raise DimensionError("registry needs N >= 3")
     out: list[Invariant] = []
@@ -377,7 +390,7 @@ def registry(N: int, alpha: float = 2.0) -> list[Invariant]:
         out += sqrt_quartet_integrals()
         out += genhk_n4_integrals()
         out += altmap_n4_integrals()
-    return out
+    return tuple(out)
 
 
 def cross_ratio(y, i: int, j: int, k: int, l: int) -> float:
@@ -428,8 +441,9 @@ def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
     Records the max over certified points of
     |F(y_t, eps) - F(ref, eps)| / max(1, |F(ref)|); the reference is the first
     reliably evaluable point.  Early window end (singularity, blowup,
-    resolution or domain exit) is recorded in first_blowup_step; failures are
-    reported, never raised.  This is drift_batch with one start.
+    resolution or domain exit) is recorded in first_blowup_step; a start
+    outside the invariant's domain ends the window at 0 with a NaN drift.
+    Failures are reported, never raised.  This is drift_batch with one start.
     """
     return drift_batch(target, [inv], [as_state(y0, inv.dim)], eps, steps,
                        guards)[0]
@@ -462,7 +476,9 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
             if not dom[lo:hi].all():
                 cut = int(np.argmin(dom[lo:hi]))
                 v, k = v[:cut], k[:cut]
-                end = min(end, cut - 1)
+                # a start outside the domain (cut 0) certifies no step: its
+                # window ends at 0 with no drift
+                end = min(end, max(cut - 1, 0))
             idx = np.flatnonzero(k)
             if idx.size >= 1:
                 ref = v[idx[0]]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,7 @@ try:
 except ImportError:
     jsonschema = None
 
-from kovtop.cli import main
+from kovtop.cli import build_parser, main
 
 SCHEMA_DIR = None
 
@@ -261,11 +265,20 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (_CONVERGENCE + ["--eps-list", "0.01,nan"], "--eps-list"),
     (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "inf"],
      "--total-time"),
+    # alpha = N: the power-law integrals divide by N - alpha
+    (["simulate", "--flow", "gen-kov", "--n", "4", "--alpha", "4", "--y0",
+      "0.1,0.2,0.3,0.4", "--t-end", "1", "--dt", "0.1"], "--alpha"),
+    (["drift", "--flow", "gen-kov", "--n", "3", "--alpha", "3", "--eps",
+      "0.001", "--steps", "8"], "--alpha"),
+    (_DRIFT + ["--eps", "0.01", "--alpha", "4"], "--alpha"),
+    (["independence", "--family", "flow-power", "--n", "4", "--alpha", "4"],
+     "--alpha"),
 ], ids=["map-steps", "map-eps-nan", "map-eps-inf", "simulate-dt",
         "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
         "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
         "check-eps", "independence-eps", "convergence-eps-list",
-        "convergence-total-time"])
+        "convergence-total-time", "simulate-alpha-n", "drift-flow-alpha-n",
+        "drift-map-alpha-n", "independence-alpha-n"])
 def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     rc = main(argv)
     out = capsys.readouterr()
@@ -296,6 +309,82 @@ def test_negative_exponent_value_after_space(capsys, tail):
     spaced = capsys.readouterr()
     assert spaced.out == joined.out and spaced.out
     assert spaced.err == joined.err == ""
+
+
+_OUTSIDE = ["drift", "--map", "gen-hk", "--y0=-0.5,0.3,0.4,0.6", "--eps",
+            "0.01", "--steps", "50"]
+
+
+def test_drift_start_outside_domain_ends_window_at_zero(capsys):
+    # the start lies outside the positive orthant, the phi family's domain
+    rc, out = _run(capsys, _OUTSIDE + ["--format", "json"])
+    assert rc == 0
+    data = json.loads(out)
+    assert jsonschema is not None
+    jsonschema.validate(data, _schema("drift"))
+    outside = [r for r in data["reports"] if "_hk4p" in r["invariant"]]
+    assert len(outside) == 18
+    assert all(r["first_blowup_step"] == 0 and r["max_rel_drift"] is None
+               for r in outside)
+    rc, out = _run(capsys, _OUTSIDE)
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [r[5] for r in rows if "_hk4p" in r[1]] == ["0"] * 18
+
+
+# parse errors, a mutually exclusive pair, a config error, an abort, and
+# successes that do and do not attach invariants
+_SEQUENCE = [
+    ["map", "--map", "not-a-map", "--y0", "1,1,1", "--eps", "0.1",
+     "--steps", "1"],
+    ["drift", "--map", "gen-hk", "--flow", "kov3", "--eps", "0.01",
+     "--steps", "8"],
+    ["simulate", "--flow", "kov3", "--y0", "0.1,0.2,0.3", "--t-end", "0.05",
+     "--dt", "0.01", "--with-invariants"],
+    ["simulate", "--flow", "kov3", "--y0", "0.1,0.2,0.3", "--t-end", "0.05",
+     "--dt", "0.01"],
+    _MAP + ["--eps", "-1e-3", "--steps", "3"],
+    _DRIFT + ["--eps", "0.01", "--starts", "2", "--format", "json"],
+    ["drift", "--flow", "gen-kov", "--n", "4", "--alpha", "4", "--eps",
+     "0.001", "--steps", "8"],
+    ["independence", "--family", "cross-ratio", "--n", "4", "--points", "2"],
+    ["check", "--identity", "d-sum", "--trials", "5", "--format", "json"],
+    ["map", "--map", "gen-hk", "--n", "4", "--y0", "1,1,1,1", "--eps", "0.25",
+     "--steps", "3"],
+    ["map", "--map", "gen-hk", "--n", "4", "--y0", "1,2,3,4", "--steps",
+     "2"],
+]
+
+
+def test_repeated_main_calls_share_one_parser(capsys):
+    def run(argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    fresh = []
+    for argv in _SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert {rc for rc, _, _ in fresh} == {0, 1, 2}
+    build_parser.cache_clear()
+    shared = [run(argv) for _ in range(2) for argv in _SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh * 2
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    argv = ["map", "--map", "euler-hk", "--y0", "1,1,1", "--eps", "0.1",
+            "--steps", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kovtop.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want.encode()
 
 
 def test_singular_abort_exits_two(capsys):

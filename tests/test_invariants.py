@@ -8,7 +8,7 @@ import pytest
 
 from conftest import admissible_states
 from kovtop import kernels
-from kovtop.errors import DomainError, ParameterError
+from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
 from kovtop.invariants import (DriftReport, Invariant, TRACKING_GUARDS,
@@ -81,6 +81,26 @@ def test_registry_families_by_dimension():
     fams4 = {v.family for v in registry(4)}
     assert {"quartet", "quartet-sqrt", "genhk4-phi", "altmap4-phi"} <= fams4
     assert all(v.dim == 5 for v in registry(5))
+
+
+def test_registry_returns_a_new_list_of_shared_invariants():
+    first, second = registry(4), registry(4)
+    assert first is not second
+    assert [v.name for v in first] == [v.name for v in second]
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    size = len(second)
+    second.append(second[0])
+    second.reverse()
+    again = registry(4)
+    assert len(again) == size and again == first
+    # -0.0 == 0.0, but the power-law family name keeps the sign
+    assert {v.family for v in registry(4, 0.0)} >= {"flow-power(alpha=0)"}
+    assert {v.family for v in registry(4, -0.0)} >= {"flow-power(alpha=-0)"}
+    for _ in range(2):      # a rejected argument raises on every call
+        with pytest.raises(ParameterError):
+            registry(4, 4.0)
+        with pytest.raises(DimensionError):
+            registry(2)
 
 
 def test_claimed_invariants_pairing():
@@ -168,7 +188,7 @@ def _drift_reference(target, invs, starts, eps, steps):
             if not dom.all():
                 cut = int(np.argmin(dom))
                 vals, ok = vals[:cut], ok[:cut]
-                end = min(end, cut - 1)
+                end = min(end, max(cut - 1, 0))
             idx = np.flatnonzero(ok)
             if idx.size >= 1:
                 ref = vals[idx[0]]
@@ -220,9 +240,12 @@ def test_drift_batch_matches_per_invariant_reports(target, eps, steps):
         for a, b in zip(got, want):
             assert _same_report(a, b), (a, b)
     if target.name == "gen-hk":
-        # the outside start alone leaves the phi family with nothing certified
-        assert any(math.isnan(r.max_rel_drift)
-                   for r in drift_batch(target, invs, outside, eps, steps))
+        # the outside start alone leaves the phi family with nothing
+        # certified: its window ends at step 0
+        uncertified = [r for r in drift_batch(target, invs, outside, eps, steps)
+                       if math.isnan(r.max_rel_drift)]
+        assert uncertified
+        assert all(r.first_blowup_step == 0 for r in uncertified)
 
 
 def test_drift_batch_computes_one_orbit_per_start(monkeypatch):
