@@ -16,25 +16,18 @@ import sys
 
 import numpy as np
 
-from . import maps as maps_mod
-from .core import TrajectoryRecord, as_state, fmt17
+from .core import TrajectoryRecord, fmt17
 from .errors import (BlowupError, ConfigError, DomainError, KovtopError,
                      ParameterError, SingularStepError)
 from .flows import (FlowSpec, _steps_for, euler_top3, generalized_euler,
-                    generalized_kovalevskaya, integrate_reference,
-                    kovalevskaya3, rk4_states)
-from .invariants import (claimed_invariants, drift_batch, drift_to_csv,
-                         drift_to_json, independence_rank, random_starts,
-                         registry, verify_phi_functional_equation,
-                         verify_poly_identity_N4, verify_relation_qq,
-                         phi_genhk3, phi_genhk4)
-from .maps import (DiscreteMap, get_map, MAP_NAMES, d_factors, d_polynomial,
-                   r_factor, r_reciprocity_residual, s_relation_residuals)
+                    generalized_kovalevskaya, kovalevskaya3, rk4_states)
+from .invariants import (IDENTITIES, claimed_invariants, convergence_study,
+                         drift_batch, drift_to_csv, drift_to_json,
+                         identity_battery, independence_rank, random_starts,
+                         registry)
+from .maps import get_map, MAP_NAMES
 
 FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
-
-IDENTITY_NAMES = ("n4-poly", "s-relations", "r-reciprocity", "step-ratio",
-                  "d-sum", "r-product", "phi-eq", "sqrt-comp", "engine")
 
 
 # argparse's own pattern takes only -<digits> and -<digits>.<digits> for a
@@ -128,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("check", help="exact-identity battery")
-    sp.add_argument("--identity", required=True, choices=IDENTITY_NAMES)
+    sp.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--eps", type=_finite_float, default=None,
@@ -175,19 +168,12 @@ def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
     return generalized_euler(n)
 
 
-def _trajectory_output(traj: TrajectoryRecord, fmt: str, out):
-    _emit(traj.to_csv() if fmt == "csv" else traj.to_json(), out)
-
-
 def _cmd_simulate(args) -> int:
     y0 = _parse_floats(args.y0)
     flow = _make_flow(args.flow, args.n, args.alpha)
     if len(y0) != flow.dim:
         raise ConfigError(f"--y0 must list {flow.dim} coordinates")
-    try:
-        nsteps = _steps_for(args.t_end, args.dt)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    nsteps = _steps_for(args.t_end, args.dt)
     states, end = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
     status = "ok" if end == nsteps else "blowup"
     times = args.dt * np.arange(end + 1)
@@ -199,7 +185,7 @@ def _cmd_simulate(args) -> int:
         rec.invariant_names = [v.name for v in invs]
         cols = [v.values(states, 0.0) for v in invs]
         rec.invariants = np.stack(cols, axis=1) if cols else None
-    _trajectory_output(rec, args.format, args.out)
+    _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
     if status != "ok":
         print(f"blowup at step {end + 1}", file=sys.stderr)
         return 2
@@ -218,7 +204,7 @@ def _cmd_map(args) -> int:
     times = m.step_time(args.eps) * np.arange(end + 1)
     rec = TrajectoryRecord(system=m.name, times=times, states=states,
                            status=status)
-    _trajectory_output(rec, args.format, args.out)
+    _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
     if status != "ok":
         print(f"singular/blowup stop at step {end + 1}", file=sys.stderr)
         return 2
@@ -257,43 +243,6 @@ def _cmd_drift(args) -> int:
     return 0
 
 
-_MAP_FLOW_PAIR = {
-    "euler-hk": lambda n: euler_top3(),
-    "cosine": lambda n: euler_top3(),
-    "kov-sqrt": lambda n: kovalevskaya3(),
-    "kov-pullback": lambda n: kovalevskaya3(),
-    "gen-hk": lambda n: generalized_kovalevskaya(n, 2.0),
-    "alt-map": lambda n: generalized_kovalevskaya(n, 2.0),
-}
-
-
-def convergence_study(m: DiscreteMap, flow: FlowSpec, y0, total_time: float,
-                      eps_list, dt_ref: float = 1e-4):
-    """Error of k map applications against the RK4 reference at the same
-    total time, k = total_time / (scale * eps).  Returns (rows, slope); slope
-    is None when fewer than two eps values are given."""
-    y0 = as_state(y0, m.dim)
-    nref = max(1, round(total_time / dt_ref))
-    ref = integrate_reference(flow, y0, total_time, total_time / nref)
-    target = ref.states[-1]
-    rows = []
-    for eps in eps_list:
-        k = round(total_time / m.step_time(eps))
-        if k < 1 or abs(k * m.step_time(eps) - total_time) > 1e-9 * total_time:
-            raise ParameterError(
-                f"eps={eps} does not tile total time {total_time}")
-        y = y0
-        for _ in range(k):
-            y = m.step(y, eps)
-        rows.append((eps, float(np.max(np.abs(y - target)))))
-    slope = None
-    if len(rows) >= 2:
-        le = np.log([r[0] for r in rows])
-        lv = np.log([max(r[1], 1e-300) for r in rows])
-        slope = float(np.polyfit(le, lv, 1)[0])
-    return rows, slope
-
-
 def _cmd_convergence(args) -> int:
     y0 = _parse_floats(args.y0)
     m = get_map(args.map, args.n if args.n is not None else len(y0))
@@ -304,9 +253,8 @@ def _cmd_convergence(args) -> int:
         raise ConfigError("--eps-list must be positive and finite")
     if sorted(eps_list, reverse=True) != eps_list:
         raise ConfigError("--eps-list must be strictly decreasing")
-    flow = _MAP_FLOW_PAIR[m.name](m.dim)
-    rows, slope = convergence_study(m, flow, np.asarray(y0), args.total_time,
-                                    eps_list, args.dt_ref)
+    rows, slope = convergence_study(m, y0, args.total_time, eps_list,
+                                    args.dt_ref)
     if args.format == "csv":
         lines = ["eps,error"] + [f"{fmt17(e)},{fmt17(v)}" for e, v in rows]
         _emit("\n".join(lines) + "\n", args.out)
@@ -319,82 +267,11 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-# polynomial identities tolerate any eps; step-based ones are checked on the
-# resolvable region (moderate eps, non-strained steps)
-_EPS_RANGE = {"n4-poly": (0.01, 0.3), "d-sum": (0.01, 0.3),
-              "r-product": (0.01, 0.3), "phi-eq": (0.01, 0.05)}
-
-
-def _check_battery(identity: str, n: int, trials: int, seed: int,
-                   eps_fixed: float | None) -> float:
-    rng = np.random.default_rng(seed)
-    starts = random_starts(trials, n, seed)
-    lo, hi = _EPS_RANGE.get(identity, (0.01, 0.1))
-    worst = 0.0
-    evaluated = 0
-    for y in starts:
-        eps = eps_fixed if eps_fixed is not None else float(rng.uniform(lo, hi))
-        try:
-            if identity == "n4-poly":
-                worst = max(worst, verify_poly_identity_N4(y, eps))
-            elif identity == "s-relations":
-                r1, r2 = s_relation_residuals(y, eps)
-                worst = max(worst, r1, r2)
-            elif identity == "r-reciprocity":
-                worst = max(worst, r_reciprocity_residual(y, eps))
-            elif identity == "step-ratio":
-                worst = max(worst, verify_relation_qq(maps_mod.gen_hk(n), y, eps))
-                worst = max(worst, verify_relation_qq(maps_mod.alt_map(n), y, eps))
-            elif identity == "d-sum":
-                d, _ = d_factors(y, eps)
-                worst = max(worst, abs(float(d.sum()) - 4.0))
-            elif identity == "r-product":
-                lhs = r_factor(y, eps) * float(np.prod(1.0 + eps * y))
-                worst = max(worst, abs(lhs - d_polynomial(y, eps)))
-            elif identity == "phi-eq":
-                phi = phi_genhk3() if n == 3 else phi_genhk4()
-                worst = max(worst, verify_phi_functional_equation(n, y, eps, phi))
-            elif identity == "sqrt-comp":
-                for half, full in ((maps_mod.cosine_law(), maps_mod.euler_hk()),
-                                   (maps_mod.kov_sqrt(), maps_mod.kov_pullback())):
-                    twice = half.step(half.step(y, eps), eps)
-                    once = full.step(y, eps)
-                    worst = max(worst, float(np.max(np.abs(twice - once))
-                                             / (1.0 + np.max(np.abs(once)))))
-            elif identity == "engine":
-                from .flows import kovalevskaya_field
-                from .hk_engine import hk_step, polarize
-                sys_ = polarize(kovalevskaya_field(n))
-                a = hk_step(sys_, y, eps)
-                b = maps_mod.gen_hk(n).step(y, eps)
-                worst = max(worst, float(np.max(np.abs(a - b))
-                                         / (1.0 + np.max(np.abs(a)))))
-            else:
-                raise ConfigError(f"unknown identity {identity!r}")
-        except (DomainError, SingularStepError):
-            if eps_fixed is not None:
-                raise     # an explicit --eps that aborts is a real abort
-            continue      # drawn eps hit a singular/out-of-domain spot
-        evaluated += 1
-    if evaluated < max(1, trials // 2):
-        raise ConfigError(
-            f"identity {identity!r}: only {evaluated}/{trials} trials were "
-            "evaluable; tighten the eps range")
-    return worst
-
-
 def _cmd_check(args) -> int:
-    if args.identity in ("n4-poly", "d-sum"):
-        n = 4
-    elif args.identity == "sqrt-comp":
-        n = 3
-    else:
-        n = args.n
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
-    if args.identity == "phi-eq" and n not in (3, 4):
-        raise ConfigError(f"phi-eq is defined for N = 3 or 4, not N = {n}")
-    worst = _check_battery(args.identity, n, args.trials, args.seed, args.eps)
+    worst = identity_battery(args.identity, args.n, args.trials, args.seed,
+                             args.eps)
     if args.format == "csv":
         _emit("identity,trials,max_residual\n"
               f"{args.identity},{args.trials},{fmt17(worst)}\n", args.out)
@@ -412,6 +289,8 @@ def _cmd_independence(args) -> int:
         fams = sorted({v.family for v in every})
         raise ConfigError(f"unknown family {args.family!r} at N={args.n}; "
                           f"known: {', '.join(fams)}")
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     pts = random_starts(args.points, args.n, args.seed)
     ranks = [independence_rank(invs, y, args.eps) for y in pts]
     if args.format == "csv":
@@ -435,21 +314,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, SingularStepError, BlowupError, ParameterError) as exc:
+    except (DomainError, SingularStepError, BlowupError) as exc:
         status = {"status": "aborted", "error": str(exc)}
-        if getattr(args, "format", "csv") == "json":
-            _emit(json.dumps(status), getattr(args, "out", None))
+        if args.format == "json":
+            _emit(json.dumps(status), args.out)
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     except KovtopError as exc:

@@ -1,6 +1,7 @@
 """Conserved quantities, invariant volume densities, and the certification
 harness: drift reports, volume-form checks, functional-independence ranks,
-defect-order estimation, and the exact structural identities.
+defect-order estimation, convergence studies against the RK4 reference, and
+the table of exact structural identities with its seeded trial battery.
 
 Drift certification windows
 ---------------------------
@@ -27,10 +28,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import as_state, fmt17
-from .errors import DimensionError, DomainError, ParameterError
-from .flows import FlowSpec, rk4_states
-from .maps import (DiscreteMap, OrbitGuards, d_polynomial,
-                   d_polynomial_omitting, gen_hk, r_factor)
+from .errors import (DimensionError, DomainError, ParameterError,
+                     SingularStepError)
+from .flows import (FlowSpec, euler_top3, generalized_kovalevskaya,
+                    integrate_reference, kovalevskaya3, kovalevskaya_field,
+                    rk4_states)
+from .hk_engine import hk_step, polarize
+from .maps import (DiscreteMap, OrbitGuards, alt_map, cosine_law, d_factors,
+                   d_polynomial, d_polynomial_omitting, euler_hk, gen_hk,
+                   kov_pullback, kov_sqrt, r_factor, r_reciprocity_residual,
+                   s_relation_residuals)
 from .numdiff import central_gradient, central_jacobian
 
 #: relative cancellation below which a single evaluation point is masked
@@ -641,6 +648,44 @@ def defect_order(map_: DiscreteMap, candidate: Invariant, y0,
     return float(slope)
 
 
+# --- convergence order ------------------------------------------------------
+
+# the flow each three-dimensional map discretizes; gen-hk and alt-map
+# discretize gen-kov (alpha = 2) in the map's dimension
+_REFERENCE_FLOWS = {"euler-hk": euler_top3, "cosine": euler_top3,
+                    "kov-sqrt": kovalevskaya3, "kov-pullback": kovalevskaya3}
+
+
+def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
+                      dt_ref: float = 1e-4):
+    """Error of k map applications against the RK4 reference of the flow the
+    map discretizes, at the same total time, k = total_time / (scale * eps).
+    Returns (rows, slope); slope is None when fewer than two eps values are
+    given."""
+    flow = (_REFERENCE_FLOWS[m.name]() if m.name in _REFERENCE_FLOWS
+            else generalized_kovalevskaya(m.dim, 2.0))
+    y0 = as_state(y0, m.dim)
+    nref = max(1, round(total_time / dt_ref))
+    ref = integrate_reference(flow, y0, total_time, total_time / nref)
+    target = ref.states[-1]
+    rows = []
+    for eps in eps_list:
+        k = round(total_time / m.step_time(eps))
+        if k < 1 or abs(k * m.step_time(eps) - total_time) > 1e-9 * total_time:
+            raise ParameterError(
+                f"eps={eps} does not tile total time {total_time}")
+        y = y0
+        for _ in range(k):
+            y = m.step(y, eps)
+        rows.append((eps, float(np.max(np.abs(y - target)))))
+    slope = None
+    if len(rows) >= 2:
+        le = np.log([r[0] for r in rows])
+        lv = np.log([max(r[1], 1e-300) for r in rows])
+        slope = float(np.polyfit(le, lv, 1)[0])
+    return rows, slope
+
+
 # --- exact structural identities --------------------------------------------
 
 def verify_phi_functional_equation(N: int, y, eps: float, phi) -> float:
@@ -741,6 +786,90 @@ def verify_relation_qq(map_: DiscreteMap, y, eps: float) -> float:
             lhs = (ynew[i] - ynew[j]) / (ynew[i] * ynew[j]) \
                 * (y[i] * y[j]) / (y[i] - y[j])
             worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _gap(x, ref) -> float:
+    return float(np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(ref))))
+
+
+def _step_ratio(y, eps, n):
+    return max(verify_relation_qq(gen_hk(n), y, eps),
+               verify_relation_qq(alt_map(n), y, eps))
+
+
+def _r_product(y, eps, n):
+    lhs = r_factor(y, eps) * float(np.prod(1.0 + eps * y))
+    return abs(lhs - d_polynomial(y, eps))
+
+
+def _phi_eq(y, eps, n):
+    phi = phi_genhk3() if n == 3 else phi_genhk4()
+    return verify_phi_functional_equation(n, y, eps, phi)
+
+
+def _sqrt_comp(y, eps, n):
+    return max(_gap(half.step(half.step(y, eps), eps), full.step(y, eps))
+               for half, full in ((cosine_law(), euler_hk()),
+                                  (kov_sqrt(), kov_pullback())))
+
+
+def _engine(y, eps, n):
+    a = hk_step(polarize(kovalevskaya_field(n)), y, eps)
+    return _gap(gen_hk(n).step(y, eps), a)
+
+
+# polynomial identities tolerate any eps; step-based ones are checked on the
+# resolvable region (moderate eps, non-strained steps)
+_POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
+
+#: name -> (residual(y, eps, n), range of the per-trial eps draw, dimensions
+#: the identity holds at, or None for any N)
+IDENTITIES = {
+    "n4-poly": (lambda y, e, n: verify_poly_identity_N4(y, e), _POLY, (4,)),
+    "s-relations": (lambda y, e, n: max(s_relation_residuals(y, e)),
+                    _STEP, None),
+    "r-reciprocity": (lambda y, e, n: r_reciprocity_residual(y, e),
+                      _STEP, None),
+    "step-ratio": (_step_ratio, _STEP, None),
+    "d-sum": (lambda y, e, n: abs(float(d_factors(y, e)[0].sum()) - 4.0),
+              _POLY, (4,)),
+    "r-product": (_r_product, _POLY, None),
+    "phi-eq": (_phi_eq, (0.01, 0.05), (3, 4)),
+    "sqrt-comp": (_sqrt_comp, _STEP, (3,)),
+    "engine": (_engine, _STEP, None),
+}
+
+
+def identity_battery(name: str, n: int, trials: int, seed: int,
+                     eps: float | None = None) -> float:
+    """Worst residual of identity `name` over `trials` seeded starts at
+    dimension n, or at the identity's only dimension.  Each trial draws eps
+    from the identity's range unless `eps` fixes it; a drawn eps that hits a
+    singular or out-of-domain spot skips the trial, a fixed one raises.
+    Raises ParameterError when fewer than half the trials were evaluable."""
+    residual, (lo, hi), dims = IDENTITIES[name]
+    if dims is not None and len(dims) == 1:
+        n = dims[0]
+    elif dims is not None and n not in dims:
+        raise DimensionError(f"{name} is defined for N = "
+                             f"{' or '.join(map(str, dims))}, not N = {n}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    evaluated = 0
+    for y in random_starts(trials, n, seed):
+        e = eps if eps is not None else float(rng.uniform(lo, hi))
+        try:
+            worst = max(worst, residual(y, e, n))
+        except (DomainError, SingularStepError):
+            if eps is not None:
+                raise     # an explicit eps that aborts is a real abort
+            continue      # drawn eps hit a singular/out-of-domain spot
+        evaluated += 1
+    if evaluated < max(1, trials // 2):
+        raise ParameterError(
+            f"identity {name!r}: only {evaluated}/{trials} trials were "
+            "evaluable; tighten the eps range")
     return worst
 
 

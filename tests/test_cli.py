@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ except ImportError:
     jsonschema = None
 
 from kovtop.cli import build_parser, main
+from kovtop.invariants import IDENTITIES
 
 SCHEMA_DIR = None
 
@@ -265,6 +267,14 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (_CONVERGENCE + ["--eps-list", "0.01,nan"], "--eps-list"),
     (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "inf"],
      "--total-time"),
+    (_CONVERGENCE + ["--eps-list", "0.03", "--format", "json"],
+     "eps=0.03 does not tile total time 0.2"),
+    (["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01", "--steps",
+      "0", "--format", "json"], "steps must be >= 1"),
+    (["independence", "--family", "cross-ratio", "--n", "4", "--points", "0"],
+     "--points must be >= 1"),
+    (["independence", "--family", "cross-ratio", "--n", "4", "--points",
+      "-1"], "--points must be >= 1"),
     # alpha = N: the power-law integrals divide by N - alpha
     (["simulate", "--flow", "gen-kov", "--n", "4", "--alpha", "4", "--y0",
       "0.1,0.2,0.3,0.4", "--t-end", "1", "--dt", "0.1"], "--alpha"),
@@ -277,14 +287,24 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
         "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
         "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
         "check-eps", "independence-eps", "convergence-eps-list",
-        "convergence-total-time", "simulate-alpha-n", "drift-flow-alpha-n",
-        "drift-map-alpha-n", "independence-alpha-n"])
+        "convergence-total-time", "convergence-eps-list-not-tiling",
+        "drift-steps-zero", "independence-points-zero",
+        "independence-points-negative", "simulate-alpha-n",
+        "drift-flow-alpha-n", "drift-map-alpha-n", "independence-alpha-n"])
 def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     rc = main(argv)
     out = capsys.readouterr()
     assert rc == 1
     assert out.out == ""
     assert out.err.startswith("error:") and message in out.err
+
+
+def test_check_identity_choices_are_the_identity_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in sub.choices["check"]._actions
+                    if a.dest == "identity")
+    assert identity.choices == tuple(IDENTITIES)
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -11,8 +11,8 @@ from kovtop import kernels
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
-from kovtop.invariants import (DriftReport, Invariant, TRACKING_GUARDS,
-                               altmap_n4_integrals,
+from kovtop.invariants import (IDENTITIES, DriftReport, Invariant,
+                               TRACKING_GUARDS, altmap_n4_integrals,
                                claimed_invariants, cross_ratio,
                                cross_ratio_integrals, defect_order,
                                density_cross_power, density_euler_hk,
@@ -20,7 +20,8 @@ from kovtop.invariants import (DriftReport, Invariant, TRACKING_GUARDS,
                                density_kov_product, drift_batch, drift_report,
                                drift_to_csv, drift_to_json, euler_hk_integrals,
                                flow_power_integrals, genhk_n4_integrals,
-                               independence_rank, invariant_gradients,
+                               identity_battery, independence_rank,
+                               invariant_gradients,
                                kov_hk_integrals,
                                kov_poly_integrals, kov_product_integrals,
                                phi_alt3, phi_alt4, phi_genhk3, phi_genhk4,
@@ -29,8 +30,8 @@ from kovtop.invariants import (DriftReport, Invariant, TRACKING_GUARDS,
                                verify_phi_functional_equation,
                                verify_poly_identity_N4, verify_relation_qq,
                                volume_check)
-from kovtop.maps import (MAP_NAMES, alt_map, cosine_law, euler_hk, gen_hk, get_map,
-                         kov_pullback, kov_sqrt)
+from kovtop.maps import (MAP_NAMES, RAW_GUARDS, alt_map, cosine_law, euler_hk,
+                         gen_hk, get_map, kov_pullback, kov_sqrt)
 from kovtop.numdiff import DEFAULT_SCALE
 
 
@@ -552,3 +553,50 @@ def test_registry_drift_property_all_map_pairs():
         for r in reports:
             assert not math.isnan(r.max_rel_drift), (m.name, r.invariant)
             assert r.max_rel_drift < 1e-9, (m.name, r.invariant, r.max_rel_drift)
+
+
+_IDENTITY_CASES = [(name, n) for name, (_, _, dims) in IDENTITIES.items()
+                   for n in (dims or (3, 4, 5, 6))]
+
+
+@pytest.mark.parametrize("name, n", _IDENTITY_CASES,
+                         ids=[f"{name}-N{n}" for name, n in _IDENTITY_CASES])
+def test_identity_table_entries_hold(name, n):
+    assert identity_battery(name, n, 25, seed=3) < 1e-12
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, dims)
+                                  in IDENTITIES.items()
+                                  if dims is not None and len(dims) == 1])
+def test_identity_with_one_dimension_ignores_the_requested_one(name):
+    (only,) = IDENTITIES[name][2]
+    assert identity_battery(name, 6, 10, seed=4) == \
+        identity_battery(name, only, 10, seed=4)
+
+
+def test_identity_battery_rejects_unsupported_dimension():
+    with pytest.raises(DimensionError,
+                       match="phi-eq is defined for N = 3 or 4, not N = 5"):
+        identity_battery("phi-eq", 5, 10, seed=1)
+
+
+def test_identity_battery_needs_evaluable_trials():
+    # the one drawn trial of this seed lands on a singular engine step
+    with pytest.raises(ParameterError, match="only 0/1 trials"):
+        identity_battery("engine", 24, 1, seed=18)
+
+
+# the start of random_starts(20, N, seed=1) with the largest cross-ratio
+# drift for each map, and the level README ("Drift certification windows")
+# claims for its dimension
+@pytest.mark.parametrize("m, worst, bound", [
+    (gen_hk(4), 16, 1e-9), (alt_map(4), 16, 1e-9), (gen_hk(5), 9, 1e-9),
+    (gen_hk(3), 15, 1e-7), (alt_map(3), 15, 1e-7), (kov_sqrt(), 15, 1e-7),
+], ids=["gen-hk-N4", "alt-map-N4", "gen-hk-N5", "gen-hk-N3", "alt-map-N3",
+        "kov-sqrt"])
+def test_cross_ratios_conserved_over_whole_unguarded_orbits(m, worst, bound):
+    starts = random_starts(20, m.dim, seed=1)[[0, worst]]
+    reports = drift_batch(m, cross_ratio_integrals(m.dim), starts, 0.01,
+                          10_000, RAW_GUARDS)
+    assert all(r.first_blowup_step is None for r in reports)
+    assert max(r.max_rel_drift for r in reports) < bound
