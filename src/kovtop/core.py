@@ -25,16 +25,16 @@ def as_state(coords, dim: int | None = None) -> np.ndarray:
     Raises DimensionError if fewer than 3 coordinates (or not matching `dim`)
     and DomainError on non-finite entries.
     """
-    y = np.asarray(coords, dtype=float)
+    y = np.array(coords, dtype=float)
     if y.ndim != 1:
         raise DimensionError(f"state must be 1-D, got shape {y.shape}")
     if y.shape[0] < 3:
         raise DimensionError(f"state needs at least 3 coordinates, got {y.shape[0]}")
     if dim is not None and y.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {y.shape[0]}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DomainError("state coordinates must be finite")
-    return y.copy()
+    return y
 
 
 class MapStepScale(Enum):
@@ -92,7 +92,8 @@ class QuadraticField:
 def evaluate_field(field_: QuadraticField, y) -> np.ndarray:
     """Evaluate the quadratic field at a state."""
     y = as_state(y, field_.dim)
-    return np.asarray(kernels._rhs_quadratic_field(field_.coeffs, y))
+    return np.array(kernels._rhs_quadratic_field(field_.coeffs.tolist(),
+                                                 y.tolist()), dtype=float)
 
 
 def painleve_condition(a, rtol: float = 1e-12) -> bool:
@@ -146,22 +147,20 @@ class TrajectoryRecord:
         n = self.dim
         header = ["step", "t"] + [f"y_{i+1}" for i in range(n)] + list(self.invariant_names)
         lines = [",".join(header)]
-        for k in range(self.states.shape[0]):
-            row = [str(k), fmt17(self.times[k])]
-            row += [fmt17(v) for v in self.states[k]]
-            if self.invariants is not None:
-                row += [fmt17(v) for v in self.invariants[k]]
+        inv = None if self.invariants is None else self.invariants.tolist()
+        for k, (t, y) in enumerate(zip(self.times.tolist(), self.states.tolist())):
+            row = [str(k), fmt17(t)] + [fmt17(v) for v in y]
+            if inv is not None:
+                row += [fmt17(v) for v in inv[k]]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        inv = None if self.invariants is None else self.invariants.tolist()
         rows = []
-        for k in range(self.states.shape[0]):
-            row = {"step": k, "t": self.times[k], "y": [float(v) for v in self.states[k]]}
-            if self.invariants is not None:
-                row["invariants"] = {
-                    name: float(v)
-                    for name, v in zip(self.invariant_names, self.invariants[k])
-                }
+        for k, (t, y) in enumerate(zip(self.times.tolist(), self.states.tolist())):
+            row = {"step": k, "t": t, "y": y}
+            if inv is not None:
+                row["invariants"] = dict(zip(self.invariant_names, inv[k]))
             rows.append(row)
         return json.dumps({"system": self.system, "status": self.status, "rows": rows})

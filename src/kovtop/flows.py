@@ -20,16 +20,17 @@ from .errors import BlowupError, DimensionError, ParameterError
 class FlowSpec:
     """A named right-hand side dy/dt = rhs(y).
 
-    `rhs` maps a float64 state of length `dim` to a float64 array of the same
-    length; the RK4 kernel calls it directly.
+    `rhs` maps a sequence of `dim` numbers to a list of `dim` numbers; the
+    RK4 kernel calls it directly on lists of Python floats.  Calling the spec
+    validates an array state and returns a float64 array.
     """
 
     name: str
     dim: int
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[Sequence[float]], list]
 
     def __call__(self, y) -> np.ndarray:
-        return np.asarray(self.rhs(as_state(y, self.dim)), dtype=float)
+        return np.array(self.rhs(as_state(y, self.dim).tolist()), dtype=float)
 
 
 def generalized_kovalevskaya(N: int, alpha: float = 2.0,
@@ -46,17 +47,16 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     if alpha == N:
         raise ParameterError(f"alpha must differ from N (got alpha = N = {N})")
     if s_coeffs is None:
-        sc = np.zeros(N)
-        sc[0] = 1.0
+        sc = [1.0] + [0.0] * (N - 1)
         name = f"gen-kov(N={N},alpha={alpha:g})"
     else:
-        sc = np.asarray(list(s_coeffs), dtype=float)
-        if sc.shape[0] != N:
+        sc = [float(c) for c in s_coeffs]
+        if len(sc) != N:
             raise ParameterError("s_coeffs must list one coefficient per e_1..e_N")
         name = f"gen-kov(N={N},alpha={alpha:g},custom-s)"
 
     def rhs(y):
-        return kernels._rhs_scaled_quadratic(np.asarray(y, float), alpha, sc)
+        return kernels._rhs_scaled_quadratic(y, alpha, sc)
 
     return FlowSpec(name=name, dim=N, rhs=rhs)
 
@@ -72,10 +72,8 @@ def generalized_euler(N: int) -> FlowSpec:
     if N < 3:
         raise DimensionError("generalized Euler flow needs N >= 3")
 
-    def rhs(x):
-        return kernels._rhs_product_complement(np.asarray(x, float))
-
-    return FlowSpec(name=f"gen-euler(N={N})", dim=N, rhs=rhs)
+    return FlowSpec(name=f"gen-euler(N={N})", dim=N,
+                    rhs=kernels._rhs_product_complement)
 
 
 def euler_top3() -> FlowSpec:
@@ -85,8 +83,10 @@ def euler_top3() -> FlowSpec:
 
 def quadratic_flow(field: QuadraticField, name: str = "quadratic") -> FlowSpec:
     """The flow dy/dt = field(y) of a quadratic field tensor."""
+    coeffs = field.coeffs.tolist()
+
     def rhs(y):
-        return kernels._rhs_quadratic_field(field.coeffs, np.asarray(y, float))
+        return kernels._rhs_quadratic_field(coeffs, y)
 
     return FlowSpec(name=name, dim=field.dim, rhs=rhs)
 
@@ -141,8 +141,8 @@ def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, 
     """Non-raising RK4 iteration used by the drift harness: returns
     (states, last_step) with last_step < nsteps on blowup."""
     y0 = as_state(y0, flow.dim)
-    with np.errstate(all="ignore"):
-        return kernels.rk4_orbit(flow.rhs, y0, dt, nsteps, kernels.BLOWUP_CAP)
+    return kernels.rk4_orbit(flow.rhs, y0.tolist(), float(dt), nsteps,
+                             kernels.BLOWUP_CAP)
 
 
 def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:

@@ -847,13 +847,17 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     dimension n, or at the identity's only dimension.  Each trial draws eps
     from the identity's range unless `eps` fixes it; a drawn eps that hits a
     singular or out-of-domain spot skips the trial, a fixed one raises.
-    Raises ParameterError when fewer than half the trials were evaluable."""
+    Raises DimensionError for a dimension the identity does not hold at
+    (below 3 for any-N identities), and ParameterError when fewer than half
+    the trials were evaluable."""
     residual, (lo, hi), dims = IDENTITIES[name]
     if dims is not None and len(dims) == 1:
         n = dims[0]
     elif dims is not None and n not in dims:
         raise DimensionError(f"{name} is defined for N = "
                              f"{' or '.join(map(str, dims))}, not N = {n}")
+    elif n < 3:
+        raise DimensionError(f"{name} needs N >= 3, not N = {n}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     evaluated = 0

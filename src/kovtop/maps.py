@@ -61,12 +61,11 @@ class DiscreteMap:
     def step(self, y, eps: float) -> np.ndarray:
         y = as_state(y, self.dim)
         self._precheck(y, eps)
-        with np.errstate(all="ignore"):
-            out, reg = kernels.map_step(self.kernel_code, y, eps)
-        if reg < SINGULAR_RTOL or not np.all(np.isfinite(out)):
+        out, reg = kernels.map_step(self.kernel_code, y.tolist(), float(eps))
+        if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
             raise SingularStepError(
                 f"{self.name}: {self._singular_detail(y, eps)}", state=y, eps=eps)
-        return out
+        return np.array(out)
 
     def orbit(self, y0, eps: float, steps: int,
               guards: OrbitGuards = RAW_GUARDS) -> tuple[np.ndarray, int]:
@@ -76,11 +75,10 @@ class DiscreteMap:
         y0 = as_state(y0, self.dim)
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        with np.errstate(all="ignore"):
-            return kernels.map_orbit(
-                self.kernel_code, y0, eps, steps, guards.strain,
-                guards.resolution, guards.coincidence, self.even_invariants,
-                guards.cap)
+        return kernels.map_orbit(
+            self.kernel_code, y0.tolist(), float(eps), steps, guards.strain,
+            guards.resolution, guards.coincidence, self.even_invariants,
+            guards.cap)
 
     def _precheck(self, y, eps):
         if self.kernel_code == kernels.COSINE:
@@ -108,7 +106,8 @@ def euler_hk() -> DiscreteMap:
 
 def cosine_law() -> DiscreteMap:
     """Spherical-cosine-law step; its second iterate is euler_hk.  Real only
-    on eps^2 x_j^2 < 1, principal square roots."""
+    on eps^2 x_j^2 < 1, principal square roots.  The roots make it the one
+    map whose kernel has no exact (Fraction) step."""
     return DiscreteMap("cosine", 3, MapStepScale.EPS,
                        kernels.COSINE, even_invariants=True)
 

@@ -283,6 +283,17 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (_DRIFT + ["--eps", "0.01", "--alpha", "4"], "--alpha"),
     (["independence", "--family", "flow-power", "--n", "4", "--alpha", "4"],
      "--alpha"),
+    # an any-N identity below N = 3 (N < 1 died in the start sampler)
+    (["check", "--identity", "r-product", "--n", "0", "--trials", "3"],
+     "r-product needs N >= 3, not N = 0"),
+    (["check", "--identity", "s-relations", "--n", "0", "--trials", "3"],
+     "s-relations needs N >= 3"),
+    (["check", "--identity", "engine", "--n", "0", "--trials", "3"],
+     "engine needs N >= 3"),
+    (["check", "--identity", "step-ratio", "--n", "-1", "--trials", "3"],
+     "step-ratio needs N >= 3, not N = -1"),
+    (["check", "--identity", "r-reciprocity", "--n", "2", "--trials", "3"],
+     "r-reciprocity needs N >= 3"),
 ], ids=["map-steps", "map-eps-nan", "map-eps-inf", "simulate-dt",
         "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
         "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
@@ -290,7 +301,10 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
         "convergence-total-time", "convergence-eps-list-not-tiling",
         "drift-steps-zero", "independence-points-zero",
         "independence-points-negative", "simulate-alpha-n",
-        "drift-flow-alpha-n", "drift-map-alpha-n", "independence-alpha-n"])
+        "drift-flow-alpha-n", "drift-map-alpha-n", "independence-alpha-n",
+        "check-r-product-n-zero", "check-s-relations-n-zero",
+        "check-engine-n-zero", "check-step-ratio-n-negative",
+        "check-r-reciprocity-n-two"])
 def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     rc = main(argv)
     out = capsys.readouterr()
@@ -414,6 +428,33 @@ def test_singular_abort_exits_two(capsys):
     out = capsys.readouterr()
     assert rc == 2
     assert "step,t" in out.out          # partial output still written
+
+
+# eps = 1 makes a first-step denominator exactly 0.0: d_1 = 1 - eps*(-4*y_1 + s)
+# of gen-hk, and 1 + eps*y_1 of alt-map
+_ZERO_DENOMINATOR = {
+    "gen-hk": ["--map", "gen-hk", "--n", "4", "--y0", "0,0,0,1"],
+    "alt-map": ["--map", "alt-map", "--n", "3", "--y0=-1,0.5,0.3"],
+}
+
+
+@pytest.mark.parametrize("name, row0", [("gen-hk", "0,0,0,0,0,1"),
+                                        ("alt-map", "0,0,-1,0.5,0.29999999999999999")])
+def test_exact_zero_denominator_stops_orbit(capsys, name, row0):
+    rc = main(["map"] + _ZERO_DENOMINATOR[name] + ["--eps", "1", "--steps", "3"])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out.split("\n")[1:] == [row0, ""]
+    assert out.err == "singular/blowup stop at step 1\n"
+
+
+def test_exact_zero_denominator_ends_drift_window_at_zero(capsys):
+    rc = main(["drift"] + _ZERO_DENOMINATOR["alt-map"] + ["--eps", "1", "--steps", "3"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert len(rows) == 11
+    assert all(r[0] == "alt-map" and r[4:] == ["0", "0"] for r in rows)
 
 
 def test_domain_abort_exits_two(capsys):
