@@ -22,7 +22,7 @@ from .errors import (BlowupError, ConfigError, DomainError, KovtopError,
 from .flows import (FlowSpec, _steps_for, euler_top3, generalized_euler,
                     generalized_kovalevskaya, kovalevskaya3, rk4_states)
 from .invariants import (IDENTITIES, claimed_invariants, convergence_study,
-                         drift_batch, drift_to_csv, drift_to_json,
+                         drift_batch, drift_to_csv, drift_to_json, evaluate,
                          identity_battery, independence_rank, random_starts,
                          registry)
 from .maps import get_map, MAP_NAMES
@@ -183,8 +183,7 @@ def _cmd_simulate(args) -> int:
         invs = claimed_invariants(flow, _at_alpha(registry, flow.dim,
                                                   args.alpha))
         rec.invariant_names = [v.name for v in invs]
-        cols = [v.values(states, 0.0) for v in invs]
-        rec.invariants = np.stack(cols, axis=1) if cols else None
+        rec.invariants = evaluate(invs, states, 0.0)[0].T if invs else None
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
     if status != "ok":
         print(f"blowup at step {end + 1}", file=sys.stderr)

@@ -3,6 +3,15 @@ harness: drift reports, volume-form checks, functional-independence ranks,
 defect-order estimation, convergence studies against the RK4 reference, and
 the table of exact structural identities with its seeded trial battery.
 
+Invariant families
+------------------
+Each family (the cross-ratios H_ij:H_12, the deformed K integrals, the N = 4
+quartet integrals, ...) is one vectorized formula over member index arrays:
+evaluated at all its members, it gives (M, T) values and reliability and
+domain masks in one numpy pass.  An `Invariant` is the formula at its own
+indices.  Batches of members go through `evaluate`, which runs each family
+present once; a member alone gets the same bits as in any batch.
+
 Drift certification windows
 ---------------------------
 These maps have finite-time poles and their orbits revisit the singular
@@ -60,169 +69,192 @@ def _factor_ok(d, scale):
     return np.abs(d) > CANCEL_TOL * scale
 
 
+#: a family formula (Y, eps, idx) -> (values, reliable, in_domain): Y is a
+#: (T, N) stack of states and idx an (M, k) array holding one row of indices
+#: per member; values are (M, T), each mask (M, T), (T,) or None for "all"
+Formula = Callable[[np.ndarray, float, np.ndarray], tuple]
+
+
 @dataclass(frozen=True)
 class Invariant:
-    """A named scalar function of state (optionally of eps).
+    """A named scalar function of state (optionally of eps): one member of an
+    invariant family.
 
-    `values_fn` evaluates over a batch of states, shape (T, N) -> (T,).
-    `reliable_fn` marks points where double-precision evaluation holds at
-    least ~12 digits (cancellation guard); `domain_fn` marks the open set on
-    which the expression is defined at all (positivity, real square roots).
+    A family is one vectorized formula over member index arrays; a member is
+    that formula at its own `index`.  Batches of members go through
+    `evaluate`, which runs each family present once.  The formula's values
+    come with two masks: `reliable` marks points where double-precision
+    evaluation holds at least ~12 digits (cancellation guard), `in_domain`
+    the open set on which the expression is defined at all (positivity, real
+    square roots).
     """
 
     name: str
     dim: int
     family: str
     claimed_for: tuple[str, ...]
-    values_fn: Callable[[np.ndarray, float], np.ndarray]
-    reliable_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
-    domain_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
+    formula: Formula
+    index: tuple[int, ...]
 
-    def _batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y[None, :]
-        if Y.shape[-1] != self.dim:
-            raise DimensionError(
-                f"{self.name} lives in dimension {self.dim}, got {Y.shape[-1]}")
-        return Y
+    def values_fn(self, Y, eps):
+        """The formula's values at this member alone, on a 2-D array of any
+        element type (`Fraction` object arrays stay exact): no conversion,
+        no dimension check, no errstate."""
+        return self.formula(Y, eps, np.array([self.index]))[0][0]
 
     def values(self, Y, eps: float = 0.0) -> np.ndarray:
-        Y = self._batch(Y)
-        with np.errstate(all="ignore"):
-            return np.asarray(self.values_fn(Y, eps), dtype=float)
+        return evaluate([self], Y, eps)[0][0]
 
     def reliable(self, Y, eps: float = 0.0) -> np.ndarray:
-        Y = self._batch(Y)
-        if self.reliable_fn is None:
-            return np.ones(Y.shape[0], dtype=bool)
-        with np.errstate(all="ignore"):
-            return np.asarray(self.reliable_fn(Y, eps), dtype=bool)
+        return evaluate([self], Y, eps)[1][0]
 
     def in_domain(self, Y, eps: float = 0.0) -> np.ndarray:
-        Y = self._batch(Y)
-        if self.domain_fn is None:
-            return np.ones(Y.shape[0], dtype=bool)
-        with np.errstate(all="ignore"):
-            return np.asarray(self.domain_fn(Y, eps), dtype=bool)
+        return evaluate([self], Y, eps)[2][0]
 
     def value(self, y, eps: float = 0.0) -> float:
         """Scalar evaluation; raises DomainError outside the open domain."""
-        y = as_state(y, self.dim)
-        if not bool(self.in_domain(y, eps)[0]):
+        vals, _, dom = evaluate([self], as_state(y, self.dim), eps)
+        if not dom[0, 0]:
             raise DomainError(f"{self.name} undefined at this point")
-        return float(self.values(y, eps)[0])
+        return float(vals[0, 0])
+
+
+def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
+    """(values, reliable, in_domain) of `invs` on a stack of states Y, shape
+    (T, N) or (N,); each is (M, T) with rows in the order of `invs`.
+
+    The members are grouped by family and each family formula runs once, on
+    all of its members in the batch, under one errstate."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[None, :]
+    groups: dict[Formula, list[int]] = {}
+    for r, inv in enumerate(invs):
+        if inv.dim != Y.shape[-1]:
+            raise DimensionError(
+                f"{inv.name} lives in dimension {inv.dim}, got {Y.shape[-1]}")
+        groups.setdefault(inv.formula, []).append(r)
+    shape = (len(invs), Y.shape[0])
+    vals = np.empty(shape)
+    ok = np.ones(shape, dtype=bool)
+    dom = np.ones(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for formula, rows in groups.items():
+            v, k, d = formula(Y, eps, np.array([invs[r].index for r in rows]))
+            # rows ascend; a run of consecutive rows is written as a slice
+            if rows[-1] - rows[0] < len(rows):
+                rows = slice(rows[0], rows[-1] + 1)
+            vals[rows] = v
+            if k is not None:
+                ok[rows] = k
+            if d is not None:
+                dom[rows] = d
+    return vals, ok, dom
+
+
+def _columns(Y, idx):
+    """The member columns of Y, one (M, T) array per column of idx."""
+    return [Y.T[c] for c in idx.T]
 
 
 # --- invariant families -----------------------------------------------------
 
-def _kov_K(Y, i):
-    j, k = (i + 1) % 3, (i + 2) % 3
-    return Y[:, i] * (Y[:, j] - Y[:, k])
+def _members(family, dim, claimed, formula, named):
+    return [Invariant(name=name, dim=dim, family=family, claimed_for=claimed,
+                      formula=formula, index=tuple(index))
+            for name, index in named]
 
 
-def _kov_K_ok(Y, i):
-    j, k = (i + 1) % 3, (i + 2) % 3
-    return _sep_ok(Y[:, j], Y[:, k])
+def _kov_K(Y, idx):
+    # K_i = y_i (y_j - y_k) and its guard, from index columns (i, j, k, ...)
+    Yi, Yj, Yk = _columns(Y, idx[:, :3])
+    return Yi * (Yj - Yk), _sep_ok(Yj, Yk)
+
+
+_KOV_LABELS = ("K23", "K31", "K12")
+
+
+def _kov_poly(Y, eps, idx):
+    return (*_kov_K(Y, idx), None)
 
 
 def kov_poly_integrals() -> list[Invariant]:
     """K_23 = y1(y2-y3), K_31 = y2(y3-y1), K_12 = y3(y1-y2); their sum
     vanishes identically."""
-    out = []
-    labels = ("K23", "K31", "K12")
-    for i, label in enumerate(labels):
-        out.append(Invariant(
-            name=label, dim=3, family="kov-poly",
-            claimed_for=("kov3", "gen-kov"),
-            values_fn=lambda Y, eps, i=i: _kov_K(Y, i),
-            reliable_fn=lambda Y, eps, i=i: _kov_K_ok(Y, i)))
-    return out
+    return _members("kov-poly", 3, ("kov3", "gen-kov"), _kov_poly,
+                    zip(_KOV_LABELS, _CYCLIC_3))
+
+
+def _euler_poly(Y, eps, idx):
+    Yi, Yj = _columns(Y, idx)
+    return (Yi - Yj) * (Yi + Yj), _sep_ok(np.abs(Yi), np.abs(Yj)), None
 
 
 def euler_poly_integrals(N: int = 3) -> list[Invariant]:
     """E_ij = x_i^2 - x_j^2 for all pairs."""
-    out = []
     claimed = ("euler3", "gen-euler") if N == 3 else ("gen-euler",)
-    for i in range(N):
-        for j in range(i + 1, N):
-            out.append(Invariant(
-                name=f"E{i+1}{j+1}", dim=N, family="euler-poly",
-                claimed_for=claimed,
-                values_fn=lambda Y, eps, i=i, j=j:
-                    (Y[:, i] - Y[:, j]) * (Y[:, i] + Y[:, j]),
-                reliable_fn=lambda Y, eps, i=i, j=j:
-                    _sep_ok(np.abs(Y[:, i]), np.abs(Y[:, j]))))
-    return out
+    return _members("euler-poly", N, claimed, _euler_poly,
+                    ((f"E{i+1}{j+1}", (i, j))
+                     for i in range(N) for j in range(i + 1, N)))
+
+
+def _euler_hk(Y, eps, idx):
+    Ym, Yn, Yj = _columns(Y, idx)
+    num = (Ym - Yn) * (Ym + Yn)
+    den = 1.0 - eps * eps * Yj ** 2
+    return (num / den,
+            _sep_ok(np.abs(Ym), np.abs(Yn))
+            & _factor_ok(den, 1.0 + eps * eps * Yj ** 2), None)
 
 
 def euler_hk_integrals() -> list[Invariant]:
     """(x_m^2 - x_n^2) / (1 - eps^2 x_j^2) for every (m, n) pair and every j;
     conserved by the bilinearized Euler top and by its cosine-law square
     root."""
-    out = []
-    for m in range(3):
-        for n in range(m + 1, 3):
-            for j in range(3):
-                def vals(Y, eps, m=m, n=n, j=j):
-                    num = (Y[:, m] - Y[:, n]) * (Y[:, m] + Y[:, n])
-                    return num / (1.0 - eps * eps * Y[:, j] ** 2)
+    return _members("euler-hk-eps", 3, ("euler-hk", "cosine"), _euler_hk,
+                    ((f"E{m+1}{n+1}_hk{j+1}", (m, n, j))
+                     for m in range(3) for n in range(m + 1, 3)
+                     for j in range(3)))
 
-                def ok(Y, eps, m=m, n=n, j=j):
-                    den = 1.0 - eps * eps * Y[:, j] ** 2
-                    return (_sep_ok(np.abs(Y[:, m]), np.abs(Y[:, n]))
-                            & _factor_ok(den, 1.0 + eps * eps * Y[:, j] ** 2))
 
-                out.append(Invariant(
-                    name=f"E{m+1}{n+1}_hk{j+1}", dim=3, family="euler-hk-eps",
-                    claimed_for=("euler-hk", "cosine"),
-                    values_fn=vals, reliable_fn=ok))
-    return out
+def _kov_hk(Y, eps, idx):
+    K, K_ok = _kov_K(Y, idx)
+    (Yj,) = _columns(Y, idx[:, 3:])
+    A = Y.sum(axis=1) - 2.0 * Yj
+    den = 1.0 - eps * eps * A * A
+    return K / den, K_ok & _factor_ok(den, 1.0 + eps * eps * A * A), None
 
 
 def kov_hk_integrals() -> list[Invariant]:
     """K_mn / (1 - eps^2 (s - 2 y_j)^2): the deformed integrals of the
     three-dimensional bilinearized Kovalevskaya map."""
-    out = []
-    labels = ("K23", "K31", "K12")
-    for i, label in enumerate(labels):
-        for j in range(3):
-            def vals(Y, eps, i=i, j=j):
-                A = Y.sum(axis=1) - 2.0 * Y[:, j]
-                return _kov_K(Y, i) / (1.0 - eps * eps * A * A)
+    return _members("kov-hk-eps", 3, ("gen-hk",), _kov_hk,
+                    ((f"{label}_hk{j+1}", (*ijk, j))
+                     for label, ijk in zip(_KOV_LABELS, _CYCLIC_3)
+                     for j in range(3)))
 
-            def ok(Y, eps, i=i, j=j):
-                A = Y.sum(axis=1) - 2.0 * Y[:, j]
-                den = 1.0 - eps * eps * A * A
-                return _kov_K_ok(Y, i) & _factor_ok(den, 1.0 + eps * eps * A * A)
 
-            out.append(Invariant(
-                name=f"{label}_hk{j+1}", dim=3, family="kov-hk-eps",
-                claimed_for=("gen-hk",), values_fn=vals, reliable_fn=ok))
-    return out
+def _kov_product(Y, eps, idx):
+    K, K_ok = _kov_K(Y, idx)
+    Ya, Yb = _columns(Y, idx[:, 3:])
+    p = Ya * Yb
+    return (K / (1.0 - eps * eps * Ya * Yb),
+            K_ok & _factor_ok(1.0 - eps * eps * p, 1.0 + eps * eps * np.abs(p)),
+            None)
 
 
 def kov_product_integrals() -> list[Invariant]:
     """K_mn / (1 - eps^2 y_i y_j): conserved by the square-root map, its
     second iterate, and the alternative map at N = 3."""
-    out = []
-    labels = ("K23", "K31", "K12")
-    for i, label in enumerate(labels):
-        for a in range(3):
-            for b in range(a + 1, 3):
-                def vals(Y, eps, i=i, a=a, b=b):
-                    return _kov_K(Y, i) / (1.0 - eps * eps * Y[:, a] * Y[:, b])
+    return _members("kov-sqrt-eps", 3, ("kov-sqrt", "kov-pullback", "alt-map"),
+                    _kov_product,
+                    ((f"{label}_sq{a+1}{b+1}", (*ijk, a, b))
+                     for label, ijk in zip(_KOV_LABELS, _CYCLIC_3)
+                     for a in range(3) for b in range(a + 1, 3)))
 
-                def ok(Y, eps, i=i, a=a, b=b):
-                    p = Y[:, a] * Y[:, b]
-                    return (_kov_K_ok(Y, i)
-                            & _factor_ok(1.0 - eps * eps * p, 1.0 + eps * eps * np.abs(p)))
 
-                out.append(Invariant(
-                    name=f"{label}_sq{a+1}{b+1}", dim=3, family="kov-sqrt-eps",
-                    claimed_for=("kov-sqrt", "kov-pullback", "alt-map"),
-                    values_fn=vals, reliable_fn=ok))
-    return out
+def _positive(Y):
+    return np.all(Y > 0, axis=1)
 
 
 def flow_power_integrals(N: int, alpha: float = 2.0) -> list[Invariant]:
@@ -231,138 +263,118 @@ def flow_power_integrals(N: int, alpha: float = 2.0) -> list[Invariant]:
     if alpha == N:
         raise ParameterError("alpha must differ from N")
     expo = 1.0 / (N - alpha)
-    fam = "flow-power" if alpha == 2.0 else f"flow-power(alpha={alpha:g})"
-    out = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            def vals(Y, eps, i=i, j=j):
-                P = np.prod(Y, axis=1)
-                P = np.where(P > 0, P, np.nan)
-                return (Y[:, i] - Y[:, j]) / (Y[:, i] * Y[:, j]) * P ** expo
 
-            out.append(Invariant(
-                name=f"K{i+1}{j+1}_flow", dim=N, family=fam,
-                claimed_for=("gen-kov",),
-                values_fn=vals,
-                reliable_fn=lambda Y, eps, i=i, j=j: _sep_ok(Y[:, i], Y[:, j]),
-                domain_fn=lambda Y, eps: np.all(Y > 0, axis=1)))
-    return out
+    def formula(Y, eps, idx):
+        Yi, Yj = _columns(Y, idx)
+        P = np.prod(Y, axis=1)
+        P = np.where(P > 0, P, np.nan)
+        return ((Yi - Yj) / (Yi * Yj) * P ** expo, _sep_ok(Yi, Yj),
+                _positive(Y))
+
+    fam = "flow-power" if alpha == 2.0 else f"flow-power(alpha={alpha:g})"
+    return _members(fam, N, ("gen-kov",), formula,
+                    ((f"K{i+1}{j+1}_flow", (i, j))
+                     for i in range(N) for j in range(i + 1, N)))
+
+
+def _quartet(Y, eps, idx):
+    Yi, Yj, Yk, Yl = _columns(Y, idx)
+    return (Yi - Yj) * (Yk - Yl), _sep_ok(Yi, Yj) & _sep_ok(Yk, Yl), None
 
 
 def quartet_integrals() -> list[Invariant]:
     """P_1 = (y1-y2)(y3-y4), P_2 = (y1-y3)(y2-y4), P_3 = (y1-y4)(y2-y3);
     P_1 - P_2 + P_3 = 0."""
     combos = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-    out = []
-    for p, (i, j, k, l) in enumerate(combos, start=1):
-        out.append(Invariant(
-            name=f"P{p}", dim=4, family="quartet", claimed_for=("gen-kov",),
-            values_fn=lambda Y, eps, i=i, j=j, k=k, l=l:
-                (Y[:, i] - Y[:, j]) * (Y[:, k] - Y[:, l]),
-            reliable_fn=lambda Y, eps, i=i, j=j, k=k, l=l:
-                _sep_ok(Y[:, i], Y[:, j]) & _sep_ok(Y[:, k], Y[:, l])))
-    return out
+    return _members("quartet", 4, ("gen-kov",), _quartet,
+                    ((f"P{p}", c) for p, c in enumerate(combos, start=1)))
+
+
+def _pairs_4():
+    # every pair (i, j) of {1..4} with its complementary pair (k, l)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            yield (i, j), tuple(m for m in range(4) if m not in (i, j))
+
+
+def _sqrt_quartet(Y, eps, idx):
+    Yi, Yj, Yk, Yl = _columns(Y, idx)
+    r = Yk * Yl / (Yi * Yj)
+    r = np.where(r > 0, r, np.nan)
+    return (Yi - Yj) * np.sqrt(r), _sep_ok(Yi, Yj), _positive(Y)
 
 
 def sqrt_quartet_integrals() -> list[Invariant]:
     """K_ij = (y_i - y_j) sqrt(y_k y_l / (y_i y_j)) at N = 4; products of
     complementary pairs recover P_1, P_2, P_3."""
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            k, l = [m for m in range(4) if m not in (i, j)]
+    return _members("quartet-sqrt", 4, ("gen-kov",), _sqrt_quartet,
+                    ((f"K{i+1}{j+1}_s4", (i, j, *kl))
+                     for (i, j), kl in _pairs_4()))
 
-            def vals(Y, eps, i=i, j=j, k=k, l=l):
-                r = Y[:, k] * Y[:, l] / (Y[:, i] * Y[:, j])
-                r = np.where(r > 0, r, np.nan)
-                return (Y[:, i] - Y[:, j]) * np.sqrt(r)
 
-            out.append(Invariant(
-                name=f"K{i+1}{j+1}_s4", dim=4, family="quartet-sqrt",
-                claimed_for=("gen-kov",),
-                values_fn=vals,
-                reliable_fn=lambda Y, eps, i=i, j=j: _sep_ok(Y[:, i], Y[:, j]),
-                domain_fn=lambda Y, eps: np.all(Y > 0, axis=1)))
-    return out
+def _cross_ratio(Y, eps, idx):
+    Yi, Yj = _columns(Y, idx)
+    num = (Yi - Yj) / (Yi * Yj)
+    den = (Y[:, 0] - Y[:, 1]) / (Y[:, 0] * Y[:, 1])
+    nonzero = Y.T != 0
+    return (num / den, _sep_ok(Yi, Yj) & _sep_ok(Y[:, 0], Y[:, 1]),
+            nonzero[idx].all(axis=1)
+            & (nonzero[0] & nonzero[1] & (Y[:, 0] != Y[:, 1])))
 
 
 def cross_ratio_integrals(N: int) -> list[Invariant]:
     """H_ij / H_12 with H_ij = (y_i - y_j)/(y_i y_j): a spanning set of the
     cross-ratio family, conserved by both discretizations for every N and by
     the flows for any symmetric s."""
-    out = []
     claimed = ("gen-hk", "alt-map", "kov3", "gen-kov", "kov-sqrt", "kov-pullback")
-    for i in range(N):
-        for j in range(i + 1, N):
-            if (i, j) == (0, 1):
-                continue
-
-            def vals(Y, eps, i=i, j=j):
-                num = (Y[:, i] - Y[:, j]) / (Y[:, i] * Y[:, j])
-                den = (Y[:, 0] - Y[:, 1]) / (Y[:, 0] * Y[:, 1])
-                return num / den
-
-            def ok(Y, eps, i=i, j=j):
-                return _sep_ok(Y[:, i], Y[:, j]) & _sep_ok(Y[:, 0], Y[:, 1])
-
-            out.append(Invariant(
-                name=f"H{i+1}{j+1}:H12", dim=N, family="cross-ratio",
-                claimed_for=claimed,
-                values_fn=vals, reliable_fn=ok,
-                domain_fn=lambda Y, eps, i=i, j=j:
-                    (Y[:, [0, 1, i, j]] != 0).all(axis=1) & (Y[:, 0] != Y[:, 1])))
-    return out
+    return _members("cross-ratio", N, claimed, _cross_ratio,
+                    ((f"H{i+1}{j+1}:H12", (i, j))
+                     for i in range(N) for j in range(i + 1, N)
+                     if (i, j) != (0, 1)))
 
 
-def _quartet_phi_family(kind: str) -> list[Invariant]:
-    claimed = ("gen-hk",) if kind == "hk" else ("alt-map",)
-    family = "genhk4-phi" if kind == "hk" else "altmap4-phi"
-    suffix = "hk4p" if kind == "hk" else "alt4p"
-    out = []
-    for m in range(4):
-        for n in range(m + 1, 4):
-            for p, ((i, j), (k, l)) in enumerate(PARTITIONS_4, start=1):
-                def parts(Y, eps, i=i, j=j, k=k, l=l):
-                    if kind == "hk":
-                        diff = Y[:, i] + Y[:, j] - Y[:, k] - Y[:, l]
-                        return 1.0 - eps * eps * diff * diff, np.ones(Y.shape[0])
-                    return (1.0 - eps * eps * Y[:, i] * Y[:, j],
-                            1.0 - eps * eps * Y[:, k] * Y[:, l])
+def _quartet_phi(Y, f1, f2, idx):
+    # K_mn sqrt(prod y) / sqrt(f1 f2) from index columns (m, n, ...); a point
+    # off the domain (prod y, f1 or f2 not positive) gets NaN
+    Ym, Yn = _columns(Y, idx[:, :2])
+    P = np.prod(Y, axis=1)
+    pos = (f1 > 0) & (f2 > 0)
+    arg = np.where((P > 0) & pos, f1 * f2, np.nan)
+    K = (Ym - Yn) / (Ym * Yn) * np.sqrt(np.where(P > 0, P, np.nan))
+    return (K / np.sqrt(arg), _sep_ok(Ym, Yn) & _factor_ok(f1 * f2, 1.0),
+            _positive(Y) & pos)
 
-                def vals(Y, eps, m=m, n=n, parts=parts):
-                    f1, f2 = parts(Y, eps)
-                    P = np.prod(Y, axis=1)
-                    good = (P > 0) & (f1 > 0) & (f2 > 0)
-                    P = np.where(good, P, np.nan)
-                    arg = np.where(good, f1 * f2, np.nan)
-                    K = (Y[:, m] - Y[:, n]) / (Y[:, m] * Y[:, n]) * np.sqrt(P)
-                    return K / np.sqrt(arg)
 
-                def dom(Y, eps, parts=parts):
-                    f1, f2 = parts(Y, eps)
-                    return np.all(Y > 0, axis=1) & (f1 > 0) & (f2 > 0)
+def _genhk4_phi(Y, eps, idx):
+    Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
+    diff = Yi + Yj - Yk - Yl
+    return _quartet_phi(Y, 1.0 - eps * eps * diff * diff, 1.0, idx)
 
-                def ok(Y, eps, m=m, n=n, parts=parts):
-                    f1, f2 = parts(Y, eps)
-                    return _sep_ok(Y[:, m], Y[:, n]) & _factor_ok(f1 * f2, 1.0)
 
-                out.append(Invariant(
-                    name=f"K{m+1}{n+1}_{suffix}{p}", dim=4, family=family,
-                    claimed_for=claimed, values_fn=vals, reliable_fn=ok,
-                    domain_fn=dom))
-    return out
+def _altmap4_phi(Y, eps, idx):
+    Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
+    return _quartet_phi(Y, 1.0 - eps * eps * Yi * Yj,
+                        1.0 - eps * eps * Yk * Yl, idx)
+
+
+def _quartet_phi_family(family, claimed, suffix, formula) -> list[Invariant]:
+    return _members(family, 4, claimed, formula,
+                    ((f"K{m+1}{n+1}_{suffix}{p}", (m, n, i, j, k, l))
+                     for (m, n), _ in _pairs_4()
+                     for p, ((i, j), (k, l)) in enumerate(PARTITIONS_4, start=1)))
 
 
 def genhk_n4_integrals() -> list[Invariant]:
     """K_mn * (1 - eps^2(y_i+y_j-y_k-y_l)^2)^(-1/2): the extra integrals of
     the bilinearized map at N = 4."""
-    return _quartet_phi_family("hk")
+    return _quartet_phi_family("genhk4-phi", ("gen-hk",), "hk4p", _genhk4_phi)
 
 
 def altmap_n4_integrals() -> list[Invariant]:
     """K_mn * ((1-eps^2 y_i y_j)(1-eps^2 y_k y_l))^(-1/2): the extra
     integrals of the alternative map at N = 4."""
-    return _quartet_phi_family("alt")
+    return _quartet_phi_family("altmap4-phi", ("alt-map",), "alt4p",
+                               _altmap4_phi)
 
 
 def registry(N: int, alpha: float = 2.0) -> list[Invariant]:
@@ -461,43 +473,42 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
                 guards: OrbitGuards = TRACKING_GUARDS) -> list[DriftReport]:
     """Drift over several starts, one aggregated report per invariant
     (worst drift across starts, earliest window end).  Each start's orbit is
-    computed once, serially in start order; each invariant is evaluated once
-    on the stacked orbits and its drift is read per start as drift_report
-    describes."""
+    computed once, serially in start order; each family is evaluated once on
+    the stacked orbits (`evaluate`), and every invariant's drift is read per
+    start, as drift_report describes, with array operations over all
+    invariants at once."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.size == 0:
         raise ParameterError("drift_batch needs at least one start")
     orbits = [_orbit_of(target, y0, eps, steps, guards) for y0 in starts]
-    stack = np.concatenate([traj for traj, _ in orbits])
-    bounds = np.cumsum([0] + [len(traj) for traj, _ in orbits])
-    out = []
-    for inv in invs:
-        vals = inv.values(stack, eps)
-        dom = inv.in_domain(stack, eps)
-        ok = inv.reliable(stack, eps) & np.isfinite(vals)
-        drifts, ends = [], []
-        for (_, end), lo, hi in zip(orbits, bounds[:-1], bounds[1:]):
-            v, k = vals[lo:hi], ok[lo:hi]
-            if not dom[lo:hi].all():
-                cut = int(np.argmin(dom[lo:hi]))
-                v, k = v[:cut], k[:cut]
-                # a start outside the domain (cut 0) certifies no step: its
-                # window ends at 0 with no drift
-                end = min(end, max(cut - 1, 0))
-            idx = np.flatnonzero(k)
-            if idx.size >= 1:
-                ref = v[idx[0]]
-                drifts.append(float(np.max(np.abs(v[idx] - ref))
-                                    / max(1.0, abs(ref))))
-            if end < steps:
-                ends.append(int(end))
-        out.append(DriftReport(map=_target_key(target), invariant=inv.name,
-                               eps=eps, steps=steps,
-                               max_rel_drift=max(drifts) if drifts else math.nan,
-                               first_blowup_step=min(ends) if ends else None))
-    return out
+    vals, ok, dom = evaluate(invs, np.concatenate([t for t, _ in orbits]), eps)
+    ok &= np.isfinite(vals)
+    rows = np.arange(len(invs))
+    worst = np.full(len(invs), -math.inf)
+    first_end = np.full(len(invs), steps)
+    lo = 0
+    for traj, end in orbits:
+        hi = lo + len(traj)
+        # each row up to its first point outside the domain; a start outside
+        # the domain (cut 0) certifies no step: its window ends at 0 with no
+        # drift.  An orbit has end + 1 rows, so a whole window keeps its end.
+        inside = np.logical_and.accumulate(dom[:, lo:hi], axis=1)
+        cut = inside.sum(axis=1)
+        first_end = np.minimum(first_end, np.minimum(end, np.maximum(cut - 1, 0)))
+        k = ok[:, lo:hi] & inside
+        v = vals[:, lo:hi]
+        ref = v[rows, k.argmax(axis=1)]
+        gap = np.abs(np.subtract(v, ref[:, None], out=np.zeros_like(v), where=k))
+        drift = gap.max(axis=1) / np.maximum(1.0, np.abs(ref))
+        worst = np.where(k.any(axis=1), np.maximum(worst, drift), worst)
+        lo = hi
+    key = _target_key(target)
+    return [DriftReport(map=key, invariant=inv.name, eps=eps, steps=steps,
+                        max_rel_drift=float(w) if w > -math.inf else math.nan,
+                        first_blowup_step=int(e) if e < steps else None)
+            for inv, w, e in zip(invs, worst, first_end)]
 
 
 def random_starts(n: int, dim: int, seed: int, low: float = 0.1,
@@ -581,19 +592,18 @@ def invariant_gradients(invs: Sequence[Invariant], y,
                         eps: float = 0.0) -> np.ndarray:
     """Central-difference gradients at y, one row per invariant.
 
-    Every invariant is evaluated once on the whole (2N, N) stencil; raises
+    Every family is evaluated once on the whole (2N, N) stencil; raises
     DomainError when a stencil point is non-finite or outside an invariant's
     domain.
     """
     y = as_state(y)
 
     def stacked(Z):
-        finite = np.isfinite(Z).all(axis=1)
-        V = np.empty((len(invs), Z.shape[0]))
-        for r, inv in enumerate(invs):
-            if not (inv.in_domain(Z, eps) & finite).all():
-                raise DomainError(f"{inv.name} undefined at this point")
-            V[r] = inv.values(Z, eps)
+        V, _, dom = evaluate(invs, Z, eps)
+        bad = ~(dom & np.isfinite(Z).all(axis=1)).all(axis=1)
+        if bad.any():
+            raise DomainError(f"{invs[int(np.argmax(bad))].name} undefined "
+                              "at this point")
         return V
 
     return central_gradient(stacked, y)

@@ -92,7 +92,8 @@ class DiscreteMap:
         if self.kernel_code == kernels.GEN_HK:
             d, S = d_factors(y, eps)
             i = int(np.argmin(np.abs(d)))
-            if abs(d[i]) <= abs(S):
+            # a vanishing d_i makes S non-finite (y_i/d_i is inf or NaN)
+            if abs(d[i]) <= abs(S) or not math.isfinite(S):
                 return f"denominator d_{i + 1} vanished"
             return "denominator S vanished"
         return "step denominator vanished"
@@ -167,7 +168,8 @@ def d_factors(y, eps: float) -> tuple[np.ndarray, float]:
     y = as_state(y)
     s = float(y.sum())
     d = 1.0 - eps * (-4.0 * y + s)
-    S = 1.0 - eps * float(np.sum(y / d))
+    with np.errstate(all="ignore"):
+        S = 1.0 - eps * float(np.sum(y / d))
     return d, S
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -472,3 +473,102 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert main(argv + ["--out", str(p1)]) == 0
     assert main(argv + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of stdout, CSV and JSON, of runs whose every number comes from the
+# invariant family formulas: the README drift example, drift of four more
+# targets, and trajectories with their invariant columns (the gen-kov start
+# outside the positive orthant makes the power-law and square-root columns
+# NaN).  Recorded when each invariant was evaluated by its own closure.
+_PINNED_OUTPUTS = {
+    "drift-readme": (
+        ["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01", "--steps",
+         "10000", "--starts", "20", "--seed", "1"],
+        "e9f632e18899545b506b3aa71a88e7e3a56815102301ec114939831bd4938de5",
+        "ee3a560cb4d356653216d8f40219c4519865d6463cca9950c01b88c6e9e6443c"),
+    "drift-alt-map": (
+        ["drift", "--map", "alt-map", "--n", "4", "--eps", "0.001", "--steps",
+         "200", "--seed", "1"],
+        "55e9c5d3c0b16ddb76b575fa3c3833ad845dba75b7dfaa09c0ba1d63b240fab9",
+        "4e4b5309b07b24102c2b137e9dd84e09b7ab161bc2d35b1ebf23bd1249f7d926"),
+    "drift-euler-hk": (
+        ["drift", "--map", "euler-hk", "--n", "3", "--eps", "0.001",
+         "--steps", "200", "--seed", "1"],
+        "8a0493edd759ac3f80c9142aadd7d69839918aae08c52de2e47e0a5ca3a6a16b",
+        "9c215a9fb0b674626a709d6576323864433a8f733a2748dfed6e246fdcda2c94"),
+    "drift-kov-sqrt": (
+        ["drift", "--map", "kov-sqrt", "--n", "3", "--eps", "0.001",
+         "--steps", "200", "--seed", "1"],
+        "44ab7147e2a9b929d906e4abb919d3199cf947cb89a968f00574f0b15f3cbb6d",
+        "73d8a012b49dc2e0b6ab95d106eef7908d76af4faa01d7e4dfbffdf379db595d"),
+    "drift-gen-kov": (
+        ["drift", "--flow", "gen-kov", "--n", "4", "--eps", "0.001",
+         "--steps", "200", "--seed", "1"],
+        "8915e8ae4e8350c89b72a21abe77ef9541ccb9af8bf666ec902c1cf9342c3b3a",
+        "afee7c7d88b2d35443062fbf58c32b8640dfd9f82735ce60257a9b9c4d6252c2"),
+    "simulate-kov3": (
+        ["simulate", "--flow", "kov3", "--y0", "0.1,0.2,0.3", "--t-end", "1",
+         "--dt", "0.001", "--with-invariants"],
+        "b67086996e936f883b962b937800169f33684434c329959e9d3fe6d173e546b3",
+        "8e2ceb7f541546f7d39a29103dfdee6b5ac713f3d154e014f40cb1864ace2f54"),
+    "simulate-euler3": (
+        ["simulate", "--flow", "euler3", "--y0", "0.3,0.7,1.1", "--t-end",
+         "0.2", "--dt", "0.001", "--with-invariants"],
+        "008ebde652bdecabc53ff4ec747fb42c6d54649c4937228db49e15212a757f26",
+        "7a65a240e46ad3941b97dfa8df327c90695641bd6f4e6387bd7ac7c8702c9869"),
+    "simulate-gen-kov": (
+        ["simulate", "--flow", "gen-kov", "--n", "4", "--y0",
+         "0.2,0.3,0.4,0.5", "--t-end", "0.5", "--dt", "0.001",
+         "--with-invariants"],
+        "05cb40bda9db012d57e3ea9637e6b4fcd394edb707640cfdbfad0ba324a2b946",
+        "8324f38c2a264fff8888a3581116c5d3091ef3aea16ec401c6325b26d2b4a35e"),
+    "simulate-gen-kov-outside": (
+        ["simulate", "--flow", "gen-kov", "--n", "4",
+         "--y0=0.2,-0.3,0.4,0.5", "--t-end", "0.5", "--dt", "0.001",
+         "--with-invariants"],
+        "428fe34b437a314e1c818956f6c494bfd61008c4b34e7934926718502a001e49",
+        "03bc5d9c497b61fb83de7ae6f6d97f8e87b5297a77f5e606e489afc7f4f49b7f"),
+    "simulate-gen-euler": (
+        ["simulate", "--flow", "gen-euler", "--n", "4", "--y0",
+         "0.2,0.3,0.4,0.5", "--t-end", "0.5", "--dt", "0.001",
+         "--with-invariants"],
+        "25c569a123801a411db766d403ae1e57bcf3bec1c52cb424972e7c47bb1a890b",
+        "2259886791a4d7b8f3478219bc9e63fce065d893ea0c2a5065247acb61e779a0"),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_OUTPUTS))
+def test_invariant_outputs_are_pinned(capsys, key):
+    argv, csv_sha, json_sha = _PINNED_OUTPUTS[key]
+    for fmt, sha in (("csv", csv_sha), ("json", json_sha)):
+        assert main(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert hashlib.sha256(out.out.encode()).hexdigest() == sha, (key, fmt)
+
+
+def test_drift_single_invariant_is_its_row_of_the_full_run(capsys):
+    argv = ["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01",
+            "--steps", "200", "--starts", "5", "--seed", "2", "--format",
+            "json"]
+    assert main(argv) == 0
+    full = json.loads(capsys.readouterr().out)["reports"]
+    assert main(argv + ["--invariant", "K12_hk4p1"]) == 0
+    alone = json.loads(capsys.readouterr().out)
+    assert alone["reports"] == [r for r in full
+                                if r["invariant"] == "K12_hk4p1"]
+    assert alone["reports"][0]["max_rel_drift"] is not None
+
+
+def test_vanishing_d_factor_is_named_without_a_warning(capsys):
+    # y_1 = 0 at eps = 0.1 makes d_1 = 1 - eps*(-4*y_1 + s) exactly 0, and
+    # S = NaN
+    argv = ["convergence", "--map", "gen-hk", "--n", "4", "--y0", "0,3,3,4",
+            "--eps-list", "0.1,0.05", "--total-time", "0.2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.out == ""
+    assert out.err == "aborted: gen-hk: denominator d_1 vanished\n"

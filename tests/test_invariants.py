@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +21,7 @@ from kovtop.invariants import (IDENTITIES, DriftReport, Invariant,
                                density_flow_power, density_kov_hk,
                                density_kov_product, drift_batch, drift_report,
                                drift_to_csv, drift_to_json, euler_hk_integrals,
+                               evaluate,
                                flow_power_integrals, genhk_n4_integrals,
                                identity_battery, independence_rank,
                                invariant_gradients,
@@ -102,6 +105,87 @@ def test_registry_returns_a_new_list_of_shared_invariants():
             registry(4, 4.0)
         with pytest.raises(DimensionError):
             registry(2)
+
+
+def _family_stack(N):
+    """Seeded starts, then points on the edges of the families' masks."""
+    pts = random_starts(6, N, seed=N)
+    base = pts[0]
+    edge = [base.copy() for _ in range(5)]
+    edge[0][2] = 0.0                 # a zero coordinate
+    edge[1][1] = edge[1][0]          # a coincident pair
+    edge[2][1] = -base[1]            # a negative coordinate
+    edge[3][1] = -base[0]            # |y_1| = |y_2| with opposite signs
+    edge[4] *= 5.0                   # outside the square-root domains at eps 0.3
+    return np.vstack([pts, edge])
+
+
+def _bits(values):
+    # the float64 bits, with every NaN written as the one np.nan
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+# sha256 of every registry member's values (_bits), reliable and in_domain
+# masks on _family_stack(N) at eps 0, 0.01 and 0.3, in registry order.
+# Recorded when each member was its own closure; any change to the order of a
+# family formula's operations changes the bits.
+_FAMILY_SHA = {
+    (3, 2.0): "d0f6a148c77d4acbda78e57202655a7db8d4db74bc602ca13af1c8b175010f38",
+    (3, 1.3): "2a45fb6fbe46ea32e0d3209f01de18f73f05037a134e9ab73c45e0fa831815e4",
+    (4, 2.0): "b2976269523bfcdd6a3b530d1f216e2bba32ee5ad22d635aced7230244d134ed",
+    (4, 1.3): "96d4136d6d19b90b978ca8968618d8cb00c265a2e6294eddf145c8b5d4eb29b8",
+    (5, 2.0): "372c9667b365cfab6fe1bb086f23b82b8027cb340ea2355c242f95aa8f77180d",
+    (5, 1.3): "fb88ba5c07b9be53835b392ec89a71a946ab9609b0984535e1565d616c61c3b1",
+    (6, 2.0): "2b51a0f65ed2984fc9e7a9fc24075b822042e756f565e4249ccdf44aa0e32701",
+    (6, 1.3): "6ea3dfda8f0a25b3ad02e3ac25dcc6e4056ff47c69ff3898e6820a989fccd14f",
+}
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [2.0, 1.3])
+def test_family_batch_equals_each_member(N, alpha):
+    every = registry(N, alpha)
+    Y = _family_stack(N)
+    rng = np.random.default_rng(N)
+    families = {}
+    for r, inv in enumerate(every):
+        families.setdefault(inv.family, []).append(r)
+    digest = hashlib.sha256()
+    for eps in (0.0, 0.01, 0.3):
+        vals, ok, dom = evaluate(every, Y, eps)
+        assert vals.shape == ok.shape == dom.shape == (len(every), len(Y))
+        assert np.isnan(vals).any() and not ok.all() and not dom.all()
+        for v, k, d in zip(vals, ok, dom):
+            digest.update(_bits(v) + k.tobytes() + d.tobytes())
+
+        def check(rows, got):
+            got_vals, got_ok, got_dom = got
+            assert _bits(got_vals) == _bits(vals[rows]), (eps, rows)
+            assert np.array_equal(got_vals, vals[rows], equal_nan=True)
+            assert np.array_equal(got_ok, ok[rows]), (eps, rows)
+            assert np.array_equal(got_dom, dom[rows]), (eps, rows)
+
+        shuffled = rng.permutation(len(every))
+        check(shuffled, evaluate([every[r] for r in shuffled], Y, eps))
+        for rows in families.values():
+            check(rows, evaluate([every[r] for r in rows], Y, eps))
+            subset = rng.permutation(rows)[:max(1, len(rows) // 2)]
+            check(subset, evaluate([every[r] for r in subset], Y, eps))
+            for r in rows:
+                inv = every[r]
+                check([r], evaluate([inv], Y, eps))
+                check([r], ([inv.values(Y, eps)], [inv.reliable(Y, eps)],
+                            [inv.in_domain(Y, eps)]))
+    assert digest.hexdigest() == _FAMILY_SHA[(N, alpha)]
+
+
+def test_evaluate_shapes_and_dimension_check():
+    invs = cross_ratio_integrals(4) + quartet_integrals()
+    vals, ok, dom = evaluate(invs, [1.0, 2.0, 3.0, 4.0])
+    assert vals.shape == ok.shape == dom.shape == (len(invs), 1)
+    assert evaluate([], np.ones((3, 4)))[0].shape == (0, 3)
+    with pytest.raises(DimensionError, match="H13:H12 lives in dimension 4"):
+        evaluate(invs, np.ones((2, 5)))
 
 
 def test_claimed_invariants_pairing():
@@ -229,17 +313,25 @@ _DRIFT_TARGETS = (
 def test_drift_batch_matches_per_invariant_reports(target, eps, steps):
     invs = claimed_invariants(target, registry(target.dim))
     assert invs
+    # the claimed list, a shuffled subset of every family at this dimension,
+    # and one member alone (as `drift --invariant` passes it)
+    every = registry(target.dim)
+    mixed = [every[r] for r in np.random.default_rng(target.dim).permutation(
+        len(every))[:len(every) * 2 // 3]]
+    assert len({v.family for v in mixed}) > 1
+    inv_lists = [invs, mixed, [invs[len(invs) // 2]]]
     start_sets = [random_starts(3, target.dim, seed) for seed in (5, 6)]
     if target.name == "gen-hk":
         # outside the positive orthant, the domain of the phi family
         outside = np.array([[-0.5, 0.3, 0.4, 0.6]])
         start_sets += [outside, np.vstack([start_sets[0][:2], outside])]
     for starts in start_sets:
-        got = drift_batch(target, invs, starts, eps, steps)
-        want = _drift_reference(target, invs, starts, eps, steps)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert _same_report(a, b), (a, b)
+        for chosen in inv_lists:
+            got = drift_batch(target, chosen, starts, eps, steps)
+            want = _drift_reference(target, chosen, starts, eps, steps)
+            assert [r.invariant for r in got] == [v.name for v in chosen]
+            for a, b in zip(got, want, strict=True):
+                assert _same_report(a, b), (a, b)
     if target.name == "gen-hk":
         # the outside start alone leaves the phi family with nothing
         # certified: its window ends at step 0
@@ -401,18 +493,18 @@ def test_stacked_gradients_match_per_point_reference(N, alpha):
     assert outcomes == {True, False}
 
 
-def test_independence_rank_evaluates_each_invariant_once(monkeypatch):
+def test_independence_rank_evaluates_each_invariant_once():
+    # the family formula runs once, for all 18 members, on the 8-point stencil
     calls = []
-    values = Invariant.values
+    formula = altmap_n4_integrals()[0].formula
 
-    def counting(self, Y, eps=0.0):
-        calls.append(np.shape(Y))
-        return values(self, Y, eps)
+    def counting(Y, eps, idx):
+        calls.append((Y.shape, idx.shape))
+        return formula(Y, eps, idx)
 
-    monkeypatch.setattr(Invariant, "values", counting)
-    invs = altmap_n4_integrals()
+    invs = [replace(v, formula=counting) for v in altmap_n4_integrals()]
     assert independence_rank(invs, np.array([0.4, 0.9, 1.3, 0.7]), 0.01) == 3
-    assert calls == [(8, 4)] * len(invs)
+    assert calls == [((8, 4), (18, 6))]
 
 
 def test_defect_order_sentinel_for_exact_integrals():

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,6 +136,15 @@ def test_singular_step_raises():
     # S = 1 - 4 eps vanishes on the diagonal at eps = 0.25
     with pytest.raises(SingularStepError, match="S vanished"):
         gen_hk(4).step([1.0, 1.0, 1.0, 1.0], 0.25)
+
+
+def test_vanishing_d_factor_is_named():
+    # eps = 1 zeroes d_1 = 1 - eps*(-4*y_1 + s); S is then 0/0 = NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularStepError) as err:
+            gen_hk(4).step([0.0, 0.0, 0.0, 1.0], 1.0)
+    assert str(err.value) == "gen-hk: denominator d_1 vanished"
 
 
 def test_get_map_lookup():
