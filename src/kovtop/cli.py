@@ -28,6 +28,9 @@ from .invariants import (IDENTITIES, claimed_invariants, convergence_study,
 from .maps import get_map, MAP_NAMES
 
 FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
+# the flows and maps whose dimension is fixed at 3
+_THREE_DIMENSIONAL = ("kov3", "euler3", "euler-hk", "cosine", "kov-sqrt",
+                      "kov-pullback")
 
 
 # argparse's own pattern takes only -<digits> and -<digits>.<digits> for a
@@ -215,7 +218,7 @@ def _cmd_drift(args) -> int:
     dim = args.n
     if dim is None and y0 is not None:
         dim = len(y0)
-    if dim is None and args.flow not in ("kov3", "euler3"):
+    if dim is None and (args.map or args.flow) not in _THREE_DIMENSIONAL:
         raise ConfigError("drift needs --n or --y0 to fix the dimension")
     target = (get_map(args.map, dim) if args.map is not None
               else _make_flow(args.flow, dim, args.alpha))

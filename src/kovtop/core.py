@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 import numpy as np
 
 from . import kernels
@@ -126,7 +128,9 @@ def fmt17(x: float) -> str:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled trajectory of a flow or map with optional invariant columns."""
+    """Sampled trajectory of a flow or map with optional invariant columns.
+
+    `to_csv` and `to_json` write the arrays as float64 values."""
 
     system: str
     times: np.ndarray                   # shape (T+1,)
@@ -143,24 +147,52 @@ class TrajectoryRecord:
     def steps(self) -> int:
         return self.states.shape[0] - 1
 
+    def _table(self) -> np.ndarray:
+        """The columns t | y_1..y_N | invariants as one float array."""
+        cols = [np.asarray(self.times, dtype=float)[:, None],
+                np.asarray(self.states, dtype=float)]
+        if self.invariants is not None:
+            cols.append(np.asarray(self.invariants, dtype=float))
+        return np.hstack(cols)
+
     def to_csv(self) -> str:
+        # '%.17g' spells every double, nan and +-inf included, as fmt17 does
         n = self.dim
         header = ["step", "t"] + [f"y_{i+1}" for i in range(n)] + list(self.invariant_names)
+        table = self._table()
+        row = "%d" + ",%.17g" * table.shape[1]
         lines = [",".join(header)]
-        inv = None if self.invariants is None else self.invariants.tolist()
-        for k, (t, y) in enumerate(zip(self.times.tolist(), self.states.tolist())):
-            row = [str(k), fmt17(t)] + [fmt17(v) for v in y]
-            if inv is not None:
-                row += [fmt17(v) for v in inv[k]]
-            lines.append(",".join(row))
+        lines += [row % (k, *r) for k, r in enumerate(table.tolist())]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        inv = None if self.invariants is None else self.invariants.tolist()
-        rows = []
-        for k, (t, y) in enumerate(zip(self.times.tolist(), self.states.tolist())):
-            row = {"step": k, "t": t, "y": y}
-            if inv is not None:
-                row["invariants"] = dict(zip(self.invariant_names, inv[k]))
-            rows.append(row)
-        return json.dumps({"system": self.system, "status": self.status, "rows": rows})
+        # json.dumps of one dict per row, spelled by one template per row:
+        # '%r' spells a finite float as json does, and the non-finite cells
+        # are swapped for json's own tokens
+        n = self.dim
+        table = self._table()
+        row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
+        if self.invariants is not None:
+            # a dict built from (name, value) pairs keeps one key per distinct
+            # name, where it first occurs, holding its last value
+            last = {name: j for j, name in zip(range(n + 1, table.shape[1]),
+                                               self.invariant_names)}
+            row += ', "invariants": {' + ", ".join(
+                encode_basestring_ascii(name).replace("%", "%%") + ": %r"
+                for name in last) + "}"
+            table = table[:, list(range(n + 1)) + list(last.values())]
+        row += "}"
+        rows = table.tolist()
+        for k in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
+            rows[k] = [v if isfinite(v) else _Verbatim(json.dumps(v))
+                       for v in rows[k]]
+        return '{"system": %s, "status": %s, "rows": [%s]}' % (
+            encode_basestring_ascii(self.system),
+            encode_basestring_ascii(self.status),
+            ", ".join([row % (k, *r) for k, r in enumerate(rows)]))
+
+
+class _Verbatim(str):
+    """A string that '%r' writes as it is."""
+
+    __repr__ = str.__str__

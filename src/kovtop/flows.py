@@ -41,6 +41,14 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     symmetric polynomial sum_k s_coeffs[k-1]*e_k(y); the conserved-ratio family
     H_ij/H_kl survives any such choice.  alpha == N is rejected because the
     power-law integral family divides by N - alpha.
+
+    When only e_1 carries a coefficient (the default), the right-hand side
+    skips e_2..e_N while every |y_i| <= B_N = 10^(300/N) - 1, and gives the
+    same numbers as the full sum.  Below that bound every e_k and every
+    partial sum of `kernels.esp_all` is at most (1 + B_N)^N = 1e300, so each
+    0*e_k term is a signed zero, and adding it leaves s unchanged: s starts
+    from the integer 0 and is never -0.0.  A coordinate above the bound, or
+    a NaN, takes the full sum, whose overflowing e_k can make s NaN.
     """
     if N < 3:
         raise DimensionError("generalized Kovalevskaya flow needs N >= 3")
@@ -55,8 +63,22 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
             raise ParameterError("s_coeffs must list one coefficient per e_1..e_N")
         name = f"gen-kov(N={N},alpha={alpha:g},custom-s)"
 
-    def rhs(y):
-        return kernels._rhs_scaled_quadratic(y, alpha, sc)
+    if any(sc[1:]):
+        def rhs(y):
+            return kernels._rhs_scaled_quadratic(y, alpha, sc)
+    else:
+        c1 = sc[0]
+        bound = 10.0 ** (300 / N) - 1
+
+        def rhs(y):
+            # e_1 in the operations esp_all makes: e_1 += y_i * e_0, e_0 = 1
+            e1 = 0
+            for v in y:
+                if not abs(v) <= bound:
+                    return kernels._rhs_scaled_quadratic(y, alpha, sc)
+                e1 += v * 1
+            s = 0 + c1 * e1
+            return [v * (s - alpha * v) for v in y]
 
     return FlowSpec(name=name, dim=N, rhs=rhs)
 

@@ -208,7 +208,10 @@ def esp_all(y):
 
 def _rhs_scaled_quadratic(y, alpha, s_coeffs):
     # dy_i/dt = y_i (s - alpha y_i), s = sum_k s_coeffs[k-1] e_k(y); every
-    # term of the sum is added, zero coefficients included
+    # term of the sum is added, zero coefficients included, so an e_k that
+    # overflows makes s NaN even at a zero coefficient.  The e_1-only flow of
+    # `flows.generalized_kovalevskaya` skips this sum only where no e_k can
+    # overflow, and comes here for every other state.
     e = esp_all(y)
     s = 0
     for k, c in enumerate(s_coeffs, 1):

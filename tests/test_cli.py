@@ -199,6 +199,24 @@ def test_drift_general_flow_without_dimension_exits_one(capsys, flow):
     assert "--n or --y0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["euler-hk", "cosine", "kov-sqrt",
+                                  "kov-pullback"])
+def test_drift_three_dimensional_map_needs_no_dimension(capsys, name):
+    argv = ["drift", "--map", name, "--eps", "0.001", "--steps", "8",
+            "--starts", "2", "--seed", "3"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    assert len(out.strip().split("\n")) > 1
+    assert _run(capsys, argv + ["--n", "3"]) == (0, out)
+
+
+@pytest.mark.parametrize("name", ["gen-hk", "alt-map"])
+def test_drift_general_map_without_dimension_exits_one(capsys, name):
+    rc = main(["drift", "--map", name, "--eps", "0.001", "--steps", "8"])
+    assert rc == 1
+    assert "--n or --y0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("starts", ["0", "-3"])
 def test_drift_without_starts_exits_one(capsys, starts):
     rc = main(["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01",

@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kovtop.core import (MapStepScale, QuadraticField, as_state,
-                         elementary_symmetric, evaluate_field, fmt17,
+from kovtop.core import (MapStepScale, QuadraticField, TrajectoryRecord,
+                         as_state, elementary_symmetric, evaluate_field, fmt17,
                          painleve_condition)
 from kovtop.errors import DimensionError, DomainError
 from kovtop.flows import euler_field, kovalevskaya_field
@@ -124,3 +126,64 @@ def test_step_scale_factors():
 def test_fmt17_round_trips():
     for x in (1 / 3, 0.1, 2e-15, 123456.789):
         assert float(fmt17(x)) == x
+
+
+def _reference_csv(rec):
+    # one fmt17 call per cell
+    header = (["step", "t"] + [f"y_{i+1}" for i in range(rec.dim)]
+              + list(rec.invariant_names))
+    lines = [",".join(header)]
+    for k, (t, y) in enumerate(zip(rec.times.tolist(), rec.states.tolist())):
+        row = [str(k), fmt17(t)] + [fmt17(v) for v in y]
+        if rec.invariants is not None:
+            row += [fmt17(v) for v in rec.invariants[k].tolist()]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(rec):
+    # json.dumps of one dict per row
+    rows = []
+    for k, (t, y) in enumerate(zip(rec.times.tolist(), rec.states.tolist())):
+        row = {"step": k, "t": t, "y": y}
+        if rec.invariants is not None:
+            row["invariants"] = dict(zip(rec.invariant_names,
+                                         rec.invariants[k].tolist()))
+        rows.append(row)
+    return json.dumps({"system": rec.system, "status": rec.status,
+                       "rows": rows})
+
+
+_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+          1.7976931348623157e308, -2.2250738585072014e-308, 1 / 3, 0.1]
+
+
+def _records():
+    rng = np.random.default_rng(11)
+
+    def cells(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        bits = rng.integers(0, 2**63, shape, dtype=np.int64).view(np.float64)
+        a = np.where(rng.random(shape) < 0.5, bits, a)
+        special = rng.random(shape) < 0.2
+        a[special] = rng.choice(_CELLS, special.sum())
+        return a
+
+    names = ["H12", "100%", 'say "K"', "\u00e9nergie", "%s%%r", "H12"]
+    out = []
+    for rows, n, m in [(1, 3, 0), (1, 4, 2), (5, 3, 0), (7, 4, 5), (3, 3, 6)]:
+        out.append(TrajectoryRecord("kov3", cells(rows), cells((rows, n))))
+        out.append(TrajectoryRecord(
+            'gen-kov "%d" \u00fc', cells(rows), cells((rows, n)), names[:m],
+            cells((rows, m)), status="blowup"))
+    # every special value in one column, and fewer names than columns
+    out.append(TrajectoryRecord("euler3", np.array(_CELLS),
+                                np.tile(np.array(_CELLS)[:, None], 3), ["E"],
+                                np.array([_CELLS, _CELLS[::-1]]).T))
+    return out
+
+
+@pytest.mark.parametrize("rec", _records())
+def test_trajectory_record_spells_cells_as_fmt17_and_json(rec):
+    assert rec.to_csv() == _reference_csv(rec)
+    assert rec.to_json() == _reference_json(rec)

@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from mpmath import mpf
 
 from conftest import admissible_states
 from kovtop.errors import BlowupError, ParameterError
@@ -9,6 +13,7 @@ from kovtop.flows import (euler_field, euler_top3, generalized_euler,
                           rk4_states, verify_hyperelliptic_relation)
 from kovtop.invariants import (cross_ratio_integrals, flow_power_integrals,
                                kov_poly_integrals)
+from kovtop import kernels
 from kovtop.kernels import esp_all
 
 
@@ -155,6 +160,57 @@ def test_H_decay_law_any_symmetric_s():
     e = np.array([esp_all(y) for y in Y[1:-1]])
     s = e[:, 1] + 0.5 * e[:, 2]
     assert np.max(np.abs(dlog + s)) < 1e-5
+
+
+def _same_floats(a, b):
+    # equal in float bits, any NaN equal to any NaN
+    return len(a) == len(b) and all(
+        type(x) is type(y) is float
+        and (x != x and y != y
+             or x == y and math.copysign(1, x) == math.copysign(1, y))
+        for x, y in zip(a, b))
+
+
+def _e1_only_states(N, seed):
+    # signed coordinates from 1e-300 up to 1000 times past the bound
+    # 10^(300/N) - 1 under which the e_1-only right-hand side skips e_2..e_N,
+    # and states whose every coordinate lies just under or just over it
+    rng = np.random.default_rng(seed)
+    bound = 10.0 ** (300 / N) - 1
+    states = [rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-300, 300 / N + 3, N)
+              for _ in range(150)]
+    for low, high in ((-0.5, 0.0), (0.0, 1.0)):
+        states += [rng.choice([-1.0, 1.0], N) * bound * 10.0 ** rng.uniform(low, high, N)
+                   for _ in range(75)]
+    states += [np.full(N, bound), np.full(N, -bound),
+               np.full(N, math.nextafter(bound, math.inf)),
+               np.r_[bound, -bound, np.zeros(N - 2)], np.r_[-0.0, np.ones(N - 1)]]
+    for bad in (math.nan, math.inf, -math.inf):
+        for y in states[:20]:
+            y = y.copy()
+            y[rng.integers(N)] = bad
+            states.append(y)
+    return [y.tolist() for y in states]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8, 40])
+@pytest.mark.parametrize("alpha,c1", [(2.0, None), (1.3, None), (2.0, 2.0)])
+def test_e1_only_rhs_matches_full_symmetric_sum(N, alpha, c1):
+    # c1 None is the default flow, s = e_1; else s_coeffs = [c1, 0, ..., 0]
+    sc = [1.0 if c1 is None else c1] + [0.0] * (N - 1)
+    flow = generalized_kovalevskaya(N, alpha, None if c1 is None else sc)
+    for y in _e1_only_states(N, seed=N):
+        assert _same_floats(flow.rhs(y),
+                            kernels._rhs_scaled_quadratic(y, alpha, sc)), y
+
+
+@pytest.mark.parametrize("num", [Fraction, mpf])
+def test_e1_only_rhs_keeps_the_full_sum_types(num):
+    y = [num(k) / 10 for k in (1, -3, 7, 2)]
+    got = generalized_kovalevskaya(4, 1.3).rhs(y)
+    want = kernels._rhs_scaled_quadratic(y, 1.3, [1.0, 0.0, 0.0, 0.0])
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_hyperelliptic_relation_n3():
