@@ -15,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ParameterError
 
 #: Alias used in signatures; states are validated ndarrays, not a wrapper type.
 StateVector = np.ndarray
@@ -34,7 +34,7 @@ def as_state(coords, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"state needs at least 3 coordinates, got {y.shape[0]}")
     if dim is not None and y.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {y.shape[0]}")
-    if not np.isfinite(y).all():
+    if not all(map(isfinite, y.tolist())):
         raise DomainError("state coordinates must be finite")
     return y
 
@@ -130,7 +130,9 @@ def fmt17(x: float) -> str:
 class TrajectoryRecord:
     """Sampled trajectory of a flow or map with optional invariant columns.
 
-    `to_csv` and `to_json` write the arrays as float64 values."""
+    `to_csv` and `to_json` write the arrays as float64 values.  Invariant
+    names must be distinct (ParameterError otherwise): each names one CSV
+    column and one JSON key."""
 
     system: str
     times: np.ndarray                   # shape (T+1,)
@@ -138,6 +140,12 @@ class TrajectoryRecord:
     invariant_names: list[str] = field(default_factory=list)
     invariants: np.ndarray | None = None  # shape (T+1, M)
     status: str = "ok"                  # ok | blowup | singular
+
+    def __post_init__(self):
+        names = list(self.invariant_names)
+        dup = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if dup:
+            raise ParameterError(f"duplicate invariant names: {', '.join(dup)}")
 
     @property
     def dim(self) -> int:
@@ -173,14 +181,12 @@ class TrajectoryRecord:
         table = self._table()
         row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
         if self.invariants is not None:
-            # a dict built from (name, value) pairs keeps one key per distinct
-            # name, where it first occurs, holding its last value
-            last = {name: j for j, name in zip(range(n + 1, table.shape[1]),
-                                               self.invariant_names)}
+            # one key per name, up to the number of invariant columns
+            names = self.invariant_names[:table.shape[1] - n - 1]
             row += ', "invariants": {' + ", ".join(
                 encode_basestring_ascii(name).replace("%", "%%") + ": %r"
-                for name in last) + "}"
-            table = table[:, list(range(n + 1)) + list(last.values())]
+                for name in names) + "}"
+            table = table[:, :n + 1 + len(names)]
         row += "}"
         rows = table.tolist()
         for k in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():

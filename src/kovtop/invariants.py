@@ -32,6 +32,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -512,16 +513,17 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
 
 
 def random_starts(n: int, dim: int, seed: int, low: float = 0.1,
-                  high: float = 2.0, min_sep: float = 1e-3) -> np.ndarray:
+                  high: float = 2.0, min_sep: float = CANCEL_TOL) -> np.ndarray:
     """Seeded uniform starts in [low, high]^dim, rejecting near-coincident
-    coordinate pairs (|y_i - y_j| < min_sep)."""
+    coordinate pairs (|y_i - y_j| <= min_sep * (|y_i| + |y_j|)), the pairs
+    that the reliability masks drop at the default CANCEL_TOL."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
     got = 0
     while got < n:
         y = rng.uniform(low, high, dim)
-        d = np.abs(y[:, None] - y[None, :]) + np.eye(dim)
-        if d.min() >= min_sep:
+        if all(abs(a - b) > min_sep * (abs(a) + abs(b))
+               for a, b in combinations(y.tolist(), 2)):
             out[got] = y
             got += 1
     return out
@@ -531,14 +533,17 @@ def random_starts(n: int, dim: int, seed: int, low: float = 0.1,
 
 def volume_check(map_: DiscreteMap, psi, y, eps: float) -> float:
     """|det(d ynew / d y) - psi(ynew)/psi(y)| / |det|, with the Jacobian from
-    central finite differences."""
+    central finite differences of `map_.checked_step`: each stencil point is
+    checked as `map_.step` would check it."""
     y = as_state(y, map_.dim)
     p0 = float(psi(y, eps))
     if not np.isfinite(p0) or p0 == 0.0:
         raise DomainError("volume density vanishes or is undefined at y")
     ynew = map_.step(y, eps)
     p1 = float(psi(ynew, eps))
-    J = float(np.linalg.det(central_jacobian(lambda z: map_.step(z, eps), y)))
+    eps = float(eps)
+    J = float(np.linalg.det(central_jacobian(
+        lambda z: map_.checked_step(z, eps), y)))
     return abs(J - p1 / p0) / abs(J)
 
 

@@ -44,8 +44,9 @@ RAW_GUARDS = OrbitGuards()
 class DiscreteMap:
     """A parametrized step (state, eps) -> state with a declared time scale.
 
-    `kernel_code` selects the step kernel in `kernels` that both `step` and
-    `orbit` run.
+    `kernel_code` selects the step kernel in `kernels` that `checked_step`
+    and `orbit` run.  `checked_step` is the list-level step with its domain
+    and singularity checks; `step` validates a state and wraps it.
     """
 
     name: str
@@ -60,12 +61,26 @@ class DiscreteMap:
 
     def step(self, y, eps: float) -> np.ndarray:
         y = as_state(y, self.dim)
-        self._precheck(y, eps)
-        out, reg = kernels.map_step(self.kernel_code, y.tolist(), float(eps))
+        return np.array(self.checked_step(y.tolist(), float(eps)))
+
+    def checked_step(self, y: list, eps: float) -> list:
+        """One step of the list y of `dim` finite floats at the float eps.
+
+        Raises DomainError when y is outside the map's real domain and
+        SingularStepError when a denominator vanishes or the result is not
+        finite."""
+        if self.kernel_code == kernels.COSINE:
+            for j, v in enumerate(y):
+                if eps * eps * v * v >= 1.0:
+                    raise DomainError(
+                        f"cosine-law map needs eps^2*x_j^2 < 1; violated at "
+                        f"index {j + 1}")
+        out, reg = kernels.map_step(self.kernel_code, y, eps)
         if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
             raise SingularStepError(
-                f"{self.name}: {self._singular_detail(y, eps)}", state=y, eps=eps)
-        return np.array(out)
+                f"{self.name}: {self._singular_detail(y, eps)}",
+                state=np.array(y), eps=eps)
+        return out
 
     def orbit(self, y0, eps: float, steps: int,
               guards: OrbitGuards = RAW_GUARDS) -> tuple[np.ndarray, int]:
@@ -79,14 +94,6 @@ class DiscreteMap:
             self.kernel_code, y0.tolist(), float(eps), steps, guards.strain,
             guards.resolution, guards.coincidence, self.even_invariants,
             guards.cap)
-
-    def _precheck(self, y, eps):
-        if self.kernel_code == kernels.COSINE:
-            bad = np.flatnonzero(eps * eps * y * y >= 1.0)
-            if bad.size:
-                raise DomainError(
-                    f"cosine-law map needs eps^2*x_j^2 < 1; violated at index "
-                    f"{int(bad[0]) + 1}")
 
     def _singular_detail(self, y, eps) -> str:
         if self.kernel_code == kernels.GEN_HK:

@@ -5,18 +5,27 @@ DEFAULT_SCALE = 1e-6
 
 
 def central_jacobian(f, y, scale: float = DEFAULT_SCALE) -> np.ndarray:
-    """Jacobian of a vector map f at y; column i from a central difference."""
-    y = np.asarray(y, dtype=float)
-    f0 = np.asarray(f(y), dtype=float)
-    J = np.empty((f0.shape[0], y.shape[0]))
-    for i in range(y.shape[0]):
-        h = scale * (1.0 + abs(y[i]))
+    """Jacobian of a vector map f at y as a C-ordered (M, N) array.
+
+    Column i is the central difference (f(y + h_i e_i) - f(y - h_i e_i)) /
+    (2 h_i), formed in Python floats.  f gets each stencil point as a list of
+    floats and returns M floats, always as a list or always as a 1-D array;
+    it is called 2N times and never at y itself.
+    """
+    y = np.asarray(y, dtype=float).tolist()
+    cols = []
+    for i, yi in enumerate(y):
+        h = scale * (1.0 + abs(yi))
         up = y.copy()
         dn = y.copy()
         up[i] += h
         dn[i] -= h
-        J[:, i] = (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2.0 * h)
-    return J
+        a, b = f(up), f(dn)
+        if isinstance(a, np.ndarray):
+            a, b = a.tolist(), b.tolist()
+        h2 = 2.0 * h
+        cols.append([(p - q) / h2 for p, q in zip(a, b)])
+    return np.array(cols).T.copy()
 
 
 def central_gradient(f, y, scale: float = DEFAULT_SCALE) -> np.ndarray:

@@ -502,8 +502,8 @@ _PINNED_OUTPUTS = {
     "drift-readme": (
         ["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01", "--steps",
          "10000", "--starts", "20", "--seed", "1"],
-        "e9f632e18899545b506b3aa71a88e7e3a56815102301ec114939831bd4938de5",
-        "ee3a560cb4d356653216d8f40219c4519865d6463cca9950c01b88c6e9e6443c"),
+        "cf88e75c69b58ecd4719c4b6955f4543354e0a5d17be6c7a03d5023693bf11de",
+        "998382be6428e355a88e2aa30c95c8642020d0db1e45d0578fbcd638ae8b8236"),
     "drift-alt-map": (
         ["drift", "--map", "alt-map", "--n", "4", "--eps", "0.001", "--steps",
          "200", "--seed", "1"],
@@ -522,8 +522,8 @@ _PINNED_OUTPUTS = {
     "drift-gen-kov": (
         ["drift", "--flow", "gen-kov", "--n", "4", "--eps", "0.001",
          "--steps", "200", "--seed", "1"],
-        "8915e8ae4e8350c89b72a21abe77ef9541ccb9af8bf666ec902c1cf9342c3b3a",
-        "afee7c7d88b2d35443062fbf58c32b8640dfd9f82735ce60257a9b9c4d6252c2"),
+        "6f253559477f4b59861f97853bb960b5cd7de073e15313468bc3e3ef6ff2c43b",
+        "56b3ac9313e18cddbba2e95b9e22dceae1ee107222fb6e74fd0c9ec146b3a80c"),
     "simulate-kov3": (
         ["simulate", "--flow", "kov3", "--y0", "0.1,0.2,0.3", "--t-end", "1",
          "--dt", "0.001", "--with-invariants"],

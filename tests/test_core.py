@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from kovtop.core import (MapStepScale, QuadraticField, TrajectoryRecord,
                          as_state, elementary_symmetric, evaluate_field, fmt17,
                          painleve_condition)
-from kovtop.errors import DimensionError, DomainError
+from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import euler_field, kovalevskaya_field
 
 finite_coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -22,6 +22,28 @@ def test_as_state_rejects_small_and_nonfinite():
         as_state([1.0, np.nan, 2.0])
     with pytest.raises(DimensionError):
         as_state([1.0, 2.0, 3.0], dim=4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_as_state_rejects_every_nonfinite_position_and_2d_input(n):
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(n):
+            y = [0.5] * n
+            y[i] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                as_state(y)
+            with pytest.raises(DomainError):
+                as_state(np.array(y), dim=n)
+    with pytest.raises(DimensionError, match="must be 1-D"):
+        as_state(np.ones((1, n)))
+
+
+def test_as_state_accepts_extreme_finite_values_as_a_fresh_array():
+    y = np.array([1.7976931348623157e308, -5e-324, 0.0, -1.7976931348623157e308])
+    out = as_state(y, dim=4)
+    assert out.dtype == np.float64 and out.tobytes() == y.tobytes()
+    assert not np.shares_memory(out, y)
+    assert as_state([-5e-324, 1, 2]).tolist() == [-5e-324, 1.0, 2.0]
 
 
 def test_field_vanishes_at_origin():
@@ -169,7 +191,7 @@ def _records():
         a[special] = rng.choice(_CELLS, special.sum())
         return a
 
-    names = ["H12", "100%", 'say "K"', "\u00e9nergie", "%s%%r", "H12"]
+    names = ["H12", "100%", 'say "K"', "\u00e9nergie", "%s%%r", "h12"]
     out = []
     for rows, n, m in [(1, 3, 0), (1, 4, 2), (5, 3, 0), (7, 4, 5), (3, 3, 6)]:
         out.append(TrajectoryRecord("kov3", cells(rows), cells((rows, n))))
@@ -187,3 +209,15 @@ def _records():
 def test_trajectory_record_spells_cells_as_fmt17_and_json(rec):
     assert rec.to_csv() == _reference_csv(rec)
     assert rec.to_json() == _reference_json(rec)
+
+
+def test_trajectory_record_rejects_duplicate_invariant_names():
+    t, y = np.zeros(2), np.zeros((2, 3))
+    with pytest.raises(ParameterError,
+                       match="duplicate invariant names: H12, E$"):
+        TrajectoryRecord("kov3", t, y, ["H12", "E", "K", "H12", "E"],
+                         np.zeros((2, 5)))
+    rec = TrajectoryRecord("kov3", t, y, ["H12", "h12"], np.zeros((2, 2)))
+    assert rec.to_csv().splitlines()[0] == "step,t,y_1,y_2,y_3,H12,h12"
+    assert list(json.loads(rec.to_json())["rows"][0]["invariants"]) == \
+        ["H12", "h12"]

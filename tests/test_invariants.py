@@ -13,7 +13,7 @@ from kovtop import kernels
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
-from kovtop.invariants import (IDENTITIES, DriftReport, Invariant,
+from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                TRACKING_GUARDS, altmap_n4_integrals,
                                claimed_invariants, cross_ratio,
                                cross_ratio_integrals, defect_order,
@@ -382,6 +382,24 @@ def test_random_starts_respects_bounds_and_separation():
         assert d.min() >= 1e-3
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_random_starts_pass_the_cancellation_masks(n):
+    # every pair is separated as the reliability masks require
+    i, j = np.triu_indices(n, 1)
+    for y in random_starts(40, n, seed=n):
+        a, b = y[i], y[j]
+        assert np.all(np.abs(a - b) > CANCEL_TOL * (np.abs(a) + np.abs(b)))
+
+
+def test_random_starts_of_a_seed_once_drawing_masked_pairs_are_evaluable():
+    # this seed once drew (1.736, 0.255, 1.734), whose y_1 and y_3 the masks
+    # drop at every point of the window: H13:H12 and K31_sq.. had no drift
+    m = alt_map(3)
+    reports = drift_batch(m, claimed_invariants(m, registry(3)),
+                          random_starts(2, 3, seed=27717635), 0.01, 8)
+    assert all(r.max_rel_drift < 1e-14 for r in reports)
+
+
 def test_volume_checks():
     assert volume_check(gen_hk(4), density_cross_power(0, 1),
                         np.array([1.0, 2.0, 3.0, 4.0]), 0.05) < 1e-5
@@ -675,14 +693,14 @@ def test_identity_battery_rejects_unsupported_dimension():
 def test_identity_battery_needs_evaluable_trials():
     # the one drawn trial of this seed lands on a singular engine step
     with pytest.raises(ParameterError, match="only 0/1 trials"):
-        identity_battery("engine", 24, 1, seed=18)
+        identity_battery("engine", 24, 1, seed=19)
 
 
 # the start of random_starts(20, N, seed=1) with the largest cross-ratio
 # drift for each map, and the level README ("Drift certification windows")
 # claims for its dimension
 @pytest.mark.parametrize("m, worst, bound", [
-    (gen_hk(4), 16, 1e-9), (alt_map(4), 16, 1e-9), (gen_hk(5), 9, 1e-9),
+    (gen_hk(4), 15, 1e-9), (alt_map(4), 15, 1e-9), (gen_hk(5), 8, 1e-9),
     (gen_hk(3), 15, 1e-7), (alt_map(3), 15, 1e-7), (kov_sqrt(), 15, 1e-7),
 ], ids=["gen-hk-N4", "alt-map-N4", "gen-hk-N5", "gen-hk-N3", "alt-map-N3",
         "kov-sqrt"])

@@ -1,0 +1,152 @@
+"""The list-level central_jacobian against the ndarray routine it replaced.
+
+Volume forms (criterion 2) and flow conjugacies (criterion 5) must come out
+bit for bit as before, and a stencil point outside a map's domain or on its
+singular variety must raise what `DiscreteMap.step` raises there.
+"""
+import numpy as np
+import pytest
+
+from conftest import admissible_states
+from kovtop.changevar import conjugacy_check, gen_cv, linear_cv, nonlinear_cv3
+from kovtop.core import as_state
+from kovtop.errors import DomainError, SingularStepError
+from kovtop.flows import (euler_top3, generalized_euler,
+                          generalized_kovalevskaya, kovalevskaya3)
+from kovtop.invariants import (density_cross_power, density_euler_hk,
+                               density_kov_hk, density_kov_product,
+                               volume_check)
+from kovtop.maps import (alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
+                         kov_sqrt)
+from kovtop.numdiff import DEFAULT_SCALE, central_jacobian
+
+
+def _reference_jacobian(f, y, scale=DEFAULT_SCALE):
+    # the ndarray routine central_jacobian replaced: one call of f at y for
+    # the output shape, then one ndarray difference per column
+    y = np.asarray(y, dtype=float)
+    f0 = np.asarray(f(y), dtype=float)
+    J = np.empty((f0.shape[0], y.shape[0]))
+    for i in range(y.shape[0]):
+        h = scale * (1.0 + abs(y[i]))
+        up = y.copy()
+        dn = y.copy()
+        up[i] += h
+        dn[i] -= h
+        J[:, i] = (np.asarray(f(up), dtype=float)
+                   - np.asarray(f(dn), dtype=float)) / (2.0 * h)
+    return J
+
+
+def _reference_volume_check(map_, psi, y, eps):
+    y = as_state(y, map_.dim)
+    p0 = float(psi(y, eps))
+    if not np.isfinite(p0) or p0 == 0.0:
+        raise DomainError("volume density vanishes or is undefined at y")
+    ynew = map_.step(y, eps)
+    p1 = float(psi(ynew, eps))
+    J = float(np.linalg.det(_reference_jacobian(
+        lambda z: map_.step(z, eps), y)))
+    return abs(J - p1 / p0) / abs(J)
+
+
+def _reference_flow_conjugacy(cv, upstream, downstream, x):
+    x = as_state(x, cv.dim)
+    J = _reference_jacobian(cv.forward, x)
+    return float(np.max(np.abs(J @ upstream(x) - downstream(cv.forward(x)))))
+
+
+def _volume_cases():
+    cases = [(euler_hk(), [density_euler_hk(j) for j in range(3)], 0.05),
+             (gen_hk(3), [density_kov_hk(j) for j in range(3)], 0.05),
+             (kov_sqrt(), [density_kov_product(0, 1),
+                           density_kov_product(1, 2)], 0.05),
+             (kov_pullback(), [density_kov_product(0, 1),
+                               density_kov_product(2, 0)], 0.05)]
+    for n in (3, 4, 5, 6):
+        psis = [density_cross_power(0, 1), density_cross_power(n - 2, n - 1)]
+        cases += [(gen_hk(n), psis, 0.05), (alt_map(n), psis, 0.02)]
+    return cases
+
+
+@pytest.mark.parametrize("m, psis, eps", _volume_cases(),
+                         ids=[f"{m.name}-N{m.dim}" for m, _, _ in _volume_cases()])
+def test_volume_check_matches_the_ndarray_jacobian_bit_for_bit(m, psis, eps):
+    for y in admissible_states(20, m.dim, seed=1201):
+        fast = central_jacobian(lambda z: m.checked_step(z, eps), y)
+        slow = _reference_jacobian(lambda z: m.step(z, eps), y)
+        assert fast.flags.c_contiguous
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+        for psi in psis:
+            assert volume_check(m, psi, y, eps) == \
+                _reference_volume_check(m, psi, y, eps)
+
+
+_FLOW_CASES = [(linear_cv(), euler_top3(), kovalevskaya3(), 0.2),
+               (nonlinear_cv3(), euler_top3(), kovalevskaya3(), 0.2)] + [
+    (gen_cv(n), generalized_euler(n), generalized_kovalevskaya(n, 2.0), 0.3)
+    for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("cv, up, down, low", _FLOW_CASES,
+                         ids=[cv.name for cv, _, _, _ in _FLOW_CASES])
+def test_flow_conjugacy_matches_the_ndarray_jacobian_bit_for_bit(cv, up, down,
+                                                                 low):
+    rng = np.random.default_rng(1205)
+    for _ in range(20):
+        x = rng.uniform(low, 1.2, cv.dim)
+        J = central_jacobian(cv.forward, x)
+        assert J.flags.c_contiguous
+        assert J.tobytes() == _reference_jacobian(cv.forward, x).tobytes()
+        assert conjugacy_check(cv, up, down, x, 0.0) == \
+            _reference_flow_conjugacy(cv, up, down, x)
+
+
+def _raised(call):
+    with pytest.raises((DomainError, SingularStepError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_cosine_stencil_leaving_the_domain_raises_as_step_does():
+    m, eps = cosine_law(), 1.0
+    y = np.array([0.5, 1.0 - 1e-9, 1.0 - 1e-9])   # eps^2 y_j^2 < 1 at y
+    m.step(y, eps)
+    psi = density_euler_hk(0)
+    got = _raised(lambda: volume_check(m, psi, y, eps))
+    assert got == _raised(lambda: _reference_volume_check(m, psi, y, eps))
+    assert got == (DomainError,
+                   "cosine-law map needs eps^2*x_j^2 < 1; violated at index 2")
+
+
+def test_gen_hk_stencil_on_a_vanishing_d_factor_raises_as_step_does():
+    # d_1 = 1 - eps*(-3*y_1 + y_2 + y_3 + y_4) vanishes at y_1 + h_1 with
+    # y_4 raised by 6e-6, but not at y itself
+    m, eps = gen_hk(4), 0.1
+    y = np.array([1.0, 4.0, 4.0, 5.0 + 6.000006e-6])
+    m.step(y, eps)
+    psi = density_cross_power(0, 1)
+    got = _raised(lambda: volume_check(m, psi, y, eps))
+    assert got == _raised(lambda: _reference_volume_check(m, psi, y, eps))
+    assert got == (SingularStepError, "gen-hk: denominator d_1 vanished")
+
+
+def test_checked_step_error_carries_the_stencil_point():
+    m, eps = gen_hk(4), 0.1
+    z = [1.0, 4.0, 4.0, 5.0]      # d_1 = 1 - 0.1*10 is exactly 0
+    with pytest.raises(SingularStepError) as info:
+        m.checked_step(z, eps)
+    assert info.value.state.tolist() == z and info.value.eps == eps
+    with pytest.raises(SingularStepError) as step_info:
+        m.step(z, eps)
+    assert str(step_info.value) == str(info.value)
+    assert step_info.value.state.tolist() == z
+
+
+def test_checked_step_is_the_step_on_lists():
+    for m in (euler_hk(), cosine_law(), kov_sqrt(), kov_pullback(), gen_hk(5),
+              alt_map(4)):
+        for y in admissible_states(5, m.dim, seed=1207):
+            out = m.checked_step(y.tolist(), 0.05)
+            assert type(out) is list
+            assert np.array(out).tobytes() == m.step(y, 0.05).tobytes()
