@@ -8,9 +8,8 @@ quantities and invariant volume densities, and the machinery that certifies
 every claimed conservation law, conjugacy, and algebraic identity in double
 precision.
 """
-from .core import (MapStepScale, QuadraticField, StateVector,
-                   TrajectoryRecord, as_state, elementary_symmetric,
-                   evaluate_field, painleve_condition)
+from .core import (MapStepScale, QuadraticField, TrajectoryRecord, as_state,
+                   elementary_symmetric, evaluate_field, painleve_condition)
 from .errors import (BlowupError, ConfigError, DimensionError, DomainError,
                      KovtopError, ParameterError, SingularStepError)
 from .flows import (FlowSpec, euler_field, euler_top3, generalized_euler,

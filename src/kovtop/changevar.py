@@ -24,10 +24,6 @@ class ChangeOfVariables:
     dim: int
     forward: Callable[[np.ndarray], np.ndarray]
     backward: Callable[[np.ndarray], np.ndarray]
-    domain_note: str = ""
-
-    def __call__(self, x) -> np.ndarray:
-        return self.forward(as_state(x, self.dim))
 
 
 def linear_cv() -> ChangeOfVariables:
@@ -44,7 +40,7 @@ def linear_cv() -> ChangeOfVariables:
         s = y.sum()
         return s - 2.0 * y
 
-    return ChangeOfVariables("linear", 3, fwd, bwd, "entire space")
+    return ChangeOfVariables("linear", 3, fwd, bwd)
 
 
 def nonlinear_cv3() -> ChangeOfVariables:
@@ -66,7 +62,7 @@ def nonlinear_cv3() -> ChangeOfVariables:
         p = float(np.prod(y))
         return np.sqrt(p / y)
 
-    return ChangeOfVariables("nonlinear3", 3, fwd, bwd, "positive orthant")
+    return ChangeOfVariables("nonlinear3", 3, fwd, bwd)
 
 
 def gen_cv(N: int) -> ChangeOfVariables:
@@ -90,7 +86,7 @@ def gen_cv(N: int) -> ChangeOfVariables:
         p = float(np.prod(y))
         return np.sqrt(p ** (1.0 / (N - 2.0)) / y)
 
-    return ChangeOfVariables(f"gen(N={N})", N, fwd, bwd, "positive orthant")
+    return ChangeOfVariables(f"gen(N={N})", N, fwd, bwd)
 
 
 def jacobian_gen_cv(N: int, x) -> float:

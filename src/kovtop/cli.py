@@ -253,7 +253,7 @@ def _cmd_convergence(args) -> int:
     eps_list = _parse_floats(args.eps_list)
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ConfigError("--eps-list must be positive and finite")
-    if sorted(eps_list, reverse=True) != eps_list:
+    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("--eps-list must be strictly decreasing")
     rows, slope = convergence_study(m, y0, args.total_time, eps_list,
                                     args.dt_ref)

@@ -17,8 +17,8 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, DomainError, ParameterError
 
-#: Alias used in signatures; states are validated ndarrays, not a wrapper type.
-StateVector = np.ndarray
+#: relative tolerance of `painleve_condition`
+PAINLEVE_RTOL = 1e-12
 
 
 def as_state(coords, dim: int | None = None) -> np.ndarray:
@@ -98,16 +98,16 @@ def evaluate_field(field_: QuadraticField, y) -> np.ndarray:
                                                  y.tolist()), dtype=float)
 
 
-def painleve_condition(a, rtol: float = 1e-12) -> bool:
+def painleve_condition(a) -> bool:
     """Test the coefficient condition a12*a23*a31 == a13*a32*a21 for the 3x3
     matrix of a system dy_i/dt = y_i * sum_j a_ij y_j, up to relative
-    tolerance rtol."""
+    tolerance PAINLEVE_RTOL."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise DimensionError("painleve_condition expects a 3x3 matrix")
     left = a[0, 1] * a[1, 2] * a[2, 0]
     right = a[0, 2] * a[2, 1] * a[1, 0]
-    return abs(left - right) <= rtol * (abs(left) + abs(right))
+    return abs(left - right) <= PAINLEVE_RTOL * (abs(left) + abs(right))
 
 
 def elementary_symmetric(y, k: int) -> float:

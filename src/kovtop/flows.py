@@ -103,14 +103,14 @@ def euler_top3() -> FlowSpec:
     return replace(generalized_euler(3), name="euler3")
 
 
-def quadratic_flow(field: QuadraticField, name: str = "quadratic") -> FlowSpec:
-    """The flow dy/dt = field(y) of a quadratic field tensor."""
+def quadratic_flow(field: QuadraticField) -> FlowSpec:
+    """The flow "quadratic", dy/dt = field(y), of a quadratic field tensor."""
     coeffs = field.coeffs.tolist()
 
     def rhs(y):
         return kernels._rhs_quadratic_field(coeffs, y)
 
-    return FlowSpec(name=name, dim=field.dim, rhs=rhs)
+    return FlowSpec(name="quadratic", dim=field.dim, rhs=rhs)
 
 
 def kovalevskaya_field(N: int = 3, alpha: float = 2.0) -> QuadraticField:
@@ -135,7 +135,9 @@ def _steps_for(t_end: float, dt: float) -> int:
         raise ParameterError("dt must be positive")
     if t_end < 0:
         raise ParameterError("t_end must be nonnegative")
-    n = round(t_end / dt) if t_end > 0 else 0
+    if not np.isfinite(t_end / dt):
+        raise ParameterError(f"t_end/dt must be finite, got {t_end}/{dt}")
+    n = round(t_end / dt)
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ParameterError(f"dt={dt} does not divide t_end={t_end}")
     return n
@@ -145,8 +147,8 @@ def integrate_reference(flow: FlowSpec, y0, t_end: float, dt: float) -> Trajecto
     """Fixed-step RK4 trajectory sampled every step.
 
     Raises BlowupError (carrying the last valid time) if the state leaves the
-    finite region |y_i| <= 1e12; these flows have finite-time poles, so the
-    hard cap is mandatory.
+    finite region |y_i| <= kernels.BLOWUP_CAP (1e12); these flows have
+    finite-time poles, so the hard cap is mandatory.
     """
     y0 = as_state(y0, flow.dim)
     nsteps = _steps_for(t_end, dt)
@@ -161,10 +163,9 @@ def integrate_reference(flow: FlowSpec, y0, t_end: float, dt: float) -> Trajecto
 
 def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, int]:
     """Non-raising RK4 iteration used by the drift harness: returns
-    (states, last_step) with last_step < nsteps on blowup."""
+    (states, last_step) with last_step < nsteps past kernels.BLOWUP_CAP."""
     y0 = as_state(y0, flow.dim)
-    return kernels.rk4_orbit(flow.rhs, y0.tolist(), float(dt), nsteps,
-                             kernels.BLOWUP_CAP)
+    return kernels.rk4_orbit(flow.rhs, y0.tolist(), float(dt), nsteps)
 
 
 def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MapStepScale, QuadraticField, as_state
+from .core import QuadraticField, as_state
 from .errors import DimensionError, SingularStepError
 
 #: regularity (|det A| over the Hadamard row bound, or a `maps` step's) below
@@ -29,7 +29,6 @@ class BilinearStepSystem:
 
     dim: int
     matrix_builder: Callable[[np.ndarray, float], np.ndarray]
-    scale: MapStepScale = MapStepScale.TWO_EPS
 
 
 def polarize(field: QuadraticField) -> BilinearStepSystem:
@@ -56,8 +55,9 @@ def polarize(field: QuadraticField) -> BilinearStepSystem:
 
 
 def _check_regular(A: np.ndarray, y, eps) -> None:
-    det = np.linalg.det(A)
-    hadamard = float(np.prod(np.linalg.norm(A, axis=1)))
+    with np.errstate(all="ignore"):  # an overflow is judged by its value
+        det = np.linalg.det(A)
+        hadamard = float(np.prod(np.linalg.norm(A, axis=1)))
     if abs(det) <= SINGULAR_RTOL * hadamard:
         raise SingularStepError(
             f"step matrix numerically singular (det = {det:.3e})", state=y, eps=eps)

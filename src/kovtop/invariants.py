@@ -56,6 +56,11 @@ CANCEL_TOL = 1e-3
 #: orbit guards used for drift certification (see module docstring)
 TRACKING_GUARDS = OrbitGuards(strain=0.01, resolution=0.2, coincidence=1e-6)
 
+#: `independence_rank` counts singular values above RANK_RTOL * the largest
+RANK_RTOL = 1e-8
+#: `defect_order` fits only the one-step defects above DEFECT_FLOOR
+DEFECT_FLOOR = 1e-14
+
 #: the three ways to split {1,2,3,4} into two pairs (0-based)
 PARTITIONS_4 = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
@@ -454,9 +459,9 @@ def _orbit_of(target, y0, eps: float, steps: int, guards: OrbitGuards):
     raise TypeError(f"cannot iterate {type(target).__name__}")
 
 
-def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
-                 guards: OrbitGuards = TRACKING_GUARDS) -> DriftReport:
-    """Track one invariant along one orbit.
+def drift_report(target, inv: Invariant, y0, eps: float,
+                 steps: int) -> DriftReport:
+    """Track one invariant along one orbit under TRACKING_GUARDS.
 
     Records the max over certified points of
     |F(y_t, eps) - F(ref, eps)| / max(1, |F(ref)|); the reference is the first
@@ -465,8 +470,7 @@ def drift_report(target, inv: Invariant, y0, eps: float, steps: int,
     outside the invariant's domain ends the window at 0 with a NaN drift.
     Failures are reported, never raised.  This is drift_batch with one start.
     """
-    return drift_batch(target, [inv], [as_state(y0, inv.dim)], eps, steps,
-                       guards)[0]
+    return drift_batch(target, [inv], [as_state(y0, inv.dim)], eps, steps)[0]
 
 
 def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
@@ -512,17 +516,15 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
             for inv, w, e in zip(invs, worst, first_end)]
 
 
-def random_starts(n: int, dim: int, seed: int, low: float = 0.1,
-                  high: float = 2.0, min_sep: float = CANCEL_TOL) -> np.ndarray:
-    """Seeded uniform starts in [low, high]^dim, rejecting near-coincident
-    coordinate pairs (|y_i - y_j| <= min_sep * (|y_i| + |y_j|)), the pairs
-    that the reliability masks drop at the default CANCEL_TOL."""
+def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
+    """Seeded uniform starts in the box [0.1, 2]^dim, rejecting a draw with a
+    pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
     got = 0
     while got < n:
-        y = rng.uniform(low, high, dim)
-        if all(abs(a - b) > min_sep * (abs(a) + abs(b))
+        y = rng.uniform(0.1, 2.0, dim)
+        if all(abs(a - b) > CANCEL_TOL * (abs(a) + abs(b))
                for a, b in combinations(y.tolist(), 2)):
             out[got] = y
             got += 1
@@ -614,13 +616,12 @@ def invariant_gradients(invs: Sequence[Invariant], y,
     return central_gradient(stacked, y)
 
 
-def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0,
-                      sv_rtol: float = 1e-8) -> int:
+def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0) -> int:
     """Numerical rank of the stacked finite-difference gradients.
 
     Rows are normalized to unit length before the SVD so families mixing
     scales measure functional rank rather than magnitude disparity; singular
-    values above sv_rtol times the largest count toward the rank.
+    values above RANK_RTOL (1e-8) times the largest count toward the rank.
     """
     G = invariant_gradients(invs, y, eps)
     for r in range(G.shape[0]):
@@ -630,20 +631,20 @@ def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0,
     s = np.linalg.svd(G, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > sv_rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 # --- defect order -----------------------------------------------------------
 
 def defect_order(map_: DiscreteMap, candidate: Invariant, y0,
-                 eps_list: Sequence[float], raw_floor: float = 1e-14) -> float:
+                 eps_list: Sequence[float]) -> float:
     """Order (in eps) of the candidate's per-unit-time one-step defect.
 
     For each eps the raw defect |F(map(y0, eps), eps) - F(y0, eps)| is divided
     by the time one application advances (scale * eps); the returned value is
     the least-squares log-log slope of that rate.  A flow integral under a
-    second-order map rates O(eps^2); exact integrals of the map leave all raw
-    defects below `raw_floor` and return math.inf.
+    second-order map rates O(eps^2); exact integrals of the map leave fewer than
+    two raw defects above DEFECT_FLOOR (1e-14) and return math.inf.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0) or np.any(np.diff(eps_arr) >= 0):
@@ -653,9 +654,7 @@ def defect_order(map_: DiscreteMap, candidate: Invariant, y0,
     for idx, e in enumerate(eps_arr):
         ynew = map_.step(y0, e)
         raw[idx] = abs(candidate.value(ynew, e) - candidate.value(y0, e))
-    if np.all(raw < raw_floor):
-        return math.inf
-    keep = raw > raw_floor
+    keep = raw > DEFECT_FLOOR
     if np.sum(keep) < 2:
         return math.inf
     rate = raw[keep] / (map_.scale.factor * eps_arr[keep])
@@ -676,7 +675,13 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
     """Error of k map applications against the RK4 reference of the flow the
     map discretizes, at the same total time, k = total_time / (scale * eps).
     Returns (rows, slope); slope is None when fewer than two eps values are
-    given."""
+    given.  Raises ParameterError unless dt_ref > 0 gives a finite number of
+    reference steps, eps_list strictly decreases and each eps tiles the time."""
+    if not (dt_ref > 0 and math.isfinite(total_time / dt_ref)):
+        raise ParameterError(f"dt_ref={dt_ref} must be positive, with a "
+                             "finite number of reference steps")
+    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
+        raise ParameterError("eps_list must be strictly decreasing")
     flow = (_REFERENCE_FLOWS[m.name]() if m.name in _REFERENCE_FLOWS
             else generalized_kovalevskaya(m.dim, 2.0))
     y0 = as_state(y0, m.dim)
@@ -685,8 +690,10 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
     target = ref.states[-1]
     rows = []
     for eps in eps_list:
-        k = round(total_time / m.step_time(eps))
-        if k < 1 or abs(k * m.step_time(eps) - total_time) > 1e-9 * total_time:
+        t = m.step_time(eps)
+        n = total_time / t if t > 0 else 0
+        k = round(n) if math.isfinite(n) else 0
+        if k < 1 or abs(k * t - total_time) > 1e-9 * total_time:
             raise ParameterError(
                 f"eps={eps} does not tile total time {total_time}")
         y = y0
@@ -782,10 +789,8 @@ def verify_relation_qq(map_: DiscreteMap, y, eps: float) -> float:
     n = y.shape[0]
     if np.any(y == 0):
         raise DomainError("relation needs nonzero coordinates")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if y[i] == y[j]:
-                raise DomainError("relation needs distinct coordinates")
+    if len(set(y.tolist())) < n:
+        raise DomainError("relation needs distinct coordinates")
     ynew = map_.step(y, eps)
     if map_.name == "gen-hk":
         s = float(y.sum())
@@ -906,11 +911,11 @@ def drift_to_csv(reports: Sequence[DriftReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def drift_to_json(reports: Sequence[DriftReport], status: str = "ok") -> str:
+def drift_to_json(reports: Sequence[DriftReport]) -> str:
     # an unevaluable pair carries NaN internally; JSON gets null (strict JSON
     # has no NaN literal)
     return json.dumps({
-        "status": status,
+        "status": "ok",
         "reports": [{
             "map": r.map,
             "invariant": r.invariant,

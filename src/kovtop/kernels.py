@@ -29,6 +29,7 @@ KOV_PULLBACK = 3
 GEN_HK = 4
 ALT = 5
 
+#: hard bound on coordinate magnitude for map orbits and RK4 trajectories
 BLOWUP_CAP = 1e12
 
 
@@ -163,18 +164,18 @@ def _coincidence_depth(y, even):
     return m
 
 
-def map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even, cap):
+def map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even):
     """Iterate a map from the sequence `y0`, stopping at the first
     untrustworthy step.
 
     Stops when the step regularity drops below `theta`, when
     |eps|*max|y| exceeds `resbound`, when the state comes within `coin_tol`
-    (relative) of a coincidence variety, when any coordinate exceeds `cap`,
-    or on non-finite values or a vanishing denominator.  Returns
+    (relative) of a coincidence variety, when any coordinate exceeds
+    BLOWUP_CAP, or on non-finite values or a vanishing denominator.  Returns
     (trajectory ndarray, last_step): states 0..last_step are recorded, and
     last_step < nsteps means early stop.
     """
-    step = _STEPS[code]
+    step, cap = _STEPS[code], BLOWUP_CAP
     y = list(y0)
     rows = [y]
     aeps = abs(eps)
@@ -248,11 +249,12 @@ def _rhs_quadratic_field(coeffs, y):
     return out
 
 
-def rk4_orbit(rhs, y0, dt, nsteps, cap):
+def rk4_orbit(rhs, y0, dt, nsteps):
     """Classical fixed-step RK4 trajectory of dy/dt = rhs(y) from the sequence
     `y0`; `rhs` maps a list of numbers to a list.  Returns (trajectory
     ndarray, last_step); last_step < nsteps means the state left the finite
-    region |y_i| <= cap."""
+    region |y_i| <= BLOWUP_CAP."""
+    cap = BLOWUP_CAP
     h = dt / 2
     w = dt / 6
     y = list(y0)

@@ -20,7 +20,8 @@ from .hk_engine import SINGULAR_RTOL
 
 @dataclass(frozen=True)
 class OrbitGuards:
-    """Early-stop rules for orbit iteration.
+    """Early-stop rules for orbit iteration; every orbit also stops when a
+    coordinate exceeds `kernels.BLOWUP_CAP`.
 
     strain: stop when a step's regularity factor (denominator magnitude,
         normalised to 1 at eps = 0) drops below this.
@@ -28,13 +29,11 @@ class OrbitGuards:
     coincidence: stop when the state comes within this relative distance of a
         coincidence variety (y_i = y_j, or |y_i| = |y_j| for maps whose
         invariants are even).
-    cap: hard bound on coordinate magnitude.
     """
 
     strain: float = 0.0
     resolution: float = math.inf
     coincidence: float = 0.0
-    cap: float = kernels.BLOWUP_CAP
 
 
 RAW_GUARDS = OrbitGuards()
@@ -92,8 +91,7 @@ class DiscreteMap:
             raise ValueError("steps must be nonnegative")
         return kernels.map_orbit(
             self.kernel_code, y0.tolist(), float(eps), steps, guards.strain,
-            guards.resolution, guards.coincidence, self.even_invariants,
-            guards.cap)
+            guards.resolution, guards.coincidence, self.even_invariants)
 
     def _singular_detail(self, y, eps) -> str:
         if self.kernel_code == kernels.GEN_HK:

@@ -590,3 +590,122 @@ def test_vanishing_d_factor_is_named_without_a_warning(capsys):
     assert rc == 2
     assert out.out == ""
     assert out.err == "aborted: gen-hk: denominator d_1 vanished\n"
+
+
+# inputs that once ended in a traceback, a numpy warning, or a result computed
+# from a meaningless setting
+_BAD_INPUTS = [
+    (_CONVERGENCE + ["--eps-list", "0.01,0.005", "--dt-ref", "0"], 1,
+     "dt_ref=0.0 must be positive"),
+    (_CONVERGENCE + ["--eps-list", "0.01,0.005", "--dt-ref", "-1e-4"], 1,
+     "dt_ref=-0.0001 must be positive"),
+    (_CONVERGENCE + ["--eps-list", "1e-320"], 1,
+     "eps=1e-320 does not tile total time 0.2"),
+    (_CONVERGENCE + ["--eps-list", "0.01,0.01"], 1,
+     "--eps-list must be strictly decreasing"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "1e-320"], 1,
+     "t_end/dt must be finite"),
+    (["check", "--identity", "engine", "--n", "4", "--trials", "4", "--eps",
+      "1e200"], 2, "step matrix numerically singular"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, message", _BAD_INPUTS,
+                         ids=["dt-ref-zero", "dt-ref-negative",
+                              "eps-subnormal", "eps-tie", "dt-subnormal",
+                              "engine-overflow"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bad_inputs_exit_with_a_message(tmp_path, capsys, argv, rc, message,
+                                        fmt):
+    path = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(argv + ["--format", fmt, "--out", str(path)])
+    out = capsys.readouterr()
+    assert got == rc
+    assert out.out == ""
+    assert message in out.err
+    if rc == 1:
+        assert out.err.startswith("error:") and not path.exists()
+    else:
+        assert out.err.startswith("aborted:")
+        if fmt == "json":
+            assert json.loads(path.read_text())["status"] == "aborted"
+        else:
+            assert not path.exists()
+
+
+def test_simulate_blowup_exits_two_with_partial_output(tmp_path, capsys):
+    # on the diagonal kov3 is dy/dt = y^2, with its pole at t = 1
+    argv = ["simulate", "--flow", "kov3", "--y0", "1,1,1", "--t-end", "2",
+            "--dt", "0.01"]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"blowup.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "blowup at step 101\n"
+        text = path.read_text()
+        if fmt == "csv":
+            assert text.split("\n")[-2].startswith("100,1,")
+        else:
+            data = json.loads(text)
+            assert data["status"] == "blowup"
+            assert len(data["rows"]) == 101
+            if jsonschema is not None:
+                jsonschema.validate(data, _schema("trajectory"))
+
+
+def test_convergence_csv_reports_slope_on_stderr(tmp_path, capsys):
+    path = tmp_path / "conv.csv"
+    assert main(_CONVERGENCE + ["--eps-list", "0.01,0.005", "--out",
+                                str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "slope 2.000020\n"
+    lines = path.read_text().split("\n")
+    assert lines[0] == "eps,error" and len(lines) == 4 and lines[3] == ""
+    assert [float(line.split(",")[0]) for line in lines[1:3]] == [0.01, 0.005]
+
+
+def test_check_csv(tmp_path, capsys):
+    path = tmp_path / "check.csv"
+    assert main(["check", "--identity", "d-sum", "--trials", "5", "--seed",
+                 "3", "--out", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == ""
+    header, row, end = path.read_text().split("\n")
+    assert header == "identity,trials,max_residual" and end == ""
+    name, trials, residual = row.split(",")
+    assert (name, trials) == ("d-sum", "5")
+    assert 0.0 <= float(residual) < 1e-12
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--identity", "d-sum", "--trials", "0"],
+     "--trials must be >= 1"),
+    (["independence", "--family", "nope", "--n", "4"],
+     "unknown family 'nope' at N=4; known: altmap4-phi, cross-ratio, "
+     "euler-poly, flow-power, genhk4-phi, quartet, quartet-sqrt"),
+    (_DRIFT + ["--eps", "0.01", "--invariant", "nope"],
+     "no registered invariant 'nope' claimed for gen-hk"),
+    (_SIMULATE[:-1] + ["0.1,0.2", "--t-end", "1", "--dt", "0.1"],
+     "--y0 must list 3 coordinates"),
+    (["map", "--map", "euler-hk", "--y0", "1,2,3,4", "--eps", "0.1",
+      "--steps", "1"], "euler-hk is three-dimensional"),
+    (_MAP[:-1] + ["1,2,3", "--eps", "0.1", "--steps", "1"],
+     "--y0 must list 4 coordinates"),
+    (_DRIFT + ["--eps", "0.01", "--y0", "1,2,3"],
+     "--y0 must list 4 coordinates"),
+    (["convergence", "--map", "gen-hk", "--n", "4", "--y0", "1,2,3",
+      "--eps-list", "0.01"], "--y0 must list 4 coordinates"),
+], ids=["check-trials-zero", "independence-family", "drift-invariant",
+        "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
+        "convergence-y0"])
+def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
+    path = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+    assert not path.exists()
