@@ -130,6 +130,19 @@ def euler_field() -> QuadraticField:
     return QuadraticField.from_terms(3, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0})
 
 
+#: the most steps a step count derived from a time span may ask for
+MAX_STEPS = 10**7
+
+
+def check_step_count(n: int, what: str) -> int:
+    """n, or ParameterError when the step count n that `what` gives exceeds
+    MAX_STEPS."""
+    if n > MAX_STEPS:
+        raise ParameterError(f"{what} gives {n:.3g} steps, more than "
+                             f"MAX_STEPS = {MAX_STEPS:.0e}")
+    return n
+
+
 def _steps_for(t_end: float, dt: float) -> int:
     if dt <= 0:
         raise ParameterError("dt must be positive")
@@ -137,7 +150,7 @@ def _steps_for(t_end: float, dt: float) -> int:
         raise ParameterError("t_end must be nonnegative")
     if not np.isfinite(t_end / dt):
         raise ParameterError(f"t_end/dt must be finite, got {t_end}/{dt}")
-    n = round(t_end / dt)
+    n = check_step_count(round(t_end / dt), f"t_end/dt = {t_end}/{dt}")
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ParameterError(f"dt={dt} does not divide t_end={t_end}")
     return n

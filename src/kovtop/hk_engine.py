@@ -34,21 +34,20 @@ class BilinearStepSystem:
 def polarize(field: QuadraticField) -> BilinearStepSystem:
     """Bilinearize a quadratic field into its implicit step system."""
     dim = field.dim
-    coeffs = field.coeffs
+    # the nonzero coefficients in the order the entries of M accumulate them
+    terms = [(i, j, k, a)
+             for i, row in enumerate(field.coeffs.tolist())
+             for j, cj in enumerate(row) for k, a in enumerate(cj)
+             if k >= j and a != 0.0]
 
     def build(y: np.ndarray, eps: float) -> np.ndarray:
         M = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(j, dim):
-                    a = coeffs[i, j, k]
-                    if a == 0.0:
-                        continue
-                    if j == k:
-                        M[i, j] += 2.0 * a * y[j]
-                    else:
-                        M[i, j] += a * y[k]
-                        M[i, k] += a * y[j]
+        for i, j, k, a in terms:
+            if j == k:
+                M[i, j] += 2.0 * a * y[j]
+            else:
+                M[i, j] += a * y[k]
+                M[i, k] += a * y[j]
         return np.eye(dim) - eps * M
 
     return BilinearStepSystem(dim=dim, matrix_builder=build)

@@ -40,14 +40,14 @@ import numpy as np
 from .core import as_state, fmt17
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
-from .flows import (FlowSpec, euler_top3, generalized_kovalevskaya,
-                    integrate_reference, kovalevskaya3, kovalevskaya_field,
-                    rk4_states)
+from .flows import (FlowSpec, check_step_count, euler_top3,
+                    generalized_kovalevskaya, integrate_reference,
+                    kovalevskaya3, kovalevskaya_field, rk4_states)
 from .hk_engine import hk_step, polarize
-from .maps import (DiscreteMap, OrbitGuards, alt_map, cosine_law, d_factors,
-                   d_polynomial, d_polynomial_omitting, euler_hk, gen_hk,
-                   kov_pullback, kov_sqrt, r_factor, r_reciprocity_residual,
-                   s_relation_residuals)
+from .maps import (DiscreteMap, OrbitGuards, _d_list, _d_polynomial, _product,
+                   _r_factor, _r_reciprocity_residual, _s_relation_residuals,
+                   _total, alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
+                   kov_sqrt)
 from .numdiff import central_gradient, central_jacobian
 
 #: relative cancellation below which a single evaluation point is masked
@@ -533,41 +533,57 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
 
 # --- volume forms -----------------------------------------------------------
 
+def _density(psi, y, eps) -> float:
+    # psi(y) as a float, with the value a float64 state gave where Python
+    # floats raise: inf where a power overflows, NaN where a quotient has a
+    # zero denominator
+    try:
+        return float(psi(y, eps))
+    except OverflowError:
+        return math.inf
+    except ZeroDivisionError:
+        return math.nan
+
+
 def volume_check(map_: DiscreteMap, psi, y, eps: float) -> float:
     """|det(d ynew / d y) - psi(ynew)/psi(y)| / |det|, with the Jacobian from
     central finite differences of `map_.checked_step`: each stencil point is
-    checked as `map_.step` would check it."""
-    y = as_state(y, map_.dim)
-    p0 = float(psi(y, eps))
-    if not np.isfinite(p0) or p0 == 0.0:
+    checked as `map_.step` would check it.  psi gets states as lists of
+    floats."""
+    y = as_state(y, map_.dim).tolist()
+    p0 = _density(psi, y, eps)
+    if not math.isfinite(p0) or p0 == 0.0:
         raise DomainError("volume density vanishes or is undefined at y")
-    ynew = map_.step(y, eps)
-    p1 = float(psi(ynew, eps))
-    eps = float(eps)
+    e = float(eps)
+    p1 = _density(psi, map_.checked_step(y, e), eps)
     J = float(np.linalg.det(central_jacobian(
-        lambda z: map_.checked_step(z, eps), y)))
+        lambda z: map_.checked_step(z, e), y)))
     return abs(J - p1 / p0) / abs(J)
 
+
+# The densities and the phi factors below take a state as any sequence of
+# numbers (a list of floats from `volume_check`, `Fraction`s, a float64
+# array) and sum and multiply over it in index order.
 
 def density_euler_hk(j: int):
     """(1 - eps^2 x_j^2)^2, any j."""
     def psi(x, eps):
-        return (1.0 - eps * eps * x[j] ** 2) ** 2
+        return (1 - eps * eps * x[j] ** 2) ** 2
     return psi
 
 
 def density_kov_hk(j: int):
     """(1 - eps^2 (s - 2 y_j)^2)^2, any j."""
     def psi(y, eps):
-        A = float(np.sum(y)) - 2.0 * y[j]
-        return (1.0 - eps * eps * A * A) ** 2
+        A = _total(y) - 2 * y[j]
+        return (1 - eps * eps * A * A) ** 2
     return psi
 
 
 def density_kov_product(i: int, j: int):
     """(1 - eps^2 y_i y_j)^2, any pair."""
     def psi(y, eps):
-        return (1.0 - eps * eps * y[i] * y[j]) ** 2
+        return (1 - eps * eps * y[i] * y[j]) ** 2
     return psi
 
 
@@ -577,7 +593,7 @@ def density_cross_power(i: int = 0, j: int = 1):
     def psi(y, eps):
         n = len(y)
         h = (y[i] - y[j]) / (y[i] * y[j])
-        return h ** (n - 1) * float(np.prod(y)) ** 2
+        return h ** (n - 1) * _product(y) ** 2
     return psi
 
 
@@ -586,7 +602,7 @@ def density_flow_power(alpha: float = 2.0):
     flow (positive orthant)."""
     def psi(y, eps):
         n = len(y)
-        P = float(np.prod(y))
+        P = _product(y)
         if P <= 0:
             raise DomainError("flow volume density needs the positive orthant")
         return P ** ((n + 1.0 - 2.0 * alpha) / (n - alpha))
@@ -676,7 +692,8 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
     map discretizes, at the same total time, k = total_time / (scale * eps).
     Returns (rows, slope); slope is None when fewer than two eps values are
     given.  Raises ParameterError unless dt_ref > 0 gives a finite number of
-    reference steps, eps_list strictly decreases and each eps tiles the time."""
+    reference steps, eps_list strictly decreases, each eps tiles the time
+    and no step count exceeds flows.MAX_STEPS."""
     if not (dt_ref > 0 and math.isfinite(total_time / dt_ref)):
         raise ParameterError(f"dt_ref={dt_ref} must be positive, with a "
                              "finite number of reference steps")
@@ -684,10 +701,11 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
         raise ParameterError("eps_list must be strictly decreasing")
     flow = (_REFERENCE_FLOWS[m.name]() if m.name in _REFERENCE_FLOWS
             else generalized_kovalevskaya(m.dim, 2.0))
-    y0 = as_state(y0, m.dim)
-    nref = max(1, round(total_time / dt_ref))
+    y0 = as_state(y0, m.dim).tolist()
+    nref = check_step_count(max(1, round(total_time / dt_ref)),
+                            f"dt_ref={dt_ref}")
     ref = integrate_reference(flow, y0, total_time, total_time / nref)
-    target = ref.states[-1]
+    target = ref.states[-1].tolist()
     rows = []
     for eps in eps_list:
         t = m.step_time(eps)
@@ -696,10 +714,12 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
         if k < 1 or abs(k * t - total_time) > 1e-9 * total_time:
             raise ParameterError(
                 f"eps={eps} does not tile total time {total_time}")
+        check_step_count(k, f"eps={eps}")
         y = y0
+        e = float(eps)
         for _ in range(k):
-            y = m.step(y, eps)
-        rows.append((eps, float(np.max(np.abs(y - target)))))
+            y = m.checked_step(y, e)
+        rows.append((eps, max(abs(a - b) for a, b in zip(y, target))))
     slope = None
     if len(rows) >= 2:
         le = np.log([r[0] for r in rows])
@@ -709,30 +729,39 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
 
 
 # --- exact structural identities --------------------------------------------
+#
+# Each check has a core on the list of a state's coordinates, with integer
+# constants and sums in index order; the public functions validate with
+# `as_state` once and run it.  Every step goes through
+# `DiscreteMap.checked_step`.  The cores of the rational identities
+# (`IDENTITIES` but phi-eq, sqrt-comp and engine, which take roots or a float
+# solve) run unchanged on `Fraction`s, where a residual of exactly 0 at
+# random rational points is a Schwartz-Zippel certificate.
+
+def _phi_residual(N, y, eps, phi):
+    if any(v <= 0 for v in y):
+        raise DomainError("functional equation check needs positive coordinates")
+    ynew = gen_hk(N).checked_step(y, eps)
+    if any(v <= 0 for v in ynew):
+        raise DomainError("image left the positive orthant")
+    lhs = phi(ynew, eps) / phi(y, eps)
+    rhs = (1 + eps * _total(ynew)) / (1 - eps * _total(y)) \
+        * (_product(y) / _product(ynew)) ** (1 / (N - 2))
+    return abs(lhs - rhs) / abs(rhs)
+
 
 def verify_phi_functional_equation(N: int, y, eps: float, phi) -> float:
     """Relative residual of phi(ynew)/phi(y) =
     (1 + eps*s_new)/(1 - eps*s) * (prod y / prod ynew)^(1/(N-2)) under the
-    bilinearized map; positive orthant only."""
-    y = as_state(y, N)
-    if np.any(y <= 0):
-        raise DomainError("functional equation check needs positive coordinates")
-    ynew = gen_hk(N).step(y, eps)
-    if np.any(ynew <= 0):
-        raise DomainError("image left the positive orthant")
-    s = float(y.sum())
-    s_new = float(ynew.sum())
-    lhs = phi(ynew, eps) / phi(y, eps)
-    rhs = (1.0 + eps * s_new) / (1.0 - eps * s) \
-        * (float(np.prod(y)) / float(np.prod(ynew))) ** (1.0 / (N - 2.0))
-    return abs(lhs - rhs) / abs(rhs)
+    bilinearized map; positive orthant only.  phi gets states as lists."""
+    return _phi_residual(N, as_state(y, N).tolist(), eps, phi)
 
 
 def phi_genhk3(j: int = 0):
     """1 / (1 - eps^2 (s - 2 y_j)^2)."""
     def phi(y, eps):
-        A = float(np.sum(y)) - 2.0 * y[j]
-        return 1.0 / (1.0 - eps * eps * A * A)
+        A = _total(y) - 2 * y[j]
+        return 1 / (1 - eps * eps * A * A)
     return phi
 
 
@@ -742,14 +771,14 @@ def phi_genhk4(partition: int = 0):
 
     def phi(y, eps):
         diff = y[i] + y[j] - y[k] - y[l]
-        return 1.0 / math.sqrt(1.0 - eps * eps * diff * diff)
+        return 1 / math.sqrt(1 - eps * eps * diff * diff)
     return phi
 
 
 def phi_alt3(i: int = 0, j: int = 1):
     """1 / (1 - eps^2 y_i y_j)."""
     def phi(y, eps):
-        return 1.0 / (1.0 - eps * eps * y[i] * y[j])
+        return 1 / (1 - eps * eps * y[i] * y[j])
     return phi
 
 
@@ -758,25 +787,53 @@ def phi_alt4(partition: int = 0):
     (i, j), (k, l) = PARTITIONS_4[partition]
 
     def phi(y, eps):
-        return 1.0 / math.sqrt((1.0 - eps * eps * y[i] * y[j])
-                               * (1.0 - eps * eps * y[k] * y[l]))
+        return 1 / math.sqrt((1 - eps * eps * y[i] * y[j])
+                             * (1 - eps * eps * y[k] * y[l]))
     return phi
+
+
+def _poly_n4_residual(y, eps):
+    D = _d_polynomial(y, eps)
+    # D_m, with coordinate m left out
+    Dm = [_d_polynomial([v for k, v in enumerate(y) if k != m], eps)
+          for m in range(4)]
+    worst = None
+    for (i, j), (k, l) in PARTITIONS_4:
+        lhs = Dm[i] * Dm[j] - eps * eps * y[i] * y[j] \
+            * (1 + eps * y[k]) ** 2 * (1 + eps * y[l]) ** 2
+        rhs = (1 - eps * eps * y[k] * y[l]) * D
+        r = abs(lhs - rhs) / (1 + abs(D))
+        worst = r if worst is None else max(worst, r)
+    return worst
 
 
 def verify_poly_identity_N4(y, eps: float) -> float:
     """Max residual over the three pair partitions of
     D_i D_j - eps^2 y_i y_j (1+eps*y_k)^2 (1+eps*y_l)^2 = (1 - eps^2 y_k y_l) D,
     normalized by 1 + |D|.  Holds identically only at N = 4."""
-    y = as_state(y, 4)
-    D = d_polynomial(y, eps)
-    worst = 0.0
-    for (i, j), (k, l) in PARTITIONS_4:
-        Di = d_polynomial_omitting(y, eps, i)
-        Dj = d_polynomial_omitting(y, eps, j)
-        lhs = Di * Dj - eps * eps * y[i] * y[j] \
-            * (1.0 + eps * y[k]) ** 2 * (1.0 + eps * y[l]) ** 2
-        rhs = (1.0 - eps * eps * y[k] * y[l]) * D
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(D)))
+    return _poly_n4_residual(as_state(y, 4).tolist(), eps)
+
+
+def _relation_qq_residual(map_, y, eps):
+    n = len(y)
+    if any(v == 0 for v in y):
+        raise DomainError("relation needs nonzero coordinates")
+    if len(set(y)) < n:
+        raise DomainError("relation needs distinct coordinates")
+    ynew = map_.checked_step(y, eps)
+    if map_.name == "gen-hk":
+        rhs = (1 - eps * _total(y)) / (1 + eps * _total(ynew))
+    elif map_.name == "alt-map":
+        rhs = _r_factor(y, eps)
+    else:
+        raise ValueError("relation applies to gen-hk and alt-map")
+    worst = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = (ynew[i] - ynew[j]) / (ynew[i] * ynew[j]) \
+                * (y[i] * y[j]) / (y[i] - y[j])
+            r = abs(lhs - rhs)
+            worst = r if worst is None else max(worst, r)
     return worst
 
 
@@ -785,58 +842,80 @@ def verify_relation_qq(map_: DiscreteMap, y, eps: float) -> float:
     (y_i y_j)/(y_i - y_j): equals (1 - eps*s)/(1 + eps*s_new) for the
     bilinearized map and R(y, eps) for the alternative map.  Returns the max
     deviation over all index pairs."""
-    y = as_state(y, map_.dim)
-    n = y.shape[0]
-    if np.any(y == 0):
-        raise DomainError("relation needs nonzero coordinates")
-    if len(set(y.tolist())) < n:
-        raise DomainError("relation needs distinct coordinates")
-    ynew = map_.step(y, eps)
-    if map_.name == "gen-hk":
-        s = float(y.sum())
-        s_new = float(ynew.sum())
-        rhs = (1.0 - eps * s) / (1.0 + eps * s_new)
-    elif map_.name == "alt-map":
-        rhs = r_factor(y, eps)
-    else:
-        raise ValueError("relation applies to gen-hk and alt-map")
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = (ynew[i] - ynew[j]) / (ynew[i] * ynew[j]) \
-                * (y[i] * y[j]) / (y[i] - y[j])
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    return _relation_qq_residual(map_, as_state(y, map_.dim).tolist(), eps)
 
 
-def _gap(x, ref) -> float:
-    return float(np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(ref))))
+def _gap(x, ref):
+    # max|x - ref| / (1 + max|ref|) of two lists; NaN when ref is not finite
+    if not all(map(math.isfinite, ref)):
+        return math.nan
+    return max(abs(a - b) for a, b in zip(x, ref)) / (1 + max(map(abs, ref)))
 
 
-def _step_ratio(y, eps, n):
-    return max(verify_relation_qq(gen_hk(n), y, eps),
-               verify_relation_qq(alt_map(n), y, eps))
+class _Residual:
+    """The residual(y, eps, n) of one identity on a sequence y of n numbers.
+    `at(n)` builds what the identity needs at dimension n (maps, the engine's
+    step system) and returns its residual(y, eps); `identity_battery` calls
+    it once per battery."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def __call__(self, y, eps, n):
+        return self.at(n)(y, eps)
 
 
-def _r_product(y, eps, n):
-    lhs = r_factor(y, eps) * float(np.prod(1.0 + eps * y))
-    return abs(lhs - d_polynomial(y, eps))
+def _n4_poly(n):
+    return _poly_n4_residual
 
 
-def _phi_eq(y, eps, n):
+def _s_relations(n):
+    return lambda y, eps: max(_s_relation_residuals(y, eps))
+
+
+def _r_reciprocity(n):
+    return _r_reciprocity_residual
+
+
+def _step_ratio(n):
+    gen, alt = gen_hk(n), alt_map(n)
+    return lambda y, eps: max(_relation_qq_residual(gen, y, eps),
+                              _relation_qq_residual(alt, y, eps))
+
+
+def _d_sum(n):
+    return lambda y, eps: abs(_total(_d_list(y, eps)) - 4)
+
+
+def _r_product(n):
+    def residual(y, eps):
+        p = 1
+        for v in y:
+            p *= 1 + eps * v
+        return abs(_r_factor(y, eps) * p - _d_polynomial(y, eps))
+    return residual
+
+
+def _phi_eq(n):
     phi = phi_genhk3() if n == 3 else phi_genhk4()
-    return verify_phi_functional_equation(n, y, eps, phi)
+    return lambda y, eps: _phi_residual(n, y, eps, phi)
 
 
-def _sqrt_comp(y, eps, n):
-    return max(_gap(half.step(half.step(y, eps), eps), full.step(y, eps))
-               for half, full in ((cosine_law(), euler_hk()),
-                                  (kov_sqrt(), kov_pullback())))
+def _sqrt_comp(n):
+    pairs = ((cosine_law(), euler_hk()), (kov_sqrt(), kov_pullback()))
+    return lambda y, eps: max(
+        _gap(half.checked_step(half.checked_step(y, eps), eps),
+             full.checked_step(y, eps))
+        for half, full in pairs)
 
 
-def _engine(y, eps, n):
-    a = hk_step(polarize(kovalevskaya_field(n)), y, eps)
-    return _gap(gen_hk(n).step(y, eps), a)
+def _engine(n):
+    sys_, gen = polarize(kovalevskaya_field(n)), gen_hk(n)
+
+    def residual(y, eps):
+        ref = hk_step(sys_, y, eps).tolist()
+        return _gap(gen.checked_step(y, eps), ref)
+    return residual
 
 
 # polynomial identities tolerate any eps; step-based ones are checked on the
@@ -846,18 +925,15 @@ _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
 #: name -> (residual(y, eps, n), range of the per-trial eps draw, dimensions
 #: the identity holds at, or None for any N)
 IDENTITIES = {
-    "n4-poly": (lambda y, e, n: verify_poly_identity_N4(y, e), _POLY, (4,)),
-    "s-relations": (lambda y, e, n: max(s_relation_residuals(y, e)),
-                    _STEP, None),
-    "r-reciprocity": (lambda y, e, n: r_reciprocity_residual(y, e),
-                      _STEP, None),
-    "step-ratio": (_step_ratio, _STEP, None),
-    "d-sum": (lambda y, e, n: abs(float(d_factors(y, e)[0].sum()) - 4.0),
-              _POLY, (4,)),
-    "r-product": (_r_product, _POLY, None),
-    "phi-eq": (_phi_eq, (0.01, 0.05), (3, 4)),
-    "sqrt-comp": (_sqrt_comp, _STEP, (3,)),
-    "engine": (_engine, _STEP, None),
+    "n4-poly": (_Residual(_n4_poly), _POLY, (4,)),
+    "s-relations": (_Residual(_s_relations), _STEP, None),
+    "r-reciprocity": (_Residual(_r_reciprocity), _STEP, None),
+    "step-ratio": (_Residual(_step_ratio), _STEP, None),
+    "d-sum": (_Residual(_d_sum), _POLY, (4,)),
+    "r-product": (_Residual(_r_product), _POLY, None),
+    "phi-eq": (_Residual(_phi_eq), (0.01, 0.05), (3, 4)),
+    "sqrt-comp": (_Residual(_sqrt_comp), _STEP, (3,)),
+    "engine": (_Residual(_engine), _STEP, None),
 }
 
 
@@ -865,11 +941,12 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
     """Worst residual of identity `name` over `trials` seeded starts at
     dimension n, or at the identity's only dimension.  Each trial draws eps
-    from the identity's range unless `eps` fixes it; a drawn eps that hits a
-    singular or out-of-domain spot skips the trial, a fixed one raises.
-    Raises DimensionError for a dimension the identity does not hold at
-    (below 3 for any-N identities), and ParameterError when fewer than half
-    the trials were evaluable."""
+    from the identity's range unless `eps` fixes it.  A trial whose residual
+    is undefined (a singular or out-of-domain spot, a float overflow or zero
+    division) or not finite is skipped under a drawn eps; under a fixed one
+    it raises DomainError or SingularStepError.  Raises DimensionError for a
+    dimension the identity does not hold at (below 3 for any-N identities),
+    and ParameterError when fewer than half the trials were evaluable."""
     residual, (lo, hi), dims = IDENTITIES[name]
     if dims is not None and len(dims) == 1:
         n = dims[0]
@@ -878,17 +955,28 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                              f"{' or '.join(map(str, dims))}, not N = {n}")
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
+    residual = residual.at(n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     evaluated = 0
-    for y in random_starts(trials, n, seed):
+    for y in random_starts(trials, n, seed).tolist():
         e = eps if eps is not None else float(rng.uniform(lo, hi))
         try:
-            worst = max(worst, residual(y, e, n))
+            try:
+                r = residual(y, e)
+            except OverflowError as exc:
+                raise DomainError(f"{name}: a float overflows at eps={e:g}"
+                                  ) from exc
+            except ZeroDivisionError as exc:
+                raise DomainError(f"{name}: a float division by zero at "
+                                  f"eps={e:g}") from exc
+            if not math.isfinite(r):
+                raise DomainError(f"{name}: residual {r} at eps={e:g}")
         except (DomainError, SingularStepError):
             if eps is not None:
                 raise     # an explicit eps that aborts is a real abort
             continue      # drawn eps hit a singular/out-of-domain spot
+        worst = max(worst, r)
         evaluated += 1
     if evaluated < max(1, trials // 2):
         raise ParameterError(

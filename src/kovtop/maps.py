@@ -63,7 +63,8 @@ class DiscreteMap:
         return np.array(self.checked_step(y.tolist(), float(eps)))
 
     def checked_step(self, y: list, eps: float) -> list:
-        """One step of the list y of `dim` finite floats at the float eps.
+        """One step of the list y of `dim` finite floats at the float eps
+        (`Fraction`s step exactly, except through the cosine-law map).
 
         Raises DomainError when y is outside the map's real domain and
         SingularStepError when a denominator vanishes or the result is not
@@ -95,7 +96,7 @@ class DiscreteMap:
 
     def _singular_detail(self, y, eps) -> str:
         if self.kernel_code == kernels.GEN_HK:
-            d, S = d_factors(y, eps)
+            d, S = _d_factors(y, eps)
             i = int(np.argmin(np.abs(d)))
             # a vanishing d_i makes S non-finite (y_i/d_i is inf or NaN)
             if abs(d[i]) <= abs(S) or not math.isfinite(S):
@@ -167,74 +168,121 @@ def get_map(name: str, dim: int | None = None) -> DiscreteMap:
 
 
 # --- scalar machinery -------------------------------------------------------
+#
+# Each public function validates its state once with `as_state` and runs a
+# core on the list of its coordinates.  The cores take any sequence of
+# numbers, use integer constants and sum over coordinates in index order, as
+# the kernels do, so they give the floats numpy's reductions gave for N <= 7
+# and run exactly on `fractions.Fraction`s.
+
+
+def _total(y):
+    """Sum of y in index order, from the integer 0."""
+    t = 0
+    for v in y:
+        t += v
+    return t
+
+
+def _product(y):
+    """Product of y in index order, from the integer 1."""
+    p = 1
+    for v in y:
+        p *= v
+    return p
+
+
+def _d_list(y, eps):
+    # d_i = 1 - eps*(-4*y_i + s), in the operations of the gen-hk kernel
+    s = _total(y)
+    return [1 - eps * (-4 * v + s) for v in y]
+
+
+def _d_factors(y, eps):
+    """(d, S) of the sequence y, as lists and a number.  A vanishing d_i
+    gives the IEEE value of y_i/d_i (a signed infinity, or NaN for 0/0), so
+    S comes out non-finite, as it did on float64 arrays."""
+    d = _d_list(y, eps)
+    t = 0
+    for v, dv in zip(y, d):
+        if dv:
+            t += v / dv
+        else:
+            t += math.copysign(math.inf, v) * math.copysign(1, dv) if v \
+                else math.nan
+    return d, 1 - eps * t
+
 
 def d_factors(y, eps: float) -> tuple[np.ndarray, float]:
     """(d, S) with d_i = 1 - eps*(-4*y_i + s) and S = 1 - eps * sum y_j/d_j."""
-    y = as_state(y)
-    s = float(y.sum())
-    d = 1.0 - eps * (-4.0 * y + s)
-    with np.errstate(all="ignore"):
-        S = 1.0 - eps * float(np.sum(y / d))
-    return d, S
+    d, S = _d_factors(as_state(y).tolist(), eps)
+    return np.array(d), S
+
+
+def _r_factor(y, eps, what="r_factor"):
+    t = 0
+    for v in y:
+        w = 1 + eps * v
+        if abs(w) < 1e-15 * (1 + abs(eps * v)):
+            raise DomainError(f"{what} undefined: some 1 + eps*y_j vanishes")
+        t += v / w
+    return 1 - eps * t
 
 
 def r_factor(y, eps: float) -> float:
     """R(y, eps) = 1 - eps * sum_j y_j / (1 + eps*y_j)."""
-    y = as_state(y)
-    w = 1.0 + eps * y
-    if np.any(np.abs(w) < 1e-15 * (1.0 + np.abs(eps * y))):
-        raise DomainError("r_factor undefined: some 1 + eps*y_j vanishes")
-    return 1.0 - eps * float(np.sum(y / w))
+    return _r_factor(as_state(y).tolist(), eps)
 
 
 def r_factor_omitting(y, eps: float, i: int) -> float:
     """R_i: as r_factor but with coordinate i left out of the sum."""
-    y = as_state(y)
-    rest = np.delete(y, i)
-    w = 1.0 + eps * rest
-    if np.any(np.abs(w) < 1e-15 * (1.0 + np.abs(eps * rest))):
-        raise DomainError("r_factor_omitting undefined: some 1 + eps*y_j vanishes")
-    return 1.0 - eps * float(np.sum(rest / w))
+    rest = as_state(y).tolist()
+    del rest[i]
+    return _r_factor(rest, eps, "r_factor_omitting")
+
+
+def _d_polynomial(y, eps):
+    e = kernels.esp_all(y)
+    acc = 1
+    for k in range(2, len(y) + 1):
+        acc -= eps ** k * (k - 1) * e[k]
+    return acc
 
 
 def d_polynomial(y, eps: float) -> float:
     """D(y, eps) = 1 - sum_{k=2..N} eps^k (k-1) e_k(y); satisfies
     R * prod(1 + eps*y_j) = D."""
-    y = as_state(y)
-    e = kernels.esp_all(y)
-    n = y.shape[0]
-    acc = 1.0
-    for k in range(2, n + 1):
-        acc -= eps ** k * (k - 1) * e[k]
-    return float(acc)
+    return float(_d_polynomial(as_state(y).tolist(), eps))
 
 
 def d_polynomial_omitting(y, eps: float, i: int) -> float:
     """D_i = D with y_i set to zero (equivalently omitted)."""
-    y = as_state(y)
-    reduced = np.delete(y, i)
-    e = kernels.esp_all(reduced)
-    acc = 1.0
-    for k in range(2, reduced.shape[0] + 1):
-        acc -= eps ** k * (k - 1) * e[k]
-    return float(acc)
+    rest = as_state(y).tolist()
+    del rest[i]
+    return float(_d_polynomial(rest, eps))
+
+
+def _r_reciprocity_residual(y, eps):
+    ynew = alt_map(len(y)).checked_step(y, eps)
+    return abs(_r_factor(y, eps) * _r_factor(ynew, -eps) - 1)
 
 
 def r_reciprocity_residual(y, eps: float) -> float:
     """|R(y, eps) * R(ynew, -eps) - 1| for the alternative map."""
-    y = as_state(y)
-    ynew = alt_map(y.shape[0]).step(y, eps)
-    return abs(r_factor(y, eps) * r_factor(ynew, -eps) - 1.0)
+    return _r_reciprocity_residual(as_state(y).tolist(), eps)
+
+
+def _s_relation_residuals(y, eps):
+    ynew = gen_hk(len(y)).checked_step(y, eps)
+    s = _total(y)
+    s_new = _total(ynew)
+    _, S_fwd = _d_factors(y, eps)
+    _, S_bwd = _d_factors(ynew, -eps)
+    return (abs(S_fwd * (1 + eps * s_new) - 1),
+            abs(S_bwd * (1 - eps * s) - 1))
 
 
 def s_relation_residuals(y, eps: float) -> tuple[float, float]:
     """Residuals of S(y, eps)*(1 + eps*s_new) = 1 and
     S(ynew, -eps)*(1 - eps*s) = 1 for the bilinearized map."""
-    y = as_state(y)
-    ynew = gen_hk(y.shape[0]).step(y, eps)
-    s = float(y.sum())
-    s_new = float(ynew.sum())
-    _, S_fwd = d_factors(y, eps)
-    _, S_bwd = d_factors(ynew, -eps)
-    return (abs(S_fwd * (1.0 + eps * s_new) - 1.0),
-            abs(S_bwd * (1.0 - eps * s) - 1.0))
+    return _s_relation_residuals(as_state(y).tolist(), eps)
