@@ -57,6 +57,13 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
+def _parse_y0(text: str) -> list[float]:
+    y0 = _parse_floats(text)
+    if not all(map(math.isfinite, y0)):
+        raise ConfigError(f"--y0 must be finite, got {text!r}")
+    return y0
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -172,7 +179,7 @@ def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
 
 
 def _cmd_simulate(args) -> int:
-    y0 = _parse_floats(args.y0)
+    y0 = _parse_y0(args.y0)
     flow = _make_flow(args.flow, args.n, args.alpha)
     if len(y0) != flow.dim:
         raise ConfigError(f"--y0 must list {flow.dim} coordinates")
@@ -195,7 +202,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    y0 = _parse_floats(args.y0)
+    y0 = _parse_y0(args.y0)
     m = get_map(args.map, args.n if args.n is not None else len(y0))
     if len(y0) != m.dim:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")
@@ -214,7 +221,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_drift(args) -> int:
-    y0 = None if args.y0 is None else _parse_floats(args.y0)
+    y0 = None if args.y0 is None else _parse_y0(args.y0)
     dim = args.n
     if dim is None and y0 is not None:
         dim = len(y0)
@@ -246,7 +253,7 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    y0 = _parse_floats(args.y0)
+    y0 = _parse_y0(args.y0)
     m = get_map(args.map, args.n if args.n is not None else len(y0))
     if len(y0) != m.dim:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")

@@ -6,7 +6,7 @@ accuracy controlled by dt alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,21 +16,76 @@ from .core import QuadraticField, TrajectoryRecord, as_state
 from .errors import BlowupError, DimensionError, ParameterError
 
 
+#: the largest flow dimension: a flow's RK4 step is compiled from source that
+#: grows with N, as N^2 for the generalized Euler flows
+MAX_FLOW_DIM = 300
+
+
+def _compile(emit, n, **consts):
+    # kernels.compile_flow, within the dimensions a flow may have
+    if not 1 <= n <= MAX_FLOW_DIM:
+        raise DimensionError(f"a flow's dimension must be 1..MAX_FLOW_DIM = "
+                             f"{MAX_FLOW_DIM}, got {n}")
+    return kernels.compile_flow(emit, n, **consts)
+
+
 @dataclass(frozen=True)
 class FlowSpec:
-    """A named right-hand side dy/dt = rhs(y).
+    """A named right-hand side dy/dt = rhs(y) and its compiled RK4 step.
 
-    `rhs` maps a sequence of `dim` numbers to a list of `dim` numbers; the
-    RK4 kernel calls it directly on lists of Python floats.  Calling the spec
-    validates an array state and returns a float64 array.
+    `rhs` maps a sequence of `dim` numbers to a list of `dim` numbers.
+    `step(y, dt, dt/2, dt/6)` is one RK4 step from the list y, made from
+    `rhs` when the spec is built; `rk4_states` iterates it.  The shipped
+    flows compile `rhs` from one emitter with `kernels.compile_flow`, which
+    writes their formula out once per N and attaches the matching step as
+    `rhs.step`, so the two compute it with the same operations.  Any other
+    `rhs` gets a step that calls it at each stage.  `dim` is at most
+    MAX_FLOW_DIM.  Calling the spec validates an array state and returns a
+    float64 array.
     """
 
     name: str
     dim: int
     rhs: Callable[[Sequence[float]], list]
+    step: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        step = getattr(self.rhs, "step", None)
+        if step is None:
+            step = _compile(_emit_call, self.dim, rhs=self.rhs).step
+        object.__setattr__(self, "step", step)
 
     def __call__(self, y) -> np.ndarray:
         return np.array(self.rhs(as_state(y, self.dim).tolist()), dtype=float)
+
+
+def _emit_call(ins, outs):
+    # any right-hand side: call it on the stage values
+    return [f"{', '.join(outs)}, = rhs([{', '.join(ins)}])"]
+
+
+def _emit_e1_only(ins, outs):
+    # s = c1*e_1 by the operations esp_all makes for e_1 (e_1 += y_i*e_0,
+    # e_0 = 1), then y_i(s - alpha*y_i); a coordinate past `bound`, or a
+    # NaN, takes the full symmetric sum
+    guard = " and ".join(f"abs({v}) <= bound" for v in ins)
+    body = (kernels.emit_fold("e1", "0", "+", [f"{v} * 1" for v in ins])
+            + ["s = 0 + c1 * e1"]
+            + [f"{k} = {v} * (s - alpha * {v})" for v, k in zip(ins, outs)])
+    return ([f"if {guard}:"] + ["    " + line for line in body]
+            + ["else:", f"    {', '.join(outs)}, = "
+                        f"fallback([{', '.join(ins)}], alpha, sc)"])
+
+
+def _emit_product_complement(ins, outs):
+    # out_i = 1*x_0*...*x_{i-1}*x_{i+1}*...*x_{N-1}, left to right; the
+    # prefix products p_i = 1*x_0*...*x_{i-1} are shared between outputs
+    n = len(ins)
+    heads = ["1"] + [f"p{i}" for i in range(1, n)]
+    lines = [f"{heads[i + 1]} = {heads[i]} * {ins[i]}" for i in range(n - 1)]
+    for i, out in enumerate(outs):
+        lines += kernels.emit_fold(out, heads[i], "*", ins[i + 1:])
+    return lines
 
 
 def generalized_kovalevskaya(N: int, alpha: float = 2.0,
@@ -48,7 +103,9 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     partial sum of `kernels.esp_all` is at most (1 + B_N)^N = 1e300, so each
     0*e_k term is a signed zero, and adding it leaves s unchanged: s starts
     from the integer 0 and is never -0.0.  A coordinate above the bound, or
-    a NaN, takes the full sum, whose overflowing e_k can make s NaN.
+    a NaN, takes the full sum, whose overflowing e_k can make s NaN.  This
+    right-hand side is emitted inline at each RK4 stage; any other s is
+    called there.
     """
     if N < 3:
         raise DimensionError("generalized Kovalevskaya flow needs N >= 3")
@@ -66,21 +123,10 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     if any(sc[1:]):
         def rhs(y):
             return kernels._rhs_scaled_quadratic(y, alpha, sc)
-    else:
-        c1 = sc[0]
-        bound = 10.0 ** (300 / N) - 1
-
-        def rhs(y):
-            # e_1 in the operations esp_all makes: e_1 += y_i * e_0, e_0 = 1
-            e1 = 0
-            for v in y:
-                if not abs(v) <= bound:
-                    return kernels._rhs_scaled_quadratic(y, alpha, sc)
-                e1 += v * 1
-            s = 0 + c1 * e1
-            return [v * (s - alpha * v) for v in y]
-
-    return FlowSpec(name=name, dim=N, rhs=rhs)
+        return FlowSpec(name=name, dim=N, rhs=rhs)
+    return FlowSpec(name=name, dim=N, rhs=_compile(
+        _emit_e1_only, N, alpha=alpha, c1=sc[0], bound=10.0 ** (300 / N) - 1,
+        fallback=kernels._rhs_scaled_quadratic, sc=sc))
 
 
 def kovalevskaya3() -> FlowSpec:
@@ -95,7 +141,7 @@ def generalized_euler(N: int) -> FlowSpec:
         raise DimensionError("generalized Euler flow needs N >= 3")
 
     return FlowSpec(name=f"gen-euler(N={N})", dim=N,
-                    rhs=kernels._rhs_product_complement)
+                    rhs=_compile(_emit_product_complement, N))
 
 
 def euler_top3() -> FlowSpec:
@@ -178,7 +224,7 @@ def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, 
     """Non-raising RK4 iteration used by the drift harness: returns
     (states, last_step) with last_step < nsteps past kernels.BLOWUP_CAP."""
     y0 = as_state(y0, flow.dim)
-    return kernels.rk4_orbit(flow.rhs, y0.tolist(), float(dt), nsteps)
+    return kernels.rk4_orbit(flow.step, y0.tolist(), float(dt), nsteps)
 
 
 def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:
@@ -187,11 +233,12 @@ def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:
     initial state.  Residuals are normalized by 1 + |product|."""
     if traj.dim != N:
         raise DimensionError("trajectory dimension does not match N")
+    rhs = generalized_euler(N).rhs
     x0 = traj.states[0]
     E = x0[1:] ** 2 - x0[0] ** 2
     worst = 0.0
     for x in traj.states:
-        xdot1 = float(kernels._rhs_product_complement(x)[0])
+        xdot1 = float(rhs(x)[0])
         prod = float(np.prod(x[0] ** 2 + E))
         worst = max(worst, abs(xdot1 * xdot1 - prod) / (1.0 + abs(prod)))
     return worst

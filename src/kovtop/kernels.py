@@ -9,6 +9,16 @@ exact runs.  `map_orbit` and `rk4_orbit` return their rows as one ndarray.
 The kernels accumulate over coordinates in a fixed order, so their float
 results do not depend on any library's reduction order.
 
+The RK4 step is generated: `compile_flow` writes one step as straight-line
+source for a flow's dimension N, with locals a0..a{N-1}, the four stages
+unrolled and the right-hand side written out at each stage by the flow's
+emitter, and compiles it once per (emitter, N), keeping the 32 most recent.
+`flows` has three emitters: the e_1-only generalized Kovalevskaya field and
+the product complement of the generalized Euler flows are written inline,
+and any other right-hand side is called on the stage values.  The emitted
+code has integer constants and binds the flow's constants by name, so it is
+as type-generic as the map steps; `rk4_orbit` loops over it.
+
 Step kernels return ``(new_state, regularity)``.  The regularity factor is the
 smallest magnitude among the step's denominator factors, normalised so that it
 equals 1 at eps = 0; it drives both singularity detection and the drift
@@ -17,6 +27,7 @@ harness's certification window.  A vanishing denominator raises
 a non-finite step, and the public wrappers in `maps` translate that into typed
 exceptions.
 """
+import functools
 from math import inf, isfinite, nan, sqrt
 
 import numpy as np
@@ -220,18 +231,6 @@ def _rhs_scaled_quadratic(y, alpha, s_coeffs):
     return [v * (s - alpha * v) for v in y]
 
 
-def _rhs_product_complement(x):
-    n = len(x)
-    out = []
-    for i in range(n):
-        p = 1
-        for j in range(n):
-            if j != i:
-                p *= x[j]
-        out.append(p)
-    return out
-
-
 def _rhs_quadratic_field(coeffs, y):
     # `coeffs` is the (N, N, N) tensor as nested sequences
     n = len(y)
@@ -249,24 +248,106 @@ def _rhs_quadratic_field(coeffs, y):
     return out
 
 
-def rk4_orbit(rhs, y0, dt, nsteps):
-    """Classical fixed-step RK4 trajectory of dy/dt = rhs(y) from the sequence
-    `y0`; `rhs` maps a list of numbers to a list.  Returns (trajectory
-    ndarray, last_step); last_step < nsteps means the state left the finite
-    region |y_i| <= BLOWUP_CAP."""
-    cap = BLOWUP_CAP
+# An emitter writes one right-hand side as straight-line statements: given the
+# names of its N inputs and of its N outputs, it returns the source lines that
+# assign the outputs.  It may bind temporaries and read its flow's constants,
+# under any name but these, which the RK4 template binds itself: y, dt, h, w,
+# cap, flow_rhs, flow_step, a<i>, u<i>, z<i> and k<stage>_<i>.
+
+#: most operands in one emitted expression; longer folds continue in further
+#: statements, so no expression nests N deep (the compiler has a recursion
+#: limit, and a flow's N goes up to `flows.MAX_FLOW_DIM`)
+_FOLD_TERMS = 32
+
+
+def emit_fold(target, head, op, terms):
+    """Source lines for target = head op terms[0] op terms[1] ..., evaluated
+    left to right."""
+    if not terms:
+        return [f"{target} = {head}"]
+    lines = []
+    for i in range(0, len(terms), _FOLD_TERMS):
+        lines.append(f"{target} = "
+                     + f" {op} ".join([head] + terms[i:i + _FOLD_TERMS]))
+        head = target
+    return lines
+
+
+def _indent(lines, depth):
+    return ["    " * depth + line for line in lines]
+
+
+def _flow_source(emit, names, n):
+    # The right-hand side alone, and one RK4 step from the list y with the
+    # four stages unrolled and the right-hand side emitted at each; the
+    # step returns the new list, or None once a coordinate leaves
+    # |y_i| <= cap (NaN included).  Operations as in the list form
+    # k2 = f([a + h*b for a, b in zip(y, k1)]), ...,
+    # y + w*(k1 + 2*k2 + 2*k3 + k4).
+    a = [f"a{i}" for i in range(n)]
+    u = [f"u{i}" for i in range(n)]
+    k1, k2, k3, k4 = ([f"k{s}_{i}" for i in range(n)] for s in range(1, 5))
+    z = [f"z{i}" for i in range(n)]
+
+    def unpack(targets):
+        return ", ".join(targets) + ", = y"
+
+    def stage(scale, ks):
+        return [f"{ui} = {ai} + {scale} * {ki}" for ui, ai, ki in zip(u, a, ks)]
+
+    rhs = [unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
+    step = ([unpack(a)] + emit(a, k1) + stage("h", k1) + emit(u, k2)
+            + stage("h", k2) + emit(u, k3) + stage("dt", k3) + emit(u, k4)
+            + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+               for zi, ai, b1, b2, b3, b4 in zip(z, a, k1, k2, k3, k4)]
+            + ["if " + " and ".join(f"abs({zi}) <= cap" for zi in z) + ":",
+               f"    return [{', '.join(z)}]",
+               "return None"])
+    return "\n".join(
+        [f"def _make({', '.join(('cap',) + names)}):", "    def flow_rhs(y):"]
+        + _indent(rhs, 2) + ["    def flow_step(y, dt, h, w):"]
+        + _indent(step, 2) + ["    flow_rhs.step = flow_step",
+                              "    return flow_rhs", ""])
+
+
+@functools.lru_cache(maxsize=32)
+def _flow_factory(emit, names, n):
+    # one compile per (emitter, constant names, N); the 32 most recent are
+    # kept, since a generalized Euler step's code grows as N^2
+    namespace = {}
+    exec(compile(_flow_source(emit, names, n),
+                 f"<flow {emit.__name__} N={n}>", "exec"), namespace)
+    return namespace["_make"]
+
+
+def compile_flow(emit, n, **consts):
+    """The N-dimensional right-hand side that `emit` writes, with the
+    emitted code reading `consts` by name, and its RK4 step as the
+    attribute `step`.
+
+    `rhs(y)` maps a sequence of N numbers to a list.  `rhs.step(y, dt,
+    dt/2, dt/6)` is one classical RK4 step from the list y: the new state as
+    a list, or None when a coordinate leaves the finite region
+    |y_i| <= BLOWUP_CAP.  The source is compiled once per (emit, constant
+    names, N) and each call binds its own constants, so building a flow twice
+    compiles nothing the second time.  The emitted code has integer
+    constants only, so it runs unchanged on floats, `Fraction`s and `mpf`s.
+    """
+    return _flow_factory(emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+
+
+def rk4_orbit(step, y0, dt, nsteps):
+    """Classical fixed-step RK4 trajectory from the sequence `y0`, one
+    `step` (of `compile_flow`) per time step.  Returns (trajectory ndarray,
+    last_step); last_step < nsteps means the state left the finite region
+    |y_i| <= BLOWUP_CAP."""
     h = dt / 2
     w = dt / 6
     y = list(y0)
     rows = [y]
     for _ in range(nsteps):
-        k1 = rhs(y)
-        k2 = rhs([a + h * b for a, b in zip(y, k1)])
-        k3 = rhs([a + h * b for a, b in zip(y, k2)])
-        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
-        y = [a + w * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not (all(map(isfinite, y)) and max(map(abs, y)) <= cap):
+        y = step(y, dt, h, w)
+        if y is None:
             break
         rows.append(y)
     return np.array(rows), len(rows) - 1

@@ -284,6 +284,20 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
     (["independence", "--family", "cross-ratio", "--n", "4", "--eps", "nan"],
      "--eps"),
     (_CONVERGENCE + ["--eps-list", "0.01,nan"], "--eps-list"),
+    # a non-finite start is bad input, not a runtime abort
+    (["simulate", "--flow", "kov3", "--y0", "nan,0.2,0.3", "--t-end", "0.01",
+      "--dt", "0.001"], "--y0"),
+    (["map", "--map", "euler-hk", "--y0", "0.1,inf,0.3", "--eps", "0.01",
+      "--steps", "2"], "--y0"),
+    (["drift", "--flow", "kov3", "--y0", "0.1,nan,0.3", "--eps", "0.001",
+      "--steps", "8"], "--y0"),
+    (["convergence", "--map", "euler-hk", "--y0", "nan,1,1", "--eps-list",
+      "0.01"], "--y0"),
+    # the compiled RK4 step grows with N
+    (["simulate", "--flow", "gen-euler", "--n", "301", "--y0", "0.1",
+      "--t-end", "0.01", "--dt", "0.001"], "MAX_FLOW_DIM = 300"),
+    (["drift", "--flow", "gen-kov", "--n", "301", "--eps", "0.001",
+      "--steps", "8"], "MAX_FLOW_DIM = 300"),
     (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "inf"],
      "--total-time"),
     (_CONVERGENCE + ["--eps-list", "0.03", "--format", "json"],
@@ -317,6 +331,8 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
         "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
         "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
         "check-eps", "independence-eps", "convergence-eps-list",
+        "simulate-y0-nan", "map-y0-inf", "drift-y0-nan", "convergence-y0-nan",
+        "simulate-n-above-max", "drift-flow-n-above-max",
         "convergence-total-time", "convergence-eps-list-not-tiling",
         "drift-steps-zero", "independence-points-zero",
         "independence-points-negative", "simulate-alpha-n",
