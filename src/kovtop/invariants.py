@@ -102,12 +102,6 @@ class Invariant:
     formula: Formula
     index: tuple[int, ...]
 
-    def values_fn(self, Y, eps):
-        """The formula's values at this member alone, on a 2-D array of any
-        element type (`Fraction` object arrays stay exact): no conversion,
-        no dimension check, no errstate."""
-        return self.formula(Y, eps, np.array([self.index]))[0][0]
-
     def values(self, Y, eps: float = 0.0) -> np.ndarray:
         return evaluate([self], Y, eps)[0][0]
 
@@ -130,8 +124,11 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
     (T, N) or (N,); each is (M, T) with rows in the order of `invs`.
 
     The members are grouped by family and each family formula runs once, on
-    all of its members in the batch, under one errstate."""
-    Y = np.asarray(Y, dtype=float)
+    all of its members in the batch, under one errstate.  An object stack
+    keeps its element type (`Fraction`s stay exact); any other is cast to
+    float."""
+    Y = np.asarray(Y)
+    Y = Y if Y.dtype == object else Y.astype(float, copy=False)
     if Y.ndim == 1:
         Y = Y[None, :]
     groups: dict[Formula, list[int]] = {}
@@ -141,7 +138,7 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
                 f"{inv.name} lives in dimension {inv.dim}, got {Y.shape[-1]}")
         groups.setdefault(inv.formula, []).append(r)
     shape = (len(invs), Y.shape[0])
-    vals = np.empty(shape)
+    vals = np.empty(shape, dtype=Y.dtype)
     ok = np.ones(shape, dtype=bool)
     dom = np.ones(shape, dtype=bool)
     with np.errstate(all="ignore"):
@@ -207,10 +204,10 @@ def euler_poly_integrals(N: int = 3) -> list[Invariant]:
 def _euler_hk(Y, eps, idx):
     Ym, Yn, Yj = _columns(Y, idx)
     num = (Ym - Yn) * (Ym + Yn)
-    den = 1.0 - eps * eps * Yj ** 2
+    den = 1 - eps * eps * Yj ** 2
     return (num / den,
             _sep_ok(np.abs(Ym), np.abs(Yn))
-            & _factor_ok(den, 1.0 + eps * eps * Yj ** 2), None)
+            & _factor_ok(den, 1 + eps * eps * Yj ** 2), None)
 
 
 def euler_hk_integrals() -> list[Invariant]:
@@ -226,9 +223,9 @@ def euler_hk_integrals() -> list[Invariant]:
 def _kov_hk(Y, eps, idx):
     K, K_ok = _kov_K(Y, idx)
     (Yj,) = _columns(Y, idx[:, 3:])
-    A = Y.sum(axis=1) - 2.0 * Yj
-    den = 1.0 - eps * eps * A * A
-    return K / den, K_ok & _factor_ok(den, 1.0 + eps * eps * A * A), None
+    A = Y.sum(axis=1) - 2 * Yj
+    den = 1 - eps * eps * A * A
+    return K / den, K_ok & _factor_ok(den, 1 + eps * eps * A * A), None
 
 
 def kov_hk_integrals() -> list[Invariant]:
@@ -244,8 +241,8 @@ def _kov_product(Y, eps, idx):
     K, K_ok = _kov_K(Y, idx)
     Ya, Yb = _columns(Y, idx[:, 3:])
     p = Ya * Yb
-    return (K / (1.0 - eps * eps * Ya * Yb),
-            K_ok & _factor_ok(1.0 - eps * eps * p, 1.0 + eps * eps * np.abs(p)),
+    return (K / (1 - eps * eps * Ya * Yb),
+            K_ok & _factor_ok(1 - eps * eps * p, 1 + eps * eps * np.abs(p)),
             None)
 
 
@@ -354,13 +351,13 @@ def _quartet_phi(Y, f1, f2, idx):
 def _genhk4_phi(Y, eps, idx):
     Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
     diff = Yi + Yj - Yk - Yl
-    return _quartet_phi(Y, 1.0 - eps * eps * diff * diff, 1.0, idx)
+    return _quartet_phi(Y, 1 - eps * eps * diff * diff, 1, idx)
 
 
 def _altmap4_phi(Y, eps, idx):
     Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
-    return _quartet_phi(Y, 1.0 - eps * eps * Yi * Yj,
-                        1.0 - eps * eps * Yk * Yl, idx)
+    return _quartet_phi(Y, 1 - eps * eps * Yi * Yj,
+                        1 - eps * eps * Yk * Yl, idx)
 
 
 def _quartet_phi_family(family, claimed, suffix, formula) -> list[Invariant]:
@@ -451,9 +448,9 @@ def claimed_invariants(target, invs: Sequence[Invariant]) -> list[Invariant]:
     return [v for v in invs if key in v.claimed_for and v.dim == target.dim]
 
 
-def _orbit_of(target, y0, eps: float, steps: int, guards: OrbitGuards):
+def _orbit_of(target, y0, eps: float, steps: int):
     if isinstance(target, DiscreteMap):
-        return target.orbit(y0, eps, steps, guards)
+        return target.orbit(y0, eps, steps, TRACKING_GUARDS)
     if isinstance(target, FlowSpec):
         return rk4_states(target, y0, eps, steps)
     raise TypeError(f"cannot iterate {type(target).__name__}")
@@ -474,20 +471,21 @@ def drift_report(target, inv: Invariant, y0, eps: float,
 
 
 def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
-                steps: int,
-                guards: OrbitGuards = TRACKING_GUARDS) -> list[DriftReport]:
+                steps: int) -> list[DriftReport]:
     """Drift over several starts, one aggregated report per invariant
     (worst drift across starts, earliest window end).  Each start's orbit is
-    computed once, serially in start order; each family is evaluated once on
-    the stacked orbits (`evaluate`), and every invariant's drift is read per
-    start, as drift_report describes, with array operations over all
-    invariants at once."""
+    computed once under TRACKING_GUARDS, serially in start order; each family
+    is evaluated once on the stacked orbits (`evaluate`), and every
+    invariant's drift is read per start, as drift_report describes, with
+    array operations over all invariants at once.  Steps outside
+    1..`flows.MAX_STEPS` raise ParameterError before any orbit."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
+    check_step_count(steps, f"steps={steps}")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.size == 0:
         raise ParameterError("drift_batch needs at least one start")
-    orbits = [_orbit_of(target, y0, eps, steps, guards) for y0 in starts]
+    orbits = [_orbit_of(target, y0, eps, steps) for y0 in starts]
     vals, ok, dom = evaluate(invs, np.concatenate([t for t, _ in orbits]), eps)
     ok &= np.isfinite(vals)
     rows = np.arange(len(invs))
@@ -733,7 +731,7 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
 # Each check has a core on the list of a state's coordinates, with integer
 # constants and sums in index order; the public functions validate with
 # `as_state` once and run it.  Every step goes through
-# `DiscreteMap.checked_step`.  The cores of the rational identities
+# `DiscreteMap.checked_step`.  The residuals of the rational identities
 # (`IDENTITIES` but phi-eq, sqrt-comp and engine, which take roots or a float
 # solve) run unchanged on `Fraction`s, where a residual of exactly 0 at
 # random rational points is a Schwartz-Zippel certificate.
@@ -852,88 +850,59 @@ def _gap(x, ref):
     return max(abs(a - b) for a, b in zip(x, ref)) / (1 + max(map(abs, ref)))
 
 
-class _Residual:
-    """The residual(y, eps, n) of one identity on a sequence y of n numbers.
-    `at(n)` builds what the identity needs at dimension n (maps, the engine's
-    step system) and returns its residual(y, eps); `identity_battery` calls
-    it once per battery."""
-
-    def __init__(self, at):
-        self.at = at
-
-    def __call__(self, y, eps, n):
-        return self.at(n)(y, eps)
+# the (half, full) step pairs of sqrt-comp, and the phi factor of phi-eq at
+# each dimension it holds at
+_SQRT_PAIRS = ((cosine_law(), euler_hk()), (kov_sqrt(), kov_pullback()))
+_PHI_EQ = {3: phi_genhk3(), 4: phi_genhk4()}
 
 
-def _n4_poly(n):
-    return _poly_n4_residual
+def _step_ratio_residual(y, eps):
+    return max(_relation_qq_residual(gen_hk(len(y)), y, eps),
+               _relation_qq_residual(alt_map(len(y)), y, eps))
 
 
-def _s_relations(n):
-    return lambda y, eps: max(_s_relation_residuals(y, eps))
+def _r_product_residual(y, eps):
+    p = _product([1 + eps * v for v in y])
+    return abs(_r_factor(y, eps) * p - _d_polynomial(y, eps))
 
 
-def _r_reciprocity(n):
-    return _r_reciprocity_residual
+def _phi_eq_residual(y, eps):
+    return _phi_residual(len(y), y, eps, _PHI_EQ[len(y)])
 
 
-def _step_ratio(n):
-    gen, alt = gen_hk(n), alt_map(n)
-    return lambda y, eps: max(_relation_qq_residual(gen, y, eps),
-                              _relation_qq_residual(alt, y, eps))
+def _sqrt_comp_residual(y, eps):
+    return max(_gap(half.checked_step(half.checked_step(y, eps), eps),
+                    full.checked_step(y, eps))
+               for half, full in _SQRT_PAIRS)
 
 
-def _d_sum(n):
-    return lambda y, eps: abs(_total(_d_list(y, eps)) - 4)
+@functools.lru_cache(maxsize=32)
+def _engine_system(n):
+    return polarize(kovalevskaya_field(n))
 
 
-def _r_product(n):
-    def residual(y, eps):
-        p = 1
-        for v in y:
-            p *= 1 + eps * v
-        return abs(_r_factor(y, eps) * p - _d_polynomial(y, eps))
-    return residual
-
-
-def _phi_eq(n):
-    phi = phi_genhk3() if n == 3 else phi_genhk4()
-    return lambda y, eps: _phi_residual(n, y, eps, phi)
-
-
-def _sqrt_comp(n):
-    pairs = ((cosine_law(), euler_hk()), (kov_sqrt(), kov_pullback()))
-    return lambda y, eps: max(
-        _gap(half.checked_step(half.checked_step(y, eps), eps),
-             full.checked_step(y, eps))
-        for half, full in pairs)
-
-
-def _engine(n):
-    sys_, gen = polarize(kovalevskaya_field(n)), gen_hk(n)
-
-    def residual(y, eps):
-        ref = hk_step(sys_, y, eps).tolist()
-        return _gap(gen.checked_step(y, eps), ref)
-    return residual
+def _engine_residual(y, eps):
+    ref = hk_step(_engine_system(len(y)), y, eps).tolist()
+    return _gap(gen_hk(len(y)).checked_step(y, eps), ref)
 
 
 # polynomial identities tolerate any eps; step-based ones are checked on the
 # resolvable region (moderate eps, non-strained steps)
 _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
 
-#: name -> (residual(y, eps, n), range of the per-trial eps draw, dimensions
-#: the identity holds at, or None for any N)
+#: name -> (residual(y, eps) on a sequence y of N numbers, range of the
+#: per-trial eps draw, dimensions the identity holds at, or None for any N)
 IDENTITIES = {
-    "n4-poly": (_Residual(_n4_poly), _POLY, (4,)),
-    "s-relations": (_Residual(_s_relations), _STEP, None),
-    "r-reciprocity": (_Residual(_r_reciprocity), _STEP, None),
-    "step-ratio": (_Residual(_step_ratio), _STEP, None),
-    "d-sum": (_Residual(_d_sum), _POLY, (4,)),
-    "r-product": (_Residual(_r_product), _POLY, None),
-    "phi-eq": (_Residual(_phi_eq), (0.01, 0.05), (3, 4)),
-    "sqrt-comp": (_Residual(_sqrt_comp), _STEP, (3,)),
-    "engine": (_Residual(_engine), _STEP, None),
+    "n4-poly": (_poly_n4_residual, _POLY, (4,)),
+    "s-relations": (lambda y, eps: max(_s_relation_residuals(y, eps)),
+                    _STEP, None),
+    "r-reciprocity": (_r_reciprocity_residual, _STEP, None),
+    "step-ratio": (_step_ratio_residual, _STEP, None),
+    "d-sum": (lambda y, eps: abs(_total(_d_list(y, eps)) - 4), _POLY, (4,)),
+    "r-product": (_r_product_residual, _POLY, None),
+    "phi-eq": (_phi_eq_residual, (0.01, 0.05), (3, 4)),
+    "sqrt-comp": (_sqrt_comp_residual, _STEP, (3,)),
+    "engine": (_engine_residual, _STEP, None),
 }
 
 
@@ -955,7 +924,6 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                              f"{' or '.join(map(str, dims))}, not N = {n}")
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
-    residual = residual.at(n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     evaluated = 0

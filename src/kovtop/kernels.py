@@ -19,32 +19,25 @@ and any other right-hand side is called on the stage values.  The emitted
 code has integer constants and binds the flow's constants by name, so it is
 as type-generic as the map steps; `rk4_orbit` loops over it.
 
-Step kernels return ``(new_state, regularity)``.  The regularity factor is the
-smallest magnitude among the step's denominator factors, normalised so that it
-equals 1 at eps = 0; it drives both singularity detection and the drift
-harness's certification window.  A vanishing denominator raises
-`ZeroDivisionError` inside a step kernel; `map_step` and `map_orbit` read it as
-a non-finite step, and the public wrappers in `maps` translate that into typed
-exceptions.
+A `maps.DiscreteMap` carries its step kernel (a `step_*` function) as
+`kernel`, and `map_step` and `map_orbit` take that function.  A kernel returns
+``(new_state, regularity)``.  The regularity factor is the smallest magnitude
+among the step's denominator factors, normalised so that it equals 1 at
+eps = 0; it drives both singularity detection and the drift harness's
+certification window.  A vanishing denominator raises `ZeroDivisionError`
+inside a kernel; `map_step` and `map_orbit` read it as a non-finite step, and
+the public wrappers in `maps` translate that into typed exceptions.
 """
 import functools
 from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 
-# Map dispatch codes (fixed; serialized nowhere, safe to renumber).
-EULER_HK = 0
-COSINE = 1
-KOV_SQRT = 2
-KOV_PULLBACK = 3
-GEN_HK = 4
-ALT = 5
-
 #: hard bound on coordinate magnitude for map orbits and RK4 trajectories
 BLOWUP_CAP = 1e12
 
 
-def _step_euler_hk(x, eps):
+def step_euler_hk(x, eps):
     x1, x2, x3 = x
     q = x1 * x1 + x2 * x2 + x3 * x3
     den = 1 - eps * eps * q - 2 * eps * eps * eps * x1 * x2 * x3
@@ -54,7 +47,7 @@ def _step_euler_hk(x, eps):
             ], abs(den)
 
 
-def _step_cosine(x, eps):
+def step_cosine(x, eps):
     # regularity is the signed minimum of 1 - eps^2 x_j^2: <= 0 (or NaN, when
     # eps^2 overflows) means the square roots leave the real domain.
     x0, x1, x2 = x
@@ -72,7 +65,7 @@ def _step_cosine(x, eps):
             (x2 + eps * x0 * x1) / (s0 * s1)], reg
 
 
-def _step_kov_sqrt(y, eps):
+def step_kov_sqrt(y, eps):
     y0, y1, y2 = y
     a0 = 1 + eps * y0
     a1 = 1 + eps * y1
@@ -86,7 +79,7 @@ def _step_kov_sqrt(y, eps):
             y2 * a0 * a1 / (a2 * b2)], reg
 
 
-def _step_kov_pullback(y, eps):
+def step_kov_pullback(y, eps):
     y0, y1, y2 = y
     e2 = y0 * y1 + y1 * y2 + y2 * y0
     e3 = y0 * y1 * y2
@@ -100,7 +93,7 @@ def _step_kov_pullback(y, eps):
             y2 * f0 * f1 / (f2 * glob)], reg
 
 
-def _step_gen_hk(y, eps):
+def step_gen_hk(y, eps):
     s = 0
     for v in y:
         s += v
@@ -119,7 +112,7 @@ def _step_gen_hk(y, eps):
     return [v / (S * dv) for v, dv in zip(y, d)], reg
 
 
-def _step_alt(y, eps):
+def step_alt(y, eps):
     u = []
     reg = inf
     t = 0
@@ -139,17 +132,12 @@ def _step_alt(y, eps):
     return out, reg
 
 
-# Indexed by map dispatch code.
-_STEPS = (_step_euler_hk, _step_cosine, _step_kov_sqrt, _step_kov_pullback,
-          _step_gen_hk, _step_alt)
-
-
-def map_step(code, y, eps):
-    """One step of the map with dispatch `code` on the sequence `y`:
+def map_step(kernel, y, eps):
+    """One step of the step kernel `kernel` on the sequence `y`:
     (new_state, regularity).  A vanishing denominator gives NaN coordinates
     and regularity 0."""
     try:
-        return _STEPS[code](y, eps)
+        return kernel(y, eps)
     except ZeroDivisionError:
         return [nan] * len(y), 0
 
@@ -175,9 +163,9 @@ def _coincidence_depth(y, even):
     return m
 
 
-def map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even):
-    """Iterate a map from the sequence `y0`, stopping at the first
-    untrustworthy step.
+def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
+    """Iterate the step kernel `kernel` from the sequence `y0`, stopping at the
+    first untrustworthy step.
 
     Stops when the step regularity drops below `theta`, when
     |eps|*max|y| exceeds `resbound`, when the state comes within `coin_tol`
@@ -186,13 +174,13 @@ def map_orbit(code, y0, eps, nsteps, theta, resbound, coin_tol, even):
     (trajectory ndarray, last_step): states 0..last_step are recorded, and
     last_step < nsteps means early stop.
     """
-    step, cap = _STEPS[code], BLOWUP_CAP
+    cap = BLOWUP_CAP
     y = list(y0)
     rows = [y]
     aeps = abs(eps)
     for _ in range(nsteps):
         try:
-            ynew, reg = step(y, eps)
+            ynew, reg = kernel(y, eps)
         except ZeroDivisionError:
             break
         if not all(map(isfinite, ynew)):

@@ -1,6 +1,7 @@
 """Closed-form discrete maps with declared step scales, plus the scalar
 machinery (R, D, d_i, S) entering their structural identities.
 
+Each `DiscreteMap` carries its step function of `kernels` as `kernel`.
 Every map here is implemented independently of the generic linear-solve
 engine in `hk_engine`; agreement between the two routes is part of the test
 suite, not an assumption.
@@ -9,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .core import MapStepScale, as_state
-from .errors import DimensionError, DomainError, SingularStepError
+from .errors import (DimensionError, DomainError, ParameterError,
+                     SingularStepError)
+from .flows import check_step_count
 from .hk_engine import SINGULAR_RTOL
 
 
@@ -43,15 +47,15 @@ RAW_GUARDS = OrbitGuards()
 class DiscreteMap:
     """A parametrized step (state, eps) -> state with a declared time scale.
 
-    `kernel_code` selects the step kernel in `kernels` that `checked_step`
-    and `orbit` run.  `checked_step` is the list-level step with its domain
-    and singularity checks; `step` validates a state and wraps it.
+    `kernel` is the step function of `kernels` that `checked_step` and
+    `orbit` run.  `checked_step` is the list-level step with its domain and
+    singularity checks; `step` validates a state and wraps it.
     """
 
     name: str
     dim: int
     scale: MapStepScale
-    kernel_code: int
+    kernel: Callable
     even_invariants: bool = False
 
     def step_time(self, eps: float) -> float:
@@ -69,13 +73,13 @@ class DiscreteMap:
         Raises DomainError when y is outside the map's real domain and
         SingularStepError when a denominator vanishes or the result is not
         finite."""
-        if self.kernel_code == kernels.COSINE:
+        if self.name == "cosine":
             for j, v in enumerate(y):
                 if eps * eps * v * v >= 1.0:
                     raise DomainError(
                         f"cosine-law map needs eps^2*x_j^2 < 1; violated at "
                         f"index {j + 1}")
-        out, reg = kernels.map_step(self.kernel_code, y, eps)
+        out, reg = kernels.map_step(self.kernel, y, eps)
         if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
             raise SingularStepError(
                 f"{self.name}: {self._singular_detail(y, eps)}",
@@ -86,16 +90,18 @@ class DiscreteMap:
               guards: OrbitGuards = RAW_GUARDS) -> tuple[np.ndarray, int]:
         """Iterate `steps` times; returns (states, last_step) where states has
         one row per recorded state and last_step < steps means an early stop
-        under the given guards."""
+        under the given guards; steps outside 0..`flows.MAX_STEPS` raise
+        ParameterError before any step."""
         y0 = as_state(y0, self.dim)
         if steps < 0:
-            raise ValueError("steps must be nonnegative")
+            raise ParameterError("steps must be nonnegative")
+        check_step_count(steps, f"steps={steps}")
         return kernels.map_orbit(
-            self.kernel_code, y0.tolist(), float(eps), steps, guards.strain,
+            self.kernel, y0.tolist(), float(eps), steps, guards.strain,
             guards.resolution, guards.coincidence, self.even_invariants)
 
     def _singular_detail(self, y, eps) -> str:
-        if self.kernel_code == kernels.GEN_HK:
+        if self.name == "gen-hk":
             d, S = _d_factors(y, eps)
             i = int(np.argmin(np.abs(d)))
             # a vanishing d_i makes S non-finite (y_i/d_i is inf or NaN)
@@ -108,7 +114,7 @@ class DiscreteMap:
 def euler_hk() -> DiscreteMap:
     """Explicit bilinearized Euler top (one application advances 2*eps)."""
     return DiscreteMap("euler-hk", 3, MapStepScale.TWO_EPS,
-                       kernels.EULER_HK, even_invariants=True)
+                       kernels.step_euler_hk, even_invariants=True)
 
 
 def cosine_law() -> DiscreteMap:
@@ -116,18 +122,18 @@ def cosine_law() -> DiscreteMap:
     on eps^2 x_j^2 < 1, principal square roots.  The roots make it the one
     map whose kernel has no exact (Fraction) step."""
     return DiscreteMap("cosine", 3, MapStepScale.EPS,
-                       kernels.COSINE, even_invariants=True)
+                       kernels.step_cosine, even_invariants=True)
 
 
 def kov_sqrt() -> DiscreteMap:
     """Birational square-root map: its second iterate is kov_pullback."""
-    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS, kernels.KOV_SQRT)
+    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS, kernels.step_kov_sqrt)
 
 
 def kov_pullback() -> DiscreteMap:
     """Pull-back of euler_hk under y_i = x_j*x_k/x_i (advances 2*eps)."""
     return DiscreteMap("kov-pullback", 3, MapStepScale.TWO_EPS,
-                       kernels.KOV_PULLBACK)
+                       kernels.step_kov_pullback)
 
 
 def gen_hk(N: int) -> DiscreteMap:
@@ -135,7 +141,7 @@ def gen_hk(N: int) -> DiscreteMap:
     ynew_i = y_i / (S * d_i), any N >= 3."""
     if N < 3:
         raise DimensionError("gen-hk needs N >= 3")
-    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS, kernels.GEN_HK)
+    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS, kernels.step_gen_hk)
 
 
 def alt_map(N: int) -> DiscreteMap:
@@ -143,7 +149,7 @@ def alt_map(N: int) -> DiscreteMap:
     it coincides with kov_sqrt."""
     if N < 3:
         raise DimensionError("alt-map needs N >= 3")
-    return DiscreteMap("alt-map", N, MapStepScale.EPS, kernels.ALT)
+    return DiscreteMap("alt-map", N, MapStepScale.EPS, kernels.step_alt)
 
 
 _FIXED_DIM = {"euler-hk": euler_hk, "cosine": cosine_law,

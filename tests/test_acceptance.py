@@ -122,12 +122,12 @@ def test_criterion_3_identities():
         worst = max(worst, r)
 
         d_sum, _, _ = IDENTITIES["d-sum"]
-        r = d_sum(y4, eps_poly, 4)
+        r = d_sum(y4, eps_poly)
         assert r < 1e-14
         worst = max(worst, r)
 
         r_product, _, _ = IDENTITIES["r-product"]
-        r = r_product(y4, eps_poly, 4)
+        r = r_product(y4, eps_poly)
         assert r < 1e-12
         worst = max(worst, r)
 

@@ -327,6 +327,10 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
      "step-ratio needs N >= 3, not N = -1"),
     (["check", "--identity", "r-reciprocity", "--n", "2", "--trials", "3"],
      "r-reciprocity needs N >= 3"),
+    # a step count above flows.MAX_STEPS, rejected before any loop starts
+    (_MAP + ["--eps", "0.01", "--steps", "10000001"], "MAX_STEPS"),
+    (["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01", "--steps",
+      "10000001"], "MAX_STEPS"),
 ], ids=["map-steps", "map-eps-nan", "map-eps-inf", "simulate-dt",
         "simulate-t-end", "simulate-alpha", "simulate-dt-zero",
         "simulate-dt-not-dividing", "drift-eps", "drift-alpha",
@@ -339,7 +343,8 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
         "drift-flow-alpha-n", "drift-map-alpha-n", "independence-alpha-n",
         "check-r-product-n-zero", "check-s-relations-n-zero",
         "check-engine-n-zero", "check-step-ratio-n-negative",
-        "check-r-reciprocity-n-two"])
+        "check-r-reciprocity-n-two", "map-steps-above-max",
+        "drift-steps-above-max"])
 def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     rc = main(argv)
     out = capsys.readouterr()

@@ -13,8 +13,9 @@ Python numbers, against the numpy routines they replaced.
   noise.
 - The rational identities hold exactly: on dyadic `Fraction` states their
   residuals are exactly 0 and stay `Fraction`s.
-- A fixed eps that overflows a float aborts cleanly, and a derived step count
-  above `flows.MAX_STEPS` exits 1 before any loop starts.
+- A fixed eps that overflows a float aborts cleanly, and a step count above
+  `flows.MAX_STEPS`, derived or given to `map` and `drift`, exits 1 before
+  any loop starts.
 """
 import contextlib
 import hashlib
@@ -547,14 +548,13 @@ _TABLE_CASES = [(name, n) for name, (_, _, dims) in IDENTITIES.items()
 def test_identity_residuals_match_numpy(name, n):
     # the battery's residual on lists, and the table entry on an array
     residual, (lo, hi), _ = IDENTITIES[name]
-    at_n = residual.at(n)
     rng = np.random.default_rng(600 + n)
     for _ in range(30):
         y = rng.uniform(0.1, 2.0, n)
         eps = float(rng.uniform(lo, hi))
         ref = lambda: _ref_residual(name, y, eps, n)  # noqa: E731
-        assert _agree(at_n(y.tolist(), eps), ref, n, True), (y, eps)
-        assert _agree(residual(y, eps, n), ref, n, True), (y, eps)
+        assert _agree(residual(y.tolist(), eps), ref, n, True), (y, eps)
+        assert _agree(residual(y, eps), ref, n, True), (y, eps)
 
 
 def test_public_identity_checks_match_numpy():
@@ -597,6 +597,7 @@ def test_engine_battery_builds_its_system_once(monkeypatch):
         return polarize(field)
 
     monkeypatch.setattr(invariants, "polarize", counting)
+    invariants._engine_system.cache_clear()
     identity_battery("engine", 5, 20, seed=3)
     assert calls == [5]
 
@@ -719,7 +720,7 @@ _EXACT_CASES = [(name, n) for name in _EXACT
 @pytest.mark.parametrize("name, n", _EXACT_CASES,
                          ids=[f"{name}-N{n}" for name, n in _EXACT_CASES])
 def test_rational_identities_hold_exactly(name, n):
-    residual = IDENTITIES[name][0].at(n)
+    residual = IDENTITIES[name][0]
     rng = np.random.default_rng(1000 + n)
     for _ in range(5):
         y = _dyadic_state(rng, n)
@@ -789,9 +790,7 @@ def test_a_drawn_eps_with_a_non_finite_residual_skips_the_trial(monkeypatch):
         calls.append(eps)
         return math.inf if len(calls) % 2 else 1e-17
 
-    entry = IDENTITIES["d-sum"]
-    monkeypatch.setitem(IDENTITIES, "d-sum", (type(entry[0])(lambda n: residual),
-                                              *entry[1:]))
+    monkeypatch.setitem(IDENTITIES, "d-sum", (residual, *IDENTITIES["d-sum"][1:]))
     assert identity_battery("d-sum", 4, 10, seed=1) == 1e-17
     with pytest.raises(DomainError, match="d-sum: residual inf at eps=0.1"):
         identity_battery("d-sum", 4, 10, seed=1, eps=0.1)
@@ -828,6 +827,35 @@ def test_unbounded_step_counts_exit_1_before_any_loop(monkeypatch, argv):
         rc, out, err = _cli(argv + ["--format", fmt])
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "MAX_STEPS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--map", "euler-hk", "--y0", "0.1,0.2,0.3", "--eps", "1e-6",
+     "--steps", str(MAX_STEPS + 1)],
+    ["drift", "--map", "alt-map", "--n", "4", "--eps", "0.01", "--steps",
+     str(MAX_STEPS + 1)],
+    ["drift", "--flow", "kov3", "--eps", "0.001", "--steps",
+     str(MAX_STEPS + 1)],
+])
+def test_steps_above_max_exit_1_before_any_loop(monkeypatch, argv):
+    _no_loops(monkeypatch)
+    monkeypatch.setattr(kernels, "map_orbit", _refuse)
+    for fmt in ("csv", "json"):
+        rc, out, err = _cli(argv + ["--format", fmt])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: steps=10000001 gives") \
+            and "MAX_STEPS" in err
+
+
+def test_orbit_rejects_negative_and_unbounded_step_counts(monkeypatch):
+    monkeypatch.setattr(kernels, "map_orbit", _refuse)
+    m = get_map("gen-hk", 4)
+    for steps in (-1, MAX_STEPS + 1):
+        with pytest.raises(ParameterError):
+            m.orbit([0.2, 0.3, 0.4, 0.5], 0.01, steps)
+    with pytest.raises(ParameterError, match="MAX_STEPS"):
+        invariants.drift_batch(m, invariants.registry(4)[:1],
+                               [[0.2, 0.3, 0.4, 0.5]], 0.01, MAX_STEPS + 1)
 
 
 def test_convergence_bounds_its_map_steps(monkeypatch):

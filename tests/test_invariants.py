@@ -704,9 +704,11 @@ def test_identity_battery_needs_evaluable_trials():
     (gen_hk(3), 15, 1e-7), (alt_map(3), 15, 1e-7), (kov_sqrt(), 15, 1e-7),
 ], ids=["gen-hk-N4", "alt-map-N4", "gen-hk-N5", "gen-hk-N3", "alt-map-N3",
         "kov-sqrt"])
-def test_cross_ratios_conserved_over_whole_unguarded_orbits(m, worst, bound):
+def test_cross_ratios_conserved_over_whole_unguarded_orbits(monkeypatch, m,
+                                                           worst, bound):
+    monkeypatch.setattr("kovtop.invariants.TRACKING_GUARDS", RAW_GUARDS)
     starts = random_starts(20, m.dim, seed=1)[[0, worst]]
     reports = drift_batch(m, cross_ratio_integrals(m.dim), starts, 0.01,
-                          10_000, RAW_GUARDS)
+                          10_000)
     assert all(r.first_blowup_step is None for r in reports)
     assert max(r.max_rel_drift for r in reports) < bound
