@@ -910,7 +910,8 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
     """Worst residual of identity `name` over `trials` seeded starts at
     dimension n, or at the identity's only dimension.  Each trial draws eps
-    from the identity's range unless `eps` fixes it.  A trial whose residual
+    from the identity's range unless `eps` fixes it, from a stream derived
+    from `seed` apart from the starts' (`random_starts`).  A trial whose residual
     is undefined (a singular or out-of-domain spot, a float overflow or zero
     division) or not finite is skipped under a drawn eps; under a fixed one
     it raises DomainError or SingularStepError.  Raises DimensionError for a
@@ -924,7 +925,7 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                              f"{' or '.join(map(str, dims))}, not N = {n}")
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 1])
     worst = 0.0
     evaluated = 0
     for y in random_starts(trials, n, seed).tolist():

@@ -41,7 +41,7 @@ from kovtop.invariants import (IDENTITIES, PARTITIONS_4, convergence_study,
                                density_flow_power, density_kov_hk,
                                density_kov_product, identity_battery,
                                phi_alt3, phi_alt4, phi_genhk3, phi_genhk4,
-                               verify_phi_functional_equation,
+                               random_starts, verify_phi_functional_equation,
                                verify_poly_identity_N4, verify_relation_qq,
                                volume_check)
 from kovtop.maps import (alt_map, cosine_law, d_factors, d_polynomial,
@@ -109,14 +109,15 @@ def _cli(argv):
 # sha256 of stdout + stderr, CSV then JSON, of `check --trials 100` at each
 # dimension 3..6 the identity allows, and of `convergence` for the three
 # perfbench cases at --eps-list 0.01,0.005,0.0025,0.00125 (alt-map N=4 is the
-# README example); recorded when this code ran on float64 arrays
+# README example); recorded when this code ran on float64 arrays, and the
+# check pins again when the battery's eps got a stream apart from the starts
 _CHECK_SHA = {
     ("n4-poly", 4, 7): (
-        "5d203af281d7c0adda6f485bc0a41daa5e8fe86b8be5c37112c482b7b45ff060",
-        "d035e92fc52b38527b9248a8d59e6676a60c9e1bee034b8e082d739874ff71c5"),
+        "c6d5b57da3e957057901bc9c820fae0c39e57504b3d13bbd7f63e02c4f581e9d",
+        "50251837ad6aab3a58c2ba3f0a4e558ece8ff3d0522673132f5df233d27523ca"),
     ("n4-poly", 4, 4242): (
-        "a10d1905f84c4a7d990731d30adc81a2a716af635531c0044e86b5133b8e148a",
-        "74cc569170a48ddab9f76bfb758bfa9d70f2ae2f694b064e69632fcb092eb596"),
+        "38fc0f1e20fc539625f468f8fa0ecb4f6421bcf0cc2b4b7d947d9ece33e14a57",
+        "5473870f3e3492c96248ca2af7c28577e73479bd18f572df3b6dd4b31615d4b2"),
     ("s-relations", 3, 7): (
         "c5b4dbd15145a1f266146039607e85af526eed03888e4d2265c9349a46c3200b",
         "294a9439f191de1cf7be6bbd18280667b073d5710b9e13116b5384bc2df94534"),
@@ -130,11 +131,11 @@ _CHECK_SHA = {
         "c5b4dbd15145a1f266146039607e85af526eed03888e4d2265c9349a46c3200b",
         "294a9439f191de1cf7be6bbd18280667b073d5710b9e13116b5384bc2df94534"),
     ("s-relations", 5, 7): (
-        "004775ec34a44c32268029d6d9da9abcfb43bf7813b41f90cdb04fb0bd3e58a9",
-        "7d53fe011e505e100ccd4375bef9b997c2ae37319d086fc6c18ebd66227edbe4"),
+        "c5b4dbd15145a1f266146039607e85af526eed03888e4d2265c9349a46c3200b",
+        "294a9439f191de1cf7be6bbd18280667b073d5710b9e13116b5384bc2df94534"),
     ("s-relations", 5, 4242): (
-        "84983a3737200cfcf1d9251db07910cd3dadd4c395e3e4409aa6c19e6c2b5cf5",
-        "68741e09c61411af0ed4cdad6ce783f85d8f26f4268cc5d685aa7ca888cf874a"),
+        "69be7b3047f12890221e3b4fe04e8214a8cd8ba7dde9ced159ae0e0416b18041",
+        "ef7b92e89141b4dace1c1cb208050fc4c0670fc4f39039f61f5f8a52b4c84108"),
     ("s-relations", 6, 7): (
         "69be7b3047f12890221e3b4fe04e8214a8cd8ba7dde9ced159ae0e0416b18041",
         "ef7b92e89141b4dace1c1cb208050fc4c0670fc4f39039f61f5f8a52b4c84108"),
@@ -163,32 +164,32 @@ _CHECK_SHA = {
         "a38713e38efcdd85ec9e5e2842af4669acfe65785b46e0bf4b496883e977672b",
         "e06d75fc60656655dbbc5412b05c0a989d424ce3a7c9dbc92dacc235fa9c7589"),
     ("r-reciprocity", 6, 4242): (
-        "c714eb6bb1d4cce2722446179b8bfeaec8b9ba16f246cdea59c9072216d95f8f",
-        "1536983129802d93687b3e12992b4b38cbab9763376896f3eadb325d47c5849f"),
+        "f69f7c7f9d6b989a67d5ba331bb0fa864f20de38c78753f01ed89cc9c71acb10",
+        "2f8cb1de52e40c5ee836a54aa9cfb3f53b5617695a7a64969292caa34fea947a"),
     ("step-ratio", 3, 7): (
-        "96fa6b7fda791ead5e2ead54c28f1d1cb51823d57883246ff5b128fd5244be08",
-        "195e038126e9b193889db729c5aec68ebcff76f75ddcf3903f54ceb178e2dad9"),
+        "c4453face300c429b4e69bae6b6f219a058011c2d813052ca1f6d69fcb905934",
+        "58dad1e9fd0eecb086f24afef060901ab82580979dff470365de802b9ea14693"),
     ("step-ratio", 3, 4242): (
-        "546b97e04293d3614ddd9b53e9f089d5efadcb41b60287a18165d7e131e9a363",
-        "441751781d242d940d707cd2928a0adbaa053d962be6b829b9efe3eec226657d"),
+        "78d89359ebe5c63b5ad76c3dd8732b8649e222b79f13a9bbf9eaa71ec21910c9",
+        "d4e84a1e5787cd58d60c9f32810b53a2bb38946dfaa3757c2362bd12fab8d9f3"),
     ("step-ratio", 4, 7): (
-        "3291457637081c94e9b53c973e6e7cf86ad236b0029bd8c224182d83ed4891d1",
-        "ea20c98e593839642fbb025e85b3fe12921cdafb5d11d6b6e455d678a6a7f494"),
+        "6471690045d097a8773188a357857e9c95e07eb6b077840df2f262808f2ee7d8",
+        "969d5ab55cc6851abe22a91482c914a33cc30c7d71f39dd98a6726b73cc5b92d"),
     ("step-ratio", 4, 4242): (
-        "82fa82b5851a25a62e8f68527e89dc21ba185e9c53e097ec1b4c2aab8155ddcd",
-        "fe5ab1cf848d037416a1d1d944c37b4d115dded75484d671d58f811dd35e95ab"),
+        "f0b0e420d7a34a85bf82d7743c981114a04ff4796c72a205b3f2e225e9be31b9",
+        "3fcbb1c17f263347a895364e565be274a5912a3b9dfbe79db80e48b0191f93fe"),
     ("step-ratio", 5, 7): (
-        "4cf9008b1bbfe67ded5babc95be203f585861997b3e58b2b52ce8d6035387b48",
-        "52781a3870e6d27217aa29b3e356fa8fb76fdb65d59dda59973de317bb0fbd4e"),
+        "72aa8fe162028abacef395512cefdc20109418892a5ccfd4d527ab69c97ae847",
+        "dc402d67b19d556e47855b4aff2a3dc2d4d19ca975a438f588ccbd647a5cab4b"),
     ("step-ratio", 5, 4242): (
-        "8dde107a789a18203e86085f546a10a22c1f86539339bbaeb75f6385bfdf723d",
-        "49d2ec629706593f09dbd82f8f68972539ba6c724bf2fb1c7ef5bdfd2e6d6afe"),
+        "645a5d53cc4be47d53d6113d3c95a946ba1c2bebf0601c0d165c767c7aead7a8",
+        "1b282a3aa9724b3f6aea231f06dcfdcd5de79f34119e4b771d2aaacc4efc7f73"),
     ("step-ratio", 6, 7): (
-        "6aa92729573b178f71a4a86aa9932fd5ea31bb6994dfb4dcc014e7349ead642c",
-        "928aca4c719928fbc8529ed425311c76d5409d160386c927b9800bee3853a9f4"),
+        "032938dc651b0a96753476e54265a9ad9141d94d4c809043dafc6191d41c6c35",
+        "f7a291ba740f2b070bbf683d345d42ee9c2f61f11630d874f4d819ff7e4a7b0e"),
     ("step-ratio", 6, 4242): (
-        "e2b39aba4361487e68e2a55d661520b0857c076807df6cc0f20e1e599581ef8d",
-        "816e445fcb56343ad76aec2e287f6638c1e0d85d4ae32b652c2c4c5adfad65f9"),
+        "9c3babb814d4a31866d6e1002d017a3d67133961d83718004550c1d8b69a2457",
+        "0055648cfc4dc959d98eee86525a95ec9af116f295c5773391c64a6c621d1d3a"),
     ("d-sum", 4, 7): (
         "2247a3c9e31e385bb780847859c2353f3315b6629a3a90eaa79c8d60ec0b948e",
         "b676e84f398293e09754d04bbe48663c8869186bf8dc93b99fc2d5abeb6565e6"),
@@ -196,71 +197,71 @@ _CHECK_SHA = {
         "2247a3c9e31e385bb780847859c2353f3315b6629a3a90eaa79c8d60ec0b948e",
         "b676e84f398293e09754d04bbe48663c8869186bf8dc93b99fc2d5abeb6565e6"),
     ("r-product", 3, 7): (
-        "05d9fe795a8875566488d7294fcb2833dcc14ced38078350efa301ccc4310a30",
-        "d8fc00952a819a4cc80c3c3f25bb4fa62ca2f7e88fb55431351951b67d1ac238"),
+        "38277106ac5a3e3fc08500c2ec2eb5569bf091f5fb6019e7120f5102dd2ab410",
+        "2c2f32face77f437ae2f1e94e9b2d76089a8c45167f7aacb337afcb1f63cd3ee"),
     ("r-product", 3, 4242): (
-        "05d9fe795a8875566488d7294fcb2833dcc14ced38078350efa301ccc4310a30",
-        "d8fc00952a819a4cc80c3c3f25bb4fa62ca2f7e88fb55431351951b67d1ac238"),
+        "c2a94729dd386942b9f9baf36ace508954c5c9df1124a973481726dc2716fd26",
+        "ca553c2cb05e90bf4c09adaa3f260a1e4a7eb19b0572af7b2623c6b9bce94b8a"),
     ("r-product", 4, 7): (
+        "ac54ee28918b97ec134e81b029c77799c4caff12d59da7578e35d19ba0749a07",
+        "fbfb64e28f748d671084c95bf180bc82c5ba7d42a28bc631d0f88e42853e5c3a"),
+    ("r-product", 4, 4242): (
         "05d9fe795a8875566488d7294fcb2833dcc14ced38078350efa301ccc4310a30",
         "d8fc00952a819a4cc80c3c3f25bb4fa62ca2f7e88fb55431351951b67d1ac238"),
-    ("r-product", 4, 4242): (
-        "661f238c249f84ba7e651690b233f427a44df6364084b378efaad2d032f99c0c",
-        "29e6cffde4ccc4215e4b913072d665ac3fd27534ad7b46558d387f259ebb95b2"),
     ("r-product", 5, 7): (
+        "3583a7462c6ba1a7e85f6ddf8a42a07d34b080d1cf6c6f06751bb2bbd95f20a5",
+        "ce6df46910e04d9a4af9aaee28f0fee1d13ea918cf3c79a9d3e98e853e5c8e7b"),
+    ("r-product", 5, 4242): (
+        "a4e222be0a55f1f393257df705d94a4b7f8885213af28f4f13252cae3784b32a",
+        "8b641478aca25dbafd3c73fe517b9d9cd97140ddc8c4694ed15d85a7fdc34190"),
+    ("r-product", 6, 7): (
         "bb847af3a0d2feb60f6f7f8af8778279ad20d2b83cead78f3ca35618dd3eaf66",
         "6fa3b925e67c08c88b95e2c99595d6bb9d90ad43fd89d15ce171abc7a42365da"),
-    ("r-product", 5, 4242): (
-        "14b3d3c6206dbfc1cfc60e1dd0762060ec189c259644a68e78309741c8c648d2",
-        "41ce3470632e1b0faa9b9bbce2f95e7d1e1b6334e43c70675a44b4c9d10db79b"),
-    ("r-product", 6, 7): (
-        "0c72a40301190eea20dc1af84acff88bab4335d7430cec60510077ee6ad99933",
-        "3be3818820065d20809d17d8405da8cd1c23d903fff8f6b5535d78ca85f8928d"),
     ("r-product", 6, 4242): (
-        "38f245e8a3b3d51f3e92b2b9dcf825d5d2f612cfeb1003b9f9e1f68a3df5c57b",
-        "9f0ff1ebc92f4392de1c5a20e6fdaa78f45706229084ad22a0dc2a9e3cae5910"),
+        "24de838346388c0174d6d454454a0307c801c2e7877687ce39d40eef449cadac",
+        "96ad57f9936354c1904c833f15b132aa5879de61412634489aba53672e53260b"),
     ("phi-eq", 3, 7): (
-        "792bea043c03fb8138000f27cee272d509738439827b06615864367d1d739f86",
-        "4075eaa9daf65ceabe1e2c40f5b6d7c5f457a04bfc28800b7950fc7acb2cf525"),
+        "638d737906a77da7386fd8e62af9bee800312eb1d25c9228c6ce921c884aac10",
+        "84e675f62ae8fc1b362009150bee5ec965b31e6a43f52a9d67321b7cf65be705"),
     ("phi-eq", 3, 4242): (
-        "eee26f49ca32c8ee36b4e1c7fcfc2725e4669af552fc6b22df108194a839ebc6",
-        "b07ba8832bc9f304c125af86c80e4aca974a7f3df1aedc45a987fce2f587468f"),
+        "ae5462c01640031bd1b7961b1623abb1b959343ec27e292cba0eeaf469676def",
+        "dc8f86c95735241cd20d35e1e3144553b2525e880a7a754850be19f61862fb0f"),
     ("phi-eq", 4, 7): (
-        "a2d2c431ce094a57c11f9583cde8080f1359660e42447dbcc95e13fbd5886afd",
-        "0994de94ba8b089e9c3d9c52714d26923cd42093bee963e2696a104c63d349ab"),
+        "0161a639f3de7db0bec8a01dd09d2214989cf754c998b58c2fe8035e9aeac298",
+        "6af6ae10dcbabfa573dd5ca42e846e8851de9fc33215014b494a3aefca7facae"),
     ("phi-eq", 4, 4242): (
-        "4c50380e3a69ab1d92363ca83e091ea5ff2d4d92f8861821cfb046546c8b1d78",
-        "56ffe8fd92c169522ca476451aee6af68a8b75b8f12728c07d972531c7603d06"),
+        "e7c6dbae74c306df1e4ca058d24f179cc72e120555510236e706a09af47a9d3d",
+        "144106954931a3579740b85dc2ad366f062c4abf0513fc96abb4c3794548fc7e"),
     ("sqrt-comp", 3, 7): (
-        "c1c7b0703b1f43ad7a2c7ffeca3719813d94529183ebe91c0992d2207c5a25d1",
-        "6f70a0f294b2abb47a2d74347492dfd15fc0874bbc79f91aa8b39abd83fdd3fe"),
+        "b718cde799a270a42e37644b474d438afb44d74310968adcea75917189224178",
+        "ed15882a6b41f724e1c892e26f97bbb756551f1809ddaaefdd527dcd4b69a8a0"),
     ("sqrt-comp", 3, 4242): (
-        "f5ea1ef9341a2caabcf342c9f7dc0cc64ae3f33f54309ea9d462f993a3c3b011",
-        "d83247118e942e1104c2919860f08a311a4c03b257e5dc624faad9f154ddccef"),
+        "a2883dbd1c984d86e7ed117bf7341b8e4fbf01c95291a1e5838281433f030386",
+        "ef42f608e2e3b992f7091506f2ab1e9a88a134dfd612d84376754f5c18b91d87"),
     ("engine", 3, 7): (
-        "3d3265ca871c9dc2e54c0c81ade9378db7f6efb708364b5f78edd08a1daba820",
-        "610ad8970e15b688d41f9a6558e8bd55aecfd61ba32f8fb7ca9b5f9c151c6fa1"),
+        "c4fc327f10f72737d2892c86574172ae4803b6e3e26dc44d9f9dba18e162ecc1",
+        "5c6e52f87f630eda26920e519a7e69c79fb2fc7ef27c17bd59f000d6916c11ef"),
     ("engine", 3, 4242): (
-        "a623f54339139ac2406188d6c872beadbf3d63efe86763961f929e0ddcb26068",
-        "9fd2e25b5500554d0dd06c80c188be9c467a363c197eb1a611ede6f6134713d0"),
+        "8acd7a88b408e5a6bb8a8ce4d0f0614703639fd14e98a86de6ef5f8c18287f1a",
+        "528938ff498be14bf66d782d34828be97263984e1dc6c51c37d96e32829153dd"),
     ("engine", 4, 7): (
-        "bcd1f88d9d41b1ebb1c6f6d2af4897fd84d8819cdc6e1c0ed0d040211c6d6944",
-        "7ccbaaca3c6d7ff57ad1dd0fb5732ca5cf4931b489f16b2bf6014a1829cbb458"),
+        "870d8b4643f9f493db50711ec831bd29d3b996526058a5ee074aabd60538f370",
+        "65895e5d3457b0f8045d411d4e051b068b361b3aef2bfc0f9154a5d2da0bc57d"),
     ("engine", 4, 4242): (
-        "d4c08a8aa60840d54e07bf901f8556b55e3ea79c2239768b8f55be8b5c9d2ad4",
-        "c027109c582fc30cc2172ecf5776196e8d5178dd75c8fee835c37b9678b61c6d"),
+        "87e339c331e28693a3cdae168c301d8ba0be6f907ff3b6bbf015dacd962427ac",
+        "be7c371c8c338caee5f2d53cad2501a1aec3fdaa14becdab4392103ce66ae5d0"),
     ("engine", 5, 7): (
-        "cb4b739ce760b14f92dc157f030c08eb71d73a92cc3f04543ab839a48c07fe54",
-        "1e4a26968c5039359e978f38e265ee4c09226a8b16473a6614366477c7901eb8"),
+        "540bb1a1682ed91b6b30439f17fb83ddbcfc09c6f2368fbc2aa6aec610fb9f58",
+        "556605d48484d86e318634dd2e287886733b93ce39c4c4c6626f4f04bbdbc562"),
     ("engine", 5, 4242): (
-        "2f2c64585be1311e4ea93d7190801e76b90c418019cce38288e4bcafab72aa1a",
-        "39c82a2ed9595e6a5979485d70e74a74246b48ff29c36d131483b5a360ed7464"),
+        "eff1091405a18361f840e11233f808fe673dd3065280e07b041717d99779067f",
+        "cf4d02e31f760df1fb0f11b656b57796789e88709701bee477e90b6b4c82c16e"),
     ("engine", 6, 7): (
-        "cdeb608585dea3efb9b185a286cfb7b18f71dacb2f67900ea64458cd83956fed",
-        "1a7cb525e900857e23202d27e5b3ef412320dcc0162c0a5cc308eaaf5c570415"),
+        "206a61fd79ae8b1d1e2332f1971bf2f56982a2178578f0158d1bbd0b9630711e",
+        "11f85c099bb6388d7c8596bebdfca026c6cf15416d72e22039e6a9e269f0ac53"),
     ("engine", 6, 4242): (
-        "c6f78976de2be0d36d0a7b5d597afc698a66b5913ffd7ceb54af64b6bb509c09",
-        "e9fcc067d3599f2231041a5c09708fbc6aec4194fe94e53e1e71caf25e92dbe5"),
+        "657cc26f4e5b74c0d3a94a4ca69a68d529d6c179e80f18a3bb4113bd97aa832c",
+        "e98233d3d6000530da094036bf941c169919ba6716b7271cfb8870e2b164c548"),
 }
 
 _CONVERGENCE_SHA = {
@@ -794,6 +795,24 @@ def test_a_drawn_eps_with_a_non_finite_residual_skips_the_trial(monkeypatch):
     assert identity_battery("d-sum", 4, 10, seed=1) == 1e-17
     with pytest.raises(DomainError, match="d-sum: residual inf at eps=0.1"):
         identity_battery("d-sum", 4, 10, seed=1, eps=0.1)
+
+
+def test_battery_draws_eps_apart_from_the_starts(monkeypatch):
+    # one shared stream made the eps uniforms of seed 7 at N = 4 repeat the
+    # starts' coordinate uniforms (the first 8 to 2e-16)
+    drawn = []
+
+    def residual(y, eps):
+        drawn.append(eps)
+        return 0.0
+
+    monkeypatch.setitem(IDENTITIES, "d-sum", (residual, *IDENTITIES["d-sum"][1:]))
+    identity_battery("d-sum", 4, 8, seed=7)
+    lo, hi = IDENTITIES["d-sum"][1]
+    u_eps = [(e - lo) / (hi - lo) for e in drawn]
+    u_y = ((random_starts(8, 4, 7) - 0.1) / 1.9).ravel().tolist()
+    assert len(u_eps) == 8
+    assert min(abs(a - b) for a in u_eps for b in u_y) > 1e-9
 
 
 # --- the step-count bound -----------------------------------------------------------

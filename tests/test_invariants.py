@@ -693,7 +693,7 @@ def test_identity_battery_rejects_unsupported_dimension():
 def test_identity_battery_needs_evaluable_trials():
     # the one drawn trial of this seed lands on a singular engine step
     with pytest.raises(ParameterError, match="only 0/1 trials"):
-        identity_battery("engine", 24, 1, seed=19)
+        identity_battery("engine", 24, 1, seed=15)
 
 
 # the start of random_starts(20, N, seed=1) with the largest cross-ratio
