@@ -125,8 +125,7 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
 
     The members are grouped by family and each family formula runs once, on
     all of its members in the batch, under one errstate.  An object stack
-    keeps its element type (`Fraction`s stay exact); any other is cast to
-    float."""
+    keeps its element type, so `Fraction`s stay exact; others become floats."""
     Y = np.asarray(Y)
     Y = Y if Y.dtype == object else Y.astype(float, copy=False)
     if Y.ndim == 1:
@@ -850,8 +849,6 @@ def _gap(x, ref):
     return max(abs(a - b) for a, b in zip(x, ref)) / (1 + max(map(abs, ref)))
 
 
-# the (half, full) step pairs of sqrt-comp, and the phi factor of phi-eq at
-# each dimension it holds at
 _SQRT_PAIRS = ((cosine_law(), euler_hk()), (kov_sqrt(), kov_pullback()))
 _PHI_EQ = {3: phi_genhk3(), 4: phi_genhk4()}
 
@@ -910,13 +907,13 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
     """Worst residual of identity `name` over `trials` seeded starts at
     dimension n, or at the identity's only dimension.  Each trial draws eps
-    from the identity's range unless `eps` fixes it, from a stream derived
-    from `seed` apart from the starts' (`random_starts`).  A trial whose residual
-    is undefined (a singular or out-of-domain spot, a float overflow or zero
-    division) or not finite is skipped under a drawn eps; under a fixed one
-    it raises DomainError or SingularStepError.  Raises DimensionError for a
-    dimension the identity does not hold at (below 3 for any-N identities),
-    and ParameterError when fewer than half the trials were evaluable."""
+    from the identity's range, on a stream apart from the starts', unless
+    `eps` fixes it.  A trial whose residual is undefined (a singular or
+    out-of-domain spot, a float overflow or zero division) or not finite is
+    skipped under a drawn eps; under a fixed one it raises DomainError or
+    SingularStepError.  Raises DimensionError for a dimension the identity
+    does not hold at (below 3 for any-N identities), and ParameterError when
+    fewer than half the trials were evaluable."""
     residual, (lo, hi), dims = IDENTITIES[name]
     if dims is not None and len(dims) == 1:
         n = dims[0]

@@ -8,6 +8,7 @@ suite, not an assumption.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -136,6 +137,8 @@ def kov_pullback() -> DiscreteMap:
                        kernels.step_kov_pullback)
 
 
+# cached per N: the identity residuals look their maps up per trial
+@functools.lru_cache(maxsize=32)
 def gen_hk(N: int) -> DiscreteMap:
     """Explicit bilinearized generalized Kovalevskaya map
     ynew_i = y_i / (S * d_i), any N >= 3."""
@@ -144,6 +147,7 @@ def gen_hk(N: int) -> DiscreteMap:
     return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS, kernels.step_gen_hk)
 
 
+@functools.lru_cache(maxsize=32)
 def alt_map(N: int) -> DiscreteMap:
     """Alternative discretization ynew_i = [y_i/(1+eps*y_i)] / R_i; for N = 3
     it coincides with kov_sqrt."""

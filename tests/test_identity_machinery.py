@@ -791,7 +791,8 @@ def test_a_drawn_eps_with_a_non_finite_residual_skips_the_trial(monkeypatch):
         calls.append(eps)
         return math.inf if len(calls) % 2 else 1e-17
 
-    monkeypatch.setitem(IDENTITIES, "d-sum", (residual, *IDENTITIES["d-sum"][1:]))
+    monkeypatch.setitem(IDENTITIES, "d-sum",
+                        (residual, *IDENTITIES["d-sum"][1:]))
     assert identity_battery("d-sum", 4, 10, seed=1) == 1e-17
     with pytest.raises(DomainError, match="d-sum: residual inf at eps=0.1"):
         identity_battery("d-sum", 4, 10, seed=1, eps=0.1)
@@ -806,7 +807,8 @@ def test_battery_draws_eps_apart_from_the_starts(monkeypatch):
         drawn.append(eps)
         return 0.0
 
-    monkeypatch.setitem(IDENTITIES, "d-sum", (residual, *IDENTITIES["d-sum"][1:]))
+    monkeypatch.setitem(IDENTITIES, "d-sum",
+                        (residual, *IDENTITIES["d-sum"][1:]))
     identity_battery("d-sum", 4, 8, seed=7)
     lo, hi = IDENTITIES["d-sum"][1]
     u_eps = [(e - lo) / (hi - lo) for e in drawn]
@@ -831,6 +833,7 @@ def _refuse(*args):
 
 def _no_loops(monkeypatch):
     monkeypatch.setattr(kernels, "rk4_orbit", _refuse)
+    monkeypatch.setattr(kernels, "map_orbit", _refuse)
     monkeypatch.setattr(kernels, "map_step", _refuse)
 
 
@@ -839,16 +842,6 @@ def _no_loops(monkeypatch):
      "--dt", "1e-300"],
     ["convergence", "--map", "alt-map", "--n", "4", "--y0", "0.2,0.3,0.4,0.5",
      "--eps-list", "0.01,0.005", "--dt-ref", "1e-300"],
-])
-def test_unbounded_step_counts_exit_1_before_any_loop(monkeypatch, argv):
-    _no_loops(monkeypatch)
-    for fmt in ("csv", "json"):
-        rc, out, err = _cli(argv + ["--format", fmt])
-        assert rc == 1 and out == ""
-        assert err.startswith("error: ") and "MAX_STEPS" in err
-
-
-@pytest.mark.parametrize("argv", [
     ["map", "--map", "euler-hk", "--y0", "0.1,0.2,0.3", "--eps", "1e-6",
      "--steps", str(MAX_STEPS + 1)],
     ["drift", "--map", "alt-map", "--n", "4", "--eps", "0.01", "--steps",
@@ -856,14 +849,12 @@ def test_unbounded_step_counts_exit_1_before_any_loop(monkeypatch, argv):
     ["drift", "--flow", "kov3", "--eps", "0.001", "--steps",
      str(MAX_STEPS + 1)],
 ])
-def test_steps_above_max_exit_1_before_any_loop(monkeypatch, argv):
+def test_unbounded_step_counts_exit_1_before_any_loop(monkeypatch, argv):
     _no_loops(monkeypatch)
-    monkeypatch.setattr(kernels, "map_orbit", _refuse)
     for fmt in ("csv", "json"):
         rc, out, err = _cli(argv + ["--format", fmt])
         assert rc == 1 and out == ""
-        assert err.startswith("error: steps=10000001 gives") \
-            and "MAX_STEPS" in err
+        assert err.startswith("error: ") and "MAX_STEPS" in err
 
 
 def test_orbit_rejects_negative_and_unbounded_step_counts(monkeypatch):

@@ -199,13 +199,6 @@ def test_map_step_is_exact_on_fractions(name, n):
             assert type(b) is Fraction and a == b, inv.name
 
 
-def test_exact_conservation_covers_the_deformed_families():
-    covered = {v.family for name, n in EXACT_MAPS
-               for v in claimed_invariants(maps.get_map(name, n), registry(n))}
-    assert {"cross-ratio", "euler-hk-eps", "kov-hk-eps",
-            "kov-sqrt-eps"} <= covered
-
-
 @pytest.mark.parametrize("name, y0", [("gen-hk", [0.0, 0.0, 0.0, 1.0]),
                                       ("alt-map", [-1.0, 0.5, 0.3])])
 def test_zero_denominator_is_a_non_finite_step(name, y0):
