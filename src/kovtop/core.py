@@ -59,16 +59,20 @@ class QuadraticField:
 
     `coeffs` has shape (dim, dim, dim) and must be strictly upper-triangular
     in its last two indices (entries with j > k are zero); the stored value is
-    the full coefficient of the monomial y_j*y_k.
+    the full coefficient of the monomial y_j*y_k.  `terms` lists the nonzero
+    entries (i, j, k, a[i,j,k]) once, as Python numbers in index order, so
+    `coeffs` is a read-only copy.
     """
 
     dim: int
     coeffs: np.ndarray
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 3:
             raise DimensionError("quadratic fields need dim >= 3")
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
+        c.flags.writeable = False
         if c.shape != (self.dim,) * 3:
             raise DimensionError(
                 f"coefficient tensor must be shape {(self.dim,)*3}, got {c.shape}")
@@ -76,6 +80,9 @@ class QuadraticField:
         if np.any(c[:, lower[0], lower[1]] != 0.0):
             raise ValueError("coefficients must use the j <= k convention")
         object.__setattr__(self, "coeffs", c)
+        i, j, k = np.nonzero(c)
+        object.__setattr__(self, "terms", tuple(zip(
+            i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist())))
 
     @classmethod
     def from_terms(cls, dim: int, terms: dict[tuple[int, int, int], float]) -> "QuadraticField":
@@ -94,8 +101,8 @@ class QuadraticField:
 def evaluate_field(field_: QuadraticField, y) -> np.ndarray:
     """Evaluate the quadratic field at a state."""
     y = as_state(y, field_.dim)
-    return np.array(kernels._rhs_quadratic_field(field_.coeffs.tolist(),
-                                                 y.tolist()), dtype=float)
+    return np.array(kernels._rhs_quadratic_field(field_.terms, y.tolist()),
+                    dtype=float)
 
 
 def painleve_condition(a) -> bool:

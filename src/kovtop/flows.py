@@ -7,6 +7,7 @@ accuracy controlled by dt alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,15 +67,10 @@ def _emit_call(ins, outs):
 
 def _emit_e1_only(ins, outs):
     # s = c1*e_1 by the operations esp_all makes for e_1 (e_1 += y_i*e_0,
-    # e_0 = 1), then y_i(s - alpha*y_i); a coordinate past `bound`, or a
-    # NaN, takes the full symmetric sum
-    guard = " and ".join(f"abs({v}) <= bound" for v in ins)
-    body = (kernels.emit_fold("e1", "0", "+", [f"{v} * 1" for v in ins])
+    # e_0 = 1), then y_i(s - alpha*y_i)
+    return (kernels.emit_fold("e1", "0", "+", [f"{v} * 1" for v in ins])
             + ["s = 0 + c1 * e1"]
             + [f"{k} = {v} * (s - alpha * {v})" for v, k in zip(ins, outs)])
-    return ([f"if {guard}:"] + ["    " + line for line in body]
-            + ["else:", f"    {', '.join(outs)}, = "
-                        f"fallback([{', '.join(ins)}], alpha, sc)"])
 
 
 def _emit_product_complement(ins, outs):
@@ -97,15 +93,10 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     H_ij/H_kl survives any such choice.  alpha == N is rejected because the
     power-law integral family divides by N - alpha.
 
-    When only e_1 carries a coefficient (the default), the right-hand side
-    skips e_2..e_N while every |y_i| <= B_N = 10^(300/N) - 1, and gives the
-    same numbers as the full sum.  Below that bound every e_k and every
-    partial sum of `kernels.esp_all` is at most (1 + B_N)^N = 1e300, so each
-    0*e_k term is a signed zero, and adding it leaves s unchanged: s starts
-    from the integer 0 and is never -0.0.  A coordinate above the bound, or
-    a NaN, takes the full sum, whose overflowing e_k can make s NaN.  This
-    right-hand side is emitted inline at each RK4 stage; any other s is
-    called there.
+    A zero coefficient contributes nothing to s, so an e_k that overflows
+    at a zero coefficient leaves s finite.  When only e_1 carries a
+    coefficient (the default), s = c_1*e_1 is emitted inline at each RK4
+    stage; any other s is called there.
     """
     if N < 3:
         raise DimensionError("generalized Kovalevskaya flow needs N >= 3")
@@ -120,13 +111,12 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
             raise ParameterError("s_coeffs must list one coefficient per e_1..e_N")
         name = f"gen-kov(N={N},alpha={alpha:g},custom-s)"
 
-    if any(sc[1:]):
-        def rhs(y):
-            return kernels._rhs_scaled_quadratic(y, alpha, sc)
-        return FlowSpec(name=name, dim=N, rhs=rhs)
-    return FlowSpec(name=name, dim=N, rhs=_compile(
-        _emit_e1_only, N, alpha=alpha, c1=sc[0], bound=10.0 ** (300 / N) - 1,
-        fallback=kernels._rhs_scaled_quadratic, sc=sc))
+    # emitted only for s = c_1*e_1 with c_1 != 0; the zero s skips 0*e_1 too
+    if any(sc[1:]) or not sc[0]:
+        rhs = partial(kernels._rhs_scaled_quadratic, alpha=alpha, s_coeffs=sc)
+    else:
+        rhs = _compile(_emit_e1_only, N, alpha=alpha, c1=sc[0])
+    return FlowSpec(name=name, dim=N, rhs=rhs)
 
 
 def kovalevskaya3() -> FlowSpec:
@@ -150,13 +140,9 @@ def euler_top3() -> FlowSpec:
 
 
 def quadratic_flow(field: QuadraticField) -> FlowSpec:
-    """The flow "quadratic", dy/dt = field(y), of a quadratic field tensor."""
-    coeffs = field.coeffs.tolist()
-
-    def rhs(y):
-        return kernels._rhs_quadratic_field(coeffs, y)
-
-    return FlowSpec(name="quadratic", dim=field.dim, rhs=rhs)
+    """The flow "quadratic", dy/dt = field(y), a sum over `field.terms`."""
+    return FlowSpec(name="quadratic", dim=field.dim,
+                    rhs=partial(kernels._rhs_quadratic_field, field.terms))
 
 
 def kovalevskaya_field(N: int = 3, alpha: float = 2.0) -> QuadraticField:
@@ -184,7 +170,9 @@ def check_step_count(n: int, what: str) -> int:
     """n, or ParameterError when the step count n that `what` gives exceeds
     MAX_STEPS."""
     if n > MAX_STEPS:
-        raise ParameterError(f"{what} gives {n:.3g} steps, more than "
+        # exact, or short where it is too far above the bound to read as it
+        shown = n if n < 1000 * MAX_STEPS else f"{n:.3g}"
+        raise ParameterError(f"{what} gives {shown} steps, more than "
                              f"MAX_STEPS = {MAX_STEPS:.0e}")
     return n
 

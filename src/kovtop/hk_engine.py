@@ -34,15 +34,10 @@ class BilinearStepSystem:
 def polarize(field: QuadraticField) -> BilinearStepSystem:
     """Bilinearize a quadratic field into its implicit step system."""
     dim = field.dim
-    # the nonzero coefficients in the order the entries of M accumulate them
-    terms = [(i, j, k, a)
-             for i, row in enumerate(field.coeffs.tolist())
-             for j, cj in enumerate(row) for k, a in enumerate(cj)
-             if k >= j and a != 0.0]
 
     def build(y: np.ndarray, eps: float) -> np.ndarray:
         M = np.zeros((dim, dim))
-        for i, j, k, a in terms:
+        for i, j, k, a in field.terms:
             if j == k:
                 M[i, j] += 2.0 * a * y[j]
             else:

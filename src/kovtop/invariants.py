@@ -53,6 +53,10 @@ from .numdiff import central_gradient, central_jacobian
 #: relative cancellation below which a single evaluation point is masked
 CANCEL_TOL = 1e-3
 
+#: draws `random_starts` makes for one start before it gives up; a draw is
+#: kept with probability about exp(-0.00216 N(N-1)/2): 0.55 at N=24, 2e-5 at 100
+MAX_START_DRAWS = 10**4
+
 #: orbit guards used for drift certification (see module docstring)
 TRACKING_GUARDS = OrbitGuards(strain=0.01, resolution=0.2, coincidence=1e-6)
 
@@ -515,16 +519,22 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
 
 def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
     """Seeded uniform starts in the box [0.1, 2]^dim, rejecting a draw with a
-    pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it."""
+    pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it.
+    Raises ParameterError when MAX_START_DRAWS draws give no start."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
-    got = 0
-    while got < n:
-        y = rng.uniform(0.1, 2.0, dim)
-        if all(abs(a - b) > CANCEL_TOL * (abs(a) + abs(b))
-               for a, b in combinations(y.tolist(), 2)):
-            out[got] = y
-            got += 1
+    for row in out:
+        for _ in range(MAX_START_DRAWS):
+            y = rng.uniform(0.1, 2.0, dim)
+            if all(abs(a - b) > CANCEL_TOL * (abs(a) + abs(b))
+                   for a, b in combinations(y.tolist(), 2)):
+                row[:] = y
+                break
+        else:
+            raise ParameterError(
+                f"no start at N = {dim} in MAX_START_DRAWS = {MAX_START_DRAWS} "
+                f"draws has every coordinate pair separated by CANCEL_TOL = "
+                f"{CANCEL_TOL:g}")
     return out
 
 

@@ -15,9 +15,10 @@ unrolled and the right-hand side written out at each stage by the flow's
 emitter, and compiles it once per (emitter, N), keeping the 32 most recent.
 `flows` has three emitters: the e_1-only generalized Kovalevskaya field and
 the product complement of the generalized Euler flows are written inline,
-and any other right-hand side is called on the stage values.  The emitted
-code has integer constants and binds the flow's constants by name, so it is
-as type-generic as the map steps; `rk4_orbit` loops over it.
+and any other right-hand side is called on the stage values.  A right-hand
+side skips its zero coefficients, so an overflow there is never read.  The
+emitted code has integer constants and binds the flow's constants by name,
+so it is as type-generic as the map steps; `rk4_orbit` loops over it.
 
 A `maps.DiscreteMap` carries its step kernel (a `step_*` function) as
 `kernel`, and `map_step` and `map_orbit` take that function.  A kernel returns
@@ -207,32 +208,22 @@ def esp_all(y):
 
 
 def _rhs_scaled_quadratic(y, alpha, s_coeffs):
-    # dy_i/dt = y_i (s - alpha y_i), s = sum_k s_coeffs[k-1] e_k(y); every
-    # term of the sum is added, zero coefficients included, so an e_k that
-    # overflows makes s NaN even at a zero coefficient.  The e_1-only flow of
-    # `flows.generalized_kovalevskaya` skips this sum only where no e_k can
-    # overflow, and comes here for every other state.
+    # dy_i/dt = y_i (s - alpha y_i), s = sum_k s_coeffs[k-1] e_k(y) over the
+    # nonzero coefficients: an e_k that overflows at a zero one is not read
     e = esp_all(y)
     s = 0
     for k, c in enumerate(s_coeffs, 1):
-        s += c * e[k]
+        if c:
+            s += c * e[k]
     return [v * (s - alpha * v) for v in y]
 
 
-def _rhs_quadratic_field(coeffs, y):
-    # `coeffs` is the (N, N, N) tensor as nested sequences
-    n = len(y)
-    out = []
-    for row in coeffs:
-        acc = 0
-        for j in range(n):
-            cj = row[j]
-            yj = y[j]
-            for k in range(j, n):
-                c = cj[k]
-                if c != 0:
-                    acc += c * yj * y[k]
-        out.append(acc)
+def _rhs_quadratic_field(terms, y):
+    # `terms` lists the nonzero (i, j, k, a_ijk) of a `QuadraticField` in
+    # index order; out_i sums a_ijk*y_j*y_k over them
+    out = [0] * len(y)
+    for i, j, k, c in terms:
+        out[i] += c * y[j] * y[k]
     return out
 
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -353,6 +354,18 @@ def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     assert out.err.startswith("error:") and message in out.err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (_MAP + ["--eps", "0.01", "--steps", "10000001"],
+     "error: steps=10000001 gives 10000001 steps, more than MAX_STEPS = 1e+07\n"),
+    (_CONVERGENCE + ["--eps-list", "1e-300"],
+     "error: eps=1e-300 gives 1e+299 steps, more than MAX_STEPS = 1e+07\n"),
+], ids=["just-above", "far-above"])
+def test_step_count_above_max_never_reads_as_the_bound(capsys, argv, err):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err
+
+
 def test_check_identity_choices_are_the_identity_table():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -675,6 +688,19 @@ def test_simulate_blowup_exits_two_with_partial_output(tmp_path, capsys):
             assert len(data["rows"]) == 101
             if jsonschema is not None:
                 jsonschema.validate(data, _schema("trajectory"))
+
+
+def test_simulate_stays_finite_where_only_a_zero_coefficient_overflows(capsys):
+    # gen-kov N = 50 near 2e6: e_50 overflows at its zero coefficient while
+    # s = e_1 and every coordinate stay finite, so all 3 steps run
+    y0 = ",".join(repr(2e6 * (1 + 0.001 * i)) for i in range(50))
+    rc = main(["simulate", "--flow", "gen-kov", "--n", "50", "--y0", y0,
+               "--t-end", "3e-12", "--dt", "1e-12"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == ""
+    rows = out.out.split("\n")[1:-1]
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 def test_convergence_csv_reports_slope_on_stderr(tmp_path, capsys):

@@ -73,6 +73,21 @@ def test_quadratic_field_rejects_lower_triangular():
         QuadraticField(3, c)
 
 
+def test_field_terms_list_the_nonzero_coefficients_of_a_read_only_copy():
+    c = np.zeros((3, 3, 3))
+    c[2, 0, 1], c[0, 1, 2], c[0, 0, 0], c[1, 1, 1] = 1.5, -2.0, -0.0, np.nan
+    f = QuadraticField(3, c)
+    assert f.terms[0] == (0, 1, 2, -2.0)
+    assert f.terms[2] == (2, 0, 1, 1.5) and len(f.terms) == 3
+    assert f.terms[1][:3] == (1, 1, 1) and f.terms[1][3] != f.terms[1][3]
+    assert all([type(v) for v in t] == [int, int, int, float] for t in f.terms)
+    # the terms are derived once, so the tensor they come from cannot change
+    c[0, 1, 2] = 7.0
+    assert f.coeffs[0, 1, 2] == -2.0
+    with pytest.raises(ValueError):
+        f.coeffs[0, 1, 2] = 7.0
+
+
 def test_from_terms_sorts_indices():
     f = QuadraticField.from_terms(3, {(0, 2, 1): 2.0})
     assert f.coeffs[0, 1, 2] == 2.0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import admissible_states
-from kovtop import kernels
+from kovtop import invariants, kernels
+from kovtop.cli import main
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
@@ -389,6 +390,30 @@ def test_random_starts_pass_the_cancellation_masks(n):
     for y in random_starts(40, n, seed=n):
         a, b = y[i], y[j]
         assert np.all(np.abs(a - b) > CANCEL_TOL * (np.abs(a) + np.abs(b)))
+
+
+def test_random_starts_give_up_after_max_start_draws(capsys):
+    # a draw at N = 150 is separated with probability about 4e-11, so the
+    # sampler once never returned; now the command exits 1 naming N
+    argv = ["drift", "--map", "gen-hk", "--n", "150", "--eps", "0.01",
+            "--steps", "8", "--starts", "1"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: no start at N = 150 in MAX_START_DRAWS = 10000 draws has "
+        "every coordinate pair separated by CANCEL_TOL = 0.001\n")
+
+
+def test_random_starts_bound_counts_draws_per_start(monkeypatch):
+    # seed 1 at N = 24 makes 36 draws for its 20 starts, at most 4 for one:
+    # a bound of 4 keeps the starts, a bound of 3 raises
+    full = random_starts(20, 24, seed=1)
+    monkeypatch.setattr(invariants, "MAX_START_DRAWS", 4)
+    assert random_starts(20, 24, seed=1).tobytes() == full.tobytes()
+    monkeypatch.setattr(invariants, "MAX_START_DRAWS", 3)
+    with pytest.raises(ParameterError, match="N = 24 in MAX_START_DRAWS = 3 "):
+        random_starts(20, 24, seed=1)
 
 
 def test_random_starts_of_a_seed_once_drawing_masked_pairs_are_evaluable():

@@ -2,6 +2,7 @@
 reference checks of the helpers."""
 import hashlib
 from fractions import Fraction
+from math import inf, isfinite
 from itertools import combinations
 
 import numpy as np
@@ -133,12 +134,27 @@ def test_rk4_blowup_orbit_matches_pinned_reference():
     assert _sha(states) == "711bc3ab7a8cc3e992782a481e071828345e8f50e2ace2a92464c93065619ec0"
 
 
-def test_scaled_quadratic_sum_keeps_zero_coefficient_terms():
-    # e_2 overflows to -inf while e_1 = 2 stays finite: the 0*e_k terms of
-    # s = 1*e_1 + 0*e_2 + 0*e_3 + 0*e_4 turn s into NaN, as they always did;
-    # skipping them would give finite y_3, y_4 components
-    out = flows.generalized_kovalevskaya(4).rhs([1e200, -1e200, 1.0, 1.0])
-    assert all(v != v for v in out)
+def test_scaled_quadratic_sum_skips_zero_coefficient_terms():
+    # e_2..e_4 overflow while e_1 = 2 stays finite: the zero coefficients of
+    # s = 1*e_1 contribute nothing, so s = 2 and y_3, y_4 stay finite
+    y = [1e200, -1e200, 1.0, 1.0]
+    assert flows.generalized_kovalevskaya(4).rhs(y) == [-inf, -inf, 0.0, 0.0]
+    # a custom s = e_1 + 0.5*e_2 at a state where e_3 and e_4 overflow
+    y = [1e150, -1e150, 1e10, 1.0]
+    e = kernels.esp_all(y)
+    s = e[1] + 0.5 * e[2]
+    assert isfinite(s) and not isfinite(e[3] + e[4])
+    out = flows.generalized_kovalevskaya(4, 2.0, [1.0, 0.5, 0.0, 0.0]).rhs(y)
+    assert out == [-inf, inf, -inf, s - 2.0]
+
+
+def test_rk4_orbit_is_finite_where_only_a_zero_coefficient_overflows():
+    # N = 50 coordinates near 2e6: e_50 overflows, s = e_1 ~ 1e8 does not,
+    # and every coordinate is far below BLOWUP_CAP
+    y0 = [2e6 * (1 + 0.001 * i) for i in range(50)]
+    states, end = flows.rk4_states(flows.generalized_kovalevskaya(50), y0,
+                                   1e-12, 3)
+    assert end == 3 and np.isfinite(states).all()
 
 
 def test_trajectory_serialization_matches_pinned_bytes():

@@ -51,33 +51,26 @@ def _reference_product_complement(x):
     return out
 
 
-def _reference_e1_only(N, alpha, sc, fallbacks):
+def _reference_e1_only(alpha, c1):
     # the e_1-only right-hand side of the default generalized Kovalevskaya
-    # flow; `fallbacks` counts the states that take the full sum
-    c1 = sc[0]
-    bound = 10.0 ** (300 / N) - 1
-
+    # flow
     def rhs(y):
         e1 = 0
         for v in y:
-            if not abs(v) <= bound:
-                fallbacks.append(1)
-                return kernels._rhs_scaled_quadratic(y, alpha, sc)
             e1 += v * 1
         s = 0 + c1 * e1
         return [v * (s - alpha * v) for v in y]
     return rhs
 
 
-def _case(key, fallbacks):
+def _case(key):
     """(flow, reference right-hand side) for a key of FLOWS."""
     kind, N, arg = key
     if kind == "gen-kov":
         alpha, c1 = arg
-        sc = [c1] + [0.0] * (N - 1)
         flow = flows.generalized_kovalevskaya(
-            N, alpha, None if c1 == 1.0 else sc)
-        return flow, _reference_e1_only(N, alpha, sc, fallbacks)
+            N, alpha, None if c1 == 1.0 else [c1] + [0.0] * (N - 1))
+        return flow, _reference_e1_only(alpha, c1)
     if kind == "gen-kov-custom-s":
         flow = flows.generalized_kovalevskaya(N, 2.0, arg)
         return flow, lambda y: kernels._rhs_scaled_quadratic(y, 2.0, arg)
@@ -85,12 +78,10 @@ def _case(key, fallbacks):
         flow = flows.euler_top3() if kind == "euler3" else flows.generalized_euler(N)
         return flow, _reference_product_complement
     if kind == "kov3":
-        return flows.kovalevskaya3(), _reference_e1_only(3, 2.0, [1.0, 0.0, 0.0],
-                                                         fallbacks)
+        return flows.kovalevskaya3(), _reference_e1_only(2.0, 1.0)
     field = flows.euler_field() if arg == "euler" else flows.kovalevskaya_field(N)
-    coeffs = field.coeffs.tolist()
     return (flows.quadratic_flow(field),
-            lambda y: kernels._rhs_quadratic_field(coeffs, y))
+            lambda y: kernels._rhs_quadratic_field(field.terms, y))
 
 
 FLOWS = ([("kov3", 3, None), ("euler3", 3, None)]
@@ -105,8 +96,7 @@ DTS = (1e-4, 1e-3, 1e-2, 0.1, 1.0)
 
 def _starts(N, seed):
     # ordinary starts, starts that reach the 1e12 cap within the steps, and
-    # signed starts far past it, whose stages pass the e_1-only bound,
-    # overflow and go NaN
+    # signed starts far past it, whose stages overflow and go NaN
     rng = np.random.default_rng(seed)
     out = [rng.uniform(-0.5, 0.5, N), rng.uniform(0.5, 3.0, N)]
     out += [rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(lo, hi, N)
@@ -121,8 +111,8 @@ def _bits(values):
 
 @pytest.mark.parametrize("key", FLOWS, ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
 def test_generated_step_matches_list_rk4(key):
-    fallbacks, stops = [], set()
-    flow, rhs = _case(key, fallbacks)
+    stops = set()
+    flow, rhs = _case(key)
     for dt in DTS:
         for y0 in _starts(flow.dim, seed=flow.dim):
             got, end = kernels.rk4_orbit(flow.step, y0, dt, 40)
@@ -130,9 +120,8 @@ def test_generated_step_matches_list_rk4(key):
             assert end == want_end, (dt, y0)
             assert got.tobytes() == want.tobytes(), (dt, y0)
             assert _bits(flow.rhs(y0)) == _bits(rhs(y0)), y0
-    # the starts reach every exit, and the e_1-only flows their full sum
+    # the starts reach every exit
     assert stops == {"nan", "cap"}
-    assert key[0] not in ("gen-kov", "kov3") or fallbacks
 
 
 @pytest.mark.parametrize("num", [Fraction, mpf])
@@ -142,7 +131,7 @@ def test_generated_step_matches_list_rk4(key):
                                  ("quadratic", 3, "euler")],
                          ids=lambda k: f"{k[0]}-{k[1]}")
 def test_generated_step_is_the_reference_on_exact_types(num, key):
-    flow, rhs = _case(key, [])
+    flow, rhs = _case(key)
     y0 = [num(k) / 16 for k in (3, -5, 7, 2, 9)[:flow.dim]]
     dt = num(1) / 64
     # two steps: a Fraction's digits grow as degree ** (4 * steps)
@@ -161,16 +150,13 @@ def test_generated_step_is_the_reference_on_exact_types(num, key):
                          ids=lambda k: f"{k[0]}-{k[1]}")
 def test_large_dimension_compiles_and_matches(key):
     # no emitted expression nests N deep, so N = MAX_FLOW_DIM compiles
-    fallbacks = []
-    flow, rhs = _case(key, fallbacks)
+    flow, rhs = _case(key)
     rng = np.random.default_rng(3)
     for y0 in (rng.uniform(-0.5, 0.5, flow.dim).tolist(),
                rng.uniform(-20.0, 20.0, flow.dim).tolist()):
         got, end = kernels.rk4_orbit(flow.step, y0, 1e-3, 1)
         want, want_end = _reference_rk4(rhs, y0, 1e-3, 1)
         assert end == want_end and got.tobytes() == want.tobytes()
-    # gen-kov N=300 has the bound 9: the wide start takes the full sum
-    assert key[0] != "gen-kov" or fallbacks
 
 
 def test_hyperelliptic_relation_reads_the_flow_rhs():
