@@ -208,14 +208,15 @@ def _cmd_map(args) -> int:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
-    states, end = m.orbit(np.asarray(y0), args.eps, args.steps)
+    states, end, reason = m.orbit_with_reason(np.asarray(y0), args.eps,
+                                              args.steps)
     status = "ok" if end == args.steps else "singular"
     times = m.step_time(args.eps) * np.arange(end + 1)
     rec = TrajectoryRecord(system=m.name, times=times, states=states,
                            status=status)
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
     if status != "ok":
-        print(f"singular/blowup stop at step {end + 1}", file=sys.stderr)
+        print(f"{reason} stop at step {end + 1}", file=sys.stderr)
         return 2
     return 0
 

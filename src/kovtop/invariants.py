@@ -859,7 +859,6 @@ def _gap(x, ref):
     return max(abs(a - b) for a, b in zip(x, ref)) / (1 + max(map(abs, ref)))
 
 
-_SQRT_PAIRS = ((cosine_law(), euler_hk()), (kov_sqrt(), kov_pullback()))
 _PHI_EQ = {3: phi_genhk3(), 4: phi_genhk4()}
 
 
@@ -880,7 +879,8 @@ def _phi_eq_residual(y, eps):
 def _sqrt_comp_residual(y, eps):
     return max(_gap(half.checked_step(half.checked_step(y, eps), eps),
                     full.checked_step(y, eps))
-               for half, full in _SQRT_PAIRS)
+               for half, full in ((cosine_law(), euler_hk()),
+                                  (kov_sqrt(), kov_pullback())))
 
 
 @functools.lru_cache(maxsize=32)

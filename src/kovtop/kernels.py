@@ -1,198 +1,52 @@
-"""Hot numeric kernels: closed-form map steps, orbit iteration, RK4 integration.
+"""Hot numeric kernels: map steps and guarded orbits, RK4 integration.
 
 Python numbers inside, ndarrays at the edge.  Every kernel works on a Python
 sequence of numbers, one state at a time, and every map, flow and command runs
-through them.  The constants are integers, so the same step code runs on
-floats, on `fractions.Fraction`s (exactly) and on mpmath `mpf`s; only the
-cosine-law step takes a square root, through `math.sqrt`, so it stays out of
-exact runs.  `map_orbit` and `rk4_orbit` return their rows as one ndarray.
+through them.  The constants are integers, so the same code runs on floats,
+on `fractions.Fraction`s (exactly) and on mpmath `mpf`s; only the cosine-law
+step takes a square root, through the `math.sqrt` it binds, so it stays out
+of exact runs.  `map_orbit` and `rk4_orbit` return their rows as one ndarray.
 The kernels accumulate over coordinates in a fixed order, so their float
 results do not depend on any library's reduction order.
 
-The RK4 step is generated: `compile_flow` writes one step as straight-line
-source for a flow's dimension N, with locals a0..a{N-1}, the four stages
-unrolled and the right-hand side written out at each stage by the flow's
-emitter, and compiles it once per (emitter, N), keeping the 32 most recent.
-`flows` has three emitters: the e_1-only generalized Kovalevskaya field and
-the product complement of the generalized Euler flows are written inline,
-and any other right-hand side is called on the stage values.  A right-hand
-side skips its zero coefficients, so an overflow there is never read.  The
-emitted code has integer constants and binds the flow's constants by name,
-so it is as type-generic as the map steps; `rk4_orbit` loops over it.
+One code generator writes the map steps, the orbit loops and the RK4 steps
+as straight-line source for a dimension N, with locals a0..a{N-1}.  An
+emitter writes one formula; a template wraps it; `_factory` compiles each
+(template, emitter, N) once, keeping the 32 most recent, and each call binds
+its own constants by name.
 
-A `maps.DiscreteMap` carries its step kernel (a `step_*` function) as
-`kernel`, and `map_step` and `map_orbit` take that function.  A kernel returns
-``(new_state, regularity)``.  The regularity factor is the smallest magnitude
-among the step's denominator factors, normalised so that it equals 1 at
-eps = 0; it drives both singularity detection and the drift harness's
-certification window.  A vanishing denominator raises `ZeroDivisionError`
-inside a kernel; `map_step` and `map_orbit` read it as a non-finite step, and
-the public wrappers in `maps` translate that into typed exceptions.
+- `compile_map` takes a map's emitter (`maps` has one per map) and returns
+  its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
+  orbit loop attached as ``step.orbit``.  `maps.DiscreteMap` carries the step
+  as `kernel`; `map_step` runs it and `map_orbit` runs its `.orbit`.  The
+  loop writes the step out once more, followed by the cap, strain,
+  resolution and coincidence tests, and each stop is a `break` that names
+  its reason, one of STOP_REASONS.  The coincidence test sorts the state and
+  checks the N - 1 neighbours, so the source grows linearly in N, and long
+  sums are folded (`emit_fold`), so any N compiles.
+- `compile_flow` takes a flow's emitter (`flows` has three: the e_1-only
+  generalized Kovalevskaya field and the product complement of the
+  generalized Euler flows written inline, and a call of any other
+  right-hand side) and returns the right-hand side with its RK4 step
+  attached as ``rhs.step``, the four stages unrolled and the right-hand side
+  emitted at each; `rk4_orbit` loops over it.  A right-hand side skips its
+  zero coefficients, so an overflow there is never read.
+
+The regularity factor of a map step is the smallest magnitude among the
+step's denominator factors, normalised so that it equals 1 at eps = 0; it
+drives both singularity detection and the drift harness's certification
+window.  A vanishing denominator raises `ZeroDivisionError` inside a step;
+`map_step` reads it as a non-finite step, the orbit loop as the stop
+"singular", and the public wrappers in `maps` translate that into typed
+exceptions.
 """
 import functools
-from math import inf, isfinite, nan, sqrt
+from math import inf, isfinite, nan
 
 import numpy as np
 
 #: hard bound on coordinate magnitude for map orbits and RK4 trajectories
 BLOWUP_CAP = 1e12
-
-
-def step_euler_hk(x, eps):
-    x1, x2, x3 = x
-    q = x1 * x1 + x2 * x2 + x3 * x3
-    den = 1 - eps * eps * q - 2 * eps * eps * eps * x1 * x2 * x3
-    return [(x1 + 2 * eps * x2 * x3 + eps * eps * x1 * (q - 2 * x1 * x1)) / den,
-            (x2 + 2 * eps * x3 * x1 + eps * eps * x2 * (q - 2 * x2 * x2)) / den,
-            (x3 + 2 * eps * x1 * x2 + eps * eps * x3 * (q - 2 * x3 * x3)) / den
-            ], abs(den)
-
-
-def step_cosine(x, eps):
-    # regularity is the signed minimum of 1 - eps^2 x_j^2: <= 0 (or NaN, when
-    # eps^2 overflows) means the square roots leave the real domain.
-    x0, x1, x2 = x
-    w0 = 1 - eps * eps * x0 * x0
-    w1 = 1 - eps * eps * x1 * x1
-    w2 = 1 - eps * eps * x2 * x2
-    reg = min(w0, min(w1, w2))
-    if not reg > 0:
-        return [nan, nan, nan], reg
-    s0 = sqrt(w0)
-    s1 = sqrt(w1)
-    s2 = sqrt(w2)
-    return [(x0 + eps * x1 * x2) / (s1 * s2),
-            (x1 + eps * x2 * x0) / (s2 * s0),
-            (x2 + eps * x0 * x1) / (s0 * s1)], reg
-
-
-def step_kov_sqrt(y, eps):
-    y0, y1, y2 = y
-    a0 = 1 + eps * y0
-    a1 = 1 + eps * y1
-    a2 = 1 + eps * y2
-    b0 = 1 - eps * eps * y1 * y2
-    b1 = 1 - eps * eps * y2 * y0
-    b2 = 1 - eps * eps * y0 * y1
-    reg = min(abs(a0), abs(b0), abs(a1), abs(b1), abs(a2), abs(b2))
-    return [y0 * a1 * a2 / (a0 * b0),
-            y1 * a2 * a0 / (a1 * b1),
-            y2 * a0 * a1 / (a2 * b2)], reg
-
-
-def step_kov_pullback(y, eps):
-    y0, y1, y2 = y
-    e2 = y0 * y1 + y1 * y2 + y2 * y0
-    e3 = y0 * y1 * y2
-    glob = 1 - eps * eps * e2 - 2 * eps * eps * eps * e3
-    f0 = 1 + 2 * eps * y0 + eps * eps * (e2 - 2 * y1 * y2)
-    f1 = 1 + 2 * eps * y1 + eps * eps * (e2 - 2 * y2 * y0)
-    f2 = 1 + 2 * eps * y2 + eps * eps * (e2 - 2 * y0 * y1)
-    reg = min(abs(glob), abs(f0), abs(f1), abs(f2))
-    return [y0 * f1 * f2 / (f0 * glob),
-            y1 * f2 * f0 / (f1 * glob),
-            y2 * f0 * f1 / (f2 * glob)], reg
-
-
-def step_gen_hk(y, eps):
-    s = 0
-    for v in y:
-        s += v
-    d = []
-    reg = inf
-    t = 0
-    for v in y:
-        dv = 1 - eps * (-4 * v + s)
-        if abs(dv) < reg:
-            reg = abs(dv)
-        d.append(dv)
-        t += v / dv
-    S = 1 - eps * t
-    if abs(S) < reg:
-        reg = abs(S)
-    return [v / (S * dv) for v, dv in zip(y, d)], reg
-
-
-def step_alt(y, eps):
-    u = []
-    reg = inf
-    t = 0
-    for v in y:
-        w = 1 + eps * v
-        if abs(w) < reg:
-            reg = abs(w)
-        ui = v / w
-        u.append(ui)
-        t += ui
-    out = []
-    for ui in u:
-        r = 1 - eps * (t - ui)
-        if abs(r) < reg:
-            reg = abs(r)
-        out.append(ui / r)
-    return out, reg
-
-
-def map_step(kernel, y, eps):
-    """One step of the step kernel `kernel` on the sequence `y`:
-    (new_state, regularity).  A vanishing denominator gives NaN coordinates
-    and regularity 0."""
-    try:
-        return kernel(y, eps)
-    except ZeroDivisionError:
-        return [nan] * len(y), 0
-
-
-def _coincidence_depth(y, even):
-    # Smallest relative pairwise separation; with `even` the comparison is on
-    # magnitudes (systems whose invariants depend on squares).
-    n = len(y)
-    m = inf
-    for i in range(n):
-        yi = y[i]
-        for j in range(i + 1, n):
-            yj = y[j]
-            sc = abs(yi) + abs(yj)
-            if sc == 0:
-                return 0
-            if even:
-                d = abs(abs(yi) - abs(yj)) / sc
-            else:
-                d = abs(yi - yj) / sc
-            if d < m:
-                m = d
-    return m
-
-
-def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
-    """Iterate the step kernel `kernel` from the sequence `y0`, stopping at the
-    first untrustworthy step.
-
-    Stops when the step regularity drops below `theta`, when
-    |eps|*max|y| exceeds `resbound`, when the state comes within `coin_tol`
-    (relative) of a coincidence variety, when any coordinate exceeds
-    BLOWUP_CAP, or on non-finite values or a vanishing denominator.  Returns
-    (trajectory ndarray, last_step): states 0..last_step are recorded, and
-    last_step < nsteps means early stop.
-    """
-    cap = BLOWUP_CAP
-    y = list(y0)
-    rows = [y]
-    aeps = abs(eps)
-    for _ in range(nsteps):
-        try:
-            ynew, reg = kernel(y, eps)
-        except ZeroDivisionError:
-            break
-        if not all(map(isfinite, ynew)):
-            break
-        big = max(map(abs, ynew))
-        if big > cap or reg < theta or aeps * big > resbound \
-                or (coin_tol > 0 and _coincidence_depth(ynew, even) < coin_tol):
-            break
-        rows.append(ynew)
-        y = ynew
-    return np.array(rows), len(rows) - 1
 
 
 def esp_all(y):
@@ -227,16 +81,30 @@ def _rhs_quadratic_field(terms, y):
     return out
 
 
-# An emitter writes one right-hand side as straight-line statements: given the
-# names of its N inputs and of its N outputs, it returns the source lines that
-# assign the outputs.  It may bind temporaries and read its flow's constants,
-# under any name but these, which the RK4 template binds itself: y, dt, h, w,
-# cap, flow_rhs, flow_step, a<i>, u<i>, z<i> and k<stage>_<i>.
+# An emitter writes one formula as straight-line statements, and a template
+# wraps it in the functions `compile_flow` or `compile_map` returns.  A flow's
+# emitter takes (ins, outs), the names of its N inputs and of its N outputs,
+# and returns the source lines that assign the right-hand side to the outputs.
+# A map's emitter takes (ins, outs, stop) and assigns the new state to the
+# outputs and the step's regularity to `reg`; a step that leaves its real
+# domain runs the statement `stop` under an `if`.  An emitter may bind
+# temporaries and read its constants, under any name but these, which the
+# templates bind themselves: y, eps, dt, h, w, cap, inf, nan, isfinite, reg,
+# rows, aeps, res, coin, why, sc, nsteps, theta, resbound, coin_tol, even,
+# flow_rhs, flow_step, map_step, map_orbit, a<i>, b<i>, p<i>, u<i>, z<i> and
+# k<stage>_<i>.
 
 #: most operands in one emitted expression; longer folds continue in further
 #: statements, so no expression nests N deep (the compiler has a recursion
-#: limit, and a flow's N goes up to `flows.MAX_FLOW_DIM`)
+#: limit, a flow's N goes up to `flows.MAX_FLOW_DIM` and a map's is unbounded)
 _FOLD_TERMS = 32
+
+#: why a map orbit ended: it ran every step ("whole"); a guard of
+#: `maps.OrbitGuards` stopped it; a coordinate passed BLOWUP_CAP ("cap") or
+#: was not finite; a step denominator vanished ("singular"); or the step left
+#: the map's real domain ("domain", the cosine-law map's square roots)
+STOP_REASONS = ("whole", "strain", "resolution", "coincidence", "cap",
+                "non-finite", "singular", "domain")
 
 
 def emit_fold(target, head, op, terms):
@@ -256,46 +124,102 @@ def _indent(lines, depth):
     return ["    " * depth + line for line in lines]
 
 
-def _flow_source(emit, names, n):
+def _names(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _unpack(targets):
+    return ", ".join(targets) + ", = y"
+
+
+def _rk4_template(emit, n):
     # The right-hand side alone, and one RK4 step from the list y with the
     # four stages unrolled and the right-hand side emitted at each; the
     # step returns the new list, or None once a coordinate leaves
     # |y_i| <= cap (NaN included).  Operations as in the list form
     # k2 = f([a + h*b for a, b in zip(y, k1)]), ...,
     # y + w*(k1 + 2*k2 + 2*k3 + k4).
-    a = [f"a{i}" for i in range(n)]
-    u = [f"u{i}" for i in range(n)]
-    k1, k2, k3, k4 = ([f"k{s}_{i}" for i in range(n)] for s in range(1, 5))
-    z = [f"z{i}" for i in range(n)]
-
-    def unpack(targets):
-        return ", ".join(targets) + ", = y"
+    a, u, z = _names("a", n), _names("u", n), _names("z", n)
+    k1, k2, k3, k4 = (_names(f"k{s}_", n) for s in range(1, 5))
 
     def stage(scale, ks):
         return [f"{ui} = {ai} + {scale} * {ki}" for ui, ai, ki in zip(u, a, ks)]
 
-    rhs = [unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
-    step = ([unpack(a)] + emit(a, k1) + stage("h", k1) + emit(u, k2)
+    rhs = [_unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
+    step = ([_unpack(a)] + emit(a, k1) + stage("h", k1) + emit(u, k2)
             + stage("h", k2) + emit(u, k3) + stage("dt", k3) + emit(u, k4)
             + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
                for zi, ai, b1, b2, b3, b4 in zip(z, a, k1, k2, k3, k4)]
             + ["if " + " and ".join(f"abs({zi}) <= cap" for zi in z) + ":",
                f"    return [{', '.join(z)}]",
                "return None"])
-    return "\n".join(
-        [f"def _make({', '.join(('cap',) + names)}):", "    def flow_rhs(y):"]
-        + _indent(rhs, 2) + ["    def flow_step(y, dt, h, w):"]
-        + _indent(step, 2) + ["    flow_rhs.step = flow_step",
-                              "    return flow_rhs", ""])
+    return (["def flow_rhs(y):"] + _indent(rhs, 1)
+            + ["def flow_step(y, dt, h, w):"] + _indent(step, 1)
+            + ["flow_rhs.step = flow_step", "return flow_rhs"])
+
+
+def _orbit_template(emit, n):
+    # One map step from the list y, and the guarded orbit with that step
+    # written out in its loop.  The orbit's tests run in the order
+    # non-finite, cap, strain, resolution, coincidence, and each stop is a
+    # break that names its reason; a ZeroDivisionError (a vanishing
+    # denominator) ends the loop as "singular".  The coincidence test sorts
+    # the state (its magnitudes when `even`) and compares neighbours only:
+    # across a sign change, or from a zero to a nonzero, the separation
+    # |p - q|/(|p| + |q|) is 1, and within one sign it grows with the
+    # distance in sorted order, so the closest pair is adjacent and the
+    # N - 1 checks decide as all N(N-1)/2 pairs would.
+    a, b, p, z = _names("a", n), _names("b", n), _names("p", n), _names("z", n)
+    state = f"[{', '.join(z)}]"
+    step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
+            + [f"return {state}, reg"])
+    neighbours = []
+    for lo, hi in zip(p, p[1:]):
+        neighbours += [f"sc = abs({lo}) + abs({hi})",
+                       f"if sc == 0 or abs({lo} - {hi}) / sc < coin_tol:",
+                       "    why = 'coincidence'; break"]
+    body = (emit(a, z, "why = 'domain'; break")
+            + [f"{bi} = abs({zi})" for bi, zi in zip(b, z)]
+            + ["if not (" + " and ".join(f"{bi} <= cap" for bi in b) + "):",
+               "    why = 'cap' if " + " and ".join(f"isfinite({zi})" for zi in z)
+               + " else 'non-finite'",
+               "    break",
+               "if reg < theta:",
+               "    why = 'strain'; break",
+               f"if res and aeps * max({', '.join(b)}) > resbound:",
+               "    why = 'resolution'; break",
+               "if coin:",
+               f"    {', '.join(p)}, = sorted(({', '.join(b)},) if even "
+               f"else ({', '.join(z)},))"]
+            + _indent(neighbours, 1)
+            + [f"{ai} = {zi}" for ai, zi in zip(a, z)]
+            + [f"rows.append({state})"])
+    orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)",
+              # |eps|*max|y| > inf never holds, nor a comparison with NaN
+              "res = resbound < inf", "coin = coin_tol > 0", "why = 'whole'",
+              "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
+             + ["except ZeroDivisionError:", "    why = 'singular'",
+                "return rows, why"])
+    return (["def map_step(y, eps):"] + _indent(step, 1)
+            + ["def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"]
+            + _indent(orbit, 1)
+            + ["map_step.orbit = map_orbit", "return map_step"])
+
+
+def _source(template, emit, names, n):
+    # a factory `_make(cap, <names>)` that binds the constants and returns the
+    # function the template writes, with its companion attached
+    return "\n".join([f"def _make({', '.join(('cap',) + names)}):"]
+                     + _indent(template(emit, n), 1) + [""])
 
 
 @functools.lru_cache(maxsize=32)
-def _flow_factory(emit, names, n):
-    # one compile per (emitter, constant names, N); the 32 most recent are
-    # kept, since a generalized Euler step's code grows as N^2
-    namespace = {}
-    exec(compile(_flow_source(emit, names, n),
-                 f"<flow {emit.__name__} N={n}>", "exec"), namespace)
+def _factory(template, emit, names, n):
+    # one compile per (template, emitter, constant names, N); the 32 most
+    # recent are kept, since a generalized Euler step's code grows as N^2
+    namespace = {"inf": inf, "nan": nan, "isfinite": isfinite}
+    exec(compile(_source(template, emit, names, n),
+                 f"<{emit.__name__} N={n}>", "exec"), namespace)
     return namespace["_make"]
 
 
@@ -312,7 +236,50 @@ def compile_flow(emit, n, **consts):
     compiles nothing the second time.  The emitted code has integer
     constants only, so it runs unchanged on floats, `Fraction`s and `mpf`s.
     """
-    return _flow_factory(emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+    return _factory(_rk4_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+
+
+def compile_map(emit, n, **consts):
+    """The N-dimensional map step that `emit` writes, with the emitted code
+    reading `consts` by name, and its guarded orbit as the attribute `orbit`.
+
+    `step(y, eps)` maps a sequence of N numbers to ``(new_state,
+    regularity)``; a vanishing denominator raises ZeroDivisionError, and a
+    step outside the map's real domain gives NaN coordinates.
+    `step.orbit(y, eps, nsteps, theta, resbound, coin_tol, even)` iterates
+    it from the list y with the guards of `map_orbit` inline and returns
+    (rows, reason), the rows as lists and the reason one of STOP_REASONS.
+    Compiled and bound as in `compile_flow`, and as type-generic.
+    """
+    return _factory(_orbit_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+
+
+def map_step(kernel, y, eps):
+    """One step of the step kernel `kernel` on the sequence `y`:
+    (new_state, regularity).  A vanishing denominator gives NaN coordinates
+    and regularity 0."""
+    try:
+        return kernel(y, eps)
+    except ZeroDivisionError:
+        return [nan] * len(y), 0
+
+
+def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
+    """Iterate the step kernel `kernel` (of `compile_map`) from the sequence
+    `y0`, stopping at the first untrustworthy step.
+
+    Stops when any coordinate is not finite or exceeds BLOWUP_CAP, when the
+    step regularity drops below `theta`, when |eps|*max|y| exceeds
+    `resbound`, when the state comes within `coin_tol` (relative, > 0 turns
+    the test on) of a coincidence variety, on magnitudes when `even`, on a
+    vanishing denominator, or when the step leaves the map's real domain.
+    Returns (trajectory ndarray, last_step, reason): states 0..last_step are
+    recorded, last_step < nsteps means early stop, and the reason is the one
+    of STOP_REASONS that ended the orbit.
+    """
+    rows, why = kernel.orbit(list(y0), eps, nsteps, theta, resbound,
+                             coin_tol, even)
+    return np.array(rows), len(rows) - 1, why
 
 
 def rk4_orbit(step, y0, dt, nsteps):

@@ -1,7 +1,9 @@
 """Closed-form discrete maps with declared step scales, plus the scalar
 machinery (R, D, d_i, S) entering their structural identities.
 
-Each `DiscreteMap` carries its step function of `kernels` as `kernel`.
+Each `DiscreteMap` carries as `kernel` its step, compiled by
+`kernels.compile_map` from the map's emitter, with the guarded orbit loop
+attached as `kernel.orbit`.
 Every map here is implemented independently of the generic linear-solve
 engine in `hk_engine`; agreement between the two routes is part of the test
 suite, not an assumption.
@@ -48,9 +50,10 @@ RAW_GUARDS = OrbitGuards()
 class DiscreteMap:
     """A parametrized step (state, eps) -> state with a declared time scale.
 
-    `kernel` is the step function of `kernels` that `checked_step` and
-    `orbit` run.  `checked_step` is the list-level step with its domain and
-    singularity checks; `step` validates a state and wraps it.
+    `kernel` is the step compiled from the map's emitter, which
+    `checked_step` runs; `orbit` runs its guarded loop `kernel.orbit`.
+    `checked_step` is the list-level step with its domain and singularity
+    checks; `step` validates a state and wraps it.
     """
 
     name: str
@@ -93,6 +96,14 @@ class DiscreteMap:
         one row per recorded state and last_step < steps means an early stop
         under the given guards; steps outside 0..`flows.MAX_STEPS` raise
         ParameterError before any step."""
+        states, end, _ = self.orbit_with_reason(y0, eps, steps, guards)
+        return states, end
+
+    def orbit_with_reason(self, y0, eps: float, steps: int,
+                          guards: OrbitGuards = RAW_GUARDS
+                          ) -> tuple[np.ndarray, int, str]:
+        """`orbit`, and why it ended: one of `kernels.STOP_REASONS`
+        ("whole" when every step ran)."""
         y0 = as_state(y0, self.dim)
         if steps < 0:
             raise ParameterError("steps must be nonnegative")
@@ -112,39 +123,129 @@ class DiscreteMap:
         return "step denominator vanished"
 
 
+# One emitter per map writes its step for `kernels.compile_map`: the new
+# state into `outs`, the regularity into `reg`, in the operations of the
+# closed form.  Each map is built once, gen-hk and alt-map once per N, since
+# the identity residuals look their maps up per trial.
+
+
+def _emit_euler_hk(ins, outs, stop):
+    x1, x2, x3 = ins
+    lines = [f"q = {x1} * {x1} + {x2} * {x2} + {x3} * {x3}",
+             f"den = 1 - eps * eps * q - 2 * eps * eps * eps * {x1} * {x2} * {x3}"]
+    for out, (u, v, w) in zip(outs, ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))):
+        lines.append(f"{out} = ({u} + 2 * eps * {v} * {w} "
+                     f"+ eps * eps * {u} * (q - 2 * {u} * {u})) / den")
+    return lines + ["reg = abs(den)"]
+
+
+def _emit_cosine(ins, outs, stop):
+    # regularity is the signed minimum of 1 - eps^2 x_j^2: <= 0 (or NaN, when
+    # eps^2 overflows) means the square roots leave the real domain
+    x0, x1, x2 = ins
+    return ([f"w{j} = 1 - eps * eps * {x} * {x}" for j, x in enumerate(ins)]
+            + ["reg = min(w0, min(w1, w2))", "if not reg > 0:", f"    {stop}"]
+            + [f"s{j} = sqrt(w{j})" for j in range(3)]
+            + [f"{outs[0]} = ({x0} + eps * {x1} * {x2}) / (s1 * s2)",
+               f"{outs[1]} = ({x1} + eps * {x2} * {x0}) / (s2 * s0)",
+               f"{outs[2]} = ({x2} + eps * {x0} * {x1}) / (s0 * s1)"])
+
+
+def _emit_kov_sqrt(ins, outs, stop):
+    # c_i = 1 + eps*y_i, g_i = 1 - eps^2 y_j y_k
+    y0, y1, y2 = ins
+    return ([f"c{i} = 1 + eps * {v}" for i, v in enumerate(ins)]
+            + [f"g0 = 1 - eps * eps * {y1} * {y2}",
+               f"g1 = 1 - eps * eps * {y2} * {y0}",
+               f"g2 = 1 - eps * eps * {y0} * {y1}",
+               "reg = min(abs(c0), abs(g0), abs(c1), abs(g1), abs(c2), abs(g2))",
+               f"{outs[0]} = {y0} * c1 * c2 / (c0 * g0)",
+               f"{outs[1]} = {y1} * c2 * c0 / (c1 * g1)",
+               f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)"])
+
+
+def _emit_kov_pullback(ins, outs, stop):
+    y0, y1, y2 = ins
+    return [f"e2 = {y0} * {y1} + {y1} * {y2} + {y2} * {y0}",
+            f"e3 = {y0} * {y1} * {y2}",
+            "glob = 1 - eps * eps * e2 - 2 * eps * eps * eps * e3",
+            f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
+            f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
+            f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
+            "reg = min(abs(glob), abs(f0), abs(f1), abs(f2))",
+            f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
+            f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
+            f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)"]
+
+
+def _emit_gen_hk(ins, outs, stop):
+    # s = sum y_j, d_i = 1 - eps*(-4*y_i + s), S = 1 - eps * sum y_j/d_j,
+    # each sum from the integer 0 in index order; regularity over the d_i
+    # and S, from inf
+    n = len(ins)
+    d = [f"d{i}" for i in range(n)]
+    return (kernels.emit_fold("s", "0", "+", ins)
+            + [f"{di} = 1 - eps * (-4 * {v} + s)" for di, v in zip(d, ins)]
+            + kernels.emit_fold("t", "0", "+",
+                                [f"{v} / {di}" for v, di in zip(ins, d)])
+            + ["S = 1 - eps * t",
+               f"reg = min(inf, {', '.join(f'abs({di})' for di in d)}, abs(S))"]
+            + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)])
+
+
+def _emit_alt(ins, outs, stop):
+    # u_i = y_i/(1 + eps*y_i), t = sum u_j, ynew_i = u_i/(1 - eps*(t - u_i));
+    # regularity over the 1 + eps*y_i, then the R_i, from inf
+    n = len(ins)
+    w, u, r = ([f"{c}{i}" for i in range(n)] for c in "wur")
+    return ([f"{wi} = 1 + eps * {v}" for wi, v in zip(w, ins)]
+            + [f"{ui} = {v} / {wi}" for ui, v, wi in zip(u, ins, w)]
+            + kernels.emit_fold("t", "0", "+", u)
+            + [f"{ri} = 1 - eps * (t - {ui})" for ri, ui in zip(r, u)]
+            + [f"reg = min(inf, {', '.join(f'abs({x})' for x in w + r)})"]
+            + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)])
+
+
+@functools.cache
 def euler_hk() -> DiscreteMap:
     """Explicit bilinearized Euler top (one application advances 2*eps)."""
     return DiscreteMap("euler-hk", 3, MapStepScale.TWO_EPS,
-                       kernels.step_euler_hk, even_invariants=True)
+                       kernels.compile_map(_emit_euler_hk, 3),
+                       even_invariants=True)
 
 
+@functools.cache
 def cosine_law() -> DiscreteMap:
     """Spherical-cosine-law step; its second iterate is euler_hk.  Real only
     on eps^2 x_j^2 < 1, principal square roots.  The roots make it the one
     map whose kernel has no exact (Fraction) step."""
     return DiscreteMap("cosine", 3, MapStepScale.EPS,
-                       kernels.step_cosine, even_invariants=True)
+                       kernels.compile_map(_emit_cosine, 3, sqrt=math.sqrt),
+                       even_invariants=True)
 
 
+@functools.cache
 def kov_sqrt() -> DiscreteMap:
     """Birational square-root map: its second iterate is kov_pullback."""
-    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS, kernels.step_kov_sqrt)
+    return DiscreteMap("kov-sqrt", 3, MapStepScale.EPS,
+                       kernels.compile_map(_emit_kov_sqrt, 3))
 
 
+@functools.cache
 def kov_pullback() -> DiscreteMap:
     """Pull-back of euler_hk under y_i = x_j*x_k/x_i (advances 2*eps)."""
     return DiscreteMap("kov-pullback", 3, MapStepScale.TWO_EPS,
-                       kernels.step_kov_pullback)
+                       kernels.compile_map(_emit_kov_pullback, 3))
 
 
-# cached per N: the identity residuals look their maps up per trial
 @functools.lru_cache(maxsize=32)
 def gen_hk(N: int) -> DiscreteMap:
     """Explicit bilinearized generalized Kovalevskaya map
     ynew_i = y_i / (S * d_i), any N >= 3."""
     if N < 3:
         raise DimensionError("gen-hk needs N >= 3")
-    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS, kernels.step_gen_hk)
+    return DiscreteMap("gen-hk", N, MapStepScale.TWO_EPS,
+                       kernels.compile_map(_emit_gen_hk, N))
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,7 +254,8 @@ def alt_map(N: int) -> DiscreteMap:
     it coincides with kov_sqrt."""
     if N < 3:
         raise DimensionError("alt-map needs N >= 3")
-    return DiscreteMap("alt-map", N, MapStepScale.EPS, kernels.step_alt)
+    return DiscreteMap("alt-map", N, MapStepScale.EPS,
+                       kernels.compile_map(_emit_alt, N))
 
 
 _FIXED_DIM = {"euler-hk": euler_hk, "cosine": cosine_law,

@@ -498,7 +498,26 @@ def test_exact_zero_denominator_stops_orbit(capsys, name, row0):
     out = capsys.readouterr()
     assert rc == 2
     assert out.out.split("\n")[1:] == [row0, ""]
-    assert out.err == "singular/blowup stop at step 1\n"
+    assert out.err == "singular stop at step 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # one step from just below the diagonal pole y = 1/(2 eps) passes 1e12
+    (["--map", "gen-hk", "--n", "3", "--y0",
+      "4.9999999999995,4.9999999999995,4.9999999999995", "--eps", "0.1"],
+     "cap stop at step 1"),
+    (["--map", "euler-hk", "--y0", "1e200,1e200,1e200", "--eps", "0.1"],
+     "non-finite stop at step 1"),
+    (["--map", "cosine", "--y0", "0.5,0.5,2", "--eps", "0.6"],
+     "domain stop at step 1"),
+    (["--map", "cosine", "--y0", "0.3,0.7,1.1", "--eps", "0.2"],
+     "domain stop at step 8"),
+])
+def test_map_stop_names_its_reason(capsys, argv, message):
+    rc = main(["map"] + argv + ["--steps", "300"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.err == message + "\n"
+    assert out.out.startswith("step,t,")
 
 
 def test_exact_zero_denominator_ends_drift_window_at_zero(capsys):

@@ -11,7 +11,8 @@ import pytest
 from kovtop import flows, kernels, maps
 from kovtop.core import TrajectoryRecord
 from kovtop.errors import SingularStepError
-from kovtop.invariants import claimed_invariants, evaluate, registry
+from kovtop.invariants import (TRACKING_GUARDS, claimed_invariants, evaluate,
+                               random_starts, registry)
 
 
 def test_esp_kernel_against_bruteforce():
@@ -23,11 +24,6 @@ def test_esp_kernel_against_bruteforce():
         assert abs(e[k] - brute) < 1e-12 * (1 + abs(brute))
 
 
-def test_coincidence_depth():
-    assert kernels._coincidence_depth(np.array([1.0, 1.0, 2.0]), False) == 0.0
-    assert kernels._coincidence_depth(np.array([1.0, -1.0, 2.0]), True) == 0.0
-    d = kernels._coincidence_depth(np.array([1.0, 2.0, 4.0]), False)
-    assert abs(d - 1.0 / 3.0) < 1e-15
 
 
 def _sha(states):
@@ -96,6 +92,140 @@ MAP_ORBITS = {
 def test_map_orbit_matches_pinned_reference(name, n, eps):
     states, end = maps.get_map(name, n).orbit(_Y[:n], eps, 300)
     assert (_sha(states), end) == MAP_ORBITS[name, n, eps]
+
+
+# The same for guarded orbits over whole windows: 10000 steps at eps 0.01
+# from `random_starts(5, N, seed)` at seeds 1 and 2, one sha256 over the ten
+# orbits' rows and the tuple of their end steps per (map, N, guards).  Every
+# guard and the stop step it picks are in the bits.
+GUARD_SETS = {"tracking": TRACKING_GUARDS,
+              "strain-coincidence": maps.OrbitGuards(strain=0.01,
+                                                     coincidence=1e-6),
+              "strain": maps.OrbitGuards(strain=0.01)}
+
+GUARDED_ORBITS = {
+    ("euler-hk", 3, "tracking"):
+        ("a9b3964d3da43d08b1d15345649b333a15edba63e7c2bc3342d1cf7adb301db0",
+         (43, 41, 38, 52, 48, 50, 48, 116, 50, 44)),
+    ("euler-hk", 3, "strain-coincidence"):
+        ("92bb6c492163220bb5103c48275f6f3bd85d0170f44ae7aadb478402a558ebe5",
+         (381, 1621, 6019, 56, 50, 250, 4890, 753, 1233, 46)),
+    ("euler-hk", 3, "strain"):
+        ("bdb9870db24893694abfd99710e01bdc8b1d9683982a69aec1cfd17653d494ce",
+         (381, 1623, 6021, 56, 50, 1641, 4890, 755, 1235, 1258)),
+    ("cosine", 3, "tracking"):
+        ("fcd00ea000da6f4234f01518cd062f2664d8c764f713345861a051b4cd0a2a05",
+         (87, 82, 76, 105, 96, 100, 97, 232, 100, 89)),
+    ("cosine", 3, "strain-coincidence"):
+        ("05d7b254c743ffcbdf011d65969569c9f70a7cfbe72524ee514654106668cbdb",
+         (92, 87, 81, 110, 100, 104, 102, 237, 105, 92)),
+    ("cosine", 3, "strain"):
+        ("a0ba0f86dc4ce0dbeef8e74d007cabd8cf11f4182947b5c0da516e8c066f149b",
+         (92, 87, 81, 110, 102, 105, 102, 237, 105, 94)),
+    ("kov-sqrt", 3, "tracking"):
+        ("6c0a7b7b1aa58d4553ebe7166f83bfaf1ab6902dea4df3225db8cdc3e648ea0b",
+         (99, 87, 78, 135, 101, 107, 113, 247, 109, 90)),
+    ("kov-sqrt", 3, "strain-coincidence"):
+        ("1afd02b766f8ae223c1f7eff6f28625b4743365a9dd7f3851e22e8122c5c3e91",
+         (3662, 2441, 4339, 139, 501, 308, 1084, 252, 1172, 93)),
+    ("kov-sqrt", 3, "strain"):
+        ("a0d7181cd5de1c845d87492f8e06365dfe439872f0593cfa97a7a5824456a7e3",
+         (3841, 10000, 10000, 382, 10000, 308, 1085, 10000, 1702, 337)),
+    ("kov-pullback", 3, "tracking"):
+        ("3619d7275563c368eebb44e9f5157b87fe6fc8ff66e28467d26ca51998073fb6",
+         (49, 43, 39, 67, 50, 53, 56, 123, 54, 45)),
+    ("kov-pullback", 3, "strain-coincidence"):
+        ("d0a8a6034fc00c75ee93cc830013544878c94c82088782bffd0780c38efe9010",
+         (1920, 1220, 1784, 69, 250, 1036, 542, 1183, 849, 46)),
+    ("kov-pullback", 3, "strain"):
+        ("092987161d11ee7ad00c7fbb185a023b5cbcf92fdd1a6683932ab8fd471d2cbe",
+         (1920, 1222, 1784, 2008, 252, 1038, 542, 1714, 851, 168)),
+    ("gen-hk", 3, "tracking"):
+        ("acd1c943170ad509d4692713066d473886955643fda46cf85c197f51e826f44b",
+         (49, 43, 39, 67, 50, 53, 56, 123, 54, 45)),
+    ("gen-hk", 3, "strain-coincidence"):
+        ("ee83191103d0db9b23bd9abf7a92e0e0dee5c461ffb4b9bd3fc9412dffed1945",
+         (1297, 3235, 2169, 69, 250, 153, 1267, 1183, 849, 46)),
+    ("gen-hk", 3, "strain"):
+        ("76ff2d65cb53d38c0ea6427ed9fe9b0f00e9dffbb2829c6cf65d33e671d6bd5a",
+         (1297, 3235, 2171, 190, 4213, 153, 3807, 4093, 2436, 168)),
+    ("gen-hk", 4, "tracking"):
+        ("6459cfb6db3107f59edee32856d762402c2e474d6298ba7157fb450a1b1c9f71",
+         (23, 28, 25, 43, 19, 34, 33, 29, 21, 22)),
+    ("gen-hk", 4, "strain-coincidence"):
+        ("f5a8d7ca12db18101769c174e8c7127e3d7ddd6e2d161e7b5e68c8071a8c358a",
+         (5128, 2180, 922, 1809, 3457, 1260, 1993, 623, 1631, 1941)),
+    ("gen-hk", 4, "strain"):
+        ("f5a8d7ca12db18101769c174e8c7127e3d7ddd6e2d161e7b5e68c8071a8c358a",
+         (5128, 2180, 922, 1809, 3457, 1260, 1993, 623, 1631, 1941)),
+    ("gen-hk", 5, "tracking"):
+        ("2bbe8e7a4871600bd30cc94fa6cd64310c256cbbef970227f0c243c12c0a4e69",
+         (18, 14, 25, 11, 15, 19, 22, 17, 13, 13)),
+    ("gen-hk", 5, "strain-coincidence"):
+        ("b41d84a0b327920fd4af81c0176de1d62828717b00751a8a3059db42b9882dc2",
+         (2859, 31, 3647, 219, 16, 10000, 2136, 10000, 8977, 760)),
+    ("gen-hk", 5, "strain"):
+        ("b41d84a0b327920fd4af81c0176de1d62828717b00751a8a3059db42b9882dc2",
+         (2859, 31, 3647, 219, 16, 10000, 2136, 10000, 8977, 760)),
+    ("gen-hk", 6, "tracking"):
+        ("d59425e796837593db31c1a8fdb66395e48db1cf33644c852f5360e97c0ef3ca",
+         (11, 14, 12, 9, 9, 12, 18, 9, 11, 14)),
+    ("gen-hk", 6, "strain-coincidence"):
+        ("ae9e78236ebcd1d5baf95a70ba9ff7bb658b04fbf84f70a8c829b154a21a7f30",
+         (64, 10000, 10000, 10000, 726, 10000, 10000, 10000, 10000, 3466)),
+    ("gen-hk", 6, "strain"):
+        ("ae9e78236ebcd1d5baf95a70ba9ff7bb658b04fbf84f70a8c829b154a21a7f30",
+         (64, 10000, 10000, 10000, 726, 10000, 10000, 10000, 10000, 3466)),
+    ("alt-map", 3, "tracking"):
+        ("d3e0f54f8f6db4493967f7adb6ce1999a884d0b8de95ba36dda7924b7e910b5a",
+         (99, 87, 78, 135, 101, 107, 113, 247, 109, 90)),
+    ("alt-map", 3, "strain-coincidence"):
+        ("c981e2ecb2c0d0462d1efe04665129791485842359989cda30c96a82433d8a9f",
+         (3662, 2441, 4339, 139, 501, 308, 1084, 252, 1172, 93)),
+    ("alt-map", 3, "strain"):
+        ("5b945a740684252d18e9473eaef4fb42ea6b282b1462bb6c2087b9effd073f41",
+         (3841, 3785, 4340, 382, 10000, 308, 1085, 10000, 1700, 337)),
+    ("alt-map", 4, "tracking"):
+        ("f35dbb5e5530f54f21230e5a4664f354195d26db1564897f04c0e68dc9eefbd2",
+         (47, 56, 50, 87, 38, 69, 67, 58, 42, 44)),
+    ("alt-map", 4, "strain-coincidence"):
+        ("e807f65b0f7d628d3fa94c14312bcc46d46378ed7f10bc8021b17a2225c72464",
+         (5468, 2571, 1353, 4561, 1107, 3406, 7773, 779, 44, 3291)),
+    ("alt-map", 4, "strain"):
+        ("08c99e0dae2df6b539d5187ae1b2c72d1207a9f96697eda633708b746593a220",
+         (5468, 2571, 1353, 4561, 1107, 3406, 7775, 779, 44, 3291)),
+    ("alt-map", 5, "tracking"):
+        ("c3ef8d2635519140e86007e4d99d998269026e2b3c2acf7c67c1d1601a2de999",
+         (37, 28, 51, 22, 30, 39, 44, 34, 27, 27)),
+    ("alt-map", 5, "strain-coincidence"):
+        ("ce7b71a5224378fedc230e63a1fde29e258344cc30352782d62ee3eb3bd3bb0c",
+         (10000, 10000, 998, 4805, 10000, 10000, 10000, 259, 105, 9440)),
+    ("alt-map", 5, "strain"):
+        ("ce7b71a5224378fedc230e63a1fde29e258344cc30352782d62ee3eb3bd3bb0c",
+         (10000, 10000, 998, 4805, 10000, 10000, 10000, 259, 105, 9440)),
+    ("alt-map", 6, "tracking"):
+        ("7b10176fb8ee478e25437118813916d649d5087b3d05f26b973f1cd5e9c983e1",
+         (23, 28, 24, 19, 19, 25, 37, 18, 22, 28)),
+    ("alt-map", 6, "strain-coincidence"):
+        ("79b3867cc69ec71a714538f6bf51595b8ea7068d854e3c34a37ef2235c9335cf",
+         (2394, 3902, 10000, 10000, 10000, 4854, 10000, 10000, 10000, 84)),
+    ("alt-map", 6, "strain"):
+        ("79b3867cc69ec71a714538f6bf51595b8ea7068d854e3c34a37ef2235c9335cf",
+         (2394, 3902, 10000, 10000, 10000, 4854, 10000, 10000, 10000, 84)),
+}
+
+
+@pytest.mark.parametrize("name, n, guards", list(GUARDED_ORBITS))
+def test_guarded_orbit_matches_pinned_reference(name, n, guards):
+    m = maps.get_map(name, n)
+    h = hashlib.sha256()
+    ends = []
+    for seed in (1, 2):
+        for y0 in random_starts(5, n, seed):
+            states, end = m.orbit(y0, 0.01, 10000, GUARD_SETS[guards])
+            h.update(states.tobytes())
+            ends.append(end)
+    assert (h.hexdigest(), tuple(ends)) == GUARDED_ORBITS[name, n, guards]
 
 
 # RK4 at dt = 0.01 for 300 steps from (0.1, 0.2, 0.3, 0.4); the gen-kov

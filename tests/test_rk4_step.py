@@ -205,34 +205,34 @@ def test_replacing_the_rhs_replaces_the_step():
 def test_flow_dimension_is_bounded(build):
     # the compiled step grows with N, so a larger N is refused before any
     # source is written
-    kernels._flow_factory.cache_clear()
+    kernels._factory.cache_clear()
     with pytest.raises(DimensionError, match="MAX_FLOW_DIM"):
         build(flows.MAX_FLOW_DIM + 1)
-    assert kernels._flow_factory.cache_info().misses == 0
+    assert kernels._factory.cache_info().misses == 0
 
 
 def test_a_flow_compiles_once_per_kind_and_dimension():
-    kernels._flow_factory.cache_clear()
+    kernels._factory.cache_clear()
     a = flows.generalized_kovalevskaya(4)
     b = flows.generalized_kovalevskaya(4)
     # the constants are bound by name: another alpha reuses the compiled code
     c = flows.generalized_kovalevskaya(4, 1.3)
-    assert kernels._flow_factory.cache_info().misses == 1
+    assert kernels._factory.cache_info().misses == 1
     assert a.step.__code__ is b.step.__code__ is c.step.__code__
     y = [0.1, 0.2, 0.3, 0.4]
     assert a.rhs(y) == b.rhs(y) != c.rhs(y)
     flows.generalized_euler(4)
     flows.generalized_euler(5)
-    assert kernels._flow_factory.cache_info().misses == 3
+    assert kernels._factory.cache_info().misses == 3
 
 
 def test_repeated_cli_calls_compile_once(capsys):
     argv = ["drift", "--flow", "gen-kov", "--n", "4", "--eps", "0.001",
             "--steps", "8", "--starts", "2"]
-    kernels._flow_factory.cache_clear()
+    kernels._factory.cache_clear()
     assert main(argv) == 0
-    first = kernels._flow_factory.cache_info().misses
+    first = kernels._factory.cache_info().misses
     assert main(argv) == 0
-    assert kernels._flow_factory.cache_info().misses == first == 1
+    assert kernels._factory.cache_info().misses == first == 1
     out = capsys.readouterr().out
     assert out[:len(out) // 2] == out[len(out) // 2:]
