@@ -178,24 +178,27 @@ def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
     return generalized_euler(n)
 
 
+#: the trajectory status of each stop a raw orbit can make
+_STATUS = {"whole": "ok", "cap": "blowup", "non-finite": "blowup",
+           "singular": "singular", "domain": "domain"}
+
+
 def _cmd_simulate(args) -> int:
     y0 = _parse_y0(args.y0)
     flow = _make_flow(args.flow, args.n, args.alpha)
     if len(y0) != flow.dim:
         raise ConfigError(f"--y0 must list {flow.dim} coordinates")
     nsteps = _steps_for(args.t_end, args.dt)
-    states, end = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
-    status = "ok" if end == nsteps else "blowup"
-    times = args.dt * np.arange(end + 1)
-    rec = TrajectoryRecord(system=flow.name, times=times, states=states,
-                           status=status)
-    if args.with_invariants:
-        invs = claimed_invariants(flow, _at_alpha(registry, flow.dim,
-                                                  args.alpha))
-        rec.invariant_names = [v.name for v in invs]
-        rec.invariants = evaluate(invs, states, 0.0)[0].T if invs else None
+    states, end, reason = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
+    invs = (claimed_invariants(flow, _at_alpha(registry, flow.dim, args.alpha))
+            if args.with_invariants else [])
+    rec = TrajectoryRecord(
+        system=flow.name, times=args.dt * np.arange(end + 1), states=states,
+        invariant_names=[v.name for v in invs],
+        invariants=evaluate(invs, states, 0.0)[0].T if invs else None,
+        status=_STATUS[reason])
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
-    if status != "ok":
+    if end < nsteps:
         print(f"blowup at step {end + 1}", file=sys.stderr)
         return 2
     return 0
@@ -208,14 +211,12 @@ def _cmd_map(args) -> int:
         raise ConfigError(f"--y0 must list {m.dim} coordinates")
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
-    states, end, reason = m.orbit_with_reason(np.asarray(y0), args.eps,
-                                              args.steps)
-    status = "ok" if end == args.steps else "singular"
+    states, end, reason = m.orbit(np.asarray(y0), args.eps, args.steps)
     times = m.step_time(args.eps) * np.arange(end + 1)
     rec = TrajectoryRecord(system=m.name, times=times, states=states,
-                           status=status)
+                           status=_STATUS[reason])
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
-    if status != "ok":
+    if end < args.steps:
         print(f"{reason} stop at step {end + 1}", file=sys.stderr)
         return 2
     return 0

@@ -137,22 +137,32 @@ def fmt17(x: float) -> str:
 class TrajectoryRecord:
     """Sampled trajectory of a flow or map with optional invariant columns.
 
-    `to_csv` and `to_json` write the arrays as float64 values.  Invariant
-    names must be distinct (ParameterError otherwise): each names one CSV
-    column and one JSON key."""
+    `to_csv` and `to_json` write the arrays as float64 values.  `times`,
+    `states` and `invariants` have one row per sample, and there is one
+    invariant name per invariant column, each distinct: each names one CSV
+    column and one JSON key (ParameterError otherwise)."""
 
     system: str
     times: np.ndarray                   # shape (T+1,)
     states: np.ndarray                  # shape (T+1, N)
     invariant_names: list[str] = field(default_factory=list)
     invariants: np.ndarray | None = None  # shape (T+1, M)
-    status: str = "ok"                  # ok | blowup | singular
+    status: str = "ok"                  # ok | blowup | singular | domain
 
     def __post_init__(self):
         names = list(self.invariant_names)
         dup = [name for name in dict.fromkeys(names) if names.count(name) > 1]
         if dup:
             raise ParameterError(f"duplicate invariant names: {', '.join(dup)}")
+        inv = () if self.invariants is None else (self.invariants,)
+        counts = [len(t) for t in (self.times, self.states, *inv)]
+        if len(set(counts)) > 1:
+            raise ParameterError(f"times, states and invariants need one row "
+                                 f"per sample, got {counts} rows")
+        cols = np.shape(self.invariants)[1] if inv else 0
+        if len(names) != cols:
+            raise ParameterError(f"{len(names)} invariant names for {cols} "
+                                 f"invariant columns")
 
     @property
     def dim(self) -> int:
@@ -188,12 +198,9 @@ class TrajectoryRecord:
         table = self._table()
         row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
         if self.invariants is not None:
-            # one key per name, up to the number of invariant columns
-            names = self.invariant_names[:table.shape[1] - n - 1]
             row += ', "invariants": {' + ", ".join(
                 encode_basestring_ascii(name).replace("%", "%%") + ": %r"
-                for name in names) + "}"
-            table = table[:, :n + 1 + len(names)]
+                for name in self.invariant_names) + "}"
         row += "}"
         rows = table.tolist()
         for k in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():

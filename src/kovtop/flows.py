@@ -17,7 +17,7 @@ from .core import QuadraticField, TrajectoryRecord, as_state
 from .errors import BlowupError, DimensionError, ParameterError
 
 
-#: the largest flow dimension: a flow's RK4 step is compiled from source that
+#: the largest flow dimension: a flow's RK4 orbit is compiled from source that
 #: grows with N, as N^2 for the generalized Euler flows
 MAX_FLOW_DIM = 300
 
@@ -32,29 +32,26 @@ def _compile(emit, n, **consts):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """A named right-hand side dy/dt = rhs(y) and its compiled RK4 step.
+    """A named right-hand side dy/dt = rhs(y) and its compiled RK4 orbit.
 
-    `rhs` maps a sequence of `dim` numbers to a list of `dim` numbers.
-    `step(y, dt, dt/2, dt/6)` is one RK4 step from the list y, made from
-    `rhs` when the spec is built; `rk4_states` iterates it.  The shipped
-    flows compile `rhs` from one emitter with `kernels.compile_flow`, which
-    writes their formula out once per N and attaches the matching step as
-    `rhs.step`, so the two compute it with the same operations.  Any other
-    `rhs` gets a step that calls it at each stage.  `dim` is at most
-    MAX_FLOW_DIM.  Calling the spec validates an array state and returns a
-    float64 array.
+    `rhs` maps a sequence of `dim` numbers to a list of `dim` numbers;
+    `orbit` is `rhs.orbit` of `kernels.compile_flow`, which `rk4_states`
+    runs.  The shipped flows compile `rhs` and its orbit from one emitter,
+    so the two compute it with the same operations; any other `rhs` gets an
+    orbit that calls it at each stage.  `dim` is at most MAX_FLOW_DIM.
+    Calling the spec validates an array state and returns a float64 array.
     """
 
     name: str
     dim: int
     rhs: Callable[[Sequence[float]], list]
-    step: Callable = field(init=False, repr=False, compare=False)
+    orbit: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        step = getattr(self.rhs, "step", None)
-        if step is None:
-            step = _compile(_emit_call, self.dim, rhs=self.rhs).step
-        object.__setattr__(self, "step", step)
+        orbit = getattr(self.rhs, "orbit", None)
+        if orbit is None:
+            orbit = _compile(_emit_call, self.dim, rhs=self.rhs).orbit
+        object.__setattr__(self, "orbit", orbit)
 
     def __call__(self, y) -> np.ndarray:
         return np.array(self.rhs(as_state(y, self.dim).tolist()), dtype=float)
@@ -75,9 +72,9 @@ def _emit_e1_only(ins, outs):
 
 def _emit_product_complement(ins, outs):
     # out_i = 1*x_0*...*x_{i-1}*x_{i+1}*...*x_{N-1}, left to right; the
-    # prefix products p_i = 1*x_0*...*x_{i-1} are shared between outputs
+    # prefix products q_i = 1*x_0*...*x_{i-1} are shared between outputs
     n = len(ins)
-    heads = ["1"] + [f"p{i}" for i in range(1, n)]
+    heads = ["1"] + [f"q{i}" for i in range(1, n)]
     lines = [f"{heads[i + 1]} = {heads[i]} * {ins[i]}" for i in range(n - 1)]
     for i, out in enumerate(outs):
         lines += kernels.emit_fold(out, heads[i], "*", ins[i + 1:])
@@ -194,25 +191,29 @@ def integrate_reference(flow: FlowSpec, y0, t_end: float, dt: float) -> Trajecto
     """Fixed-step RK4 trajectory sampled every step.
 
     Raises BlowupError (carrying the last valid time) if the state leaves the
-    finite region |y_i| <= kernels.BLOWUP_CAP (1e12); these flows have
-    finite-time poles, so the hard cap is mandatory.
+    finite region |y_i| <= kernels.BLOWUP_CAP (1e12), or if the right-hand
+    side divides by zero; these flows have finite-time poles, so the hard cap
+    is mandatory.
     """
     y0 = as_state(y0, flow.dim)
     nsteps = _steps_for(t_end, dt)
-    traj, end = rk4_states(flow, y0, dt, nsteps)
+    traj, end, why = rk4_states(flow, y0, dt, nsteps)
     if end < nsteps:
+        what = "divided by zero" if why == "singular" else "left the finite region"
         raise BlowupError(
-            f"trajectory of {flow.name} left the finite region at t = {(end + 1) * dt:g}",
+            f"trajectory of {flow.name} {what} at t = {(end + 1) * dt:g}",
             last_time=end * dt, last_state=traj[end])
     times = dt * np.arange(nsteps + 1)
     return TrajectoryRecord(system=flow.name, times=times, states=traj)
 
 
-def rk4_states(flow: FlowSpec, y0, dt: float, nsteps: int) -> tuple[np.ndarray, int]:
+def rk4_states(flow: FlowSpec, y0, dt: float,
+               nsteps: int) -> tuple[np.ndarray, int, str]:
     """Non-raising RK4 iteration used by the drift harness: returns
-    (states, last_step) with last_step < nsteps past kernels.BLOWUP_CAP."""
+    (states, last_step, reason) as `kernels.rk4_orbit` does, last_step <
+    nsteps past kernels.BLOWUP_CAP."""
     y0 = as_state(y0, flow.dim)
-    return kernels.rk4_orbit(flow.step, y0.tolist(), float(dt), nsteps)
+    return kernels.rk4_orbit(flow.orbit, y0.tolist(), float(dt), nsteps)
 
 
 def verify_hyperelliptic_relation(N: int, traj: TrajectoryRecord) -> float:

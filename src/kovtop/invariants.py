@@ -489,13 +489,13 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
     if starts.size == 0:
         raise ParameterError("drift_batch needs at least one start")
     orbits = [_orbit_of(target, y0, eps, steps) for y0 in starts]
-    vals, ok, dom = evaluate(invs, np.concatenate([t for t, _ in orbits]), eps)
+    vals, ok, dom = evaluate(invs, np.concatenate([t for t, _, _ in orbits]), eps)
     ok &= np.isfinite(vals)
     rows = np.arange(len(invs))
     worst = np.full(len(invs), -math.inf)
     first_end = np.full(len(invs), steps)
     lo = 0
-    for traj, end in orbits:
+    for traj, end, _ in orbits:
         hi = lo + len(traj)
         # each row up to its first point outside the domain; a start outside
         # the domain (cut 0) certifies no step: its window ends at 0 with no

@@ -9,11 +9,11 @@ of exact runs.  `map_orbit` and `rk4_orbit` return their rows as one ndarray.
 The kernels accumulate over coordinates in a fixed order, so their float
 results do not depend on any library's reduction order.
 
-One code generator writes the map steps, the orbit loops and the RK4 steps
-as straight-line source for a dimension N, with locals a0..a{N-1}.  An
-emitter writes one formula; a template wraps it; `_factory` compiles each
-(template, emitter, N) once, keeping the 32 most recent, and each call binds
-its own constants by name.
+One code generator writes the map steps, the flows' right-hand sides and
+one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
+for a dimension N, with locals a0..a{N-1}.  An emitter writes one formula; a
+template wraps it; `_factory` compiles each (template, emitter, N) once,
+keeping the 32 most recent, and each call binds its own constants by name.
 
 - `compile_map` takes a map's emitter (`maps` has one per map) and returns
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
@@ -27,9 +27,11 @@ its own constants by name.
 - `compile_flow` takes a flow's emitter (`flows` has three: the e_1-only
   generalized Kovalevskaya field and the product complement of the
   generalized Euler flows written inline, and a call of any other
-  right-hand side) and returns the right-hand side with its RK4 step
-  attached as ``rhs.step``, the four stages unrolled and the right-hand side
-  emitted at each; `rk4_orbit` loops over it.  A right-hand side skips its
+  right-hand side) and returns the right-hand side with its orbit as
+  ``rhs.orbit``: the same loop around `_rk4` of the emitter, one RK4 step
+  with the right-hand side emitted at each stage.  `rk4_orbit` runs it
+  unguarded, so a flow stops "whole", "cap" or "non-finite" ("singular" only
+  where a right-hand side divides by zero).  A right-hand side skips its
   zero coefficients, so an overflow there is never read.
 
 The regularity factor of a map step is the smallest magnitude among the
@@ -87,11 +89,12 @@ def _rhs_quadratic_field(terms, y):
 # and returns the source lines that assign the right-hand side to the outputs.
 # A map's emitter takes (ins, outs, stop) and assigns the new state to the
 # outputs and the step's regularity to `reg`; a step that leaves its real
-# domain runs the statement `stop` under an `if`.  An emitter may bind
-# temporaries and read its constants, under any name but these, which the
-# templates bind themselves: y, eps, dt, h, w, cap, inf, nan, isfinite, reg,
+# domain runs the statement `stop` under an `if`.  `_rk4` makes a map's
+# emitter of a flow's, with no domain exit and reg = inf.  An emitter may
+# bind temporaries and read its constants, under any name but these, which
+# the templates bind themselves: y, eps, h, w, cap, inf, nan, isfinite, reg,
 # rows, aeps, res, coin, why, sc, nsteps, theta, resbound, coin_tol, even,
-# flow_rhs, flow_step, map_step, map_orbit, a<i>, b<i>, p<i>, u<i>, z<i> and
+# flow_rhs, map_step, map_orbit, a<i>, b<i>, p<i>, u<i>, z<i> and
 # k<stage>_<i>.
 
 #: most operands in one emitted expression; longer folds continue in further
@@ -99,10 +102,11 @@ def _rhs_quadratic_field(terms, y):
 #: limit, a flow's N goes up to `flows.MAX_FLOW_DIM` and a map's is unbounded)
 _FOLD_TERMS = 32
 
-#: why a map orbit ended: it ran every step ("whole"); a guard of
+#: why an orbit ended: it ran every step ("whole"); a guard of
 #: `maps.OrbitGuards` stopped it; a coordinate passed BLOWUP_CAP ("cap") or
 #: was not finite; a step denominator vanished ("singular"); or the step left
-#: the map's real domain ("domain", the cosine-law map's square roots)
+#: the map's real domain ("domain", the cosine-law map's square roots).  A
+#: flow's orbit runs unguarded and has no domain exit.
 STOP_REASONS = ("whole", "strain", "resolution", "coincidence", "cap",
                 "non-finite", "singular", "domain")
 
@@ -132,47 +136,36 @@ def _unpack(targets):
     return ", ".join(targets) + ", = y"
 
 
-def _rk4_template(emit, n):
-    # The right-hand side alone, and one RK4 step from the list y with the
-    # four stages unrolled and the right-hand side emitted at each; the
-    # step returns the new list, or None once a coordinate leaves
-    # |y_i| <= cap (NaN included).  Operations as in the list form
-    # k2 = f([a + h*b for a, b in zip(y, k1)]), ...,
-    # y + w*(k1 + 2*k2 + 2*k3 + k4).
-    a, u, z = _names("a", n), _names("u", n), _names("z", n)
-    k1, k2, k3, k4 = (_names(f"k{s}_", n) for s in range(1, 5))
-
-    def stage(scale, ks):
-        return [f"{ui} = {ai} + {scale} * {ki}" for ui, ai, ki in zip(u, a, ks)]
-
-    rhs = [_unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
-    step = ([_unpack(a)] + emit(a, k1) + stage("h", k1) + emit(u, k2)
-            + stage("h", k2) + emit(u, k3) + stage("dt", k3) + emit(u, k4)
-            + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
-               for zi, ai, b1, b2, b3, b4 in zip(z, a, k1, k2, k3, k4)]
-            + ["if " + " and ".join(f"abs({zi}) <= cap" for zi in z) + ":",
-               f"    return [{', '.join(z)}]",
-               "return None"])
-    return (["def flow_rhs(y):"] + _indent(rhs, 1)
-            + ["def flow_step(y, dt, h, w):"] + _indent(step, 1)
-            + ["flow_rhs.step = flow_step", "return flow_rhs"])
+def _rk4(emit):
+    # A flow's emitter as a map's: one classical RK4 step of time eps with
+    # the right-hand side emitted at each of the four stages, in the
+    # operations of the list form k2 = f([a + h*b for a, b in zip(y, k1)]),
+    # ..., y + w*(k1 + 2*k2 + 2*k3 + k4); no denominator, so reg = inf
+    def emit_rk4(ins, outs, stop):
+        u = _names("u", len(ins))
+        k = [_names(f"k{s}_", len(ins)) for s in range(1, 5)]
+        lines = ["h = eps / 2", "w = eps / 6"] + emit(ins, k[0])
+        for scale, ks, next_ks in zip(("h", "h", "eps"), k, k[1:]):
+            lines += [f"{ui} = {ai} + {scale} * {ki}"
+                      for ui, ai, ki in zip(u, ins, ks)] + emit(u, next_ks)
+        return lines + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+                        for zi, ai, b1, b2, b3, b4 in zip(outs, ins, *k)
+                        ] + ["reg = inf"]
+    return emit_rk4
 
 
-def _orbit_template(emit, n):
-    # One map step from the list y, and the guarded orbit with that step
-    # written out in its loop.  The orbit's tests run in the order
-    # non-finite, cap, strain, resolution, coincidence, and each stop is a
-    # break that names its reason; a ZeroDivisionError (a vanishing
-    # denominator) ends the loop as "singular".  The coincidence test sorts
-    # the state (its magnitudes when `even`) and compares neighbours only:
-    # across a sign change, or from a zero to a nonzero, the separation
-    # |p - q|/(|p| + |q|) is 1, and within one sign it grows with the
-    # distance in sorted order, so the closest pair is adjacent and the
-    # N - 1 checks decide as all N(N-1)/2 pairs would.
+def _orbit(emit, n):
+    # The guarded orbit with the step `emit` writes out in its loop.  The
+    # tests run in the order non-finite, cap, strain, resolution,
+    # coincidence, and each stop is a break that names its reason; a
+    # ZeroDivisionError (a vanishing denominator) ends the loop as
+    # "singular".  The coincidence test sorts the state (its magnitudes when
+    # `even`) and compares neighbours only: across a sign change, or from a
+    # zero to a nonzero, the separation |p - q|/(|p| + |q|) is 1, and within
+    # one sign it grows with the distance in sorted order, so the closest
+    # pair is adjacent and the N - 1 checks decide as all N(N-1)/2 pairs
+    # would.
     a, b, p, z = _names("a", n), _names("b", n), _names("p", n), _names("z", n)
-    state = f"[{', '.join(z)}]"
-    step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
-            + [f"return {state}, reg"])
     neighbours = []
     for lo, hi in zip(p, p[1:]):
         neighbours += [f"sc = abs({lo}) + abs({hi})",
@@ -193,17 +186,33 @@ def _orbit_template(emit, n):
                f"else ({', '.join(z)},))"]
             + _indent(neighbours, 1)
             + [f"{ai} = {zi}" for ai, zi in zip(a, z)]
-            + [f"rows.append({state})"])
+            + [f"rows.append([{', '.join(z)}])"])
     orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)",
               # |eps|*max|y| > inf never holds, nor a comparison with NaN
               "res = resbound < inf", "coin = coin_tol > 0", "why = 'whole'",
               "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
              + ["except ZeroDivisionError:", "    why = 'singular'",
                 "return rows, why"])
-    return (["def map_step(y, eps):"] + _indent(step, 1)
-            + ["def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"]
-            + _indent(orbit, 1)
+    return (["def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"]
+            + _indent(orbit, 1))
+
+
+def _map_template(emit, n):
+    # one map step from the list y, and its guarded orbit
+    a, z = _names("a", n), _names("z", n)
+    state = f"[{', '.join(z)}]"
+    step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
+            + [f"return {state}, reg"])
+    return (["def map_step(y, eps):"] + _indent(step, 1) + _orbit(emit, n)
             + ["map_step.orbit = map_orbit", "return map_step"])
+
+
+def _flow_template(emit, n):
+    # the right-hand side alone, and the orbit of its RK4 step
+    u, k1 = _names("u", n), _names("k1_", n)
+    rhs = [_unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
+    return (["def flow_rhs(y):"] + _indent(rhs, 1) + _orbit(_rk4(emit), n)
+            + ["flow_rhs.orbit = map_orbit", "return flow_rhs"])
 
 
 def _source(template, emit, names, n):
@@ -216,7 +225,7 @@ def _source(template, emit, names, n):
 @functools.lru_cache(maxsize=32)
 def _factory(template, emit, names, n):
     # one compile per (template, emitter, constant names, N); the 32 most
-    # recent are kept, since a generalized Euler step's code grows as N^2
+    # recent are kept, since a generalized Euler orbit's code grows as N^2
     namespace = {"inf": inf, "nan": nan, "isfinite": isfinite}
     exec(compile(_source(template, emit, names, n),
                  f"<{emit.__name__} N={n}>", "exec"), namespace)
@@ -225,18 +234,16 @@ def _factory(template, emit, names, n):
 
 def compile_flow(emit, n, **consts):
     """The N-dimensional right-hand side that `emit` writes, with the
-    emitted code reading `consts` by name, and its RK4 step as the
-    attribute `step`.
+    emitted code reading `consts` by name, and as the attribute `orbit` the
+    orbit loop of `compile_map` around its RK4 step, which `rk4_orbit` runs.
 
-    `rhs(y)` maps a sequence of N numbers to a list.  `rhs.step(y, dt,
-    dt/2, dt/6)` is one classical RK4 step from the list y: the new state as
-    a list, or None when a coordinate leaves the finite region
-    |y_i| <= BLOWUP_CAP.  The source is compiled once per (emit, constant
-    names, N) and each call binds its own constants, so building a flow twice
-    compiles nothing the second time.  The emitted code has integer
-    constants only, so it runs unchanged on floats, `Fraction`s and `mpf`s.
+    `rhs(y)` maps a sequence of N numbers to a list.  The source is
+    compiled once per (emit, constant names, N) and each call binds its own
+    constants, so building a flow twice compiles nothing the second time.
+    The emitted code has integer constants only, so it runs unchanged on
+    floats, `Fraction`s and `mpf`s.
     """
-    return _factory(_rk4_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+    return _factory(_flow_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
 
 
 def compile_map(emit, n, **consts):
@@ -251,7 +258,7 @@ def compile_map(emit, n, **consts):
     (rows, reason), the rows as lists and the reason one of STOP_REASONS.
     Compiled and bound as in `compile_flow`, and as type-generic.
     """
-    return _factory(_orbit_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+    return _factory(_map_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
 
 
 def map_step(kernel, y, eps):
@@ -273,27 +280,18 @@ def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
     `resbound`, when the state comes within `coin_tol` (relative, > 0 turns
     the test on) of a coincidence variety, on magnitudes when `even`, on a
     vanishing denominator, or when the step leaves the map's real domain.
-    Returns (trajectory ndarray, last_step, reason): states 0..last_step are
-    recorded, last_step < nsteps means early stop, and the reason is the one
-    of STOP_REASONS that ended the orbit.
+    Returns (trajectory ndarray, last_step, reason): the states 0..last_step
+    and the one of STOP_REASONS that ended the orbit, "whole" when all ran.
     """
     rows, why = kernel.orbit(list(y0), eps, nsteps, theta, resbound,
                              coin_tol, even)
     return np.array(rows), len(rows) - 1, why
 
 
-def rk4_orbit(step, y0, dt, nsteps):
-    """Classical fixed-step RK4 trajectory from the sequence `y0`, one
-    `step` (of `compile_flow`) per time step.  Returns (trajectory ndarray,
-    last_step); last_step < nsteps means the state left the finite region
-    |y_i| <= BLOWUP_CAP."""
-    h = dt / 2
-    w = dt / 6
-    y = list(y0)
-    rows = [y]
-    for _ in range(nsteps):
-        y = step(y, dt, h, w)
-        if y is None:
-            break
-        rows.append(y)
-    return np.array(rows), len(rows) - 1
+def rk4_orbit(orbit, y0, dt, nsteps):
+    """Classical fixed-step RK4 trajectory from the sequence `y0` by the
+    `orbit` of a `compile_flow` right-hand side, with no guard but the cap:
+    (trajectory ndarray, last_step, reason) as of `map_orbit`, the reason
+    "whole", "cap", "non-finite" or, where the rhs divides by zero, "singular"."""
+    rows, why = orbit(list(y0), dt, nsteps, 0, inf, 0, False)
+    return np.array(rows), len(rows) - 1, why

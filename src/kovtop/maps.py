@@ -90,20 +90,11 @@ class DiscreteMap:
                 state=np.array(y), eps=eps)
         return out
 
-    def orbit(self, y0, eps: float, steps: int,
-              guards: OrbitGuards = RAW_GUARDS) -> tuple[np.ndarray, int]:
-        """Iterate `steps` times; returns (states, last_step) where states has
-        one row per recorded state and last_step < steps means an early stop
-        under the given guards; steps outside 0..`flows.MAX_STEPS` raise
-        ParameterError before any step."""
-        states, end, _ = self.orbit_with_reason(y0, eps, steps, guards)
-        return states, end
-
-    def orbit_with_reason(self, y0, eps: float, steps: int,
-                          guards: OrbitGuards = RAW_GUARDS
-                          ) -> tuple[np.ndarray, int, str]:
-        """`orbit`, and why it ended: one of `kernels.STOP_REASONS`
-        ("whole" when every step ran)."""
+    def orbit(self, y0, eps: float, steps: int, guards: OrbitGuards = RAW_GUARDS
+              ) -> tuple[np.ndarray, int, str]:
+        """Iterate `steps` times under the given guards; returns (states,
+        last_step, reason) as `kernels.map_orbit` does.  Steps outside
+        0..`flows.MAX_STEPS` raise ParameterError before any step."""
         y0 = as_state(y0, self.dim)
         if steps < 0:
             raise ParameterError("steps must be nonnegative")

@@ -520,6 +520,25 @@ def test_map_stop_names_its_reason(capsys, argv, message):
     assert out.out.startswith("step,t,")
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["--map", "gen-hk", "--n", "3", "--y0",
+      "4.9999999999995,4.9999999999995,4.9999999999995", "--eps", "0.1"],
+     "blowup"),                                                   # cap
+    (["--map", "euler-hk", "--y0", "1e200,1e200,1e200", "--eps", "0.1"],
+     "blowup"),                                                   # non-finite
+    (_ZERO_DENOMINATOR["alt-map"] + ["--eps", "1"], "singular"),
+    (["--map", "cosine", "--y0", "0.5,0.5,2", "--eps", "0.6"], "domain"),
+], ids=["cap", "non-finite", "singular", "domain"])
+def test_map_json_status_names_its_stop(capsys, argv, status):
+    rc = main(["map"] + argv + ["--steps", "3", "--format", "json"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.err.endswith(" stop at step 1\n")
+    data = json.loads(out.out)
+    assert data["status"] == status and len(data["rows"]) == 1
+    if jsonschema is not None:
+        jsonschema.validate(data, _schema("trajectory"))
+
+
 def test_exact_zero_denominator_ends_drift_window_at_zero(capsys):
     rc = main(["drift"] + _ZERO_DENOMINATOR["alt-map"] + ["--eps", "1", "--steps", "3"])
     out = capsys.readouterr()

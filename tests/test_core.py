@@ -213,9 +213,9 @@ def _records():
         out.append(TrajectoryRecord(
             'gen-kov "%d" \u00fc', cells(rows), cells((rows, n)), names[:m],
             cells((rows, m)), status="blowup"))
-    # every special value in one column, and fewer names than columns
+    # every special value in one column
     out.append(TrajectoryRecord("euler3", np.array(_CELLS),
-                                np.tile(np.array(_CELLS)[:, None], 3), ["E"],
+                                np.tile(np.array(_CELLS)[:, None], 3), ["E", "K"],
                                 np.array([_CELLS, _CELLS[::-1]]).T))
     return out
 
@@ -236,3 +236,18 @@ def test_trajectory_record_rejects_duplicate_invariant_names():
     assert rec.to_csv().splitlines()[0] == "step,t,y_1,y_2,y_3,H12,h12"
     assert list(json.loads(rec.to_json())["rows"][0]["invariants"]) == \
         ["H12", "h12"]
+
+
+@pytest.mark.parametrize("names, invariants, times", [
+    (["a", "b"], np.zeros((2, 1)), np.zeros(2)),
+    (["a"], np.zeros((2, 2)), np.zeros(2)),
+    (["a"], None, np.zeros(2)),
+    ([], None, np.zeros(3)),
+    (["a"], np.zeros((3, 1)), np.zeros(2)),
+], ids=["name-without-column", "column-without-name", "names-without-invariants",
+        "time-without-state", "invariant-without-state"])
+def test_trajectory_record_rejects_mismatched_shapes(names, invariants, times):
+    # unchecked, each would write a ragged CSV, a JSON missing a name, or
+    # fail inside numpy
+    with pytest.raises(ParameterError, match="invariant|row"):
+        TrajectoryRecord("kov3", times, np.zeros((2, 3)), names, invariants)

@@ -73,8 +73,8 @@ def test_rk4_diagonal_closed_form():
 def test_quadratic_flow_tracks_closed_form_flow(field, flow):
     # the coefficient-tensor right-hand side runs through the same RK4 kernel
     for y0 in admissible_states(3, flow.dim, seed=11, low=0.05, high=0.3):
-        a, end_a = rk4_states(quadratic_flow(field), y0, 1e-3, 500)
-        b, end_b = rk4_states(flow, y0, 1e-3, 500)
+        a, end_a, _ = rk4_states(quadratic_flow(field), y0, 1e-3, 500)
+        b, end_b, _ = rk4_states(flow, y0, 1e-3, 500)
         assert end_a == end_b == 500
         assert np.max(np.abs(a - b)) < 1e-12
 

@@ -262,9 +262,9 @@ def _drift_reference(target, invs, starts, eps, steps):
     per_start = []
     for y0 in starts:
         if isinstance(target, FlowSpec):
-            traj, orbit_end = rk4_states(target, y0, eps, steps)
+            traj, orbit_end, _ = rk4_states(target, y0, eps, steps)
         else:
-            traj, orbit_end = target.orbit(y0, eps, steps, TRACKING_GUARDS)
+            traj, orbit_end, _ = target.orbit(y0, eps, steps, TRACKING_GUARDS)
         rows = []
         for inv in invs:
             vals = inv.values(traj, eps)

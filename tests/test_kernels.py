@@ -90,7 +90,7 @@ MAP_ORBITS = {
 
 @pytest.mark.parametrize("name, n, eps", list(MAP_ORBITS))
 def test_map_orbit_matches_pinned_reference(name, n, eps):
-    states, end = maps.get_map(name, n).orbit(_Y[:n], eps, 300)
+    states, end, _ = maps.get_map(name, n).orbit(_Y[:n], eps, 300)
     assert (_sha(states), end) == MAP_ORBITS[name, n, eps]
 
 
@@ -222,7 +222,7 @@ def test_guarded_orbit_matches_pinned_reference(name, n, guards):
     ends = []
     for seed in (1, 2):
         for y0 in random_starts(5, n, seed):
-            states, end = m.orbit(y0, 0.01, 10000, GUARD_SETS[guards])
+            states, end, _ = m.orbit(y0, 0.01, 10000, GUARD_SETS[guards])
             h.update(states.tobytes())
             ends.append(end)
     assert (h.hexdigest(), tuple(ends)) == GUARDED_ORBITS[name, n, guards]
@@ -251,7 +251,7 @@ FLOW_ORBITS = {
 @pytest.mark.parametrize("key", list(FLOW_ORBITS))
 def test_rk4_orbit_matches_pinned_reference(key):
     flow = _FLOWS[key]()
-    states, end = flows.rk4_states(flow, (0.1, 0.2, 0.3, 0.4)[:flow.dim], 0.01, 300)
+    states, end, _ = flows.rk4_states(flow, (0.1, 0.2, 0.3, 0.4)[:flow.dim], 0.01, 300)
     assert (_sha(states), end) == FLOW_ORBITS[key]
 
 
@@ -259,7 +259,7 @@ def test_rk4_blowup_orbit_matches_pinned_reference():
     # y_i = 2/(1 - 4t) has its pole at t = 0.25; the step after step 250
     # leaves the 1e12 cap
     flow = flows.generalized_kovalevskaya(4)
-    states, end = flows.rk4_states(flow, (2, 2, 2, 2), 1e-3, 1000)
+    states, end, _ = flows.rk4_states(flow, (2, 2, 2, 2), 1e-3, 1000)
     assert end == 250
     assert _sha(states) == "711bc3ab7a8cc3e992782a481e071828345e8f50e2ace2a92464c93065619ec0"
 
@@ -282,14 +282,14 @@ def test_rk4_orbit_is_finite_where_only_a_zero_coefficient_overflows():
     # N = 50 coordinates near 2e6: e_50 overflows, s = e_1 ~ 1e8 does not,
     # and every coordinate is far below BLOWUP_CAP
     y0 = [2e6 * (1 + 0.001 * i) for i in range(50)]
-    states, end = flows.rk4_states(flows.generalized_kovalevskaya(50), y0,
+    states, end, _ = flows.rk4_states(flows.generalized_kovalevskaya(50), y0,
                                    1e-12, 3)
     assert end == 3 and np.isfinite(states).all()
 
 
 def test_trajectory_serialization_matches_pinned_bytes():
     flow = flows.kovalevskaya3()
-    states, end = flows.rk4_states(flow, (0.1, 0.2, 0.3), 0.01, 20)
+    states, end, _ = flows.rk4_states(flow, (0.1, 0.2, 0.3), 0.01, 20)
     invs = claimed_invariants(flow, registry(3, 2.0))
     rec = TrajectoryRecord(
         system=flow.name, times=0.01 * np.arange(end + 1), states=states,
@@ -355,5 +355,5 @@ def test_zero_denominator_is_a_non_finite_step(name, y0):
         assert reg == 0 and all(v != v for v in out)
     with pytest.raises(SingularStepError), np.errstate(all="ignore"):
         m.step(y0, 1.0)
-    states, end = m.orbit(y0, 1.0, 3)
+    states, end, _ = m.orbit(y0, 1.0, 3)
     assert end == 0 and states.tolist() == [y0]

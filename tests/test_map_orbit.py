@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from kovtop import kernels, maps
+from kovtop import flows, kernels, maps
 from kovtop.invariants import TRACKING_GUARDS, random_starts
 from kovtop.maps import RAW_GUARDS, OrbitGuards
 
@@ -304,12 +304,9 @@ def test_stop_reasons_are_documented():
 def test_orbit_names_its_stop(reason):
     name, n, y0, eps, guards, last = STOPS[reason]
     m = maps.get_map(name, n)
-    states, end, why = m.orbit_with_reason(y0, eps, 5, guards)
+    states, end, why = m.orbit(y0, eps, 5, guards)
     assert (why, end) == (reason, last)
     assert states.tolist()[0] == y0 and len(states) == end + 1
-    # `orbit` keeps its (states, last_step) return
-    o_states, o_end = m.orbit(y0, eps, 5, guards)
-    assert o_end == end and o_states.tobytes() == states.tobytes()
     ref = _reference_orbit(REFERENCE_STEPS[name], y0, eps, 5, guards.strain,
                            guards.resolution, guards.coincidence,
                            m.even_invariants)
@@ -360,10 +357,14 @@ def test_sorted_neighbours_decide_as_all_pairs(case):
 
 # --- growth with N ---------------------------------------------------------
 
-@pytest.mark.parametrize("emit", [maps._emit_gen_hk, maps._emit_alt])
+@pytest.mark.parametrize("emit", [maps._emit_gen_hk, maps._emit_alt,
+                                  flows._emit_e1_only])
 def test_map_source_grows_linearly(emit):
-    lines = {n: len(kernels._source(kernels._orbit_template, emit, (), n)
-                    .splitlines()) for n in (10, 20, 100, 200, 500, 1000)}
+    # the two any-N maps, and the RK4 orbit of the default gen-kov flow
+    template = (kernels._flow_template if emit is flows._emit_e1_only
+                else kernels._map_template)
+    lines = {n: len(kernels._source(template, emit, (), n).splitlines())
+             for n in (10, 20, 100, 200, 500, 1000)}
     for n in (10, 100, 500):
         assert lines[2 * n] <= 2.2 * lines[n], lines
 

@@ -161,7 +161,7 @@ def test_get_map_lookup():
 def test_orbit_stops_on_guards():
     m = gen_hk(4)
     y0 = np.array([1.0, 1.4, 1.8, 0.6])
-    traj, end = m.orbit(y0, 0.01, 10_000,
+    traj, end, _ = m.orbit(y0, 0.01, 10_000,
                         OrbitGuards(strain=0.01, resolution=0.2, coincidence=1e-6))
     assert end < 10_000
     assert traj.shape == (end + 1, 4)
@@ -171,7 +171,7 @@ def test_orbit_stops_on_guards():
 def test_orbit_matches_repeated_steps():
     m = alt_map(4)
     y0 = np.array([0.3, 0.5, 0.7, 0.9])
-    traj, end = m.orbit(y0, 0.02, 50)
+    traj, end, _ = m.orbit(y0, 0.02, 50)
     assert end == 50
     y = y0
     for k in range(1, 51):
@@ -180,7 +180,7 @@ def test_orbit_matches_repeated_steps():
     # every map: orbit and step run the same kernel
     for m in (euler_hk(), cosine_law(), kov_sqrt(), kov_pullback(), gen_hk(4),
               alt_map(5)):
-        traj, end = m.orbit(np.linspace(0.3, 0.9, m.dim), 0.01, 50)
+        traj, end, _ = m.orbit(np.linspace(0.3, 0.9, m.dim), 0.01, 50)
         assert end == 50, m.name
         for k in range(end):
             assert np.array_equal(m.step(traj[k], 0.01), traj[k + 1]), m.name

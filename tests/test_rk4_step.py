@@ -13,12 +13,13 @@ from mpmath import mpf
 
 from kovtop import flows, kernels
 from kovtop.cli import main
-from kovtop.errors import DimensionError
+from kovtop.errors import BlowupError, DimensionError
 
 
 def _reference_rk4(rhs, y0, dt, nsteps, stops=None):
     # the list-level loop the generated step replaced; `stops` collects why
-    # an orbit ended early, "nan" or "cap"
+    # an orbit ended: "nan", "inf" (an infinity and no NaN), "cap" (finite
+    # coordinates past it) or "whole"
     cap = kernels.BLOWUP_CAP
     h = dt / 2
     w = dt / 6
@@ -33,9 +34,13 @@ def _reference_rk4(rhs, y0, dt, nsteps, stops=None):
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if not (all(map(math.isfinite, y)) and max(map(abs, y)) <= cap):
             if stops is not None:
-                stops.add("nan" if any(v != v for v in y) else "cap")
+                stops.add("nan" if any(v != v for v in y) else
+                          "cap" if all(map(math.isfinite, y)) else "inf")
             break
         rows.append(y)
+    else:
+        if stops is not None:
+            stops.add("whole")
     return np.array(rows), len(rows) - 1
 
 
@@ -109,19 +114,29 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+#: the orbit loop's reason for each stop of the reference loop
+_REASONS = {"nan": "non-finite", "inf": "non-finite", "cap": "cap",
+            "whole": "whole"}
+
+
 @pytest.mark.parametrize("key", FLOWS, ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
 def test_generated_step_matches_list_rk4(key):
     stops = set()
     flow, rhs = _case(key)
     for dt in DTS:
         for y0 in _starts(flow.dim, seed=flow.dim):
-            got, end = kernels.rk4_orbit(flow.step, y0, dt, 40)
-            want, want_end = _reference_rk4(rhs, y0, dt, 40, stops)
+            got, end, why = kernels.rk4_orbit(flow.orbit, y0, dt, 40)
+            stop = set()
+            want, want_end = _reference_rk4(rhs, y0, dt, 40, stop)
             assert end == want_end, (dt, y0)
+            (label,) = stop
+            assert _REASONS[label] == why, (dt, y0)
+            stops.add(label)
             assert got.tobytes() == want.tobytes(), (dt, y0)
             assert _bits(flow.rhs(y0)) == _bits(rhs(y0)), y0
-    # the starts reach every exit
-    assert stops == {"nan", "cap"}
+    # the starts reach every exit: a NaN, finite coordinates past the cap,
+    # and the last step
+    assert {"nan", "cap", "whole"} <= stops
 
 
 @pytest.mark.parametrize("num", [Fraction, mpf])
@@ -135,7 +150,7 @@ def test_generated_step_is_the_reference_on_exact_types(num, key):
     y0 = [num(k) / 16 for k in (3, -5, 7, 2, 9)[:flow.dim]]
     dt = num(1) / 64
     # two steps: a Fraction's digits grow as degree ** (4 * steps)
-    got, end = kernels.rk4_orbit(flow.step, y0, dt, 2)
+    got, end, _ = kernels.rk4_orbit(flow.orbit, y0, dt, 2)
     want, want_end = _reference_rk4(rhs, y0, dt, 2)
     assert end == want_end == 2
     assert got.tolist() == want.tolist()
@@ -154,7 +169,7 @@ def test_large_dimension_compiles_and_matches(key):
     rng = np.random.default_rng(3)
     for y0 in (rng.uniform(-0.5, 0.5, flow.dim).tolist(),
                rng.uniform(-20.0, 20.0, flow.dim).tolist()):
-        got, end = kernels.rk4_orbit(flow.step, y0, 1e-3, 1)
+        got, end, _ = kernels.rk4_orbit(flow.orbit, y0, 1e-3, 1)
         want, want_end = _reference_rk4(rhs, y0, 1e-3, 1)
         assert end == want_end and got.tobytes() == want.tobytes()
 
@@ -177,9 +192,29 @@ def test_user_flowspec_gets_a_calling_step():
         return [y[1], -y[0], y[0] * y[1]]
 
     flow = flows.FlowSpec("oscillator", 3, rhs)
-    got, end = flows.rk4_states(flow, [1.0, 0.0, 0.5], 0.01, 100)
+    got, end, _ = flows.rk4_states(flow, [1.0, 0.0, 0.5], 0.01, 100)
     want, want_end = _reference_rk4(rhs, [1.0, 0.0, 0.5], 0.01, 100)
     assert end == want_end == 100 and got.tobytes() == want.tobytes()
+
+
+def test_user_rhs_that_divides_by_zero_ends_singular():
+    # dy_1/dt = -1 and dy_2/dt = 1/y_1 from y_1 = 1 at dt = 1/2: the fourth
+    # stage of the second step evaluates 1/y_1 at y_1 = 0
+    def rhs(y):
+        return [-1, 1 / y[0], 0 * y[2]]
+
+    flow = flows.FlowSpec("user", 3, rhs)
+    y0, dt = [Fraction(1), Fraction(0), Fraction(1)], Fraction(1, 2)
+    got, end, why = kernels.rk4_orbit(flow.orbit, y0, dt, 5)
+    want, want_end = _reference_rk4(rhs, y0, dt, 1)
+    assert (end, why) == (want_end, "singular")
+    assert got.tolist() == want.tolist()
+    with pytest.raises(ZeroDivisionError):
+        _reference_rk4(rhs, y0, dt, 2)
+    # floats divide by zero at the same stage, and the reference integrator
+    # says so
+    with pytest.raises(BlowupError, match="divided by zero at t = 1$"):
+        flows.integrate_reference(flow, [1.0, 0.0, 1.0], 2.0, 0.5)
 
 
 def test_replacing_the_rhs_replaces_the_step():
@@ -187,13 +222,13 @@ def test_replacing_the_rhs_replaces_the_step():
         return [y[1] * y[2], -y[0] * y[2], 0.5 * y[0]]
 
     flow = replace(flows.generalized_euler(3), rhs=rhs)
-    assert flow.step is not flows.generalized_euler(3).step
-    got, end = flows.rk4_states(flow, [0.3, 0.4, 0.5], 0.01, 50)
+    assert flow.orbit is not flows.generalized_euler(3).orbit
+    got, end, _ = flows.rk4_states(flow, [0.3, 0.4, 0.5], 0.01, 50)
     want, want_end = _reference_rk4(rhs, [0.3, 0.4, 0.5], 0.01, 50)
     assert end == want_end == 50 and got.tobytes() == want.tobytes()
-    # the step follows the rhs; it is not an argument
+    # the orbit follows the rhs; it is not an argument
     with pytest.raises(TypeError):
-        flows.FlowSpec("euler3", 3, rhs, step=flow.step)
+        flows.FlowSpec("euler3", 3, rhs, orbit=flow.orbit)
 
 
 @pytest.mark.parametrize("build", [
@@ -218,7 +253,7 @@ def test_a_flow_compiles_once_per_kind_and_dimension():
     # the constants are bound by name: another alpha reuses the compiled code
     c = flows.generalized_kovalevskaya(4, 1.3)
     assert kernels._factory.cache_info().misses == 1
-    assert a.step.__code__ is b.step.__code__ is c.step.__code__
+    assert a.orbit.__code__ is b.orbit.__code__ is c.orbit.__code__
     y = [0.1, 0.2, 0.3, 0.4]
     assert a.rhs(y) == b.rhs(y) != c.rhs(y)
     flows.generalized_euler(4)

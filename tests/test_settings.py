@@ -28,7 +28,7 @@ def test_map_orbit_stops_past_the_blowup_cap():
     # on the diagonal gen-hk N=3 is y -> y/(1 - 2 eps y), with its pole at
     # y = 1/(2 eps)
     y0 = 0.5 / 0.1 * (1 - 1e-13)
-    traj, end = gen_hk(3).orbit([y0] * 3, 0.1, 5)
+    traj, end, _ = gen_hk(3).orbit([y0] * 3, 0.1, 5)
     assert end == 0 and traj.shape == (1, 3)
     assert abs(gen_hk(3).step([y0] * 3, 0.1)[0]) > kernels.BLOWUP_CAP
 
