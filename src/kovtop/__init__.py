@@ -13,7 +13,7 @@ from .core import (MapStepScale, QuadraticField, TrajectoryRecord, as_state,
 from .errors import (BlowupError, ConfigError, DimensionError, DomainError,
                      KovtopError, ParameterError, SingularStepError)
 from .flows import (FlowSpec, euler_field, euler_top3, generalized_euler,
-                    generalized_kovalevskaya, integrate_reference,
+                    generalized_kovalevskaya, get_flow, integrate_reference,
                     kovalevskaya3, kovalevskaya_field,
                     verify_hyperelliptic_relation)
 from .hk_engine import (BilinearStepSystem, build_A_generalized_kov,

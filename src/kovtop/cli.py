@@ -18,19 +18,13 @@ import numpy as np
 
 from .core import TrajectoryRecord, fmt17
 from .errors import (BlowupError, ConfigError, DomainError, KovtopError,
-                     ParameterError, SingularStepError)
-from .flows import (FlowSpec, _steps_for, euler_top3, generalized_euler,
-                    generalized_kovalevskaya, kovalevskaya3, rk4_states)
+                     SingularStepError)
+from .flows import FLOW_NAMES, _steps_for, get_flow, rk4_states
 from .invariants import (IDENTITIES, claimed_invariants, convergence_study,
                          drift_batch, drift_to_csv, drift_to_json, evaluate,
                          identity_battery, independence_rank, random_starts,
                          registry)
 from .maps import get_map, MAP_NAMES
-
-FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
-# the flows and maps whose dimension is fixed at 3
-_THREE_DIMENSIONAL = ("kov3", "euler3", "euler-hk", "cosine", "kov-sqrt",
-                      "kov-pullback")
 
 
 # argparse's own pattern takes only -<digits> and -<digits>.<digits> for a
@@ -91,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="integrate a flow with RK4")
     sp.add_argument("--flow", required=True, choices=FLOW_NAMES)
-    sp.add_argument("--n", type=int, default=3)
+    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--alpha", type=_finite_float, default=2.0)
     sp.add_argument("--y0", required=True)
     sp.add_argument("--t-end", type=_finite_float, required=True)
@@ -157,25 +151,21 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _at_alpha(build, n: int, alpha: float):
-    """build(n, alpha), for the gen-kov flow or the invariant registry.  Both
-    reject alpha = N, where the power-law integrals divide by N - alpha; that
-    is an invalid configuration, not a runtime abort."""
-    try:
-        return build(n, alpha)
-    except ParameterError as exc:
-        raise ConfigError(
-            f"--alpha must differ from the dimension N={n}") from exc
-
-
-def _make_flow(name: str, n: int | None, alpha: float) -> FlowSpec:
-    if name in ("kov3", "euler3"):
-        if n not in (None, 3):
-            raise ConfigError(f"--flow {name} is three-dimensional, not N={n}")
-        return kovalevskaya3() if name == "kov3" else euler_top3()
-    if name == "gen-kov":
-        return _at_alpha(generalized_kovalevskaya, n, alpha)
-    return generalized_euler(n)
+def _target(args):
+    """(target, y0): the map or flow the arguments name, and --y0 parsed, or
+    None without it.  Its dimension is --n, else the length of --y0, else
+    the lookup's own rule (`maps.get_map`, `flows.get_flow`)."""
+    y0 = None if args.y0 is None else _parse_y0(args.y0)
+    dim = args.n
+    if dim is None and y0 is not None:
+        dim = len(y0)
+    if getattr(args, "map", None) is not None:
+        target = get_map(args.map, dim)
+    else:
+        target = get_flow(args.flow, dim, args.alpha)
+    if y0 is not None and len(y0) != target.dim:
+        raise ConfigError(f"--y0 must list {target.dim} coordinates")
+    return target, y0
 
 
 #: the trajectory status of each stop a raw orbit can make
@@ -183,56 +173,45 @@ _STATUS = {"whole": "ok", "cap": "blowup", "non-finite": "blowup",
            "singular": "singular", "domain": "domain"}
 
 
-def _cmd_simulate(args) -> int:
-    y0 = _parse_y0(args.y0)
-    flow = _make_flow(args.flow, args.n, args.alpha)
-    if len(y0) != flow.dim:
-        raise ConfigError(f"--y0 must list {flow.dim} coordinates")
-    nsteps = _steps_for(args.t_end, args.dt)
-    states, end, reason = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
-    invs = (claimed_invariants(flow, _at_alpha(registry, flow.dim, args.alpha))
-            if args.with_invariants else [])
+def _write_orbit(args, target, orbit, dt: float, steps: int, stop: str,
+                 invs=()) -> int:
+    """Write the orbit (states, last step, reason) of `target` with time step
+    dt and the columns of `invs`; an orbit that ended before `steps` exits 2
+    with "<stop> at step k" on stderr."""
+    states, end, reason = orbit
     rec = TrajectoryRecord(
-        system=flow.name, times=args.dt * np.arange(end + 1), states=states,
+        system=target.name, times=dt * np.arange(end + 1), states=states,
         invariant_names=[v.name for v in invs],
         invariants=evaluate(invs, states, 0.0)[0].T if invs else None,
         status=_STATUS[reason])
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
-    if end < nsteps:
-        print(f"blowup at step {end + 1}", file=sys.stderr)
+    if end < steps:
+        print(f"{stop} at step {end + 1}", file=sys.stderr)
         return 2
     return 0
+
+
+def _cmd_simulate(args) -> int:
+    flow, y0 = _target(args)
+    nsteps = _steps_for(args.t_end, args.dt)
+    orbit = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
+    invs = (claimed_invariants(flow, registry(flow.dim, args.alpha))
+            if args.with_invariants else [])
+    return _write_orbit(args, flow, orbit, args.dt, nsteps, "blowup", invs)
 
 
 def _cmd_map(args) -> int:
-    y0 = _parse_y0(args.y0)
-    m = get_map(args.map, args.n if args.n is not None else len(y0))
-    if len(y0) != m.dim:
-        raise ConfigError(f"--y0 must list {m.dim} coordinates")
+    m, y0 = _target(args)
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
-    states, end, reason = m.orbit(np.asarray(y0), args.eps, args.steps)
-    times = m.step_time(args.eps) * np.arange(end + 1)
-    rec = TrajectoryRecord(system=m.name, times=times, states=states,
-                           status=_STATUS[reason])
-    _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
-    if end < args.steps:
-        print(f"{reason} stop at step {end + 1}", file=sys.stderr)
-        return 2
-    return 0
+    orbit = m.orbit(np.asarray(y0), args.eps, args.steps)
+    return _write_orbit(args, m, orbit, m.step_time(args.eps), args.steps,
+                        f"{orbit[2]} stop")
 
 
 def _cmd_drift(args) -> int:
-    y0 = None if args.y0 is None else _parse_y0(args.y0)
-    dim = args.n
-    if dim is None and y0 is not None:
-        dim = len(y0)
-    if dim is None and (args.map or args.flow) not in _THREE_DIMENSIONAL:
-        raise ConfigError("drift needs --n or --y0 to fix the dimension")
-    target = (get_map(args.map, dim) if args.map is not None
-              else _make_flow(args.flow, dim, args.alpha))
-    invs = claimed_invariants(target,
-                              _at_alpha(registry, target.dim, args.alpha))
+    target, y0 = _target(args)
+    invs = claimed_invariants(target, registry(target.dim, args.alpha))
     if args.invariant is not None:
         invs = [v for v in invs if v.name == args.invariant]
         if not invs:
@@ -241,8 +220,6 @@ def _cmd_drift(args) -> int:
     if not invs:
         raise ConfigError(f"no invariants registered for {target.name}")
     if y0 is not None:
-        if len(y0) != target.dim:
-            raise ConfigError(f"--y0 must list {target.dim} coordinates")
         starts = [y0]
     elif args.starts < 1:
         raise ConfigError("--starts must be >= 1")
@@ -255,10 +232,7 @@ def _cmd_drift(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    y0 = _parse_y0(args.y0)
-    m = get_map(args.map, args.n if args.n is not None else len(y0))
-    if len(y0) != m.dim:
-        raise ConfigError(f"--y0 must list {m.dim} coordinates")
+    m, y0 = _target(args)
     eps_list = _parse_floats(args.eps_list)
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ConfigError("--eps-list must be positive and finite")
@@ -294,7 +268,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_independence(args) -> int:
-    every = _at_alpha(registry, args.n, args.alpha)
+    every = registry(args.n, args.alpha)
     invs = [v for v in every if v.family == args.family]
     if not invs:
         fams = sorted({v.family for v in every})

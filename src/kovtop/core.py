@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import isfinite, prod
 import numpy as np
 
 from . import kernels
@@ -37,6 +37,24 @@ def as_state(coords, dim: int | None = None) -> np.ndarray:
     if not all(map(isfinite, y.tolist())):
         raise DomainError("state coordinates must be finite")
     return y
+
+
+def lookup(kind: str, name: str, dim: int | None, fixed: dict, any_dim: dict):
+    """The `kind` (map or flow) called `name`: `fixed[name]()`, a
+    three-dimensional target and DimensionError at any other `dim`, or
+    `any_dim[name](dim)`, DimensionError without `dim`.  KeyError for a name
+    in neither table.  `maps.get_map` and `flows.get_flow` look up by it."""
+    if name in fixed:
+        target = fixed[name]()
+        if dim is not None and dim != target.dim:
+            raise DimensionError(f"{name} is three-dimensional")
+        return target
+    if name in any_dim:
+        if dim is None:
+            raise DimensionError(f"{name} needs an explicit dimension")
+        return any_dim[name](dim)
+    raise KeyError(f"unknown {kind} {name!r}; known: "
+                   f"{', '.join([*fixed, *any_dim])}")
 
 
 class MapStepScale(Enum):
@@ -112,8 +130,10 @@ def painleve_condition(a) -> bool:
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3):
         raise DimensionError("painleve_condition expects a 3x3 matrix")
-    left = a[0, 1] * a[1, 2] * a[2, 0]
-    right = a[0, 2] * a[2, 1] * a[1, 0]
+    # each product in sorted order: a relabeling permutes the factors, and a
+    # float product in another order can round or underflow to another value
+    left = prod(sorted((a[0, 1], a[1, 2], a[2, 0])))
+    right = prod(sorted((a[0, 2], a[2, 1], a[1, 0])))
     return abs(left - right) <= PAINLEVE_RTOL * (abs(left) + abs(right))
 
 

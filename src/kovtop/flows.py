@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .core import QuadraticField, TrajectoryRecord, as_state
+from .core import QuadraticField, TrajectoryRecord, as_state, lookup
 from .errors import BlowupError, DimensionError, ParameterError
 
 
@@ -101,19 +101,30 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
         raise ParameterError(f"alpha must differ from N (got alpha = N = {N})")
     if s_coeffs is None:
         sc = [1.0] + [0.0] * (N - 1)
-        name = f"gen-kov(N={N},alpha={alpha:g})"
     else:
         sc = [float(c) for c in s_coeffs]
         if len(sc) != N:
             raise ParameterError("s_coeffs must list one coefficient per e_1..e_N")
-        name = f"gen-kov(N={N},alpha={alpha:g},custom-s)"
 
     # emitted only for s = c_1*e_1 with c_1 != 0; the zero s skips 0*e_1 too
     if any(sc[1:]) or not sc[0]:
         rhs = partial(kernels._rhs_scaled_quadratic, alpha=alpha, s_coeffs=sc)
     else:
         rhs = _compile(_emit_e1_only, N, alpha=alpha, c1=sc[0])
-    return FlowSpec(name=name, dim=N, rhs=rhs)
+    return FlowSpec(name=gen_kov_name(N, alpha, s_coeffs is not None), dim=N,
+                    rhs=rhs)
+
+
+def gen_kov_name(N: int, alpha: float = 2.0, custom_s: bool = False) -> str:
+    """The name of the generalized Kovalevskaya flow at (N, alpha), with the
+    default s or a custom one; an invariant family claimed for one such
+    flow only names it by this."""
+    # alpha in six digits, or whole where those round it, so that no two
+    # alphas share a name and with it a claim
+    text = f"{alpha:g}"
+    if float(text) != alpha:
+        text = repr(float(alpha))
+    return f"gen-kov(N={N},alpha={text}{',custom-s' if custom_s else ''})"
 
 
 def kovalevskaya3() -> FlowSpec:
@@ -134,6 +145,19 @@ def generalized_euler(N: int) -> FlowSpec:
 def euler_top3() -> FlowSpec:
     """The Euler top dx_i/dt = x_j x_k."""
     return replace(generalized_euler(3), name="euler3")
+
+
+FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
+
+
+def get_flow(name: str, dim: int | None = None, alpha: float = 2.0) -> FlowSpec:
+    """Look up a flow by CLI name (`core.lookup`), as `maps.get_map` looks up
+    a map: gen-kov and gen-euler require `dim`, kov3 and euler3 are
+    three-dimensional.  `alpha` reaches gen-kov only."""
+    return lookup("flow", name, dim,
+                  {"kov3": kovalevskaya3, "euler3": euler_top3},
+                  {"gen-kov": partial(generalized_kovalevskaya, alpha=alpha),
+                   "gen-euler": generalized_euler})
 
 
 def quadratic_flow(field: QuadraticField) -> FlowSpec:

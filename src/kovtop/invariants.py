@@ -40,7 +40,7 @@ import numpy as np
 from .core import as_state, fmt17
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
-from .flows import (FlowSpec, check_step_count, euler_top3,
+from .flows import (FlowSpec, check_step_count, euler_top3, gen_kov_name,
                     generalized_kovalevskaya, integrate_reference,
                     kovalevskaya3, kovalevskaya_field, rk4_states)
 from .hk_engine import hk_step, polarize
@@ -186,8 +186,8 @@ def _kov_poly(Y, eps, idx):
 
 def kov_poly_integrals() -> list[Invariant]:
     """K_23 = y1(y2-y3), K_31 = y2(y3-y1), K_12 = y3(y1-y2); their sum
-    vanishes identically."""
-    return _members("kov-poly", 3, ("kov3", "gen-kov"), _kov_poly,
+    vanishes identically.  Conserved by the default-s flow at alpha = 2."""
+    return _members("kov-poly", 3, ("kov3", gen_kov_name(3)), _kov_poly,
                     zip(_KOV_LABELS, _CYCLIC_3))
 
 
@@ -265,7 +265,7 @@ def _positive(Y):
 
 def flow_power_integrals(N: int, alpha: float = 2.0) -> list[Invariant]:
     """(y_i - y_j)/(y_i y_j) * (prod y)^(1/(N-alpha)): the superintegrable
-    family of the continuous flow; positive orthant only."""
+    family of the default-s flow at this alpha; positive orthant only."""
     if alpha == N:
         raise ParameterError("alpha must differ from N")
     expo = 1.0 / (N - alpha)
@@ -278,7 +278,7 @@ def flow_power_integrals(N: int, alpha: float = 2.0) -> list[Invariant]:
                 _positive(Y))
 
     fam = "flow-power" if alpha == 2.0 else f"flow-power(alpha={alpha:g})"
-    return _members(fam, N, ("gen-kov",), formula,
+    return _members(fam, N, (gen_kov_name(N, alpha),), formula,
                     ((f"K{i+1}{j+1}_flow", (i, j))
                      for i in range(N) for j in range(i + 1, N)))
 
@@ -290,9 +290,9 @@ def _quartet(Y, eps, idx):
 
 def quartet_integrals() -> list[Invariant]:
     """P_1 = (y1-y2)(y3-y4), P_2 = (y1-y3)(y2-y4), P_3 = (y1-y4)(y2-y3);
-    P_1 - P_2 + P_3 = 0."""
+    P_1 - P_2 + P_3 = 0.  Conserved by the default-s flow at alpha = 2."""
     combos = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-    return _members("quartet", 4, ("gen-kov",), _quartet,
+    return _members("quartet", 4, (gen_kov_name(4),), _quartet,
                     ((f"P{p}", c) for p, c in enumerate(combos, start=1)))
 
 
@@ -307,13 +307,13 @@ def _sqrt_quartet(Y, eps, idx):
     Yi, Yj, Yk, Yl = _columns(Y, idx)
     r = Yk * Yl / (Yi * Yj)
     r = np.where(r > 0, r, np.nan)
-    return (Yi - Yj) * np.sqrt(r), _sep_ok(Yi, Yj), _positive(Y)
+    return (Yi - Yj) * r ** 0.5, _sep_ok(Yi, Yj), _positive(Y)
 
 
 def sqrt_quartet_integrals() -> list[Invariant]:
     """K_ij = (y_i - y_j) sqrt(y_k y_l / (y_i y_j)) at N = 4; products of
     complementary pairs recover P_1, P_2, P_3."""
-    return _members("quartet-sqrt", 4, ("gen-kov",), _sqrt_quartet,
+    return _members("quartet-sqrt", 4, (gen_kov_name(4),), _sqrt_quartet,
                     ((f"K{i+1}{j+1}_s4", (i, j, *kl))
                      for (i, j), kl in _pairs_4()))
 
@@ -346,8 +346,8 @@ def _quartet_phi(Y, f1, f2, idx):
     P = np.prod(Y, axis=1)
     pos = (f1 > 0) & (f2 > 0)
     arg = np.where((P > 0) & pos, f1 * f2, np.nan)
-    K = (Ym - Yn) / (Ym * Yn) * np.sqrt(np.where(P > 0, P, np.nan))
-    return (K / np.sqrt(arg), _sep_ok(Ym, Yn) & _factor_ok(f1 * f2, 1.0),
+    K = (Ym - Yn) / (Ym * Yn) * np.where(P > 0, P, np.nan) ** 0.5
+    return (K / arg ** 0.5, _sep_ok(Ym, Yn) & _factor_ok(f1 * f2, 1.0),
             _positive(Y) & pos)
 
 
@@ -446,9 +446,12 @@ def _target_key(target) -> str:
 
 
 def claimed_invariants(target, invs: Sequence[Invariant]) -> list[Invariant]:
-    """The invariants from `invs` claimed for this flow/map at its dimension."""
-    key = _target_key(target)
-    return [v for v in invs if key in v.claimed_for and v.dim == target.dim]
+    """The invariants from `invs` claimed for this flow/map at its dimension:
+    for its kind (the name up to any parenthesis, as "gen-kov") or for the
+    exact name (as one gen-kov flow's `flows.gen_kov_name`)."""
+    key, name = _target_key(target), target.name
+    return [v for v in invs if (key in v.claimed_for or name in v.claimed_for)
+            and v.dim == target.dim]
 
 
 def _orbit_of(target, y0, eps: float, steps: int):
@@ -520,7 +523,10 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
 def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
     """Seeded uniform starts in the box [0.1, 2]^dim, rejecting a draw with a
     pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it.
-    Raises ParameterError when MAX_START_DRAWS draws give no start."""
+    Raises ParameterError for n < 1 and when MAX_START_DRAWS draws give no
+    start."""
+    if n < 1:
+        raise ParameterError(f"random_starts needs n >= 1 starts, got {n}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
     for row in out:
@@ -697,10 +703,12 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
                       dt_ref: float = 1e-4):
     """Error of k map applications against the RK4 reference of the flow the
     map discretizes, at the same total time, k = total_time / (scale * eps).
-    Returns (rows, slope); slope is None when fewer than two eps values are
-    given.  Raises ParameterError unless dt_ref > 0 gives a finite number of
-    reference steps, eps_list strictly decreases, each eps tiles the time
-    and no step count exceeds flows.MAX_STEPS."""
+    Returns (rows, slope); slope is None when one eps value is given.
+    Raises ParameterError unless dt_ref > 0 gives a finite number of
+    reference steps, eps_list is not empty and strictly decreases, each eps
+    tiles the time and no step count exceeds flows.MAX_STEPS."""
+    if len(eps_list) == 0:
+        raise ParameterError("eps_list must list at least one eps")
     if not (dt_ref > 0 and math.isfinite(total_time / dt_ref)):
         raise ParameterError(f"dt_ref={dt_ref} must be positive, with a "
                              "finite number of reference steps")
@@ -922,8 +930,10 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     out-of-domain spot, a float overflow or zero division) or not finite is
     skipped under a drawn eps; under a fixed one it raises DomainError or
     SingularStepError.  Raises DimensionError for a dimension the identity
-    does not hold at (below 3 for any-N identities), and ParameterError when
-    fewer than half the trials were evaluable."""
+    does not hold at (below 3 for any-N identities), and ParameterError for
+    trials < 1 and when fewer than half the trials were evaluable."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     residual, (lo, hi), dims = IDENTITIES[name]
     if dims is not None and len(dims) == 1:
         n = dims[0]

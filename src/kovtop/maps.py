@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .core import MapStepScale, as_state
+from .core import MapStepScale, as_state, lookup
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
 from .flows import check_step_count
@@ -257,17 +257,9 @@ MAP_NAMES = tuple(_FIXED_DIM) + tuple(_ANY_DIM)
 
 
 def get_map(name: str, dim: int | None = None) -> DiscreteMap:
-    """Look up a map by CLI name; gen-hk and alt-map require `dim`."""
-    if name in _FIXED_DIM:
-        m = _FIXED_DIM[name]()
-        if dim is not None and dim != m.dim:
-            raise DimensionError(f"{name} is three-dimensional")
-        return m
-    if name in _ANY_DIM:
-        if dim is None:
-            raise DimensionError(f"{name} needs an explicit dimension")
-        return _ANY_DIM[name](dim)
-    raise KeyError(f"unknown map {name!r}; known: {', '.join(MAP_NAMES)}")
+    """Look up a map by CLI name (`core.lookup`): gen-hk and alt-map require
+    `dim`, the others are three-dimensional."""
+    return lookup("map", name, dim, _FIXED_DIM, _ANY_DIM)
 
 
 # --- scalar machinery -------------------------------------------------------

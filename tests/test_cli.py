@@ -197,7 +197,7 @@ def test_drift_three_dimensional_flow_needs_no_dimension(capsys, flow):
 def test_drift_general_flow_without_dimension_exits_one(capsys, flow):
     rc = main(["drift", "--flow", flow, "--eps", "0.001", "--steps", "8"])
     assert rc == 1
-    assert "--n or --y0" in capsys.readouterr().err
+    assert "needs an explicit dimension" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["euler-hk", "cosine", "kov-sqrt",
@@ -215,7 +215,35 @@ def test_drift_three_dimensional_map_needs_no_dimension(capsys, name):
 def test_drift_general_map_without_dimension_exits_one(capsys, name):
     rc = main(["drift", "--map", name, "--eps", "0.001", "--steps", "8"])
     assert rc == 1
-    assert "--n or --y0" in capsys.readouterr().err
+    assert "needs an explicit dimension" in capsys.readouterr().err
+
+
+# each command at N = 4 without --n: the four coordinates of --y0 fix it
+@pytest.mark.parametrize("argv, n4_mark", [
+    (["simulate", "--flow", "gen-kov", "--t-end", "0.01", "--dt", "0.001"],
+     "step,t,y_1,y_2,y_3,y_4\n"),
+    (["simulate", "--flow", "gen-euler", "--t-end", "0.01", "--dt", "0.001"],
+     "step,t,y_1,y_2,y_3,y_4\n"),
+    (["map", "--map", "alt-map", "--eps", "0.01", "--steps", "3"],
+     "step,t,y_1,y_2,y_3,y_4\n"),
+    (["drift", "--flow", "gen-kov", "--eps", "0.001", "--steps", "8"],
+     "gen-kov,P1,"),
+    (["drift", "--map", "gen-hk", "--eps", "0.01", "--steps", "8"],
+     "gen-hk,K12_hk4p1,"),
+    (["convergence", "--map", "gen-hk", "--eps-list", "0.01,0.005"],
+     "eps,error\n"),
+], ids=["simulate-gen-kov", "simulate-gen-euler", "map", "drift-flow",
+        "drift-map", "convergence"])
+def test_dimension_is_n_else_the_length_of_y0(capsys, argv, n4_mark):
+    def run(extra):
+        rc = main(argv + ["--y0", "0.2,0.3,0.4,0.5"] + extra)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    by_y0 = run([])
+    assert by_y0[0] == 0 and n4_mark in by_y0[1]
+    assert run(["--n", "4"]) == by_y0
+    assert run(["--n", "5"]) == (1, "", "error: --y0 must list 5 coordinates\n")
 
 
 @pytest.mark.parametrize("starts", ["0", "-3"])
@@ -311,12 +339,13 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
       "-1"], "--points must be >= 1"),
     # alpha = N: the power-law integrals divide by N - alpha
     (["simulate", "--flow", "gen-kov", "--n", "4", "--alpha", "4", "--y0",
-      "0.1,0.2,0.3,0.4", "--t-end", "1", "--dt", "0.1"], "--alpha"),
+      "0.1,0.2,0.3,0.4", "--t-end", "1", "--dt", "0.1"],
+     "alpha must differ from N"),
     (["drift", "--flow", "gen-kov", "--n", "3", "--alpha", "3", "--eps",
-      "0.001", "--steps", "8"], "--alpha"),
-    (_DRIFT + ["--eps", "0.01", "--alpha", "4"], "--alpha"),
+      "0.001", "--steps", "8"], "alpha must differ from N"),
+    (_DRIFT + ["--eps", "0.01", "--alpha", "4"], "alpha must differ from N"),
     (["independence", "--family", "flow-power", "--n", "4", "--alpha", "4"],
-     "--alpha"),
+     "alpha must differ from N"),
     # an any-N identity below N = 3 (N < 1 died in the start sampler)
     (["check", "--identity", "r-product", "--n", "0", "--trials", "3"],
      "r-product needs N >= 3, not N = 0"),
@@ -775,7 +804,7 @@ def test_check_csv(tmp_path, capsys):
     (_DRIFT + ["--eps", "0.01", "--invariant", "nope"],
      "no registered invariant 'nope' claimed for gen-hk"),
     (_SIMULATE[:-1] + ["0.1,0.2", "--t-end", "1", "--dt", "0.1"],
-     "--y0 must list 3 coordinates"),
+     "kov3 is three-dimensional"),
     (["map", "--map", "euler-hk", "--y0", "1,2,3,4", "--eps", "0.1",
       "--steps", "1"], "euler-hk is three-dimensional"),
     (_MAP[:-1] + ["1,2,3", "--eps", "0.1", "--steps", "1"],

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from conftest import admissible_states
 from kovtop import invariants, kernels
@@ -16,8 +17,9 @@ from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
 from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                TRACKING_GUARDS, altmap_n4_integrals,
-                               claimed_invariants, cross_ratio,
-                               cross_ratio_integrals, defect_order,
+                               claimed_invariants, convergence_study,
+                               cross_ratio, cross_ratio_integrals,
+                               defect_order,
                                density_cross_power, density_euler_hk,
                                density_flow_power, density_kov_hk,
                                density_kov_product, drift_batch, drift_report,
@@ -180,6 +182,23 @@ def test_family_batch_equals_each_member(N, alpha):
     assert digest.hexdigest() == _FAMILY_SHA[(N, alpha)]
 
 
+@pytest.mark.parametrize("invs", [registry(3), registry(4), registry(5),
+                                  flow_power_integrals(4, 1.3)],
+                         ids=["N3", "N4", "N5", "flow-power-alpha-1.3"])
+def test_every_family_evaluates_on_interval_stacks(monkeypatch, invs):
+    # at the double precision of the float stack, each interval operation
+    # encloses the rounded float one, so the enclosure holds the float value
+    monkeypatch.setattr(iv, "prec", 53)
+    Y = random_starts(3, invs[0].dim, seed=1)
+    Y_iv = np.array([[iv.mpf(v) for v in y] for y in Y.tolist()], dtype=object)
+    vals, _, dom = evaluate(invs, Y_iv, 0.01)
+    float_vals, _, float_dom = evaluate(invs, Y, 0.01)
+    assert np.array_equal(dom, float_dom) and dom.all()
+    for inv, row, float_row in zip(invs, vals, float_vals):
+        assert all(isinstance(v, type(iv.mpf(0))) and f in v
+                   for v, f in zip(row, float_row)), inv.name
+
+
 def test_evaluate_shapes_and_dimension_check():
     invs = cross_ratio_integrals(4) + quartet_integrals()
     vals, ok, dom = evaluate(invs, [1.0, 2.0, 3.0, 4.0])
@@ -197,6 +216,48 @@ def test_claimed_invariants_pairing():
     assert got == {"cross-ratio", "altmap4-phi"}
     got = {v.family for v in claimed_invariants(generalized_kovalevskaya(4), invs)}
     assert got == {"flow-power", "cross-ratio", "quartet", "quartet-sqrt"}
+
+
+# the gen-kov flows, each with the registry of its own alpha
+_GEN_KOV_CLAIMS = [
+    (generalized_kovalevskaya(3, 2.0), 2.0,
+     {"flow-power", "cross-ratio", "kov-poly"}),
+    (generalized_kovalevskaya(4, 2.0), 2.0,
+     {"flow-power", "cross-ratio", "quartet", "quartet-sqrt"}),
+    (generalized_kovalevskaya(3, 1.3), 1.3,
+     {"flow-power(alpha=1.3)", "cross-ratio"}),
+    (generalized_kovalevskaya(4, 1.3), 1.3,
+     {"flow-power(alpha=1.3)", "cross-ratio"}),
+    (generalized_kovalevskaya(3, 2.5), 2.5,
+     {"flow-power(alpha=2.5)", "cross-ratio"}),
+    (generalized_kovalevskaya(4, 2.5), 2.5,
+     {"flow-power(alpha=2.5)", "cross-ratio"}),
+    (generalized_kovalevskaya(4, 2.0, s_coeffs=[1, 0.1, 0, 0]), 2.0,
+     {"cross-ratio"}),
+    # an alpha that six digits round to 2 is not the alpha = 2 flow
+    (generalized_kovalevskaya(4, 2 + 1e-7), 2 + 1e-7,
+     {"flow-power(alpha=2)", "cross-ratio"}),
+]
+
+
+@pytest.mark.parametrize("flow, alpha, families", _GEN_KOV_CLAIMS,
+                         ids=[f.name for f, _, _ in _GEN_KOV_CLAIMS])
+def test_gen_kov_claims_only_what_it_conserves(flow, alpha, families):
+    invs = claimed_invariants(flow, registry(flow.dim, alpha))
+    assert {v.family for v in invs} == families
+    reports = drift_batch(flow, invs, random_starts(2, flow.dim, seed=1),
+                          1e-3, 200)
+    assert all(r.first_blowup_step is None for r in reports)
+    assert all(r.max_rel_drift < 1e-9 for r in reports), \
+        [(r.invariant, r.max_rel_drift) for r in reports]
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2 + 1e-7])
+def test_gen_kov_claims_no_family_of_another_alpha(alpha):
+    # flow-power at alpha = 2 drifts by 0.45 along the alpha = 1.3 flow, and
+    # the alpha = 2 families by 5e-8 along the alpha = 2 + 1e-7 one
+    got = claimed_invariants(generalized_kovalevskaya(4, alpha), registry(4))
+    assert {v.family for v in got} == {"cross-ratio"}
 
 
 def test_single_step_conservation_spotchecks():
@@ -372,6 +433,17 @@ def test_drift_batch_rejects_bad_arguments():
         drift_batch(gen_hk(4), invs, [], 0.01, 10)
     with pytest.raises(ParameterError):
         drift_batch(gen_hk(4), invs, random_starts(2, 4, seed=1), 0.01, 0)
+
+
+def test_library_entry_points_reject_empty_work():
+    for n in (0, -1):
+        with pytest.raises(ParameterError,
+                           match=f"random_starts needs n >= 1 starts, got {n}"):
+            random_starts(n, 4, seed=1)
+    with pytest.raises(ParameterError, match="eps_list must list at least"):
+        convergence_study(euler_hk(), [0.3, 0.4, 0.5], 0.2, [])
+    with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
+        identity_battery("d-sum", 4, 0, seed=1)
 
 
 def test_random_starts_respects_bounds_and_separation():

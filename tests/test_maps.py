@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import admissible_states
 from kovtop.core import MapStepScale
-from kovtop.errors import DimensionError, DomainError, SingularStepError
-from kovtop.flows import kovalevskaya_field
+from kovtop.errors import (DimensionError, DomainError, ParameterError,
+                           SingularStepError)
+from kovtop.flows import FLOW_NAMES, get_flow, kovalevskaya_field
 from kovtop.hk_engine import hk_step, polarize
-from kovtop.maps import (OrbitGuards, alt_map, cosine_law, d_factors,
+from kovtop.maps import (MAP_NAMES, OrbitGuards, alt_map, cosine_law, d_factors,
                          d_polynomial, d_polynomial_omitting, euler_hk,
                          gen_hk, get_map, kov_pullback, kov_sqrt, r_factor,
                          r_factor_omitting, r_reciprocity_residual,
@@ -156,6 +157,50 @@ def test_get_map_lookup():
         get_map("nope")
     with pytest.raises(DimensionError):
         get_map("cosine", 4)
+
+
+# the targets of fixed dimension 3; every other name takes any N >= 3
+_THREE_DIMENSIONAL = ("euler-hk", "cosine", "kov-sqrt", "kov-pullback",
+                      "kov3", "euler3")
+
+
+def _look_up(name, *args):
+    return (get_map if name in MAP_NAMES else get_flow)(name, *args)
+
+
+@pytest.mark.parametrize("name", MAP_NAMES + FLOW_NAMES)
+def test_maps_and_flows_are_looked_up_by_one_rule(name):
+    if name in _THREE_DIMENSIONAL:
+        assert _look_up(name).dim == _look_up(name, 3).dim == 3
+        for n in (2, 4, 5):
+            with pytest.raises(DimensionError,
+                               match=f"^{name} is three-dimensional$"):
+                _look_up(name, n)
+    else:
+        with pytest.raises(DimensionError,
+                           match=f"^{name} needs an explicit dimension$"):
+            _look_up(name)
+        assert [_look_up(name, n).dim for n in (3, 4, 5)] == [3, 4, 5]
+
+
+def test_lookup_of_an_unknown_name_raises_key_error():
+    for look_up, name in ((get_map, "nope"), (get_map, "kov3"),
+                          (get_flow, "nope"), (get_flow, "gen-hk")):
+        with pytest.raises(KeyError, match=f"unknown .* '{name}'; known: "):
+            look_up(name, 4)
+
+
+def test_alpha_reaches_gen_kov_only():
+    y = [0.3, 0.5, 0.7, 1.1]
+    moved, base = get_flow("gen-kov", 4, 1.3), get_flow("gen-kov", 4)
+    assert (moved.name, base.name) == ("gen-kov(N=4,alpha=1.3)",
+                                       "gen-kov(N=4,alpha=2)")
+    assert not np.array_equal(moved(y), base(y))
+    for name, n in (("gen-euler", 4), ("kov3", 3), ("euler3", 3)):
+        a, b = get_flow(name, n, 1.3), get_flow(name, n)
+        assert a.name == b.name and np.array_equal(a(y[:n]), b(y[:n]))
+    with pytest.raises(ParameterError, match="alpha must differ from N"):
+        get_flow("gen-kov", 4, 4.0)
 
 
 def test_orbit_stops_on_guards():
