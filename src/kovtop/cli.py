@@ -168,16 +168,23 @@ def _target(args):
     return target, y0
 
 
+def _claimed(args, target):
+    """The registered invariants claimed for `target`.  --alpha reaches
+    gen-kov only, as in `flows.get_flow`: every other target is claimed at
+    the default alpha."""
+    alpha = args.alpha if getattr(args, "flow", None) == "gen-kov" else 2.0
+    return claimed_invariants(target, registry(target.dim, alpha))
+
+
 #: the trajectory status of each stop a raw orbit can make
 _STATUS = {"whole": "ok", "cap": "blowup", "non-finite": "blowup",
            "singular": "singular", "domain": "domain"}
 
 
-def _write_orbit(args, target, orbit, dt: float, steps: int, stop: str,
-                 invs=()) -> int:
+def _write_orbit(args, target, orbit, dt: float, steps: int, invs=()) -> int:
     """Write the orbit (states, last step, reason) of `target` with time step
     dt and the columns of `invs`; an orbit that ended before `steps` exits 2
-    with "<stop> at step k" on stderr."""
+    with "<reason> stop at step k" on stderr."""
     states, end, reason = orbit
     rec = TrajectoryRecord(
         system=target.name, times=dt * np.arange(end + 1), states=states,
@@ -186,7 +193,7 @@ def _write_orbit(args, target, orbit, dt: float, steps: int, stop: str,
         status=_STATUS[reason])
     _emit(rec.to_csv() if args.format == "csv" else rec.to_json(), args.out)
     if end < steps:
-        print(f"{stop} at step {end + 1}", file=sys.stderr)
+        print(f"{reason} stop at step {end + 1}", file=sys.stderr)
         return 2
     return 0
 
@@ -195,9 +202,8 @@ def _cmd_simulate(args) -> int:
     flow, y0 = _target(args)
     nsteps = _steps_for(args.t_end, args.dt)
     orbit = rk4_states(flow, np.asarray(y0), args.dt, nsteps)
-    invs = (claimed_invariants(flow, registry(flow.dim, args.alpha))
-            if args.with_invariants else [])
-    return _write_orbit(args, flow, orbit, args.dt, nsteps, "blowup", invs)
+    invs = _claimed(args, flow) if args.with_invariants else []
+    return _write_orbit(args, flow, orbit, args.dt, nsteps, invs)
 
 
 def _cmd_map(args) -> int:
@@ -205,13 +211,12 @@ def _cmd_map(args) -> int:
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
     orbit = m.orbit(np.asarray(y0), args.eps, args.steps)
-    return _write_orbit(args, m, orbit, m.step_time(args.eps), args.steps,
-                        f"{orbit[2]} stop")
+    return _write_orbit(args, m, orbit, m.step_time(args.eps), args.steps)
 
 
 def _cmd_drift(args) -> int:
     target, y0 = _target(args)
-    invs = claimed_invariants(target, registry(target.dim, args.alpha))
+    invs = _claimed(args, target)
     if args.invariant is not None:
         invs = [v for v in invs if v.name == args.invariant]
         if not invs:

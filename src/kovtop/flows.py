@@ -115,16 +115,19 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
                     rhs=rhs)
 
 
+def _alpha_text(alpha: float) -> str:
+    # alpha in six digits, or whole where those round it, so that no two
+    # alphas share a name and with it a claim
+    text = f"{alpha:g}"
+    return text if float(text) == alpha else repr(float(alpha))
+
+
 def gen_kov_name(N: int, alpha: float = 2.0, custom_s: bool = False) -> str:
     """The name of the generalized Kovalevskaya flow at (N, alpha), with the
     default s or a custom one; an invariant family claimed for one such
     flow only names it by this."""
-    # alpha in six digits, or whole where those round it, so that no two
-    # alphas share a name and with it a claim
-    text = f"{alpha:g}"
-    if float(text) != alpha:
-        text = repr(float(alpha))
-    return f"gen-kov(N={N},alpha={text}{',custom-s' if custom_s else ''})"
+    return (f"gen-kov(N={N},alpha={_alpha_text(alpha)}"
+            f"{',custom-s' if custom_s else ''})")
 
 
 def kovalevskaya3() -> FlowSpec:

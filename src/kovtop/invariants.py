@@ -40,8 +40,8 @@ import numpy as np
 from .core import as_state, fmt17
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
-from .flows import (FlowSpec, check_step_count, euler_top3, gen_kov_name,
-                    generalized_kovalevskaya, integrate_reference,
+from .flows import (FlowSpec, _alpha_text, check_step_count, euler_top3,
+                    gen_kov_name, generalized_kovalevskaya, integrate_reference,
                     kovalevskaya3, kovalevskaya_field, rk4_states)
 from .hk_engine import hk_step, polarize
 from .maps import (DiscreteMap, OrbitGuards, _d_list, _d_polynomial, _product,
@@ -277,7 +277,8 @@ def flow_power_integrals(N: int, alpha: float = 2.0) -> list[Invariant]:
         return ((Yi - Yj) / (Yi * Yj) * P ** expo, _sep_ok(Yi, Yj),
                 _positive(Y))
 
-    fam = "flow-power" if alpha == 2.0 else f"flow-power(alpha={alpha:g})"
+    fam = ("flow-power" if alpha == 2.0
+           else f"flow-power(alpha={_alpha_text(alpha)})")
     return _members(fam, N, (gen_kov_name(N, alpha),), formula,
                     ((f"K{i+1}{j+1}_flow", (i, j))
                      for i in range(N) for j in range(i + 1, N)))
@@ -562,16 +563,33 @@ def volume_check(map_: DiscreteMap, psi, y, eps: float) -> float:
     """|det(d ynew / d y) - psi(ynew)/psi(y)| / |det|, with the Jacobian from
     central finite differences of `map_.checked_step`: each stencil point is
     checked as `map_.step` would check it.  psi gets states as lists of
-    floats."""
+    floats.
+
+    The image and det J do not depend on psi, so the last (map, point, eps)
+    keeps them: each further density checked at that point evaluates only
+    psi.  The key tells 0.0 from -0.0, so a repeat gets the bits a first
+    call gets; a step or stencil that raises caches nothing."""
     y = as_state(y, map_.dim).tolist()
     p0 = _density(psi, y, eps)
     if not math.isfinite(p0) or p0 == 0.0:
         raise DomainError("volume density vanishes or is undefined at y")
     e = float(eps)
-    p1 = _density(psi, map_.checked_step(y, e), eps)
-    J = float(np.linalg.det(central_jacobian(
-        lambda z: map_.checked_step(z, e), y)))
+    ynew, J = _image_and_det(map_, tuple(y), e,
+                             tuple(math.copysign(1.0, v) for v in (*y, e)))
+    p1 = _density(psi, list(ynew), eps)
     return abs(J - p1 / p0) / abs(J)
+
+
+# one entry: criterion 2 checks every density at a point before the next
+# point, and nothing is kept past it
+@functools.lru_cache(maxsize=1)
+def _image_and_det(map_: DiscreteMap, y: tuple, e: float, _signs: tuple
+                   ) -> tuple[tuple, float]:
+    def step(z):
+        return map_.checked_step(z, e)
+
+    ynew = tuple(step(list(y)))
+    return ynew, float(np.linalg.det(central_jacobian(step, y)))
 
 
 # The densities and the phi factors below take a state as any sequence of
@@ -653,10 +671,9 @@ def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0) -> int:
     values above RANK_RTOL (1e-8) times the largest count toward the rank.
     """
     G = invariant_gradients(invs, y, eps)
-    for r in range(G.shape[0]):
-        norm = np.linalg.norm(G[r])
-        if norm > 1e-12:
-            G[r] /= norm
+    norms = np.linalg.norm(G, axis=1)
+    big = norms > 1e-12
+    G[big] /= norms[big, None]
     s = np.linalg.svd(G, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -681,8 +698,11 @@ def defect_order(map_: DiscreteMap, candidate: Invariant, y0,
     y0 = as_state(y0, map_.dim)
     raw = np.empty(eps_arr.size)
     for idx, e in enumerate(eps_arr):
-        ynew = map_.step(y0, e)
-        raw[idx] = abs(candidate.value(ynew, e) - candidate.value(y0, e))
+        vals, _, dom = evaluate([candidate], np.stack([map_.step(y0, e), y0]),
+                                e)
+        if not dom.all():
+            raise DomainError(f"{candidate.name} undefined at this point")
+        raw[idx] = abs(vals[0, 0] - vals[0, 1])
     keep = raw > DEFECT_FLOOR
     if np.sum(keep) < 2:
         return math.inf

@@ -343,7 +343,6 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
      "alpha must differ from N"),
     (["drift", "--flow", "gen-kov", "--n", "3", "--alpha", "3", "--eps",
       "0.001", "--steps", "8"], "alpha must differ from N"),
-    (_DRIFT + ["--eps", "0.01", "--alpha", "4"], "alpha must differ from N"),
     (["independence", "--family", "flow-power", "--n", "4", "--alpha", "4"],
      "alpha must differ from N"),
     # an any-N identity below N = 3 (N < 1 died in the start sampler)
@@ -370,7 +369,7 @@ _CONVERGENCE = ["convergence", "--map", "euler-hk", "--y0", "0.3,0.4,0.5"]
         "convergence-total-time", "convergence-eps-list-not-tiling",
         "drift-steps-zero", "independence-points-zero",
         "independence-points-negative", "simulate-alpha-n",
-        "drift-flow-alpha-n", "drift-map-alpha-n", "independence-alpha-n",
+        "drift-flow-alpha-n", "independence-alpha-n",
         "check-r-product-n-zero", "check-s-relations-n-zero",
         "check-engine-n-zero", "check-step-ratio-n-negative",
         "check-r-reciprocity-n-two", "map-steps-above-max",
@@ -381,6 +380,30 @@ def test_invalid_numeric_arguments_exit_one(capsys, argv, message):
     assert rc == 1
     assert out.out == ""
     assert out.err.startswith("error:") and message in out.err
+
+
+@pytest.mark.parametrize("argv, alpha", [
+    (_DRIFT + ["--eps", "0.01", "--starts", "2"], "4"),
+    (_DRIFT + ["--eps", "0.01", "--starts", "2", "--format", "json"], "1.3"),
+    (["drift", "--flow", "kov3", "--eps", "0.001", "--steps", "8", "--starts",
+      "2"], "3"),
+    (["drift", "--flow", "gen-euler", "--n", "4", "--eps", "0.001", "--steps",
+      "8", "--starts", "2"], "4"),
+    (_SIMULATE + ["--t-end", "0.05", "--dt", "0.01", "--with-invariants"],
+     "3"),
+], ids=["drift-map-alpha-n", "drift-map-alpha", "drift-kov3-alpha-n",
+        "drift-gen-euler-alpha-n", "simulate-kov3-alpha-n"])
+def test_alpha_reaches_gen_kov_only(capsys, argv, alpha):
+    # --alpha equal to N is an error for gen-kov alone (above); every other
+    # target runs as it does without --alpha
+    def run(argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    plain = run(argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(argv + ["--alpha", alpha]) == plain
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -745,7 +768,7 @@ def test_simulate_blowup_exits_two_with_partial_output(tmp_path, capsys):
         assert main(argv + ["--format", fmt, "--out", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "blowup at step 101\n"
+        assert out.err == "cap stop at step 101\n"
         text = path.read_text()
         if fmt == "csv":
             assert text.split("\n")[-2].startswith("100,1,")

@@ -236,7 +236,7 @@ _GEN_KOV_CLAIMS = [
      {"cross-ratio"}),
     # an alpha that six digits round to 2 is not the alpha = 2 flow
     (generalized_kovalevskaya(4, 2 + 1e-7), 2 + 1e-7,
-     {"flow-power(alpha=2)", "cross-ratio"}),
+     {"flow-power(alpha=2.0000001)", "cross-ratio"}),
 ]
 
 
@@ -620,6 +620,89 @@ def test_independence_rank_evaluates_each_invariant_once():
     invs = [replace(v, formula=counting) for v in altmap_n4_integrals()]
     assert independence_rank(invs, np.array([0.4, 0.9, 1.3, 0.7]), 0.01) == 3
     assert calls == [((8, 4), (18, 6))]
+
+
+def _reference_rank(invs, y, eps):
+    # the per-row normalization independence_rank replaced
+    G = invariant_gradients(invs, y, eps)
+    for r in range(G.shape[0]):
+        norm = np.linalg.norm(G[r])
+        if norm > 1e-12:
+            G[r] /= norm
+    s = np.linalg.svd(G, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > invariants.RANK_RTOL * s[0]))
+
+
+def test_independence_rank_matches_the_row_loop():
+    # criterion 6's inputs, and a member with a zero gradient, which keeps
+    # its zero row
+    def constant(Y, eps, idx):
+        return np.zeros((len(idx), len(Y))), None, None
+
+    zero = replace(cross_ratio_integrals(4)[0], name="zero", formula=constant)
+    checks = [(kov_poly_integrals(), 3, 0.0), (kov_hk_integrals(), 3, 0.01),
+              (kov_product_integrals(), 3, 0.01),
+              (genhk_n4_integrals(), 4, 0.01), (altmap_n4_integrals(), 4, 0.01),
+              ([zero], 4, 0.0), (cross_ratio_integrals(4) + [zero], 4, 0.01)]
+    for n in (3, 4, 5):
+        checks += [(flow_power_integrals(n), n, 0.0),
+                   (flow_power_integrals(n, 1.3), n, 0.0),
+                   (cross_ratio_integrals(n), n, 0.01)]
+    for invs, n, eps in checks:
+        for y in admissible_states(10, n, seed=106 + n):
+            assert independence_rank(invs, y, eps) == \
+                _reference_rank(invs, y, eps), (invs[0].family, y)
+    y = admissible_states(1, 4, seed=110)[0]
+    assert independence_rank([zero], y) == 0
+    assert independence_rank(cross_ratio_integrals(4) + [zero], y, 0.01) == 2
+
+
+def _reference_defect_order(map_, candidate, y0, eps_list):
+    # defect_order with F taken at the image and at y0 by two scalar values
+    eps_arr = np.asarray(list(eps_list), dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    raw = np.array([abs(candidate.value(map_.step(y0, e), e)
+                        - candidate.value(y0, e)) for e in eps_arr])
+    keep = raw > invariants.DEFECT_FLOOR
+    if np.sum(keep) < 2:
+        return math.inf
+    rate = raw[keep] / (map_.scale.factor * eps_arr[keep])
+    return float(np.polyfit(np.log(eps_arr[keep]), np.log(rate), 1)[0])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+_DEFECT_EPS = [0.05, 0.04, 0.03, 0.02, 0.01]
+
+
+@pytest.mark.parametrize("m, inv, y0, eps_list", [
+    # criterion 8's five cases
+    (gen_hk(3), kov_hk_integrals()[0], [0.3, 0.4, 0.5], _DEFECT_EPS),
+    (gen_hk(4), genhk_n4_integrals()[0], [0.3, 0.4, 0.5, 0.6], _DEFECT_EPS),
+    (alt_map(4), altmap_n4_integrals()[0], [0.3, 0.4, 0.5, 0.6], _DEFECT_EPS),
+    (kov_pullback(), kov_poly_integrals()[0], [0.3, 0.4, 0.5], _DEFECT_EPS),
+    (gen_hk(5), flow_power_integrals(5)[0], [0.3, 0.4, 0.5, 0.6, 0.7],
+     _DEFECT_EPS),
+    # off the positive orthant at y0, and at the image of eps = 0.5 only
+    (gen_hk(3), flow_power_integrals(3)[0], [-0.3, 0.4, 0.5], _DEFECT_EPS),
+    (gen_hk(3), flow_power_integrals(3)[0],
+     [2.1083681046896094, 0.1913063182483747, 2.7917303600179144],
+     [0.5, 0.4]),
+], ids=["gen-hk-3", "gen-hk-4", "alt-map-4", "kov-pullback", "gen-hk-5",
+        "start-off-domain", "image-off-domain"])
+def test_defect_order_matches_two_scalar_values(m, inv, y0, eps_list):
+    got = _outcome(lambda: defect_order(m, inv, y0, eps_list))
+    assert got == _outcome(lambda: _reference_defect_order(m, inv, y0,
+                                                            eps_list))
+    assert type(got) is float or got == (DomainError,
+                                         "K12_flow undefined at this point")
 
 
 def test_defect_order_sentinel_for_exact_integrals():

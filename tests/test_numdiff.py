@@ -4,10 +4,13 @@ Volume forms (criterion 2) and flow conjugacies (criterion 5) must come out
 bit for bit as before, and a stencil point outside a map's domain or on its
 singular variety must raise what `DiscreteMap.step` raises there.
 """
+import math
+
 import numpy as np
 import pytest
 
 from conftest import admissible_states
+from kovtop import invariants
 from kovtop.changevar import conjugacy_check, gen_cv, linear_cv, nonlinear_cv3
 from kovtop.core import as_state
 from kovtop.errors import DomainError, SingularStepError
@@ -150,3 +153,84 @@ def test_checked_step_is_the_step_on_lists():
             out = m.checked_step(y.tolist(), 0.05)
             assert type(out) is list
             assert np.array(out).tobytes() == m.step(y, 0.05).tobytes()
+
+
+# --- one image and one det J per point ------------------------------------------
+
+@pytest.fixture
+def jacobians(monkeypatch):
+    """Counts the Jacobians `volume_check` computes, from an empty cache."""
+    count = [0]
+
+    def counted(f, y):
+        count[0] += 1
+        return central_jacobian(f, y)
+
+    invariants._image_and_det.cache_clear()
+    monkeypatch.setattr(invariants, "central_jacobian", counted)
+    yield count
+    invariants._image_and_det.cache_clear()
+
+
+def test_densities_at_one_point_share_its_jacobian(jacobians):
+    m, eps = euler_hk(), 0.05
+    psis = [density_euler_hk(j) for j in range(3)]
+    pts = admissible_states(5, 3, seed=102)
+    for y in pts:
+        for psi in psis:
+            volume_check(m, psi, y, eps)
+    assert jacobians[0] == 5
+    # the one entry is the last point: coming back to a point recomputes it
+    jacobians[0] = 0
+    for y in (pts[0], pts[1], pts[0]):
+        for psi in psis:
+            volume_check(m, psi, y, eps)
+    assert jacobians[0] == 3
+
+
+@pytest.mark.parametrize("m, psis, eps", _volume_cases(),
+                         ids=[f"{m.name}-N{m.dim}" for m, _, _ in _volume_cases()])
+def test_volume_check_is_bit_identical_in_either_loop_order(m, psis, eps):
+    pts = admissible_states(5, m.dim, seed=1211)
+    fresh = {(k, i): _reference_volume_check(m, psi, y, eps)
+             for k, y in enumerate(pts) for i, psi in enumerate(psis)}
+    point_major = {(k, i): volume_check(m, psi, y, eps)
+                   for k, y in enumerate(pts) for i, psi in enumerate(psis)}
+    density_major = {(k, i): volume_check(m, psi, y, eps)
+                     for i, psi in enumerate(psis) for k, y in enumerate(pts)}
+    assert point_major == fresh and density_major == fresh
+
+
+def _sign_of_first(y, eps):
+    # 1 or 3 as the first coordinate is -0.0 or 0.0
+    return 2.0 + math.copysign(1.0, y[0])
+
+
+@pytest.mark.parametrize("m, first, second", [
+    # gen-hk keeps the sign of a zero coordinate in its image
+    (gen_hk(3), ([0.0, 0.3, 0.5], 0.05), ([-0.0, 0.3, 0.5], 0.05)),
+    # euler-hk's image of -0.0 is 0.0 at eps 0.0 and -0.0 at eps -0.0
+    (euler_hk(), ([-0.0, 0.3, 0.5], 0.0), ([-0.0, 0.3, 0.5], -0.0)),
+], ids=["y", "eps"])
+def test_signed_zeros_are_new_points(jacobians, m, first, second):
+    got = [volume_check(m, _sign_of_first, y, eps) for y, eps in (first,
+                                                                   second)]
+    assert jacobians[0] == 2
+    # the second image differs from the first in the sign of a zero, which
+    # _sign_of_first reads
+    assert got == [_reference_volume_check(m, _sign_of_first, y, eps)
+                   for y, eps in (first, second)]
+
+
+@pytest.mark.parametrize("y", [[1.0, 4.0, 4.0, 5.0 + 6.000006e-6],
+                               [1.0, 4.0, 4.0, 5.0]],
+                         ids=["stencil", "step"])
+def test_a_singular_point_raises_on_every_density(jacobians, y):
+    # d_1 vanishes on a stencil point of the first y and at the second y
+    m, eps = gen_hk(4), 0.1
+    psis = [density_cross_power(0, 1), density_cross_power(2, 3)]
+    for psi in psis + psis:
+        with pytest.raises(SingularStepError,
+                           match="gen-hk: denominator d_1 vanished"):
+            volume_check(m, psi, y, eps)
+    assert invariants._image_and_det.cache_info().currsize == 0
