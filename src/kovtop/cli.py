@@ -273,7 +273,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_independence(args) -> int:
-    every = registry(args.n, args.alpha)
+    # --alpha parametrizes the flow-power family alone; every other family
+    # is looked up at the default alpha
+    flow_power = args.family.split("(")[0] == "flow-power"
+    every = registry(args.n, args.alpha if flow_power else 2.0)
     invs = [v for v in every if v.family == args.family]
     if not invs:
         fams = sorted({v.family for v in every})
@@ -282,7 +285,7 @@ def _cmd_independence(args) -> int:
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
     pts = random_starts(args.points, args.n, args.seed)
-    ranks = [independence_rank(invs, y, args.eps) for y in pts]
+    ranks = independence_rank(invs, pts, args.eps)
     if args.format == "csv":
         lines = ["family,n,point,rank"]
         lines += [f"{args.family},{args.n},{k},{r}" for k, r in enumerate(ranks)]

@@ -32,7 +32,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -524,24 +523,34 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
 def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
     """Seeded uniform starts in the box [0.1, 2]^dim, rejecting a draw with a
     pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it.
+
+    The draws come in blocks of as many rows as starts are still missing,
+    each checked at once, and the accepted rows are kept in stream order: the
+    starts and the draws made are those of drawing one row at a time.
     Raises ParameterError for n < 1 and when MAX_START_DRAWS draws give no
     start."""
     if n < 1:
         raise ParameterError(f"random_starts needs n >= 1 starts, got {n}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
-    for row in out:
-        for _ in range(MAX_START_DRAWS):
-            y = rng.uniform(0.1, 2.0, dim)
-            if all(abs(a - b) > CANCEL_TOL * (abs(a) + abs(b))
-                   for a, b in combinations(y.tolist(), 2)):
-                row[:] = y
-                break
-        else:
-            raise ParameterError(
-                f"no start at N = {dim} in MAX_START_DRAWS = {MAX_START_DRAWS} "
-                f"draws has every coordinate pair separated by CANCEL_TOL = "
-                f"{CANCEL_TOL:g}")
+    done = 0
+    misses = 0      # draws rejected since the last accepted one
+    while done < n:
+        block = rng.uniform(0.1, 2.0, (n - done, dim))
+        # every ordered pair: (i, j) and (j, i) give the same bits, and the
+        # diagonal never passes
+        sep = _sep_ok(block[:, :, None], block[:, None, :])
+        ok = sep.sum(axis=(1, 2)) == dim * (dim - 1)
+        for accepted in ok.tolist():
+            misses = 0 if accepted else misses + 1
+            if misses == MAX_START_DRAWS:
+                raise ParameterError(
+                    f"no start at N = {dim} in MAX_START_DRAWS = "
+                    f"{MAX_START_DRAWS} draws has every coordinate pair "
+                    f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
+        kept = block[ok]
+        out[done:done + len(kept)] = kept
+        done += len(kept)
     return out
 
 
@@ -644,40 +653,49 @@ def density_flow_power(alpha: float = 2.0):
 
 def invariant_gradients(invs: Sequence[Invariant], y,
                         eps: float = 0.0) -> np.ndarray:
-    """Central-difference gradients at y, one row per invariant.
+    """Central-difference gradients, one row per invariant: (M, N) at a
+    point y, (P, M, N) at each point of a (P, N) stack.
 
-    Every family is evaluated once on the whole (2N, N) stencil; raises
-    DomainError when a stencil point is non-finite or outside an invariant's
-    domain.
+    Every family is evaluated once, on the stencils of all the points
+    together; each point gets the bits it gets alone.  Raises DomainError
+    when a stencil point is non-finite or outside an invariant's domain,
+    naming the first such invariant at the first such point, as a loop over
+    the points would.
     """
-    y = as_state(y)
+    Y = np.asarray(y, dtype=float)
+    for row in (Y if Y.ndim == 2 else [Y]):   # each point checked alone
+        as_state(row)
+    n = Y.shape[-1]
 
     def stacked(Z):
         V, _, dom = evaluate(invs, Z, eps)
-        bad = ~(dom & np.isfinite(Z).all(axis=1)).all(axis=1)
-        if bad.any():
-            raise DomainError(f"{invs[int(np.argmax(bad))].name} undefined "
-                              "at this point")
+        dom &= np.isfinite(Z).all(axis=1)
+        if not dom.all():
+            ok = dom.reshape(len(invs), -1, 2 * n).all(axis=2)
+            p = int(np.argmin(ok.all(axis=0)))
+            raise DomainError(f"{invs[int(np.argmin(ok[:, p]))].name} "
+                              "undefined at this point")
         return V
 
-    return central_gradient(stacked, y)
+    return central_gradient(stacked, Y).swapaxes(0, -2)
 
 
-def independence_rank(invs: Sequence[Invariant], y, eps: float = 0.0) -> int:
-    """Numerical rank of the stacked finite-difference gradients.
+def independence_rank(invs: Sequence[Invariant], y,
+                      eps: float = 0.0) -> int | list[int]:
+    """Numerical rank of the stacked finite-difference gradients: an int at a
+    point y, a list of ints, one per point, for a (P, N) stack.
 
-    Rows are normalized to unit length before the SVD so families mixing
-    scales measure functional rank rather than magnitude disparity; singular
-    values above RANK_RTOL (1e-8) times the largest count toward the rank.
+    A stack takes one `invariant_gradients` call, one row normalization and
+    one stacked SVD, and ranks each point as it ranks alone.  Rows are
+    normalized to unit length before the SVD so families mixing scales
+    measure functional rank rather than magnitude disparity; singular values
+    above RANK_RTOL (1e-8) times the largest count toward the rank.
     """
     G = invariant_gradients(invs, y, eps)
-    norms = np.linalg.norm(G, axis=1)
-    big = norms > 1e-12
-    G[big] /= norms[big, None]
+    norms = np.linalg.norm(G, axis=-1, keepdims=True)
+    np.divide(G, norms, out=G, where=norms > 1e-12)
     s = np.linalg.svd(G, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1).tolist()
 
 
 # --- defect order -----------------------------------------------------------
@@ -944,12 +962,12 @@ IDENTITIES = {
 def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
     """Worst residual of identity `name` over `trials` seeded starts at
-    dimension n, or at the identity's only dimension.  Each trial draws eps
-    from the identity's range, on a stream apart from the starts', unless
-    `eps` fixes it.  A trial whose residual is undefined (a singular or
-    out-of-domain spot, a float overflow or zero division) or not finite is
-    skipped under a drawn eps; under a fixed one it raises DomainError or
-    SingularStepError.  Raises DimensionError for a dimension the identity
+    dimension n, or at the identity's only dimension.  Each trial's eps is
+    drawn from the identity's range, all in one call on a stream apart from
+    the starts', unless `eps` fixes it.  A trial whose residual is undefined
+    (a singular or out-of-domain spot, a float overflow or zero division) or
+    not finite is skipped under a drawn eps; under a fixed one it raises
+    DomainError or SingularStepError.  Raises DimensionError for a dimension the identity
     does not hold at (below 3 for any-N identities), and ParameterError for
     trials < 1 and when fewer than half the trials were evaluable."""
     if trials < 1:
@@ -963,10 +981,11 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
     rng = np.random.default_rng([seed, 1])
+    eps_list = ([eps] * trials if eps is not None
+                else rng.uniform(lo, hi, trials).tolist())
     worst = 0.0
     evaluated = 0
-    for y in random_starts(trials, n, seed).tolist():
-        e = eps if eps is not None else float(rng.uniform(lo, hi))
+    for y, e in zip(random_starts(trials, n, seed).tolist(), eps_list):
         try:
             try:
                 r = residual(y, e)

@@ -26,18 +26,23 @@ def central_jacobian(f, y) -> np.ndarray:
 
 
 def central_gradient(f, y) -> np.ndarray:
-    """Gradients at y of the functions f evaluates, from one call of f.
+    """Gradients of the functions f evaluates, at a point y of shape (N,) or
+    at each point of a (P, N) stack, from one call of f.
 
-    f gets the (2N, N) stencil whose rows i and N + i are y + h_i e_i and
-    y - h_i e_i, and returns values of shape (..., 2N), one row per function;
-    the gradients come back with shape (..., N).
+    f gets one stencil of 2N rows per point, (2N, N) at a point and
+    (P*2N, N) for a stack; a point's rows i and N + i are y + h_i e_i and
+    y - h_i e_i.  f returns values of shape (..., 2N) or (..., P*2N), one row
+    per function, and the gradients come back with shape (..., N) or
+    (..., P, N).  When f evaluates each row on its own, a point of a stack
+    gets the bits it gets alone.
     """
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    n = y.shape[-1]
     h = DEFAULT_SCALE * (1.0 + np.abs(y))
-    stencil = np.repeat(y[None, :], 2 * n, axis=0)
+    stencil = np.repeat(y[..., None, :], 2 * n, axis=-2)
     i = np.arange(n)
-    stencil[i, i] += h
-    stencil[n + i, i] -= h
-    v = np.asarray(f(stencil), dtype=float)
+    stencil[..., i, i] += h
+    stencil[..., n + i, i] -= h
+    v = np.asarray(f(stencil.reshape(-1, n)), dtype=float)
+    v = v.reshape(v.shape[:-1] + y.shape[:-1] + (2 * n,))
     return (v[..., :n] - v[..., n:]) / (2.0 * h)

@@ -65,3 +65,14 @@ def test_map_command_records_one_discrete_map_orbit(capsys):
                               "0.2,0.3,0.4,0.5", "--eps", "1e-3", "--steps", "5"])
     capsys.readouterr()
     assert [s[tracing.NAME] for s in spans].count("maps.DiscreteMap.orbit") == 1
+
+
+def test_independence_ranks_every_point_in_one_gradient_call(capsys):
+    # `independence_rank` is a traced target; all ten points share one
+    # finite-difference stencil
+    tracing, spans = _traced(["independence", "--family", "cross-ratio",
+                              "--n", "4", "--points", "10"])
+    capsys.readouterr()
+    names = [s[tracing.NAME] for s in spans]
+    assert names.count("numdiff.central_gradient") == 1
+    assert names.count("invariants.independence_rank") == 1

@@ -406,6 +406,29 @@ def test_alpha_reaches_gen_kov_only(capsys, argv, alpha):
     assert run(argv + ["--alpha", alpha]) == plain
 
 
+@pytest.mark.parametrize("family, n, alpha", [
+    ("cross-ratio", "4", "4"), ("cross-ratio", "5", "1.3"),
+    ("kov-poly", "3", "3"), ("kov-hk-eps", "3", "3"), ("euler-poly", "5", "5"),
+    ("genhk4-phi", "4", "4"), ("quartet-sqrt", "4", "-0.5"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_alpha_reaches_the_flow_power_family_only(capsys, family, n, alpha,
+                                                  fmt):
+    # in `independence`, --alpha equal to N is an error for a flow-power
+    # family alone (above); every other family prints what it prints
+    # without --alpha
+    def run(argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    argv = ["independence", "--family", family, "--n", n, "--points", "2",
+            "--format", fmt]
+    plain = run(argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(argv + ["--alpha", alpha]) == plain
+
+
 @pytest.mark.parametrize("argv,err", [
     (_MAP + ["--eps", "0.01", "--steps", "10000001"],
      "error: steps=10000001 gives 10000001 steps, more than MAX_STEPS = 1e+07\n"),

@@ -33,7 +33,7 @@ from conftest import admissible_states
 from kovtop import invariants, kernels
 from kovtop.cli import main
 from kovtop.core import as_state
-from kovtop.errors import DomainError, ParameterError
+from kovtop.errors import DomainError, ParameterError, SingularStepError
 from kovtop.flows import MAX_STEPS, _steps_for, euler_field, kovalevskaya_field
 from kovtop.hk_engine import BilinearStepSystem, hk_step, polarize
 from kovtop.invariants import (IDENTITIES, PARTITIONS_4, convergence_study,
@@ -796,6 +796,62 @@ def test_a_drawn_eps_with_a_non_finite_residual_skips_the_trial(monkeypatch):
     assert identity_battery("d-sum", 4, 10, seed=1) == 1e-17
     with pytest.raises(DomainError, match="d-sum: residual inf at eps=0.1"):
         identity_battery("d-sum", 4, 10, seed=1, eps=0.1)
+
+
+def _reference_battery(name, n, trials, seed, eps=None):
+    """identity_battery as it drew each trial's eps alone, one scalar
+    uniform per trial, after checking its arguments."""
+    residual, (lo, hi), dims = IDENTITIES[name]
+    if dims is not None and len(dims) == 1:
+        n = dims[0]
+    rng = np.random.default_rng([seed, 1])
+    worst = 0.0
+    evaluated = 0
+    for y in random_starts(trials, n, seed).tolist():
+        e = eps if eps is not None else float(rng.uniform(lo, hi))
+        try:
+            try:
+                r = residual(y, e)
+            except OverflowError as exc:
+                raise DomainError(f"{name}: a float overflows at eps={e:g}"
+                                  ) from exc
+            except ZeroDivisionError as exc:
+                raise DomainError(f"{name}: a float division by zero at "
+                                  f"eps={e:g}") from exc
+            if not math.isfinite(r):
+                raise DomainError(f"{name}: residual {r} at eps={e:g}")
+        except (DomainError, SingularStepError):
+            if eps is not None:
+                raise
+            continue
+        worst = max(worst, r)
+        evaluated += 1
+    if evaluated < max(1, trials // 2):
+        raise ParameterError(
+            f"identity {name!r}: only {evaluated}/{trials} trials were "
+            "evaluable; tighten the eps range")
+    return worst
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, SingularStepError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_battery_eps_draws_match_the_per_trial_draw(name):
+    # all the eps of a battery come from one draw, with the bits of one
+    # scalar draw per trial; a fixed eps is used as given
+    lo, hi = IDENTITIES[name][1]
+    n = 4 if name != "sqrt-comp" else 3
+    for seed in (1, 2, 3):
+        for trials in (1, 2, 25):
+            for eps in (None, lo, hi, 2.0):
+                args = (name, n, trials, seed, eps)
+                assert _outcome(identity_battery, *args) == \
+                    _outcome(_reference_battery, *args), args
 
 
 def test_battery_draws_eps_apart_from_the_starts(monkeypatch):

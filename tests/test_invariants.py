@@ -10,7 +10,7 @@ import pytest
 from mpmath import iv
 
 from conftest import admissible_states
-from kovtop import invariants, kernels
+from kovtop import cli, invariants, kernels
 from kovtop.cli import main
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
@@ -488,6 +488,86 @@ def test_random_starts_bound_counts_draws_per_start(monkeypatch):
         random_starts(20, 24, seed=1)
 
 
+def _reference_random_starts(n, dim, seed):
+    """The per-draw loop `random_starts` replaced: one uniform draw and one
+    Python pair loop at a time.  Also returns each draw's verdict."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, dim))
+    verdicts = []
+    for row in out:
+        for _ in range(invariants.MAX_START_DRAWS):
+            y = rng.uniform(0.1, 2.0, dim)
+            verdicts.append(all(abs(a - b) > CANCEL_TOL * (abs(a) + abs(b))
+                                for a, b in combinations(y.tolist(), 2)))
+            if verdicts[-1]:
+                row[:] = y
+                break
+        else:
+            raise ParameterError(
+                f"no start at N = {dim} in MAX_START_DRAWS = "
+                f"{invariants.MAX_START_DRAWS} draws has every coordinate pair "
+                f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
+    return out, verdicts
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 20, 100])
+def test_random_starts_match_the_per_draw_loop(n):
+    for dim in range(3, 21):
+        for seed in range(6):
+            want, _ = _reference_random_starts(n, dim, seed)
+            assert random_starts(n, dim, seed).tobytes() == want.tobytes(), \
+                (n, dim, seed)
+
+
+def test_random_starts_blocks_hold_only_the_missing_starts(monkeypatch):
+    # each block holds at most the starts still missing, so the blocks draw
+    # exactly the rows the per-draw loop draws
+    cases = [(1, 24, 1), (20, 24, 1), (100, 12, 3), (7, 30, 5)]
+    verdicts = [_reference_random_starts(*case)[1] for case in cases]
+    blocks = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, lo, hi, size):
+            blocks.append(size[0])
+            return self.rng.uniform(lo, hi, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    for (n, dim, seed), verdict in zip(cases, verdicts):
+        blocks.clear()
+        random_starts(n, dim, seed)
+        assert sum(blocks) == len(verdict)
+        drawn = 0
+        for rows in blocks:
+            assert rows <= n - sum(verdict[:drawn]), (n, dim, seed, blocks)
+            drawn += rows
+    assert sum(v.count(False) for v in verdicts) > 0
+
+
+def test_random_starts_give_up_as_the_per_draw_loop(monkeypatch):
+    # a small bound, so that no loop runs long: raised or returned, the
+    # outcome and the message are the loop's
+    outcomes = set()
+    for bound in (1, 2, 3):
+        monkeypatch.setattr(invariants, "MAX_START_DRAWS", bound)
+        for dim in (10, 16, 24):
+            for seed in range(5):
+                try:
+                    want = _reference_random_starts(20, dim, seed)[0].tobytes()
+                except ParameterError as exc:
+                    with pytest.raises(ParameterError) as got:
+                        random_starts(20, dim, seed)
+                    assert str(got.value) == str(exc)
+                    outcomes.add("raised")
+                else:
+                    assert random_starts(20, dim, seed).tobytes() == want
+                    outcomes.add("returned")
+    assert outcomes == {"raised", "returned"}
+
+
 def test_random_starts_of_a_seed_once_drawing_masked_pairs_are_evaluable():
     # this seed once drew (1.736, 0.255, 1.734), whose y_1 and y_3 the masks
     # drop at every point of the window: H13:H12 and K31_sq.. had no drift
@@ -572,8 +652,8 @@ def _reference_gradients(invs, y, eps):
 def _gradients_or_domain_error(fn, invs, y, eps):
     try:
         return fn(invs, y, eps)
-    except DomainError:
-        return DomainError
+    except DomainError as exc:
+        return exc
 
 
 def _gradient_points(N, seed):
@@ -587,6 +667,34 @@ def _gradient_points(N, seed):
     return pts + edge
 
 
+def _check_stacks(invs, pts, wants, eps):
+    """Stacks of the points against the per-point loop's gradients `wants`
+    (a DomainError where the loop raised one)."""
+    bad = [k for k, w in enumerate(wants) if isinstance(w, DomainError)]
+    good = [k for k in range(len(pts)) if k not in bad]
+    # the evaluable points in one stack: the loop's gradients and ranks
+    Y = np.array(pts)[good]
+    want = np.array([wants[k] for k in good]).reshape(
+        len(good), len(invs), Y.shape[1])
+    assert np.array_equal(invariant_gradients(invs, Y, eps), want)
+    assert independence_rank(invs, Y, eps) == \
+        [_reference_rank(invs, pts[k], eps) for k in good]
+    # a stack with points outside the domain raises what the loop raises
+    # first: the first bad point's first bad invariant
+    for order in (range(len(pts)), range(len(pts) - 1, -1, -1)):
+        first = next((k for k in order if k in bad), None)
+        if first is None:
+            continue
+        with pytest.raises(DomainError) as got:
+            independence_rank(invs, np.array(pts)[list(order)], eps)
+        assert str(got.value) == str(wants[first])
+    for k in bad:
+        for at in (0, len(good) // 2, len(good)):
+            with pytest.raises(DomainError) as got:
+                invariant_gradients(invs, np.insert(Y, at, pts[k], axis=0), eps)
+            assert str(got.value) == str(wants[k])
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 @pytest.mark.parametrize("alpha", [2.0, 1.3])
 def test_stacked_gradients_match_per_point_reference(N, alpha):
@@ -595,21 +703,48 @@ def test_stacked_gradients_match_per_point_reference(N, alpha):
         families.setdefault(inv.family, []).append(inv)
     outcomes = set()
     for invs in families.values():
-        for y in _gradient_points(N, seed=10 * N + int(alpha * 10)):
-            for eps in (0.0, 0.01, 5.0):
-                want = _gradients_or_domain_error(_reference_gradients, invs, y, eps)
+        pts = _gradient_points(N, seed=10 * N + int(alpha * 10))
+        for eps in (0.0, 0.01, 5.0):
+            wants = [_gradients_or_domain_error(_reference_gradients, invs, y,
+                                                eps) for y in pts]
+            for y, want in zip(pts, wants):
                 got = _gradients_or_domain_error(invariant_gradients, invs, y, eps)
-                if want is DomainError:
-                    assert got is DomainError, (invs[0].family, y, eps)
+                if isinstance(want, DomainError):
+                    assert isinstance(got, DomainError), (invs[0].family, y, eps)
+                    assert str(got) == str(want), (invs[0].family, y, eps)
                 else:
-                    assert got is not DomainError, (invs[0].family, y, eps)
+                    assert not isinstance(got, DomainError), \
+                        (invs[0].family, y, eps)
                     assert np.array_equal(got, want), (invs[0].family, y, eps)
-                outcomes.add(want is DomainError)
+                outcomes.add(isinstance(want, DomainError))
+            _check_stacks(invs, pts, wants, eps)
     assert outcomes == {True, False}
 
 
-def test_independence_rank_evaluates_each_invariant_once():
-    # the family formula runs once, for all 18 members, on the 8-point stencil
+def test_a_stack_names_its_first_bad_point_and_that_points_first_bad_invariant():
+    # member r is defined where y_r > 0; the second point is off member 1's
+    # domain, the third off member 0's: the loop stops at the second point
+    def positive(Y, eps, idx):
+        cols = Y.T[idx[:, 0]]
+        return cols, None, cols > 0
+
+    invs = [Invariant(name=f"y{r}", dim=3, family="positive", claimed_for=(),
+                      formula=positive, index=(r,)) for r in range(3)]
+    stack = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+    with pytest.raises(DomainError, match="^y1 undefined at this point$"):
+        invariant_gradients(invs, stack[1], 0.0)
+    for fn in (invariant_gradients, independence_rank):
+        with pytest.raises(DomainError, match="^y1 undefined at this point$"):
+            fn(invs, stack, 0.0)
+        with pytest.raises(DomainError, match="^y0 undefined at this point$"):
+            fn(invs, stack[::-1], 0.0)
+    assert independence_rank(invs, stack[:1], 0.0) == [3]
+
+
+def test_independence_rank_evaluates_each_invariant_once(monkeypatch):
+    # the family formula runs once, for all 18 members, on the 8-point
+    # stencil of a point, and on the 80 stencil points of 10 points, as for
+    # `independence --points 10`
     calls = []
     formula = altmap_n4_integrals()[0].formula
 
@@ -620,6 +755,14 @@ def test_independence_rank_evaluates_each_invariant_once():
     invs = [replace(v, formula=counting) for v in altmap_n4_integrals()]
     assert independence_rank(invs, np.array([0.4, 0.9, 1.3, 0.7]), 0.01) == 3
     assert calls == [((8, 4), (18, 6))]
+    calls.clear()
+    assert independence_rank(invs, random_starts(10, 4, seed=1), 0.01) == [3] * 10
+    assert calls == [((80, 4), (18, 6))]
+    calls.clear()
+    monkeypatch.setattr(cli, "registry", lambda n, alpha=2.0: invs)
+    assert main(["independence", "--family", "altmap4-phi", "--n", "4",
+                 "--points", "10", "--format", "json"]) == 0
+    assert calls == [((80, 4), (18, 6))]
 
 
 def _reference_rank(invs, y, eps):
