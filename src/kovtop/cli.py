@@ -44,15 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """The comma-separated floats of option `flag`; an empty entry (as in
+    `1,,2`, a trailing comma or an empty list) is a ConfigError."""
+    toks = text.split(",")
+    if any(tok.strip() == "" for tok in toks):
+        raise ConfigError(f"{flag} has an empty entry: {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in toks]
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
 def _parse_y0(text: str) -> list[float]:
-    y0 = _parse_floats(text)
+    y0 = _parse_floats(text, "--y0")
     if not all(map(math.isfinite, y0)):
         raise ConfigError(f"--y0 must be finite, got {text!r}")
     return y0
@@ -144,11 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path):
+    """Write `text` to stdout, or to the file `out_path`; a file that cannot
+    be written is a ConfigError naming it."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _target(args):
@@ -238,7 +249,7 @@ def _cmd_drift(args) -> int:
 
 def _cmd_convergence(args) -> int:
     m, y0 = _target(args)
-    eps_list = _parse_floats(args.eps_list)
+    eps_list = _parse_floats(args.eps_list, "--eps-list")
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ConfigError("--eps-list must be positive and finite")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
@@ -306,16 +317,38 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv):
+    """The namespace of argv, scanned once: a command's options by that
+    command's parser of `build_parser`, into a namespace that already names
+    the command.  Any other argv (none, an unknown command, a top-level -h,
+    an option before the command) goes to the whole parser, which ends it
+    with its usual error or help."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None) -> int:
+    """Run the `kovtop` command line argv (default sys.argv[1:]) and return
+    its exit code: 0 success, 1 invalid configuration (a bad option, or an
+    `--out` that cannot be written), 2 a domain or singularity abort.  The
+    command's own parser scans its options once (`_parse_args`), the same
+    namespace and errors as `build_parser().parse_args(argv)`."""
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (DomainError, SingularStepError, BlowupError) as exc:
-        status = {"status": "aborted", "error": str(exc)}
-        if args.format == "json":
-            _emit(json.dumps(status), args.out)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 2
+        args = _parse_args(argv)
+        try:
+            return _COMMANDS[args.command](args)
+        except (DomainError, SingularStepError, BlowupError) as exc:
+            if args.format == "json":
+                _emit(json.dumps({"status": "aborted", "error": str(exc)}),
+                      args.out)
+            print(f"aborted: {exc}", file=sys.stderr)
+            return 2
     except KovtopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,21 +63,29 @@ def _emit_call(ins, outs):
 
 
 def _emit_e1_only(ins, outs):
-    # s = c1*e_1 by the operations esp_all makes for e_1 (e_1 += y_i*e_0,
-    # e_0 = 1), then y_i(s - alpha*y_i)
-    return (kernels.emit_fold("e1", "0", "+", [f"{v} * 1" for v in ins])
+    """s = c1*e_1 by the additions esp_all makes for e_1, then
+    out_i = y_i(s - alpha*y_i): the bits of `kernels._rhs_scaled_quadratic`
+    with s_coeffs = [c1, 0, ..., 0].  esp_all adds y_i*e_0 with e_0 = 1, and
+    y_i*1 is y_i on floats, `Fraction`s and `mpf`s at working precision, so
+    the fold adds the y_i themselves; its leading 0 + stays, as it gives an
+    all-zero sum its sign."""
+    return (kernels.emit_fold("e1", "0", "+", list(ins))
             + ["s = 0 + c1 * e1"]
             + [f"{k} = {v} * (s - alpha * {v})" for v, k in zip(ins, outs)])
 
 
 def _emit_product_complement(ins, outs):
-    # out_i = 1*x_0*...*x_{i-1}*x_{i+1}*...*x_{N-1}, left to right; the
-    # prefix products q_i = 1*x_0*...*x_{i-1} are shared between outputs
+    """out_i = x_0*...*x_{i-1}*x_{i+1}*...*x_{N-1}, multiplied left to
+    right, the prefix products q_i = x_0*...*x_{i-1} shared between outputs.
+    A product starts from its first factor, not from 1 * it, which returns
+    that factor on every number type the kernels run on; so q_1 is x_0
+    itself.  N >= 2."""
     n = len(ins)
-    heads = ["1"] + [f"q{i}" for i in range(1, n)]
-    lines = [f"{heads[i + 1]} = {heads[i]} * {ins[i]}" for i in range(n - 1)]
+    heads = [None, ins[0]] + [f"q{i}" for i in range(2, n)]
+    lines = [f"{heads[i + 1]} = {heads[i]} * {ins[i]}" for i in range(1, n - 1)]
     for i, out in enumerate(outs):
-        lines += kernels.emit_fold(out, heads[i], "*", ins[i + 1:])
+        head, rest = (heads[i], ins[i + 1:]) if i else (ins[1], ins[2:])
+        lines += kernels.emit_fold(out, head, "*", rest)
     return lines
 
 

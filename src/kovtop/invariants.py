@@ -32,11 +32,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import as_state, fmt17
+from .core import as_state
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
 from .flows import (FlowSpec, _alpha_text, check_step_count, euler_top3,
@@ -1015,26 +1016,55 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
 DRIFT_CSV_HEADER = "map,invariant,eps,steps,max_rel_drift,first_blowup_step"
 
 
+#: one report as a CSV row; '%.17g' spells a float as `core.fmt17` does
+_DRIFT_CSV_ROW = "%s,%s,%.17g,%s,%.17g,%s"
+
+#: one report as json.dumps writes its dict
+_DRIFT_JSON_ROW = ('{"map": %s, "invariant": %s, "eps": %s, "steps": %s, '
+                   '"max_rel_drift": %s, "first_blowup_step": %s}')
+
+
 def drift_to_csv(reports: Sequence[DriftReport]) -> str:
-    lines = [DRIFT_CSV_HEADER]
-    for r in reports:
-        blow = "" if r.first_blowup_step is None else str(r.first_blowup_step)
-        lines.append(",".join([r.map, r.invariant, fmt17(r.eps), str(r.steps),
-                               fmt17(r.max_rel_drift), blow]))
-    return "\n".join(lines) + "\n"
+    """The reports as CSV under DRIFT_CSV_HEADER, each row by one template:
+    eps and the drift in 17 significant digits (`core.fmt17`, `nan` and
+    `inf` included), an empty first_blowup_step for a whole window."""
+    rows = [_DRIFT_CSV_ROW % (
+                r.map, r.invariant, r.eps, r.steps, r.max_rel_drift,
+                "" if r.first_blowup_step is None else r.first_blowup_step)
+            for r in reports]
+    return "\n".join([DRIFT_CSV_HEADER] + rows) + "\n"
+
+
+def _json_number(x) -> str:
+    """json.dumps(x) for an int, a float or None: null, or repr where that
+    is what json writes (an int, a finite float), else json.dumps itself."""
+    if x is None:
+        return "null"
+    t = type(x)
+    if t is int or t is float and math.isfinite(x):
+        return repr(x)
+    return json.dumps(x)
 
 
 def drift_to_json(reports: Sequence[DriftReport]) -> str:
-    # an unevaluable pair carries NaN internally; JSON gets null (strict JSON
-    # has no NaN literal)
-    return json.dumps({
-        "status": "ok",
-        "reports": [{
-            "map": r.map,
-            "invariant": r.invariant,
-            "eps": r.eps,
-            "steps": r.steps,
-            "max_rel_drift": None if math.isnan(r.max_rel_drift) else r.max_rel_drift,
-            "first_blowup_step": r.first_blowup_step,
-        } for r in reports],
-    })
+    """The reports as json.dumps writes {"status": "ok", "reports": [...]},
+    one dict of the report's fields each, each report by one template.  An
+    unevaluable pair carries a NaN drift, which JSON gets as null (strict
+    JSON has no NaN literal); any other non-finite float is spelled as
+    json.dumps spells it.  A run of reports sharing their map, eps and steps
+    objects, as one `drift_batch` makes them, spells those once: the same
+    objects spell the same, where equal values need not (0.0 and -0.0)."""
+    rows = []
+    last = None
+    for r in reports:
+        if last is None or not (r.map is last.map and r.eps is last.eps
+                                and r.steps is last.steps):
+            last = r
+            row = _DRIFT_JSON_ROW % (
+                encode_basestring_ascii(r.map).replace("%", "%%"), "%s",
+                _json_number(r.eps), _json_number(r.steps), "%s", "%s")
+        d = r.max_rel_drift
+        rows.append(row % (encode_basestring_ascii(r.invariant),
+                           "null" if d != d else _json_number(d),
+                           _json_number(r.first_blowup_step)))
+    return '{"status": "ok", "reports": [%s]}' % ", ".join(rows)

@@ -15,8 +15,11 @@ try:
 except ImportError:
     jsonschema = None
 
+from kovtop import cli
 from kovtop.cli import build_parser, main
+from kovtop.errors import ConfigError
 from kovtop.invariants import IDENTITIES
+from test_readme_examples import EXAMPLES
 
 SCHEMA_DIR = None
 
@@ -859,9 +862,26 @@ def test_check_csv(tmp_path, capsys):
      "--y0 must list 4 coordinates"),
     (["convergence", "--map", "gen-hk", "--n", "4", "--y0", "1,2,3",
       "--eps-list", "0.01"], "--y0 must list 4 coordinates"),
+    # an empty entry is not dropped: 1,,2,3 once ran as N = 3
+    (["map", "--map", "gen-hk", "--y0", "1,,2,3", "--eps", "0.1", "--steps",
+      "1"], "--y0 has an empty entry: '1,,2,3'"),
+    (_MAP[:-1] + ["1,2,3,4,", "--eps", "0.1", "--steps", "1"],
+     "--y0 has an empty entry: '1,2,3,4,'"),
+    (["map", "--map", "gen-hk", "--y0", "", "--eps", "0.1", "--steps", "1"],
+     "--y0 has an empty entry: ''"),
+    (_DRIFT + ["--eps", "0.01", "--y0=1,2, ,4"],
+     "--y0 has an empty entry: '1,2, ,4'"),
+    (_CONVERGENCE + ["--eps-list", "0.01,,0.005"],
+     "--eps-list has an empty entry: '0.01,,0.005'"),
+    (_CONVERGENCE + ["--eps-list", "0.01,"],
+     "--eps-list has an empty entry: '0.01,'"),
+    (_CONVERGENCE + ["--eps-list="], "--eps-list has an empty entry: ''"),
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
-        "convergence-y0"])
+        "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
+        "map-y0-empty", "drift-y0-blank-entry",
+        "convergence-eps-list-empty-entry",
+        "convergence-eps-list-trailing-comma", "convergence-eps-list-empty"])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1
@@ -869,3 +889,144 @@ def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     assert out.out == ""
     assert out.err == f"error: {message}\n"
     assert not path.exists()
+
+
+# --- one scan per command line ----------------------------------------------
+
+_README = [argv[1:] for argv in EXAMPLES]
+
+#: (argv, how the whole parser ends it: a namespace, a ConfigError or exit)
+_ROUTES = [(argv, "namespace") for argv in _README] + [
+    (_DRIFT + ["--eps=-1e-3"], "namespace"),
+    (_DRIFT + ["--eps", "-1e-3"], "namespace"),
+    (_OUTSIDE, "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--fo", "json", "--se", "3"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--for=json", "--star=2"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--st=2"], "error"),
+    (_SIMULATE + ["--t-end", "1", "--dt", "0.1", "--with"], "namespace"),
+    (_MAP + ["--eps", "0.1", "--steps", "1", "--y0", "4,3,2,1"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--", "extra"], "error"),
+    (["map", "--", "--map", "gen-hk"], "error"),
+    ([], "error"),
+    (["nope"], "error"),
+    (["nope", "--map", "gen-hk"], "error"),
+    (["Drift"] + _DRIFT[1:] + ["--eps", "0.01"], "error"),
+    (["dri"] + _DRIFT[1:] + ["--eps", "0.01"], "error"),
+    (["--format", "json"] + _DRIFT + ["--eps", "0.01"], "error"),
+    (["--", "drift"], "error"),
+    (["drift", "--map", "gen-hk", "--flow", "kov3", "--eps", "0.01",
+      "--steps", "8"], "error"),
+    (["drift", "--n", "4", "--eps", "0.01", "--steps", "8"], "error"),
+    (_MAP + ["--eps", "0.1"], "error"),
+    (_MAP + ["--eps", "0.1", "--steps", "two"], "error"),
+    (_MAP + ["--eps", "1e-3e", "--steps", "1"], "error"),
+    (_MAP + ["--eps", "nan", "--steps", "1"], "error"),
+    (_MAP + ["--eps", "-inf", "--steps", "1"], "error"),
+    (["map", "--map", "nope", "--y0", "1", "--eps", "0.1", "--steps", "1"],
+     "error"),
+    (_DRIFT + ["--eps", "0.01", "--format", "xml"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--bogus"], "error"),
+    (_DRIFT + ["--eps", "0.01", "-x", "3"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--s", "3"], "error"),
+    (_DRIFT + ["--eps"], "error"),
+    (["check", "--identity", "d-sum", "stray"], "error"),
+    (["-h"], "exit"),
+    (["--help"], "exit"),
+    (["--he"], "exit"),
+    (["-h", "drift"], "exit"),
+    (["drift", "-h"], "exit"),
+    (_DRIFT + ["--help"], "exit"),
+    (["map", "--he"], "exit"),
+    (["check", "--identity", "d-sum", "-h"], "exit"),
+    (["check", "--identity", "nope", "-h"], "error"),
+] + [([command, "-h"], "exit") for command in ("simulate", "convergence",
+                                                 "independence")]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        got = ("namespace", vars(parse(list(argv))))
+    except ConfigError as exc:
+        got = ("error", str(exc))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, how", _ROUTES,
+                         ids=[" ".join(a)[:60] or "empty" for a, _ in _ROUTES])
+def test_main_parses_as_the_whole_parser(capsys, argv, how):
+    # main hands a command's options to that command's parser alone; the
+    # namespace, the ConfigError message, or the help text and exit code are
+    # those of the whole parser
+    got = _parse_outcome(capsys, cli._parse_args, argv)
+    assert got == _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert got[0][0] == how
+
+
+def test_a_valid_command_line_is_scanned_once(monkeypatch, capsys):
+    scans = []
+    scan = argparse.ArgumentParser._parse_known_args
+
+    def counted(self, *args, **kwargs):
+        scans.append(self.prog)
+        return scan(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+    for argv in _README + [_DRIFT + ["--eps", "-1e-3", "--format", "json"],
+                           _OUTSIDE]:
+        scans.clear()
+        assert main(argv) == 0
+        assert scans == [f"kovtop {argv[0]}"]
+    capsys.readouterr()
+    # a command line naming no command is ended by the whole parser
+    scans.clear()
+    assert main(["nope"]) == 1
+    assert scans == ["kovtop"]
+
+
+# --- an --out that cannot be written ----------------------------------------
+
+_STRERROR = {"missing-dir": "No such file or directory",
+             "directory": "Is a directory"}
+
+
+def _unwritable(tmp_path, where):
+    if where == "missing-dir":
+        return tmp_path / "missing" / "out.txt"
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    _MAP + ["--eps", "0.01", "--steps", "3"],
+    _SIMULATE + ["--t-end", "0.01", "--dt", "0.001"],
+    _DRIFT + ["--eps", "0.01", "--starts", "2"],
+    # an orbit that stops early writes its partial trajectory, then exits 2
+    ["simulate", "--flow", "kov3", "--y0", "1,1,1", "--t-end", "2", "--dt",
+     "0.01"],
+], ids=["map", "simulate", "drift", "simulate-blowup"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", list(_STRERROR))
+def test_unwritable_out_exits_one_naming_it(tmp_path, capsys, argv, fmt,
+                                            where):
+    path = _unwritable(tmp_path, where)
+    assert main(argv + ["--format", fmt, "--out", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: cannot write --out {str(path)!r}: "
+                       f"{_STRERROR[where]}\n")
+
+
+@pytest.mark.parametrize("where", list(_STRERROR))
+def test_abort_status_to_an_unwritable_out_exits_one(tmp_path, capsys, where):
+    # the JSON status of an aborted run is written while handling the abort
+    path = _unwritable(tmp_path, where)
+    argv = ["check", "--identity", "engine", "--n", "4", "--trials", "4",
+            "--eps", "1e200", "--format", "json", "--out", str(path)]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: cannot write --out {str(path)!r}: "
+                       f"{_STRERROR[where]}\n")

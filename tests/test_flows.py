@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from kovtop.flows import (euler_field, euler_top3, generalized_euler,
                           rk4_states, verify_hyperelliptic_relation)
 from kovtop.invariants import (cross_ratio_integrals, flow_power_integrals,
                                kov_poly_integrals)
-from kovtop import kernels
+from kovtop import flows, kernels
 from kovtop.kernels import esp_all
 
 
@@ -211,6 +212,17 @@ def test_e1_only_rhs_keeps_the_full_sum_types(num):
     want = kernels._rhs_scaled_quadratic(y, 1.3, [1.0, 0.0, 0.0, 0.0])
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("emit", [flows._emit_e1_only,
+                                  flows._emit_product_complement])
+@pytest.mark.parametrize("n", [2, 3, 4, 40])
+def test_flow_emitters_write_no_multiplication_by_one(emit, n):
+    ins, outs = [f"u{i}" for i in range(n)], [f"k{i}" for i in range(n)]
+    # x * 1 and 1 * x return x: tests/test_rk4_step.py checks the bits
+    # against references that keep them
+    source = "\n".join(emit(ins, outs))
+    assert not re.search(r"(?<![\w.])1 \*|\* 1(?![\w.])", source), source
 
 
 def test_hyperelliptic_relation_n3():

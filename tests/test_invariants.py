@@ -11,6 +11,7 @@ from mpmath import iv
 
 from conftest import admissible_states
 from kovtop import cli, invariants, kernels
+from kovtop.core import fmt17
 from kovtop.cli import main
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
@@ -965,6 +966,66 @@ def test_drift_serialization():
     assert data["status"] == "ok"
     assert data["reports"][0]["first_blowup_step"] is None
     assert data["reports"][1]["first_blowup_step"] == 42
+
+
+def _reference_drift_json(reports):
+    # the json.dumps writer the templates replace
+    return json.dumps({"status": "ok", "reports": [{
+        "map": r.map, "invariant": r.invariant, "eps": r.eps, "steps": r.steps,
+        "max_rel_drift": None if math.isnan(r.max_rel_drift) else r.max_rel_drift,
+        "first_blowup_step": r.first_blowup_step} for r in reports]})
+
+
+def _reference_drift_csv(reports):
+    # the fmt17 join the templates replace
+    lines = ["map,invariant,eps,steps,max_rel_drift,first_blowup_step"]
+    for r in reports:
+        blow = "" if r.first_blowup_step is None else str(r.first_blowup_step)
+        lines.append(",".join([r.map, r.invariant, fmt17(r.eps), str(r.steps),
+                               fmt17(r.max_rel_drift), blow]))
+    return "\n".join(lines) + "\n"
+
+
+def _edge_reports():
+    # every drift edge at one (map, eps, steps); eps 0.0 and -0.0, NaN and
+    # inf in one list, with and without shared objects; quoted, percent and
+    # non-ASCII names; maps mixed in one list
+    drifts = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308,
+              1.5e-12, 0.1]
+    names = ['H13:H12', 'say "hi"', '100% K', '%s%%', 'K\u00e9', '\u2211 H',
+             '\\n', '\U0001d43b']
+    out = [DriftReport("gen-hk", names[k % len(names)], 0.01, 8, d,
+                       None if k % 3 else k)
+           for k, d in enumerate(drifts)]
+    for eps in (0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, -0.0, 5e-324):
+        out += [DriftReport("alt-map", name, eps, 100, 2.5e-13, blow)
+                for name, blow in (("K12_alt4p1", 0), ("H%", None))]
+    shared = 0.0, -0.0
+    out += [DriftReport("kov-sqrt", f"I{k}", shared[k % 2], 10, 0.5, 7)
+            for k in range(4)]
+    out += [DriftReport('m"%', "x", -0.0, 0, math.nan, 0),
+            DriftReport("gen-hk", "H13:H12", 0.01, 8, 1e-300, None)]
+    return out
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 9, None])
+def test_drift_writers_match_the_json_dumps_and_fmt17_references(cut):
+    # forwards and backwards, so that runs of shared fields break elsewhere
+    reports = _edge_reports()[:cut]
+    for order in (reports, reports[::-1]):
+        assert drift_to_json(order) == _reference_drift_json(order)
+        assert drift_to_csv(order) == _reference_drift_csv(order)
+
+
+@pytest.mark.parametrize("name, n", [("gen-hk", 4), ("alt-map", 4),
+                                     ("euler-hk", None), ("kov-sqrt", None)])
+def test_drift_writers_match_the_references_on_batch_reports(name, n):
+    m = get_map(name, n)
+    invs = claimed_invariants(m, registry(m.dim))
+    for eps, steps in ((0.01, 8), (0.3, 50), (-0.0, 3)):
+        reports = drift_batch(m, invs, random_starts(3, m.dim, 1), eps, steps)
+        assert drift_to_json(reports) == _reference_drift_json(reports)
+        assert drift_to_csv(reports) == _reference_drift_csv(reports)
 
 
 def test_tracking_guards_defaults():
