@@ -8,10 +8,13 @@ column schema, so aborts are reported on stderr).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -46,14 +49,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     """The comma-separated floats of option `flag`; an empty entry (as in
-    `1,,2`, a trailing comma or an empty list) is a ConfigError."""
+    `1,,2`, a trailing comma or an empty list) or one that is not a number
+    is a ConfigError naming `flag`."""
     toks = text.split(",")
     if any(tok.strip() == "" for tok in toks):
         raise ConfigError(f"{flag} has an empty entry: {text!r}")
-    try:
-        return [float(tok) for tok in toks]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
+    out = []
+    for tok in toks:
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"{flag} has an entry that is not a number: "
+                              f"{tok!r} in {text!r}") from None
+    return out
 
 
 def _parse_y0(text: str) -> list[float]:
@@ -148,6 +156,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unwritable(out_path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write --out {out_path!r}: "
+                       f"{exc.strerror or exc}")
+
+
+def _check_out(out_path):
+    """The ConfigError `_emit` would raise, before any work, for an `--out`
+    whose directory does not exist (or is not a directory), or that names a
+    directory (or ends in a separator, as open() reads it); nothing is
+    created or truncated.  Any other write error is reported by `_emit`
+    when it writes."""
+    try:
+        parent = os.stat(os.path.dirname(out_path.rstrip(os.sep)) or ".")
+        if not stat.S_ISDIR(parent.st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if out_path.endswith(os.sep) or os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _unwritable(out_path, exc) from None
+
+
 def _emit(text: str, out_path):
     """Write `text` to stdout, or to the file `out_path`; a file that cannot
     be written is a ConfigError naming it."""
@@ -158,8 +187,7 @@ def _emit(text: str, out_path):
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {out_path!r}: "
-                          f"{exc.strerror or exc}") from None
+        raise _unwritable(out_path, exc) from None
 
 
 def _target(args):
@@ -336,11 +364,14 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     """Run the `kovtop` command line argv (default sys.argv[1:]) and return
     its exit code: 0 success, 1 invalid configuration (a bad option, or an
-    `--out` that cannot be written), 2 a domain or singularity abort.  The
+    `--out` that cannot be written; one whose directory is missing, or that
+    names a directory, before any work), 2 a domain or singularity abort.  The
     command's own parser scans its options once (`_parse_args`), the same
     namespace and errors as `build_parser().parse_args(argv)`."""
     try:
         args = _parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out)
         try:
             return _COMMANDS[args.command](args)
         except (DomainError, SingularStepError, BlowupError) as exc:

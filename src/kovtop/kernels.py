@@ -2,28 +2,38 @@
 
 Python numbers inside, ndarrays at the edge.  Every kernel works on a Python
 sequence of numbers, one state at a time, and every map, flow and command runs
-through them.  The constants are integers, so the same code runs on floats,
-on `fractions.Fraction`s (exactly) and on mpmath `mpf`s; only the cosine-law
-step takes a square root, through the `math.sqrt` it binds, so it stays out
-of exact runs.  `map_orbit` and `rk4_orbit` return their rows as one ndarray.
-The kernels accumulate over coordinates in a fixed order, so their float
-results do not depend on any library's reduction order.
+through them.  Each compiled kernel is bound twice.  Its integer binding
+holds the source's integer literals as ints, so the same code runs on
+floats, on `fractions.Fraction`s (exactly) and on mpmath `mpf`s; only the
+cosine-law step takes a square root, through the `math.sqrt` it binds, so
+it stays out of exact runs.  Its float binding, `.floats`, holds them as
+floats: CPython specializes float-float arithmetic but not int-float, and a
+small int converts to a double exactly, so it gives the same bits faster.
+`map_step`, `map_orbit` and `rk4_orbit` run the float binding when eps (or
+dt) and every coordinate are Python floats, and the integer binding on any
+other numbers.  `map_orbit` and `rk4_orbit` return their rows as one
+ndarray.  The kernels accumulate over coordinates in a fixed order, so their
+float results do not depend on any library's reduction order.
 
 One code generator writes the map steps, the flows' right-hand sides and
 one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
 for a dimension N, with locals a0..a{N-1}.  An emitter writes one formula; a
 template wraps it; `_factory` compiles each (template, emitter, N) once,
-keeping the 32 most recent, and each call binds its own constants by name.
+keeping the 32 most recent, and each call binds its own constants by name,
+the integer literals among them (4 as `_4`, -4 as `_m4`).  Constants that
+are all numbers bind once per compile, so a flow built again is the flow
+built first.
 
 - `compile_map` takes a map's emitter (`maps` has one per map) and returns
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
   orbit loop attached as ``step.orbit``.  `maps.DiscreteMap` carries the step
   as `kernel`; `map_step` runs it and `map_orbit` runs its `.orbit`.  The
-  loop writes the step out once more, followed by the cap, strain,
-  resolution and coincidence tests, and each stop is a `break` that names
-  its reason, one of STOP_REASONS.  The coincidence test sorts the state and
-  checks the N - 1 neighbours, so the source grows linearly in N, and long
-  sums are folded (`emit_fold`), so any N compiles.
+  loop writes the step out once more, followed by the cap (as
+  -cap <= z <= cap), strain, resolution and coincidence tests, and each
+  stop is a `break` that names its reason, one of STOP_REASONS.  The
+  coincidence test sorts the state and checks the N - 1 neighbours, so the
+  source grows linearly in N, and long sums are folded (`emit_fold`), so
+  any N compiles.
 - `compile_flow` takes a flow's emitter (`flows` has three: the e_1-only
   generalized Kovalevskaya field and the product complement of the
   generalized Euler flows written inline, and a call of any other
@@ -35,7 +45,8 @@ keeping the 32 most recent, and each call binds its own constants by name.
   zero coefficients, so an overflow there is never read.
 
 The regularity factor of a map step is the smallest magnitude among the
-step's denominator factors, normalised so that it equals 1 at eps = 0; it
+step's denominator factors, normalised so that it equals 1 at eps = 0, and
+written as the compare chain of `min` (`emit_min_abs`); it
 drives both singularity detection and the drift harness's certification
 window.  A vanishing denominator raises `ZeroDivisionError` inside a step;
 `map_step` reads it as a non-finite step, the orbit loop as the stop
@@ -43,6 +54,7 @@ window.  A vanishing denominator raises `ZeroDivisionError` inside a step;
 exceptions.
 """
 import functools
+import re
 from math import inf, isfinite, nan
 
 import numpy as np
@@ -93,9 +105,10 @@ def _rhs_quadratic_field(terms, y):
 # emitter of a flow's, with no domain exit and reg = inf.  An emitter may
 # bind temporaries and read its constants, under any name but these, which
 # the templates bind themselves: y, eps, h, w, cap, inf, nan, isfinite, reg,
-# rows, aeps, res, coin, why, sc, nsteps, theta, resbound, coin_tol, even,
-# flow_rhs, map_step, map_orbit, a<i>, b<i>, p<i>, u<i>, z<i> and
-# k<stage>_<i>.
+# rows, aeps, ncap, res, coin, why, sc, nsteps, theta, resbound, coin_tol,
+# even, flow_rhs, map_step, map_orbit, on_floats, a<i>, p<i>, u<i>, z<i>,
+# k<stage>_<i>, _<digits> and _m<digits>.  An integer literal of the emitted
+# source becomes a constant (`_factory`), so a string in it holds no digit.
 
 #: most operands in one emitted expression; longer folds continue in further
 #: statements, so no expression nests N deep (the compiler has a recursion
@@ -122,6 +135,17 @@ def emit_fold(target, head, op, terms):
                      + f" {op} ".join([head] + terms[i:i + _FOLD_TERMS]))
         head = target
     return lines
+
+
+def emit_min_abs(target, head, terms):
+    """Source lines for target = min(head, abs(terms[0]), abs(terms[1]), ...),
+    or without `head` (None) min(abs(terms[0]), ...), as the compare chain
+    of min's own comparisons: abs(term) < target, in order, keeping the
+    first of equal values and passing over a NaN as min does."""
+    if head is None:
+        head, terms = f"abs({terms[0]})", terms[1:]
+    return [f"{target} = {head}"] + [
+        f"if abs({t}) < {target}: {target} = abs({t})" for t in terms]
 
 
 def _indent(lines, depth):
@@ -164,37 +188,47 @@ def _orbit(emit, n):
     # zero to a nonzero, the separation |p - q|/(|p| + |q|) is 1, and within
     # one sign it grows with the distance in sorted order, so the closest
     # pair is adjacent and the N - 1 checks decide as all N(N-1)/2 pairs
-    # would.
-    a, b, p, z = _names("a", n), _names("b", n), _names("p", n), _names("z", n)
+    # would.  The cap test reads the coordinates themselves, as
+    # -cap <= z <= cap with -cap negated once per orbit (a NaN fails it as
+    # abs(NaN) <= cap does); only the resolution and coincidence tests take
+    # their magnitudes, and only when they run.  `on_floats`
+    # says whether eps and every coordinate are Python floats.
+    a, p, z = _names("a", n), _names("p", n), _names("z", n)
     neighbours = []
     for lo, hi in zip(p, p[1:]):
         neighbours += [f"sc = abs({lo}) + abs({hi})",
                        f"if sc == 0 or abs({lo} - {hi}) / sc < coin_tol:",
                        "    why = 'coincidence'; break"]
+    b = ", ".join(f"abs({zi})" for zi in z)
     body = (emit(a, z, "why = 'domain'; break")
-            + [f"{bi} = abs({zi})" for bi, zi in zip(b, z)]
-            + ["if not (" + " and ".join(f"{bi} <= cap" for bi in b) + "):",
+            + ["if not (" + " and ".join(f"ncap <= {zi} <= cap" for zi in z)
+               + "):",
                "    why = 'cap' if " + " and ".join(f"isfinite({zi})" for zi in z)
                + " else 'non-finite'",
                "    break",
                "if reg < theta:",
                "    why = 'strain'; break",
-               f"if res and aeps * max({', '.join(b)}) > resbound:",
+               f"if res and aeps * max({b}) > resbound:",
                "    why = 'resolution'; break",
                "if coin:",
-               f"    {', '.join(p)}, = sorted(({', '.join(b)},) if even "
+               f"    {', '.join(p)}, = sorted(({b},) if even "
                f"else ({', '.join(z)},))"]
             + _indent(neighbours, 1)
             + [f"{ai} = {zi}" for ai, zi in zip(a, z)]
             + [f"rows.append([{', '.join(z)}])"])
-    orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)",
+    orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)", "ncap = -cap",
               # |eps|*max|y| > inf never holds, nor a comparison with NaN
               "res = resbound < inf", "coin = coin_tol > 0", "why = 'whole'",
               "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
              + ["except ZeroDivisionError:", "    why = 'singular'",
                 "return rows, why"])
+    # the float binding runs where eps and every coordinate are Python floats
+    on_floats = ("    return type(eps) is float"
+                 + "".join(f" is type({ai})" for ai in a))
     return (["def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"]
-            + _indent(orbit, 1))
+            + _indent(orbit, 1)
+            + ["def on_floats(y, eps):", "    " + _unpack(a), on_floats,
+               "map_orbit.on_floats = on_floats"])
 
 
 def _map_template(emit, n):
@@ -204,7 +238,8 @@ def _map_template(emit, n):
     step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
             + [f"return {state}, reg"])
     return (["def map_step(y, eps):"] + _indent(step, 1) + _orbit(emit, n)
-            + ["map_step.orbit = map_orbit", "return map_step"])
+            + ["map_step.orbit = map_orbit", "map_step.on_floats = on_floats",
+               "return map_step"])
 
 
 def _flow_template(emit, n):
@@ -215,21 +250,72 @@ def _flow_template(emit, n):
             + ["flow_rhs.orbit = map_orbit", "return flow_rhs"])
 
 
+#: an integer literal of the generated source, a negative one with its unary
+#: minus; a list's repetition count (the stop's `[nan] * N`) and the parts
+#: of a float literal (0.5, 1e-3) stay literals
+_INT_LITERAL = re.compile(
+    r"(?<![\w.])(?<![eE][-+])(?<!\] \* )-?\d+(?![\w.])")
+
+
 def _source(template, emit, names, n):
-    # a factory `_make(cap, <names>)` that binds the constants and returns the
-    # function the template writes, with its companion attached
-    return "\n".join([f"def _make({', '.join(('cap',) + names)}):"]
-                     + _indent(template(emit, n), 1) + [""])
+    # a factory `_make(cap, <names>, <ints>)` that binds the constants and
+    # returns the function the template writes, with its companion attached;
+    # <ints> name the source's integer literals, 4 as _4 and -4 as _m4
+    ints = set()
+
+    def int_name(match):
+        literal = match.group()
+        name = "_m" + literal[1:] if literal[0] == "-" else "_" + literal
+        ints.add(name)
+        return name
+
+    body = _INT_LITERAL.sub(int_name, "\n".join(_indent(template(emit, n), 1)))
+    params = ", ".join(("cap",) + names + tuple(sorted(ints)))
+    return f"def _make({params}):\n{body}\n"
 
 
 @functools.lru_cache(maxsize=32)
 def _factory(template, emit, names, n):
     # one compile per (template, emitter, constant names, N); the 32 most
-    # recent are kept, since a generalized Euler orbit's code grows as N^2
+    # recent are kept, since a generalized Euler orbit's code grows as N^2.
+    # Returns `_make`, the integer constants it takes by name, and the
+    # bindings `_bind` has made of it.
     namespace = {"inf": inf, "nan": nan, "isfinite": isfinite}
     exec(compile(_source(template, emit, names, n),
                  f"<{emit.__name__} N={n}>", "exec"), namespace)
-    return namespace["_make"]
+    make = namespace["_make"]
+    code = make.__code__
+    ints = {p: -int(p[2:]) if p[1] == "m" else int(p[1:])
+            for p in code.co_varnames[1 + len(names):code.co_argcount]}
+    return make, ints, {}
+
+
+#: bindings kept per compiled code; the oldest goes first
+_BINDINGS = 32
+
+
+def _bind(template, emit, n, consts):
+    # The function `template` writes for `emit` at N, bound twice from one
+    # compile: with int constants (type-generic) and with the same constants
+    # as floats, attached as `.floats` to it and to its companion `.orbit`.
+    # Constants that are all ints and floats bind once per compile: a second
+    # call with the same ones (by repr, so 2 and 2.0, 0.0 and -0.0 differ)
+    # returns the first call's function.
+    make, ints, bound = _factory(template, emit, tuple(consts), n)
+    key = None
+    if all(type(v) in (int, float) for v in consts.values()):
+        key = tuple(map(repr, consts.values()))
+        if key in bound:
+            return bound[key]
+    fn = make(BLOWUP_CAP, **consts, **ints)
+    fn.floats = make(BLOWUP_CAP, **consts,
+                     **{name: float(v) for name, v in ints.items()})
+    fn.orbit.floats = fn.floats.orbit
+    if key is not None:
+        if len(bound) >= _BINDINGS:
+            del bound[next(iter(bound))]
+        bound[key] = fn
+    return fn
 
 
 def compile_flow(emit, n, **consts):
@@ -238,12 +324,13 @@ def compile_flow(emit, n, **consts):
     orbit loop of `compile_map` around its RK4 step, which `rk4_orbit` runs.
 
     `rhs(y)` maps a sequence of N numbers to a list.  The source is
-    compiled once per (emit, constant names, N) and each call binds its own
-    constants, so building a flow twice compiles nothing the second time.
-    The emitted code has integer constants only, so it runs unchanged on
-    floats, `Fraction`s and `mpf`s.
+    compiled once per (emit, constant names, N) and bound twice: `rhs`
+    holds its integer literals as ints, so it runs unchanged on floats,
+    `Fraction`s and `mpf`s, and `rhs.floats` (with `rhs.orbit.floats`) holds
+    them as floats, giving the same bits on floats faster.  Building a flow
+    again with the same number constants returns the same `rhs`.
     """
-    return _factory(_flow_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+    return _bind(_flow_template, emit, n, consts)
 
 
 def compile_map(emit, n, **consts):
@@ -256,15 +343,19 @@ def compile_map(emit, n, **consts):
     `step.orbit(y, eps, nsteps, theta, resbound, coin_tol, even)` iterates
     it from the list y with the guards of `map_orbit` inline and returns
     (rows, reason), the rows as lists and the reason one of STOP_REASONS.
-    Compiled and bound as in `compile_flow`, and as type-generic.
+    Compiled and bound as in `compile_flow`: `step` is type-generic and
+    `step.floats` (with `step.orbit.floats`) the float binding.
     """
-    return _factory(_map_template, emit, tuple(consts), n)(BLOWUP_CAP, **consts)
+    return _bind(_map_template, emit, n, consts)
 
 
 def map_step(kernel, y, eps):
     """One step of the step kernel `kernel` on the sequence `y`:
     (new_state, regularity).  A vanishing denominator gives NaN coordinates
-    and regularity 0."""
+    and regularity 0.  When eps and every coordinate are Python floats it
+    runs the float binding `kernel.floats`, otherwise `kernel` itself."""
+    if kernel.on_floats(y, eps):
+        kernel = kernel.floats
     try:
         return kernel(y, eps)
     except ZeroDivisionError:
@@ -282,9 +373,13 @@ def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
     vanishing denominator, or when the step leaves the map's real domain.
     Returns (trajectory ndarray, last_step, reason): the states 0..last_step
     and the one of STOP_REASONS that ended the orbit, "whole" when all ran.
+    Runs the float binding `kernel.orbit.floats` as `map_step` does.
     """
-    rows, why = kernel.orbit(list(y0), eps, nsteps, theta, resbound,
-                             coin_tol, even)
+    y = list(y0)
+    orbit = kernel.orbit
+    if orbit.on_floats(y, eps):
+        orbit = orbit.floats
+    rows, why = orbit(y, eps, nsteps, theta, resbound, coin_tol, even)
     return np.array(rows), len(rows) - 1, why
 
 
@@ -292,6 +387,10 @@ def rk4_orbit(orbit, y0, dt, nsteps):
     """Classical fixed-step RK4 trajectory from the sequence `y0` by the
     `orbit` of a `compile_flow` right-hand side, with no guard but the cap:
     (trajectory ndarray, last_step, reason) as of `map_orbit`, the reason
-    "whole", "cap", "non-finite" or, where the rhs divides by zero, "singular"."""
-    rows, why = orbit(list(y0), dt, nsteps, 0, inf, 0, False)
+    "whole", "cap", "non-finite" or, where the rhs divides by zero, "singular".
+    Runs the float binding `orbit.floats` as `map_step` does."""
+    y = list(y0)
+    if orbit.on_floats(y, dt):
+        orbit = orbit.floats
+    rows, why = orbit(y, dt, nsteps, 0, inf, 0, False)
     return np.array(rows), len(rows) - 1, why

@@ -149,7 +149,8 @@ def _emit_kov_sqrt(ins, outs, stop):
             + [f"g0 = 1 - eps * eps * {y1} * {y2}",
                f"g1 = 1 - eps * eps * {y2} * {y0}",
                f"g2 = 1 - eps * eps * {y0} * {y1}",
-               "reg = min(abs(c0), abs(g0), abs(c1), abs(g1), abs(c2), abs(g2))",
+               *kernels.emit_min_abs("reg", None,
+                                     ["c0", "g0", "c1", "g1", "c2", "g2"]),
                f"{outs[0]} = {y0} * c1 * c2 / (c0 * g0)",
                f"{outs[1]} = {y1} * c2 * c0 / (c1 * g1)",
                f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)"])
@@ -163,7 +164,7 @@ def _emit_kov_pullback(ins, outs, stop):
             f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
             f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
             f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
-            "reg = min(abs(glob), abs(f0), abs(f1), abs(f2))",
+            *kernels.emit_min_abs("reg", None, ["glob", "f0", "f1", "f2"]),
             f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
             f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
             f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)"]
@@ -179,8 +180,8 @@ def _emit_gen_hk(ins, outs, stop):
             + [f"{di} = 1 - eps * (-4 * {v} + s)" for di, v in zip(d, ins)]
             + kernels.emit_fold("t", "0", "+",
                                 [f"{v} / {di}" for v, di in zip(ins, d)])
-            + ["S = 1 - eps * t",
-               f"reg = min(inf, {', '.join(f'abs({di})' for di in d)}, abs(S))"]
+            + ["S = 1 - eps * t"]
+            + kernels.emit_min_abs("reg", "inf", d + ["S"])
             + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)])
 
 
@@ -193,7 +194,7 @@ def _emit_alt(ins, outs, stop):
             + [f"{ui} = {v} / {wi}" for ui, v, wi in zip(u, ins, w)]
             + kernels.emit_fold("t", "0", "+", u)
             + [f"{ri} = 1 - eps * (t - {ui})" for ri, ui in zip(r, u)]
-            + [f"reg = min(inf, {', '.join(f'abs({x})' for x in w + r)})"]
+            + kernels.emit_min_abs("reg", "inf", w + r)
             + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)])
 
 

@@ -15,7 +15,7 @@ try:
 except ImportError:
     jsonschema = None
 
-from kovtop import cli
+from kovtop import cli, kernels
 from kovtop.cli import build_parser, main
 from kovtop.errors import ConfigError
 from kovtop.invariants import IDENTITIES
@@ -876,12 +876,19 @@ def test_check_csv(tmp_path, capsys):
     (_CONVERGENCE + ["--eps-list", "0.01,"],
      "--eps-list has an empty entry: '0.01,'"),
     (_CONVERGENCE + ["--eps-list="], "--eps-list has an empty entry: ''"),
+    # an entry that does not parse names its option too
+    (["map", "--map", "gen-hk", "--n", "4", "--y0", "0.2,a,0.4,0.5", "--eps",
+      "0.1", "--steps", "1"],
+     "--y0 has an entry that is not a number: 'a' in '0.2,a,0.4,0.5'"),
+    (_CONVERGENCE + ["--eps-list", "0.01,x"],
+     "--eps-list has an entry that is not a number: 'x' in '0.01,x'"),
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
         "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
         "map-y0-empty", "drift-y0-blank-entry",
         "convergence-eps-list-empty-entry",
-        "convergence-eps-list-trailing-comma", "convergence-eps-list-empty"])
+        "convergence-eps-list-trailing-comma", "convergence-eps-list-empty",
+        "map-y0-not-a-number", "convergence-eps-list-not-a-number"])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1
@@ -1030,3 +1037,61 @@ def test_abort_status_to_an_unwritable_out_exits_one(tmp_path, capsys, where):
     assert out.out == ""
     assert out.err == (f"error: cannot write --out {str(path)!r}: "
                        f"{_STRERROR[where]}\n")
+
+
+def _no_orbit(*args, **kwargs):
+    raise AssertionError("an orbit ran before --out was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    _MAP + ["--eps", "0.01", "--steps", "200000"],
+    _SIMULATE + ["--t-end", "1", "--dt", "0.001"],
+    _DRIFT + ["--eps", "0.01", "--starts", "2"],
+    ["drift", "--flow", "kov3", "--eps", "0.01", "--steps", "8",
+     "--starts", "2"],
+], ids=["map", "simulate", "drift-map", "drift-flow"])
+@pytest.mark.parametrize("where", list(_STRERROR))
+def test_unwritable_out_exits_one_before_any_orbit(tmp_path, capsys,
+                                                   monkeypatch, argv, where):
+    # a missing directory or a directory is refused before the command runs
+    # an orbit, and the check creates nothing
+    monkeypatch.setattr(kernels, "map_orbit", _no_orbit)
+    monkeypatch.setattr(kernels, "rk4_orbit", _no_orbit)
+    path = _unwritable(tmp_path, where)
+    assert main(argv + ["--out", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {str(path)!r}: {_STRERROR[where]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_check_truncates_nothing(tmp_path, capsys):
+    # an existing --out of a command that is then rejected keeps its bytes;
+    # a file in a directory that is not one is refused as open() refuses it
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    argv = _DRIFT + ["--eps", "0.01", "--invariant", "nope"]
+    assert main(argv + ["--out", str(path)]) == 1
+    assert path.read_text() == "kept\n"
+    capsys.readouterr()
+    inside = path / "x.csv"
+    assert main(_MAP + ["--eps", "0.01", "--steps", "3", "--out",
+                        str(inside)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {str(inside)!r}: Not a directory\n")
+    with pytest.raises(NotADirectoryError):
+        open(inside, "w")
+
+
+@pytest.mark.parametrize("shape", ["missing/out.csv", "missing/deeper/out.csv",
+                                   "file/out.csv", "new/", "file/", "dir",
+                                   "dir/"])
+def test_out_check_says_what_open_says(tmp_path, capsys, shape):
+    # the early refusal names the error open() gives for the same path
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path) + os.sep + shape
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    assert main(_MAP + ["--eps", "0.01", "--steps", "3", "--out", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {path!r}: {opened.value.strerror}\n")

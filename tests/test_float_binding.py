@@ -1,0 +1,173 @@
+"""The float binding of every generated kernel against its integer binding:
+the same compiled code with its integer literals bound as floats gives the
+same bits and stop reasons on floats, runs wherever eps and every coordinate
+are Python floats, and nowhere else; and a flow is built once per process.
+"""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from mpmath import mpf
+
+from kovtop import flows, kernels, maps
+from kovtop.cli import main
+from test_map_orbit import GUARD_SETS, MAPS, _bits, _states, _step_outcome
+
+EPS = [sign * e for e in (1e-4, 0.01, 0.3, 1.0, 1e160) for sign in (1, -1)]
+STEPS = 30
+
+FLOWS = ([("kov3", 3, 2.0), ("euler3", 3, 2.0)]
+         + [("gen-kov", n, a) for n in (3, 4, 5) for a in (2.0, 1.3)]
+         + [("gen-euler", n, 2.0) for n in (3, 4, 5)])
+
+
+def _user_flow():
+    return flows.FlowSpec("user", 3, lambda y: [y[1] * y[2], -2 * y[0] * y[2],
+                                                0.5 * y[0] * y[1]])
+
+
+def _orbit_outcome(orbit, y, eps, g, even):
+    rows, why = orbit(list(y), eps, STEPS, g.strain, g.resolution,
+                      g.coincidence, even)
+    return _bits(rows), why
+
+
+def _same_orbits(orbit, n, even=False):
+    for eps in EPS:
+        for y in _states(n, seed=n):
+            for g in GUARD_SETS.values():
+                assert (_orbit_outcome(orbit.floats, y, eps, g, even)
+                        == _orbit_outcome(orbit, y, eps, g, even)), (eps, y, g)
+
+
+@pytest.mark.parametrize("name, n", MAPS, ids=lambda v: str(v))
+def test_float_binding_gives_the_integer_bindings_bits_on_maps(name, n):
+    step = maps.get_map(name, n).kernel
+    assert step.floats is not step and step.floats.__code__ is step.__code__
+    for eps in EPS:
+        for y in _states(n, seed=n):
+            assert (_step_outcome(step.floats, y, eps)
+                    == _step_outcome(step, y, eps)), (eps, y)
+    _same_orbits(step.orbit, n, maps.get_map(name, n).even_invariants)
+
+
+@pytest.mark.parametrize("name, n, alpha", FLOWS, ids=lambda v: str(v))
+def test_float_binding_gives_the_integer_bindings_bits_on_flows(name, n,
+                                                                alpha):
+    flow = flows.get_flow(name, n, alpha)
+    for y in _states(n, seed=n):
+        assert _bits(flow.rhs.floats(y)) == _bits(flow.rhs(y)), y
+    _same_orbits(flow.orbit, n)
+
+
+def test_float_binding_gives_the_integer_bindings_bits_on_a_user_flow():
+    _same_orbits(_user_flow().orbit, 3)
+
+
+def _spy(monkeypatch, fn):
+    # replace fn.floats by a wrapper that counts its calls
+    calls = []
+    floats = fn.floats
+
+    def spy(*args):
+        calls.append(args)
+        return floats(*args)
+
+    monkeypatch.setattr(fn, "floats", spy)
+    return calls
+
+
+_NOT_FLOATS = {
+    "fraction": ([Fraction(1, 8), Fraction(3, 8), Fraction(5, 8),
+                  Fraction(7, 8)], Fraction(1, 64)),
+    "mpf": ([mpf(1) / 8, mpf(3) / 8, mpf(5) / 8, mpf(7) / 8], mpf(1) / 64),
+    "float-eps-fraction-state": ([Fraction(1, 8), Fraction(3, 8),
+                                  Fraction(5, 8), Fraction(7, 8)], 1 / 64),
+    "one-fraction-coordinate": ([0.125, 0.375, Fraction(5, 8), 0.875],
+                                1 / 64),
+    "fraction-eps": ([0.125, 0.375, 0.625, 0.875], Fraction(1, 64)),
+    "numpy-floats": (list(np.array([0.125, 0.375, 0.625, 0.875])), 1 / 64),
+    "int-eps": ([0.125, 0.375, 0.625, 0.875], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_FLOATS))
+def test_other_numbers_run_the_integer_binding(monkeypatch, case):
+    y, eps = _NOT_FLOATS[case]
+    m = maps.gen_hk(4)
+    step_calls = _spy(monkeypatch, m.kernel)
+    orbit_calls = _spy(monkeypatch, m.kernel.orbit)
+    out, reg = kernels.map_step(m.kernel, y, eps)
+    assert (out, reg) == m.kernel(y, eps)
+    if case == "fraction":
+        assert type(reg) is Fraction
+        assert all(type(v) is Fraction for v in out)
+    rows, end, why = kernels.map_orbit(m.kernel, y, eps, 3, 0, np.inf, 0,
+                                       False)
+    assert (end, why) == (3, "whole")
+    flow = flows.get_flow("gen-kov", 4)
+    rk4_calls = _spy(monkeypatch, flow.orbit)
+    kernels.rk4_orbit(flow.orbit, y, eps, 3)
+    assert step_calls == orbit_calls == rk4_calls == []
+
+
+def test_a_float_call_runs_the_float_binding(monkeypatch):
+    m = maps.gen_hk(4)
+    y = [0.125, 0.375, 0.625, 0.875]
+    step_calls = _spy(monkeypatch, m.kernel)
+    orbit_calls = _spy(monkeypatch, m.kernel.orbit)
+    assert m.checked_step(y, 0.01) == m.kernel(y, 0.01)[0]
+    m.orbit(y, 0.01, 3)
+    flow = flows.get_flow("gen-kov", 4)
+    rk4_calls = _spy(monkeypatch, flow.orbit)
+    flows.rk4_states(flow, y, 0.01, 3)
+    assert len(step_calls) == len(orbit_calls) == len(rk4_calls) == 1
+
+
+def test_integer_literals_are_bound_by_value():
+    # one compile, two bindings: the literals become parameters of the
+    # factory, except the stop's repetition count
+    make, ints, _ = kernels._factory(kernels._map_template, maps._emit_gen_hk,
+                                     (), 4)
+    assert ints == {"_0": 0, "_1": 1, "_m4": -4}
+    source = kernels._source(kernels._map_template, maps._emit_cosine,
+                             ("sqrt",), 3)
+    assert source.startswith("def _make(cap, sqrt, _0, _1):")
+    assert "return [nan] * 3, reg" in source
+    # eps^2 x_3^2 = 1.44 > 1: the float binding leaves the domain too
+    out, reg = kernels.map_step(maps.cosine_law().kernel, [0.5, 0.5, 2.0], 0.6)
+    assert len(out) == 3 and all(v != v for v in out) and not reg > 0
+
+
+@pytest.mark.parametrize("name, n", [("kov3", None), ("euler3", 3),
+                                     ("gen-kov", 4), ("gen-euler", 5)])
+def test_get_flow_keeps_one_flowspec(name, n):
+    assert flows.get_flow(name, n, 1.3) is flows.get_flow(name, n, 1.3)
+
+
+def test_a_second_drift_builds_no_flowspec(monkeypatch, capsys):
+    argv = ["drift", "--flow", "gen-kov", "--n", "5", "--alpha", "1.7",
+            "--eps", "0.001", "--steps", "8", "--starts", "2"]
+    assert main(argv) == 0
+    built = []
+    post_init = flows.FlowSpec.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(flows.FlowSpec, "__post_init__", counting)
+    assert main(argv) == 0
+    assert built == []
+    out = capsys.readouterr().out
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+
+
+def test_the_sign_of_alpha_keeps_its_flow():
+    plus, minus = flows.get_flow("gen-kov", 4, 0.0), flows.get_flow("gen-kov",
+                                                                    4, -0.0)
+    assert (plus.name, minus.name) == ("gen-kov(N=4,alpha=0)",
+                                       "gen-kov(N=4,alpha=-0)")
+    assert plus is flows.get_flow("gen-kov", 4, 0.0)
+    assert minus is flows.get_flow("gen-kov", 4, -0.0)
+    assert plus.rhs is not minus.rhs
