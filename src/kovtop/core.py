@@ -157,10 +157,15 @@ def fmt17(x: float) -> str:
 class TrajectoryRecord:
     """Sampled trajectory of a flow or map with optional invariant columns.
 
-    `to_csv` and `to_json` write the arrays as float64 values.  `times`,
-    `states` and `invariants` have one row per sample, and there is one
-    invariant name per invariant column, each distinct: each names one CSV
-    column and one JSON key (ParameterError otherwise)."""
+    `times` is 1-D, `states` and `invariants` are 2-D with one row per
+    sample, and there is one invariant name per invariant column, each
+    distinct: each names one CSV column and one JSON key (ParameterError
+    otherwise).  `to_csv` and `to_json` write the arrays as float64 values,
+    each table by one template, the row template repeated once per sample,
+    filled by one `%` from one flat tuple of cells.  Time and state cells go
+    in as floats; an invariant column repeats its value along a conserved
+    flow, so the invariant cells go in as strings, spelled once per distinct
+    float64 bit pattern (0.0 and -0.0 apart, each NaN payload apart)."""
 
     system: str
     times: np.ndarray                   # shape (T+1,)
@@ -175,11 +180,15 @@ class TrajectoryRecord:
         if dup:
             raise ParameterError(f"duplicate invariant names: {', '.join(dup)}")
         inv = () if self.invariants is None else (self.invariants,)
-        counts = [len(t) for t in (self.times, self.states, *inv)]
+        shapes = [np.shape(a) for a in (self.times, self.states, *inv)]
+        if [len(s) for s in shapes] != [1, 2, 2][:len(shapes)]:
+            raise ParameterError(f"times must be 1-D, states and invariants "
+                                 f"2-D, got shapes {shapes}")
+        counts = [s[0] for s in shapes]
         if len(set(counts)) > 1:
             raise ParameterError(f"times, states and invariants need one row "
                                  f"per sample, got {counts} rows")
-        cols = np.shape(self.invariants)[1] if inv else 0
+        cols = shapes[2][1] if inv else 0
         if len(names) != cols:
             raise ParameterError(f"{len(names)} invariant names for {cols} "
                                  f"invariant columns")
@@ -192,44 +201,60 @@ class TrajectoryRecord:
     def steps(self) -> int:
         return self.states.shape[0] - 1
 
-    def _table(self) -> np.ndarray:
-        """The columns t | y_1..y_N | invariants as one float array."""
-        cols = [np.asarray(self.times, dtype=float)[:, None],
-                np.asarray(self.states, dtype=float)]
-        if self.invariants is not None:
-            cols.append(np.asarray(self.invariants, dtype=float))
-        return np.hstack(cols)
+    def _cells(self, spell) -> np.ndarray:
+        """The columns step | t | y_1..y_N | invariants as one object array:
+        the step an int, t and y floats, and each invariant cell the string
+        `spell` gives for its value, called once per distinct bit pattern."""
+        y = np.asarray(self.states, dtype=float)
+        rows, n = y.shape
+        m = 0 if self.invariants is None else self.invariants.shape[1]
+        cells = np.empty((rows, 2 + n + m), dtype=object)
+        cells[:, 0] = range(rows)
+        cells[:, 1] = np.asarray(self.times, dtype=float)
+        cells[:, 2:2 + n] = y
+        if m:
+            bits = np.ascontiguousarray(self.invariants, dtype=float).view(np.int64)
+            distinct, which = np.unique(bits, return_inverse=True)
+            words = np.array([spell(v) for v in distinct.view(float).tolist()],
+                             dtype=object)
+            cells[:, 2 + n:] = words[which.reshape(bits.shape)]
+        return cells
 
     def to_csv(self) -> str:
-        # '%.17g' spells every double, nan and +-inf included, as fmt17 does
-        n = self.dim
+        # '%.17g' spells every double, nan and +-inf included, as fmt17
+        # does; the invariant cells are fmt17's own strings
+        n, m = self.dim, len(self.invariant_names)
         header = ["step", "t"] + [f"y_{i+1}" for i in range(n)] + list(self.invariant_names)
-        table = self._table()
-        row = "%d" + ",%.17g" * table.shape[1]
-        lines = [",".join(header)]
-        lines += [row % (k, *r) for k, r in enumerate(table.tolist())]
-        return "\n".join(lines) + "\n"
+        cells = self._cells(fmt17)
+        row = "%d" + ",%.17g" * (1 + n) + ",%s" * m + "\n"
+        return (",".join(header) + "\n"
+                + (row * len(cells)) % tuple(cells.ravel().tolist()))
 
     def to_json(self) -> str:
-        # json.dumps of one dict per row, spelled by one template per row:
-        # '%r' spells a finite float as json does, and the non-finite cells
-        # are swapped for json's own tokens
+        # json.dumps of one dict per row: '%r' spells a finite float as json
+        # does, and the non-finite time and state cells are swapped for
+        # json's own tokens
         n = self.dim
-        table = self._table()
+        cells = self._cells(_json_float)
         row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
         if self.invariants is not None:
             row += ', "invariants": {' + ", ".join(
-                encode_basestring_ascii(name).replace("%", "%%") + ": %r"
+                encode_basestring_ascii(name).replace("%", "%%") + ": %s"
                 for name in self.invariant_names) + "}"
         row += "}"
-        rows = table.tolist()
-        for k in np.flatnonzero(~np.isfinite(table).all(axis=1)).tolist():
-            rows[k] = [v if isfinite(v) else _Verbatim(json.dumps(v))
-                       for v in rows[k]]
-        return '{"system": %s, "status": %s, "rows": [%s]}' % (
+        floats = cells[:, 1:2 + n]
+        bad = ~np.isfinite(np.column_stack((self.times, self.states)))
+        if bad.any():
+            floats[bad] = [_Verbatim(json.dumps(v)) for v in floats[bad].tolist()]
+        return ('{"system": %s, "status": %s, "rows": ['
+                + ", ".join([row] * len(cells)) + "]}") % (
             encode_basestring_ascii(self.system),
-            encode_basestring_ascii(self.status),
-            ", ".join([row % (k, *r) for k, r in enumerate(rows)]))
+            encode_basestring_ascii(self.status), *cells.ravel().tolist())
+
+
+def _json_float(v: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    return repr(v) if isfinite(v) else json.dumps(v)
 
 
 class _Verbatim(str):

@@ -164,11 +164,13 @@ def _rk4(emit):
     # A flow's emitter as a map's: one classical RK4 step of time eps with
     # the right-hand side emitted at each of the four stages, in the
     # operations of the list form k2 = f([a + h*b for a, b in zip(y, k1)]),
-    # ..., y + w*(k1 + 2*k2 + 2*k3 + k4); no denominator, so reg = inf
+    # ..., y + w*(k1 + 2*k2 + 2*k3 + k4); no denominator, so reg = inf.
+    # h and w depend on eps alone: the lines _RK4_SETUP bind them once per
+    # orbit, before its loop
     def emit_rk4(ins, outs, stop):
         u = _names("u", len(ins))
         k = [_names(f"k{s}_", len(ins)) for s in range(1, 5)]
-        lines = ["h = eps / 2", "w = eps / 6"] + emit(ins, k[0])
+        lines = emit(ins, k[0])
         for scale, ks, next_ks in zip(("h", "h", "eps"), k, k[1:]):
             lines += [f"{ui} = {ai} + {scale} * {ki}"
                       for ui, ai, ki in zip(u, ins, ks)] + emit(u, next_ks)
@@ -178,7 +180,10 @@ def _rk4(emit):
     return emit_rk4
 
 
-def _orbit(emit, n):
+_RK4_SETUP = ("h = eps / 2", "w = eps / 6")
+
+
+def _orbit(emit, n, setup=()):
     # The guarded orbit with the step `emit` writes out in its loop.  The
     # tests run in the order non-finite, cap, strain, resolution,
     # coincidence, and each stop is a break that names its reason; a
@@ -191,8 +196,9 @@ def _orbit(emit, n):
     # would.  The cap test reads the coordinates themselves, as
     # -cap <= z <= cap with -cap negated once per orbit (a NaN fails it as
     # abs(NaN) <= cap does); only the resolution and coincidence tests take
-    # their magnitudes, and only when they run.  `on_floats`
-    # says whether eps and every coordinate are Python floats.
+    # their magnitudes, and only when they run.  The lines `setup` run once,
+    # before the loop.  `on_floats` says whether eps and every coordinate
+    # are Python floats.
     a, p, z = _names("a", n), _names("p", n), _names("z", n)
     neighbours = []
     for lo, hi in zip(p, p[1:]):
@@ -219,7 +225,7 @@ def _orbit(emit, n):
     orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)", "ncap = -cap",
               # |eps|*max|y| > inf never holds, nor a comparison with NaN
               "res = resbound < inf", "coin = coin_tol > 0", "why = 'whole'",
-              "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
+              *setup, "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
              + ["except ZeroDivisionError:", "    why = 'singular'",
                 "return rows, why"])
     # the float binding runs where eps and every coordinate are Python floats
@@ -246,7 +252,8 @@ def _flow_template(emit, n):
     # the right-hand side alone, and the orbit of its RK4 step
     u, k1 = _names("u", n), _names("k1_", n)
     rhs = [_unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
-    return (["def flow_rhs(y):"] + _indent(rhs, 1) + _orbit(_rk4(emit), n)
+    return (["def flow_rhs(y):"] + _indent(rhs, 1)
+            + _orbit(_rk4(emit), n, _RK4_SETUP)
             + ["flow_rhs.orbit = map_orbit", "return flow_rhs"])
 
 

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -17,8 +18,12 @@ except ImportError:
 
 from kovtop import cli, kernels
 from kovtop.cli import build_parser, main
+from kovtop.core import TrajectoryRecord
 from kovtop.errors import ConfigError
-from kovtop.invariants import IDENTITIES
+from kovtop.flows import get_flow, rk4_states
+from kovtop.invariants import IDENTITIES, claimed_invariants, evaluate, registry
+from kovtop.maps import get_map
+from reference_writers import reference_csv, reference_json
 from test_readme_examples import EXAMPLES
 
 SCHEMA_DIR = None
@@ -1095,3 +1100,49 @@ def test_out_check_says_what_open_says(tmp_path, capsys, shape):
     assert main(_MAP + ["--eps", "0.01", "--steps", "3", "--out", path]) == 1
     assert capsys.readouterr().err == (
         f"error: cannot write --out {path!r}: {opened.value.strerror}\n")
+
+
+
+# map orbits (every cell distinct) and simulate runs with their invariant
+# columns (conserved values repeated row after row): (argv, target, N, step,
+# steps, invariant columns)
+_WRITTEN_RUNS = {
+    "map-gen-hk": (["map", "--map", "gen-hk", "--n", "4", "--y0",
+                    "0.3,0.7,1.1,1.9"], "gen-hk", 4, 1e-4, 250, 0),
+    "map-alt-map": (["map", "--map", "alt-map", "--n", "6", "--y0",
+                     "0.2,0.5,0.8,1.1,1.4,1.7"], "alt-map", 6, 1e-4, 250, 0),
+    "simulate-kov3": (["simulate", "--flow", "kov3", "--y0", "0.1,0.3,0.45"],
+                      "kov3", 3, 1e-4, 125, 5),
+    "simulate-euler3": (["simulate", "--flow", "euler3", "--y0",
+                         "0.2,0.35,0.5"], "euler3", 3, 1e-4, 125, 3),
+    "simulate-gen-kov": (["simulate", "--flow", "gen-kov", "--n", "4", "--y0",
+                          "0.15,0.25,0.4,0.5"], "gen-kov", 4, 1e-4, 125, 20),
+}
+
+
+@pytest.mark.parametrize("key", list(_WRITTEN_RUNS))
+def test_trajectory_files_match_the_reference_writers(tmp_path, key):
+    # the --out files of real orbits hold the bytes the reference writers
+    # give for the same record, built here from the library
+    argv, name, n, dt, steps, m = _WRITTEN_RUNS[key]
+    y0 = cli._parse_y0(argv[-1])
+    if argv[0] == "map":
+        target = get_map(name, n)
+        argv = argv + ["--eps", repr(dt), "--steps", str(steps)]
+        states, end, _ = target.orbit(y0, dt, steps)
+        times, names, inv = target.step_time(dt) * np.arange(end + 1), [], None
+    else:
+        target = get_flow(name, n)
+        argv = argv + ["--t-end", repr(dt * steps), "--dt", repr(dt),
+                       "--with-invariants"]
+        states, end, _ = rk4_states(target, y0, dt, steps)
+        invs = claimed_invariants(target, registry(n))
+        times, names = dt * np.arange(end + 1), [v.name for v in invs]
+        inv = evaluate(invs, states, 0.0)[0].T
+        assert len(np.unique(inv.view(np.int64))) < inv.size
+    assert end == steps and len(names) == m
+    rec = TrajectoryRecord(target.name, times, states, names, inv)
+    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+        path = tmp_path / f"{key}.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        assert path.read_bytes() == reference(rec).encode()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_writers import reference_csv, reference_json
 from kovtop.core import (MapStepScale, QuadraticField, TrajectoryRecord,
                          as_state, elementary_symmetric, evaluate_field, fmt17,
                          painleve_condition)
@@ -165,32 +166,6 @@ def test_fmt17_round_trips():
         assert float(fmt17(x)) == x
 
 
-def _reference_csv(rec):
-    # one fmt17 call per cell
-    header = (["step", "t"] + [f"y_{i+1}" for i in range(rec.dim)]
-              + list(rec.invariant_names))
-    lines = [",".join(header)]
-    for k, (t, y) in enumerate(zip(rec.times.tolist(), rec.states.tolist())):
-        row = [str(k), fmt17(t)] + [fmt17(v) for v in y]
-        if rec.invariants is not None:
-            row += [fmt17(v) for v in rec.invariants[k].tolist()]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _reference_json(rec):
-    # json.dumps of one dict per row
-    rows = []
-    for k, (t, y) in enumerate(zip(rec.times.tolist(), rec.states.tolist())):
-        row = {"step": k, "t": t, "y": y}
-        if rec.invariants is not None:
-            row["invariants"] = dict(zip(rec.invariant_names,
-                                         rec.invariants[k].tolist()))
-        rows.append(row)
-    return json.dumps({"system": rec.system, "status": rec.status,
-                       "rows": rows})
-
-
 _CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
           1.7976931348623157e308, -2.2250738585072014e-308, 1 / 3, 0.1]
 
@@ -217,13 +192,32 @@ def _records():
     out.append(TrajectoryRecord("euler3", np.array(_CELLS),
                                 np.tile(np.array(_CELLS)[:, None], 3), ["E", "K"],
                                 np.array([_CELLS, _CELLS[::-1]]).T))
+    # no rows, with and without invariant columns
+    out.append(TrajectoryRecord("kov3", np.zeros(0), np.zeros((0, 3))))
+    out.append(TrajectoryRecord("gen-kov", np.zeros(0), np.zeros((0, 4)),
+                                ["H", "K"], np.zeros((0, 2))))
+    # conserved columns: one value in most rows, mixed with 0.0, -0.0 and
+    # NaNs of two payloads, each of which must keep its own spelling
+    nans = np.array([0x7FF8000000000001, -0x8000000000000], np.int64).view(float)
+    col = np.full(12, 1 / 3)
+    col[[2, 5, 6, 9, 10]] = [0.0, -0.0, nans[0], nans[1], 0.0]
+    out.append(TrajectoryRecord("euler3", cells(12), cells((12, 3)),
+                                ["E", "K", "H12"],
+                                np.column_stack((col, col[::-1], -col))))
+    # invariants beside non-finite time and state cells
+    t = np.array([0.0, np.inf, np.nan, -np.inf])
+    y = np.array([[np.nan, 1.0, -0.0], [np.inf, -np.inf, 2.0],
+                  [0.1, 0.2, 0.3], [np.nan, np.nan, np.nan]])
+    out.append(TrajectoryRecord("kov3", t, y, ["H", "%r"],
+                                np.column_stack((np.full(4, 0.1),
+                                                 [np.nan, 2.0, 2.0, np.inf]))))
     return out
 
 
 @pytest.mark.parametrize("rec", _records())
 def test_trajectory_record_spells_cells_as_fmt17_and_json(rec):
-    assert rec.to_csv() == _reference_csv(rec)
-    assert rec.to_json() == _reference_json(rec)
+    assert rec.to_csv() == reference_csv(rec)
+    assert rec.to_json() == reference_json(rec)
 
 
 def test_trajectory_record_rejects_duplicate_invariant_names():
@@ -238,16 +232,21 @@ def test_trajectory_record_rejects_duplicate_invariant_names():
         ["H12", "h12"]
 
 
-@pytest.mark.parametrize("names, invariants, times", [
-    (["a", "b"], np.zeros((2, 1)), np.zeros(2)),
-    (["a"], np.zeros((2, 2)), np.zeros(2)),
-    (["a"], None, np.zeros(2)),
-    ([], None, np.zeros(3)),
-    (["a"], np.zeros((3, 1)), np.zeros(2)),
+@pytest.mark.parametrize("names, invariants, times, states", [
+    (["a", "b"], np.zeros((2, 1)), np.zeros(2), np.zeros((2, 3))),
+    (["a"], np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3))),
+    (["a"], None, np.zeros(2), np.zeros((2, 3))),
+    ([], None, np.zeros(3), np.zeros((2, 3))),
+    (["a"], np.zeros((3, 1)), np.zeros(2), np.zeros((2, 3))),
+    (["a"], np.zeros(2), np.zeros(2), np.zeros((2, 3))),
+    ([], None, np.zeros(2), np.zeros(2)),
+    ([], None, np.zeros((2, 1)), np.zeros((2, 3))),
 ], ids=["name-without-column", "column-without-name", "names-without-invariants",
-        "time-without-state", "invariant-without-state"])
-def test_trajectory_record_rejects_mismatched_shapes(names, invariants, times):
+        "time-without-state", "invariant-without-state", "1-d-invariants",
+        "1-d-states", "2-d-times"])
+def test_trajectory_record_rejects_mismatched_shapes(names, invariants, times,
+                                                     states):
     # unchecked, each would write a ragged CSV, a JSON missing a name, or
     # fail inside numpy
     with pytest.raises(ParameterError, match="invariant|row"):
-        TrajectoryRecord("kov3", times, np.zeros((2, 3)), names, invariants)
+        TrajectoryRecord("kov3", times, states, names, invariants)

@@ -10,8 +10,8 @@ import pytest
 from mpmath import iv
 
 from conftest import admissible_states
+from reference_writers import reference_drift_csv, reference_drift_json
 from kovtop import cli, invariants, kernels
-from kovtop.core import fmt17
 from kovtop.cli import main
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
@@ -968,24 +968,6 @@ def test_drift_serialization():
     assert data["reports"][1]["first_blowup_step"] == 42
 
 
-def _reference_drift_json(reports):
-    # the json.dumps writer the templates replace
-    return json.dumps({"status": "ok", "reports": [{
-        "map": r.map, "invariant": r.invariant, "eps": r.eps, "steps": r.steps,
-        "max_rel_drift": None if math.isnan(r.max_rel_drift) else r.max_rel_drift,
-        "first_blowup_step": r.first_blowup_step} for r in reports]})
-
-
-def _reference_drift_csv(reports):
-    # the fmt17 join the templates replace
-    lines = ["map,invariant,eps,steps,max_rel_drift,first_blowup_step"]
-    for r in reports:
-        blow = "" if r.first_blowup_step is None else str(r.first_blowup_step)
-        lines.append(",".join([r.map, r.invariant, fmt17(r.eps), str(r.steps),
-                               fmt17(r.max_rel_drift), blow]))
-    return "\n".join(lines) + "\n"
-
-
 def _edge_reports():
     # every drift edge at one (map, eps, steps); eps 0.0 and -0.0, NaN and
     # inf in one list, with and without shared objects; quoted, percent and
@@ -1013,8 +995,8 @@ def test_drift_writers_match_the_json_dumps_and_fmt17_references(cut):
     # forwards and backwards, so that runs of shared fields break elsewhere
     reports = _edge_reports()[:cut]
     for order in (reports, reports[::-1]):
-        assert drift_to_json(order) == _reference_drift_json(order)
-        assert drift_to_csv(order) == _reference_drift_csv(order)
+        assert drift_to_json(order) == reference_drift_json(order)
+        assert drift_to_csv(order) == reference_drift_csv(order)
 
 
 @pytest.mark.parametrize("name, n", [("gen-hk", 4), ("alt-map", 4),
@@ -1024,8 +1006,8 @@ def test_drift_writers_match_the_references_on_batch_reports(name, n):
     invs = claimed_invariants(m, registry(m.dim))
     for eps, steps in ((0.01, 8), (0.3, 50), (-0.0, 3)):
         reports = drift_batch(m, invs, random_starts(3, m.dim, 1), eps, steps)
-        assert drift_to_json(reports) == _reference_drift_json(reports)
-        assert drift_to_csv(reports) == _reference_drift_csv(reports)
+        assert drift_to_json(reports) == reference_drift_json(reports)
+        assert drift_to_csv(reports) == reference_drift_csv(reports)
 
 
 def test_tracking_guards_defaults():
