@@ -14,7 +14,6 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite, prod
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, DomainError, ParameterError
 
 #: relative tolerance of `painleve_condition`
@@ -112,16 +111,6 @@ class QuadraticField:
             c[i, lo, hi] += v
         return cls(dim, c)
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return evaluate_field(self, y)
-
-
-def evaluate_field(field_: QuadraticField, y) -> np.ndarray:
-    """Evaluate the quadratic field at a state."""
-    y = as_state(y, field_.dim)
-    return np.array(kernels._rhs_quadratic_field(field_.terms, y.tolist()),
-                    dtype=float)
-
 
 def painleve_condition(a) -> bool:
     """Test the coefficient condition a12*a23*a31 == a13*a32*a21 for the 3x3
@@ -135,17 +124,6 @@ def painleve_condition(a) -> bool:
     left = prod(sorted((a[0, 1], a[1, 2], a[2, 0])))
     right = prod(sorted((a[0, 2], a[2, 1], a[1, 0])))
     return abs(left - right) <= PAINLEVE_RTOL * (abs(left) + abs(right))
-
-
-def elementary_symmetric(y, k: int) -> float:
-    """e_k(y), the degree-k elementary symmetric polynomial; e_0 = 1."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise DimensionError("elementary_symmetric expects a 1-D array")
-    n = y.shape[0]
-    if not 0 <= k <= n:
-        raise IndexError(f"k must be in [0, {n}], got {k}")
-    return float(kernels.esp_all(y)[k])
 
 
 def fmt17(x: float) -> str:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import QuadraticField, as_state
-from .errors import DimensionError, SingularStepError
+from .errors import SingularStepError
 
 #: regularity (|det A| over the Hadamard row bound, or a `maps` step's) below
 #: this counts as singular.
@@ -63,23 +63,3 @@ def hk_step(sys: BilinearStepSystem, y, eps: float) -> np.ndarray:
     A = sys.matrix_builder(y, eps)
     _check_regular(A, y, eps)
     return np.linalg.solve(A, y)
-
-
-def hk_inverse_step(sys: BilinearStepSystem, y, eps: float) -> np.ndarray:
-    """Inverse step; these maps satisfy f^{-1}(., eps) = f(., -eps)."""
-    return hk_step(sys, y, -eps)
-
-
-def build_A_generalized_kov(N: int, y, eps: float) -> np.ndarray:
-    """Step matrix of the bilinearized generalized Kovalevskaya system:
-    diagonal 1 - eps*(-3*y_i + s), off-diagonal -eps*y_i (rank-one structure
-    A = D - eps * y * ones^T with D_ii = 1 - eps*(-4*y_i + s))."""
-    if N < 3:
-        raise DimensionError("N must be >= 3")
-    y = as_state(y, N)
-    s = float(y.sum())
-    A = np.full((N, N), 0.0)
-    for i in range(N):
-        A[i, :] = -eps * y[i]
-        A[i, i] = 1.0 - eps * (-3.0 * y[i] + s)
-    return A

@@ -419,17 +419,6 @@ def _registry(N: int, alpha: float, _sign: float) -> tuple[Invariant, ...]:
     return tuple(out)
 
 
-def cross_ratio(y, i: int, j: int, k: int, l: int) -> float:
-    """(y_i - y_j)/(y_i y_j) * (y_k y_l)/(y_k - y_l), 0-based indices."""
-    y = as_state(y)
-    for idx in (i, j, k, l):
-        if y[idx] == 0.0:
-            raise DomainError(f"cross_ratio undefined: y_{idx + 1} = 0")
-    if y[k] == y[l]:
-        raise DomainError("cross_ratio undefined: y_k = y_l")
-    return float((y[i] - y[j]) / (y[i] * y[j]) * (y[k] * y[l]) / (y[k] - y[l]))
-
-
 # --- drift harness ----------------------------------------------------------
 
 @dataclass
@@ -784,9 +773,9 @@ def convergence_study(m: DiscreteMap, y0, total_time: float, eps_list,
 
 # --- exact structural identities --------------------------------------------
 #
-# Each check has a core on the list of a state's coordinates, with integer
-# constants and sums in index order; the public functions validate with
-# `as_state` once and run it.  Every step goes through
+# Each residual runs on the list of a state's coordinates, with integer
+# constants and sums in index order; `verify_phi_functional_equation`
+# validates its state with `as_state` first.  Every step goes through
 # `DiscreteMap.checked_step`.  The residuals of the rational identities
 # (`IDENTITIES` but phi-eq, sqrt-comp and engine, which take roots or a float
 # solve) run unchanged on `Fraction`s, where a residual of exactly 0 at
@@ -847,6 +836,8 @@ def phi_alt4(partition: int = 0):
 
 
 def _poly_n4_residual(y, eps):
+    """Max over the pair partitions of D_i D_j - eps^2 y_i y_j (1+eps*y_k)^2
+    (1+eps*y_l)^2 = (1 - eps^2 y_k y_l) D, over 1 + |D|; exact at N = 4 only."""
     D = _d_polynomial(y, eps)
     # D_m, with coordinate m left out
     Dm = [_d_polynomial([v for k, v in enumerate(y) if k != m], eps)
@@ -861,14 +852,9 @@ def _poly_n4_residual(y, eps):
     return worst
 
 
-def verify_poly_identity_N4(y, eps: float) -> float:
-    """Max residual over the three pair partitions of
-    D_i D_j - eps^2 y_i y_j (1+eps*y_k)^2 (1+eps*y_l)^2 = (1 - eps^2 y_k y_l) D,
-    normalized by 1 + |D|.  Holds identically only at N = 4."""
-    return _poly_n4_residual(as_state(y, 4).tolist(), eps)
-
-
 def _relation_qq_residual(map_, y, eps):
+    """Max over i < j of |(ynew_i - ynew_j)/(ynew_i ynew_j) * (y_i y_j)/(y_i -
+    y_j) - q|, q = (1 - eps*s)/(1 + eps*s_new) (gen-hk) or R(y, eps) (alt-map)."""
     n = len(y)
     if any(v == 0 for v in y):
         raise DomainError("relation needs nonzero coordinates")
@@ -889,14 +875,6 @@ def _relation_qq_residual(map_, y, eps):
             r = abs(lhs - rhs)
             worst = r if worst is None else max(worst, r)
     return worst
-
-
-def verify_relation_qq(map_: DiscreteMap, y, eps: float) -> float:
-    """Index-independence of (ynew_i - ynew_j)/(ynew_i ynew_j) *
-    (y_i y_j)/(y_i - y_j): equals (1 - eps*s)/(1 + eps*s_new) for the
-    bilinearized map and R(y, eps) for the alternative map.  Returns the max
-    deviation over all index pairs."""
-    return _relation_qq_residual(map_, as_state(y, map_.dim).tolist(), eps)
 
 
 def _gap(x, ref):

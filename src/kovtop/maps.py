@@ -265,11 +265,11 @@ def get_map(name: str, dim: int | None = None) -> DiscreteMap:
 
 # --- scalar machinery -------------------------------------------------------
 #
-# Each public function validates its state once with `as_state` and runs a
-# core on the list of its coordinates.  The cores take any sequence of
-# numbers, use integer constants and sum over coordinates in index order, as
-# the kernels do, so they give the floats numpy's reductions gave for N <= 7
-# and run exactly on `fractions.Fraction`s.
+# R = 1 - eps * sum_j y_j/(1 + eps*y_j), D = 1 - sum_{k=2..N} eps^k (k-1) e_k
+# = R * prod(1 + eps*y_j), d_i = 1 - eps*(-4*y_i + s), S = 1 - eps * sum y_j/d_j.
+# Each core takes a sequence of numbers, uses integer constants and sums over
+# coordinates in index order, as the kernels do, so it gives the floats
+# numpy's reductions gave for N <= 7 and runs exactly on `fractions.Fraction`s.
 
 
 def _total(y):
@@ -309,32 +309,14 @@ def _d_factors(y, eps):
     return d, 1 - eps * t
 
 
-def d_factors(y, eps: float) -> tuple[np.ndarray, float]:
-    """(d, S) with d_i = 1 - eps*(-4*y_i + s) and S = 1 - eps * sum y_j/d_j."""
-    d, S = _d_factors(as_state(y).tolist(), eps)
-    return np.array(d), S
-
-
-def _r_factor(y, eps, what="r_factor"):
+def _r_factor(y, eps):
     t = 0
     for v in y:
         w = 1 + eps * v
         if abs(w) < 1e-15 * (1 + abs(eps * v)):
-            raise DomainError(f"{what} undefined: some 1 + eps*y_j vanishes")
+            raise DomainError("r_factor undefined: some 1 + eps*y_j vanishes")
         t += v / w
     return 1 - eps * t
-
-
-def r_factor(y, eps: float) -> float:
-    """R(y, eps) = 1 - eps * sum_j y_j / (1 + eps*y_j)."""
-    return _r_factor(as_state(y).tolist(), eps)
-
-
-def r_factor_omitting(y, eps: float, i: int) -> float:
-    """R_i: as r_factor but with coordinate i left out of the sum."""
-    rest = as_state(y).tolist()
-    del rest[i]
-    return _r_factor(rest, eps, "r_factor_omitting")
 
 
 def _d_polynomial(y, eps):
@@ -345,30 +327,14 @@ def _d_polynomial(y, eps):
     return acc
 
 
-def d_polynomial(y, eps: float) -> float:
-    """D(y, eps) = 1 - sum_{k=2..N} eps^k (k-1) e_k(y); satisfies
-    R * prod(1 + eps*y_j) = D."""
-    return float(_d_polynomial(as_state(y).tolist(), eps))
-
-
-def d_polynomial_omitting(y, eps: float, i: int) -> float:
-    """D_i = D with y_i set to zero (equivalently omitted)."""
-    rest = as_state(y).tolist()
-    del rest[i]
-    return float(_d_polynomial(rest, eps))
-
-
 def _r_reciprocity_residual(y, eps):
+    """|R(y, eps) * R(ynew, -eps) - 1| for the alternative map."""
     ynew = alt_map(len(y)).checked_step(y, eps)
     return abs(_r_factor(y, eps) * _r_factor(ynew, -eps) - 1)
 
 
-def r_reciprocity_residual(y, eps: float) -> float:
-    """|R(y, eps) * R(ynew, -eps) - 1| for the alternative map."""
-    return _r_reciprocity_residual(as_state(y).tolist(), eps)
-
-
 def _s_relation_residuals(y, eps):
+    """|S(y, eps)(1 + eps*s_new) - 1| and |S(ynew, -eps)(1 - eps*s) - 1|."""
     ynew = gen_hk(len(y)).checked_step(y, eps)
     s = _total(y)
     s_new = _total(ynew)
@@ -376,9 +342,3 @@ def _s_relation_residuals(y, eps):
     _, S_bwd = _d_factors(ynew, -eps)
     return (abs(S_fwd * (1 + eps * s_new) - 1),
             abs(S_bwd * (1 - eps * s) - 1))
-
-
-def s_relation_residuals(y, eps: float) -> tuple[float, float]:
-    """Residuals of S(y, eps)*(1 + eps*s_new) = 1 and
-    S(ynew, -eps)*(1 - eps*s) = 1 for the bilinearized map."""
-    return _s_relation_residuals(as_state(y).tolist(), eps)

@@ -15,7 +15,8 @@ from kovtop.flows import (euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3,
                           kovalevskaya_field)
 from kovtop.hk_engine import hk_step, polarize
-from kovtop.invariants import (IDENTITIES, altmap_n4_integrals,
+from kovtop.invariants import (IDENTITIES, _poly_n4_residual,
+                               _relation_qq_residual, altmap_n4_integrals,
                                claimed_invariants, convergence_study,
                                cross_ratio_integrals, defect_order,
                                density_cross_power, density_euler_hk,
@@ -24,11 +25,10 @@ from kovtop.invariants import (IDENTITIES, altmap_n4_integrals,
                                genhk_n4_integrals, independence_rank,
                                kov_hk_integrals, kov_poly_integrals,
                                kov_product_integrals, random_starts, registry,
-                               verify_poly_identity_N4, verify_relation_qq,
                                volume_check)
-from kovtop.maps import (alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
-                         kov_sqrt, r_reciprocity_residual,
-                         s_relation_residuals)
+from kovtop.maps import (_r_reciprocity_residual, _s_relation_residuals,
+                         alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
+                         kov_sqrt)
 
 
 def _report(num, text, worst=None):
@@ -102,22 +102,22 @@ def test_criterion_3_identities():
     for _ in range(25):
         y4 = rng.uniform(0.1, 2.0, 4)
         eps = rng.uniform(0.005, 0.1)
-        r1, r2 = s_relation_residuals(y4, eps)
+        r1, r2 = _s_relation_residuals(y4.tolist(), eps)
         assert r1 < 1e-12 and r2 < 1e-12
-        r = r_reciprocity_residual(y4, eps)
+        r = _r_reciprocity_residual(y4.tolist(), eps)
         assert r < 1e-12
         worst = max(worst, r1, r2, r)
 
         y5 = rng.uniform(0.1, 2.0, 5)
-        r = verify_relation_qq(gen_hk(5), y5, eps)
+        r = _relation_qq_residual(gen_hk(5), y5.tolist(), eps)
         assert r < 1e-12
         worst = max(worst, r)
-        r = verify_relation_qq(alt_map(4), y4, eps)
+        r = _relation_qq_residual(alt_map(4), y4.tolist(), eps)
         assert r < 1e-12
         worst = max(worst, r)
 
         eps_poly = rng.uniform(0.01, 0.3)
-        r = verify_poly_identity_N4(y4, eps_poly)
+        r = _poly_n4_residual(y4.tolist(), eps_poly)
         assert r < 1e-12
         worst = max(worst, r)
 

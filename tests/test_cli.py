@@ -184,6 +184,29 @@ def test_independence_command(capsys):
         jsonschema.validate(data, _schema("independence"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--identity", "engine", "--n", "3", "--eps", "1e200"],
+    ["convergence", "--map", "cosine", "--y0", "9,9,9", "--eps-list",
+     "0.1,0.05"],
+    ["independence", "--family", "genhk4-phi", "--n", "4", "--points", "10",
+     "--eps", "0.5"],
+], ids=["check", "convergence", "independence"])
+def test_aborted_json_matches_the_aborted_schema(capsys, argv):
+    # an abort writes {"status": "aborted", "error": ...}, not the command's
+    # own output, so it validates against aborted.schema.json alone
+    assert main(argv + ["--format", "json"]) == 2
+    out = capsys.readouterr()
+    data = json.loads(out.out)
+    assert out.err == f"aborted: {data['error']}\n"
+    assert jsonschema is not None
+    schema = _schema("aborted")
+    jsonschema.validate(data, schema)
+    for bad in ({**data, "status": "ok"}, {**data, "trials": 3},
+                {"status": "aborted"}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+
+
 def test_invalid_config_exits_one(capsys):
     assert main(["map", "--map", "not-a-map", "--y0", "1,1,1", "--eps",
                  "0.1", "--steps", "1"]) == 1
@@ -887,13 +910,22 @@ def test_check_csv(tmp_path, capsys):
      "--y0 has an entry that is not a number: 'a' in '0.2,a,0.4,0.5'"),
     (_CONVERGENCE + ["--eps-list", "0.01,x"],
      "--eps-list has an entry that is not a number: 'x' in '0.01,x'"),
+    # numpy seeds from nonnegative integers only
+    (["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01", "--steps", "10",
+      "--seed", "-1"], "argument --seed: must be nonnegative, got '-1'"),
+    (["check", "--identity", "r-product", "--n", "4", "--trials", "3",
+      "--seed", "-1"], "argument --seed: must be nonnegative, got '-1'"),
+    (["independence", "--family", "cross-ratio", "--n", "4", "--points", "2",
+      "--seed", "-1"], "argument --seed: must be nonnegative, got '-1'"),
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
         "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
         "map-y0-empty", "drift-y0-blank-entry",
         "convergence-eps-list-empty-entry",
         "convergence-eps-list-trailing-comma", "convergence-eps-list-empty",
-        "map-y0-not-a-number", "convergence-eps-list-not-a-number"])
+        "map-y0-not-a-number", "convergence-eps-list-not-a-number",
+        "drift-negative-seed", "check-negative-seed",
+        "independence-negative-seed"])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1
@@ -935,6 +967,7 @@ _ROUTES = [(argv, "namespace") for argv in _README] + [
     (_MAP + ["--eps", "1e-3e", "--steps", "1"], "error"),
     (_MAP + ["--eps", "nan", "--steps", "1"], "error"),
     (_MAP + ["--eps", "-inf", "--steps", "1"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--seed", "-1"], "error"),
     (["map", "--map", "nope", "--y0", "1", "--eps", "0.1", "--steps", "1"],
      "error"),
     (_DRIFT + ["--eps", "0.01", "--format", "xml"], "error"),

@@ -4,9 +4,8 @@ import pytest
 from conftest import admissible_states
 from kovtop.errors import SingularStepError
 from kovtop.flows import (euler_field, euler_top3, integrate_reference,
-                          kovalevskaya_field)
-from kovtop.hk_engine import (build_A_generalized_kov, hk_inverse_step,
-                              hk_step, polarize)
+                          kovalevskaya_field, quadratic_flow)
+from kovtop.hk_engine import hk_step, polarize
 from kovtop.numdiff import central_jacobian
 
 
@@ -68,21 +67,34 @@ def test_genkov_diagonal_value():
 
 
 def test_reversibility_round_trips():
+    # these maps satisfy f^{-1}(., eps) = f(., -eps)
     sys = polarize(euler_field())
     x = np.array([1.0, 2.0, 3.0])
-    back = hk_inverse_step(sys, hk_step(sys, x, 0.05), 0.05)
+    back = hk_step(sys, hk_step(sys, x, 0.05), -0.05)
     np.testing.assert_allclose(back, x, rtol=1e-12)
 
     sys4 = polarize(kovalevskaya_field(4))
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    back = hk_inverse_step(sys4, hk_step(sys4, y, 0.02), 0.02)
+    back = hk_step(sys4, hk_step(sys4, y, 0.02), -0.02)
     np.testing.assert_allclose(back, y, rtol=1e-12)
 
 
+# The step matrix of the bilinearized generalized Kovalevskaya system:
+# diagonal 1 - eps*(-3*y_i + s), off-diagonal -eps*y_i, the rank-one structure
+# A = D - eps * y * ones^T with D_ii = 1 - eps*(-4*y_i + s).
+
+def _build_A(N, y, eps):
+    return polarize(kovalevskaya_field(N)).matrix_builder(np.asarray(y), eps)
+
+
+def _rank_one_A(y, eps):
+    D = np.diag(1.0 - eps * (-4.0 * y + y.sum()))
+    return D - eps * np.outer(y, np.ones(len(y)))
+
+
 def test_build_A_examples():
-    np.testing.assert_array_equal(build_A_generalized_kov(3, [1.0, 2.0, 3.0], 0.0),
-                                  np.eye(3))
-    A = build_A_generalized_kov(3, [1.0, 1.0, 1.0], 0.1)
+    np.testing.assert_array_equal(_build_A(3, [1.0, 2.0, 3.0], 0.0), np.eye(3))
+    A = _build_A(3, [1.0, 1.0, 1.0], 0.1)
     expected = np.array([[1.0, -0.1, -0.1], [-0.1, 1.0, -0.1], [-0.1, -0.1, 1.0]])
     np.testing.assert_allclose(A, expected, atol=1e-15)
 
@@ -90,11 +102,10 @@ def test_build_A_examples():
 def test_build_A_matches_polarize():
     rng = np.random.default_rng(21)
     for N in (3, 4, 6):
-        sys = polarize(kovalevskaya_field(N))
         y = rng.uniform(0.1, 2.0, N)
         eps = rng.uniform(0.01, 0.2)
-        np.testing.assert_allclose(build_A_generalized_kov(N, y, eps),
-                                   sys.matrix_builder(y, eps), atol=1e-14)
+        np.testing.assert_allclose(_build_A(N, y, eps), _rank_one_A(y, eps),
+                                   atol=1e-14)
 
 
 def test_build_A_rank_one_structure():
@@ -102,10 +113,7 @@ def test_build_A_rank_one_structure():
     N = 5
     y = rng.uniform(0.1, 2.0, N)
     eps = 0.07
-    s = y.sum()
-    D = np.diag(1.0 - eps * (-4.0 * y + s))
-    expected = D - eps * np.outer(y, np.ones(N))
-    np.testing.assert_allclose(build_A_generalized_kov(N, y, eps), expected,
+    np.testing.assert_allclose(_build_A(N, y, eps), _rank_one_A(y, eps),
                                atol=1e-14)
 
 
@@ -126,7 +134,7 @@ def test_consistency_first_order_in_eps():
     field = kovalevskaya_field(3)
     sys = polarize(field)
     y = np.array([0.4, 0.9, 1.3])
-    f = field(y)
+    f = quadratic_flow(field)(y)
 
     def residual(eps):
         return np.max(np.abs((hk_step(sys, y, eps) - y) / (2 * eps) - f))

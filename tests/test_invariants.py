@@ -18,9 +18,9 @@ from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3, rk4_states)
 from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                TRACKING_GUARDS, altmap_n4_integrals,
+                               _poly_n4_residual, _relation_qq_residual,
                                claimed_invariants, convergence_study,
-                               cross_ratio, cross_ratio_integrals,
-                               defect_order,
+                               cross_ratio_integrals, defect_order,
                                density_cross_power, density_euler_hk,
                                density_flow_power, density_kov_hk,
                                density_kov_product, drift_batch, drift_report,
@@ -35,7 +35,6 @@ from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                quartet_integrals, random_starts, registry,
                                sqrt_quartet_integrals,
                                verify_phi_functional_equation,
-                               verify_poly_identity_N4, verify_relation_qq,
                                volume_check)
 from kovtop.maps import (MAP_NAMES, RAW_GUARDS, alt_map, cosine_law, euler_hk,
                          gen_hk, get_map, kov_pullback, kov_sqrt)
@@ -72,14 +71,16 @@ def test_sqrt_quartet_domain():
 
 
 def test_cross_ratio_examples():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    assert cross_ratio(y, 0, 1, 2, 3) == 6.0
-    assert cross_ratio(y, 1, 0, 2, 3) == -6.0
-    assert cross_ratio(np.array([2.0, 2.0, 3.0, 4.0]), 0, 1, 2, 3) == 0.0
+    # (y_i - y_j)/(y_i y_j) * (y_k y_l)/(y_k - y_l) is H34:H12 at the point
+    # with y_i, y_j in places 3, 4 and y_k, y_l in places 1, 2
+    h = {inv.name: inv for inv in cross_ratio_integrals(4)}["H34:H12"]
+    assert h.value([3.0, 4.0, 1.0, 2.0]) == 6.0
+    assert h.value([3.0, 4.0, 2.0, 1.0]) == -6.0
+    assert h.value([3.0, 4.0, 2.0, 2.0]) == 0.0
     with pytest.raises(DomainError):
-        cross_ratio(np.array([0.0, 2.0, 3.0, 4.0]), 0, 1, 2, 3)
+        h.value([3.0, 4.0, 0.0, 2.0])
     with pytest.raises(DomainError):
-        cross_ratio(np.array([1.0, 2.0, 3.0, 3.0]), 0, 1, 2, 3)
+        h.value([3.0, 3.0, 1.0, 2.0])
 
 
 def test_registry_families_by_dimension():
@@ -904,9 +905,9 @@ def test_alt_phi_closed_forms_conserved():
 
 
 def test_poly_identity_n4():
-    assert verify_poly_identity_N4(np.array([1.0, 2.0, 3.0, 4.0]), 0.1) < 1e-13
-    assert verify_poly_identity_N4(np.array([1.0, 2.0, 3.0, 4.0]), 0.0) == 0.0
-    assert verify_poly_identity_N4(np.array([1.0, 1.0, 1.0, 1.0]), 0.3) < 1e-13
+    assert _poly_n4_residual([1.0, 2.0, 3.0, 4.0], 0.1) < 1e-13
+    assert _poly_n4_residual([1.0, 2.0, 3.0, 4.0], 0.0) == 0.0
+    assert _poly_n4_residual([1.0, 1.0, 1.0, 1.0], 0.3) < 1e-13
 
 
 def test_poly_identity_n4_exact_oracle():
@@ -934,23 +935,23 @@ def test_poly_identity_n4_exact_oracle():
 
 
 def test_relation_qq_both_maps():
-    assert verify_relation_qq(gen_hk(5), np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                              0.02) < 1e-13
-    assert verify_relation_qq(alt_map(4), np.array([1.0, 2.0, 3.0, 4.0]),
-                              0.05) < 1e-13
-    assert verify_relation_qq(gen_hk(3), np.array([1.0, 2.0, 3.0]), 0.0) < 1e-15
+    assert _relation_qq_residual(gen_hk(5), [1.0, 2.0, 3.0, 4.0, 5.0],
+                                 0.02) < 1e-13
+    assert _relation_qq_residual(alt_map(4), [1.0, 2.0, 3.0, 4.0],
+                                 0.05) < 1e-13
+    assert _relation_qq_residual(gen_hk(3), [1.0, 2.0, 3.0], 0.0) < 1e-15
     with pytest.raises(DomainError):
-        verify_relation_qq(gen_hk(3), np.array([1.0, 1.0, 3.0]), 0.05)
+        _relation_qq_residual(gen_hk(3), [1.0, 1.0, 3.0], 0.05)
 
 
 def test_relation_qq_alt_equals_r_factor():
-    from kovtop.maps import r_factor
+    from kovtop.maps import _r_factor
     y = np.array([1.0, 2.0, 3.0, 4.0])
     eps = 0.05
     m = alt_map(4)
     yn = m.step(y, eps)
     lhs = (yn[0] - yn[1]) / (yn[0] * yn[1]) * (y[0] * y[1]) / (y[0] - y[1])
-    assert abs(lhs - r_factor(y, eps)) < 1e-14
+    assert abs(lhs - _r_factor(y.tolist(), eps)) < 1e-14
 
 
 def test_drift_serialization():
