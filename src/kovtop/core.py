@@ -175,10 +175,6 @@ class TrajectoryRecord:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] - 1
-
     def _cells(self, spell) -> np.ndarray:
         """The columns step | t | y_1..y_N | invariants as one object array:
         the step an int, t and y floats, and each invariant cell the string

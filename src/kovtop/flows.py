@@ -6,7 +6,6 @@ accuracy controlled by dt alone.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -56,14 +55,6 @@ class FlowSpec:
 
     def __call__(self, y) -> np.ndarray:
         return np.array(self.rhs(as_state(y, self.dim).tolist()), dtype=float)
-
-
-@functools.lru_cache(maxsize=32)
-def _spec(name: str, dim: int, rhs) -> FlowSpec:
-    # one FlowSpec per name and compiled rhs: `kernels.compile_flow` returns
-    # the same rhs for the same constants while its code stays compiled, so
-    # a flow built again is the one built first
-    return FlowSpec(name=name, dim=dim, rhs=rhs)
 
 
 def _emit_call(ins, outs):
@@ -128,7 +119,8 @@ def generalized_kovalevskaya(N: int, alpha: float = 2.0,
     if any(sc[1:]) or not sc[0]:
         return FlowSpec(name=name, dim=N, rhs=partial(
             kernels._rhs_scaled_quadratic, alpha=alpha, s_coeffs=sc))
-    return _spec(name, N, _compile(_emit_e1_only, N, alpha=alpha, c1=sc[0]))
+    return FlowSpec(name=name, dim=N,
+                    rhs=_compile(_emit_e1_only, N, alpha=alpha, c1=sc[0]))
 
 
 def _alpha_text(alpha: float) -> str:
@@ -148,7 +140,8 @@ def gen_kov_name(N: int, alpha: float = 2.0, custom_s: bool = False) -> str:
 
 def kovalevskaya3() -> FlowSpec:
     """The three-dimensional flow dy_i/dt = y_i(-y_i + y_j + y_k)."""
-    return _spec("kov3", 3, generalized_kovalevskaya(3, 2.0).rhs)
+    return FlowSpec(name="kov3", dim=3,
+                    rhs=generalized_kovalevskaya(3, 2.0).rhs)
 
 
 def generalized_euler(N: int) -> FlowSpec:
@@ -157,12 +150,13 @@ def generalized_euler(N: int) -> FlowSpec:
     if N < 3:
         raise DimensionError("generalized Euler flow needs N >= 3")
 
-    return _spec(f"gen-euler(N={N})", N, _compile(_emit_product_complement, N))
+    return FlowSpec(name=f"gen-euler(N={N})", dim=N,
+                    rhs=_compile(_emit_product_complement, N))
 
 
 def euler_top3() -> FlowSpec:
     """The Euler top dx_i/dt = x_j x_k."""
-    return _spec("euler3", 3, generalized_euler(3).rhs)
+    return FlowSpec(name="euler3", dim=3, rhs=generalized_euler(3).rhs)
 
 
 FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
@@ -171,10 +165,7 @@ FLOW_NAMES = ("kov3", "euler3", "gen-kov", "gen-euler")
 def get_flow(name: str, dim: int | None = None, alpha: float = 2.0) -> FlowSpec:
     """Look up a flow by CLI name (`core.lookup`), as `maps.get_map` looks up
     a map: gen-kov and gen-euler require `dim`, kov3 and euler3 are
-    three-dimensional.  `alpha` reaches gen-kov only.  Each flow is built
-    once per process: a second lookup of the same name, N and alpha (its
-    sign included) returns the same FlowSpec while its code stays compiled
-    (`_spec`)."""
+    three-dimensional.  `alpha` reaches gen-kov only."""
     return lookup("flow", name, dim,
                   {"kov3": kovalevskaya3, "euler3": euler_top3},
                   {"gen-kov": partial(generalized_kovalevskaya, alpha=alpha),

@@ -1029,20 +1029,13 @@ def drift_to_json(reports: Sequence[DriftReport]) -> str:
     one dict of the report's fields each, each report by one template.  An
     unevaluable pair carries a NaN drift, which JSON gets as null (strict
     JSON has no NaN literal); any other non-finite float is spelled as
-    json.dumps spells it.  A run of reports sharing their map, eps and steps
-    objects, as one `drift_batch` makes them, spells those once: the same
-    objects spell the same, where equal values need not (0.0 and -0.0)."""
-    rows = []
-    last = None
-    for r in reports:
-        if last is None or not (r.map is last.map and r.eps is last.eps
-                                and r.steps is last.steps):
-            last = r
-            row = _DRIFT_JSON_ROW % (
-                encode_basestring_ascii(r.map).replace("%", "%%"), "%s",
-                _json_number(r.eps), _json_number(r.steps), "%s", "%s")
-        d = r.max_rel_drift
-        rows.append(row % (encode_basestring_ascii(r.invariant),
-                           "null" if d != d else _json_number(d),
-                           _json_number(r.first_blowup_step)))
+    json.dumps spells it."""
+    rows = [_DRIFT_JSON_ROW % (
+                encode_basestring_ascii(r.map),
+                encode_basestring_ascii(r.invariant), _json_number(r.eps),
+                _json_number(r.steps),
+                "null" if r.max_rel_drift != r.max_rel_drift
+                else _json_number(r.max_rel_drift),
+                _json_number(r.first_blowup_step))
+            for r in reports]
     return '{"status": "ok", "reports": [%s]}' % ", ".join(rows)

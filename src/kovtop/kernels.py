@@ -20,9 +20,7 @@ one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
 for a dimension N, with locals a0..a{N-1}.  An emitter writes one formula; a
 template wraps it; `_factory` compiles each (template, emitter, N) once,
 keeping the 32 most recent, and each call binds its own constants by name,
-the integer literals among them (4 as `_4`, -4 as `_m4`).  Constants that
-are all numbers bind once per compile, so a flow built again is the flow
-built first.
+the integer literals among them (4 as `_4`, -4 as `_m4`).
 
 - `compile_map` takes a map's emitter (`maps` has one per map) and returns
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
@@ -285,8 +283,7 @@ def _source(template, emit, names, n):
 def _factory(template, emit, names, n):
     # one compile per (template, emitter, constant names, N); the 32 most
     # recent are kept, since a generalized Euler orbit's code grows as N^2.
-    # Returns `_make`, the integer constants it takes by name, and the
-    # bindings `_bind` has made of it.
+    # Returns `_make` and the integer constants it takes by name.
     namespace = {"inf": inf, "nan": nan, "isfinite": isfinite}
     exec(compile(_source(template, emit, names, n),
                  f"<{emit.__name__} N={n}>", "exec"), namespace)
@@ -294,34 +291,18 @@ def _factory(template, emit, names, n):
     code = make.__code__
     ints = {p: -int(p[2:]) if p[1] == "m" else int(p[1:])
             for p in code.co_varnames[1 + len(names):code.co_argcount]}
-    return make, ints, {}
-
-
-#: bindings kept per compiled code; the oldest goes first
-_BINDINGS = 32
+    return make, ints
 
 
 def _bind(template, emit, n, consts):
     # The function `template` writes for `emit` at N, bound twice from one
     # compile: with int constants (type-generic) and with the same constants
     # as floats, attached as `.floats` to it and to its companion `.orbit`.
-    # Constants that are all ints and floats bind once per compile: a second
-    # call with the same ones (by repr, so 2 and 2.0, 0.0 and -0.0 differ)
-    # returns the first call's function.
-    make, ints, bound = _factory(template, emit, tuple(consts), n)
-    key = None
-    if all(type(v) in (int, float) for v in consts.values()):
-        key = tuple(map(repr, consts.values()))
-        if key in bound:
-            return bound[key]
+    make, ints = _factory(template, emit, tuple(consts), n)
     fn = make(BLOWUP_CAP, **consts, **ints)
     fn.floats = make(BLOWUP_CAP, **consts,
                      **{name: float(v) for name, v in ints.items()})
     fn.orbit.floats = fn.floats.orbit
-    if key is not None:
-        if len(bound) >= _BINDINGS:
-            del bound[next(iter(bound))]
-        bound[key] = fn
     return fn
 
 
@@ -334,8 +315,7 @@ def compile_flow(emit, n, **consts):
     compiled once per (emit, constant names, N) and bound twice: `rhs`
     holds its integer literals as ints, so it runs unchanged on floats,
     `Fraction`s and `mpf`s, and `rhs.floats` (with `rhs.orbit.floats`) holds
-    them as floats, giving the same bits on floats faster.  Building a flow
-    again with the same number constants returns the same `rhs`.
+    them as floats, giving the same bits on floats faster.
     """
     return _bind(_flow_template, emit, n, consts)
 

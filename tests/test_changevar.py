@@ -4,7 +4,7 @@ import pytest
 from conftest import admissible_states
 from kovtop.changevar import (conjugacy_check, gen_cv, jacobian_gen_cv,
                               linear_cv, nonlinear_cv3)
-from kovtop.errors import DomainError
+from kovtop.errors import DimensionError, DomainError
 from kovtop.flows import (euler_top3, generalized_euler,
                           generalized_kovalevskaya, kovalevskaya3)
 from kovtop.maps import cosine_law, euler_hk, gen_hk, kov_pullback, kov_sqrt
@@ -111,3 +111,22 @@ def test_integral_transport_nonlinear():
             K = y[i] * (y[j] - y[k])
             E = x[k] ** 2 - x[j] ** 2
             assert abs(K - E) < 1e-12 * (1 + abs(E))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gen_cv(2), DimensionError, "gen_cv needs N >= 3"),
+    (lambda: gen_cv(4).forward([1.0, -1.0, 1.0, 1.0]), DomainError,
+     "forward map needs the positive orthant"),
+    (lambda: gen_cv(4).backward([1.0, 1.0, 0.0, 1.0]), DomainError,
+     "backward map needs the positive orthant"),
+    (lambda: jacobian_gen_cv(4, [1.0, 0.0, 1.0, 1.0]), DomainError,
+     "Jacobian formula holds on the positive orthant"),
+    (lambda: conjugacy_check(nonlinear_cv3(), euler_hk(), euler_top3(),
+                             [0.2, 0.3, 0.4], 0.01), TypeError,
+     "upstream and downstream must both be maps or both flows"),
+], ids=["gen-cv-n2", "forward-orthant", "backward-orthant",
+        "jacobian-orthant", "map-and-flow"])
+def test_changevar_rejects_what_it_cannot_map(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

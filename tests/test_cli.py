@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -933,6 +934,48 @@ def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     assert out.out == ""
     assert out.err == f"error: {message}\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --seed only where something is drawn: drift, check and independence
+    (_MAP + ["--eps", "0.1", "--steps", "1", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (_SIMULATE + ["--t-end", "0.01", "--dt", "0.001", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (_CONVERGENCE + ["--eps-list", "0.01", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (_DRIFT + ["--eps", "0.01", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["simulate", "--flow", "gen-kov", "--n", "2", "--y0", "0.1,0.2",
+      "--t-end", "0.01", "--dt", "0.001"],
+     "generalized Kovalevskaya flow needs N >= 3"),
+    (["drift", "--flow", "gen-euler", "--n", "2", "--eps", "0.001", "--steps",
+      "8"], "generalized Euler flow needs N >= 3"),
+    (["map", "--map", "gen-hk", "--n", "2", "--y0", "0.1,0.2", "--eps", "0.01",
+      "--steps", "1"], "gen-hk needs N >= 3"),
+    (["drift", "--map", "alt-map", "--n", "2", "--eps", "0.01", "--steps",
+      "8"], "alt-map needs N >= 3"),
+    (_SIMULATE + ["--t-end", "-1", "--dt", "0.001"],
+     "t_end must be nonnegative"),
+], ids=["map-seed", "simulate-seed", "convergence-seed", "drift-seed-abc",
+        "gen-kov-n2", "gen-euler-n2", "gen-hk-n2", "alt-map-n2",
+        "simulate-t-end-negative"])
+def test_validation_errors_exit_one_with_their_message(capsys, argv, message):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_write_that_fails_after_the_out_check_exits_one(capsys):
+    # /dev/full passes the early --out check; the write fails with ENOSPC
+    argv = _MAP + ["--eps", "0.1", "--steps", "1", "--out", "/dev/full"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: cannot write --out '/dev/full': "
+                       f"{os.strerror(errno.ENOSPC)}\n")
 
 
 # --- one scan per command line ----------------------------------------------

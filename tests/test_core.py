@@ -257,3 +257,17 @@ def test_trajectory_record_rejects_mismatched_shapes(names, invariants, times,
     # fail inside numpy
     with pytest.raises(ParameterError, match="invariant|row"):
         TrajectoryRecord("kov3", times, states, names, invariants)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuadraticField(2, np.zeros((2, 2, 2))),
+     "quadratic fields need dim >= 3"),
+    (lambda: QuadraticField(3, np.zeros((3, 3))),
+     "coefficient tensor must be shape (3, 3, 3), got (3, 3)"),
+    (lambda: painleve_condition(np.eye(2)),
+     "painleve_condition expects a 3x3 matrix"),
+], ids=["field-dim-2", "field-shape", "painleve-2x2"])
+def test_fields_and_matrices_of_the_wrong_shape_raise(call, message):
+    with pytest.raises(DimensionError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,7 +1,7 @@
 """The float binding of every generated kernel against its integer binding:
 the same compiled code with its integer literals bound as floats gives the
 same bits and stop reasons on floats, runs wherever eps and every coordinate
-are Python floats, and nowhere else; and a flow is built once per process.
+are Python floats, and nowhere else.
 """
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ import pytest
 from mpmath import mpf
 
 from kovtop import flows, kernels, maps
-from kovtop.cli import main
 from test_map_orbit import GUARD_SETS, MAPS, _bits, _states, _step_outcome
 
 EPS = [sign * e for e in (1e-4, 0.01, 0.3, 1.0, 1e160) for sign in (1, -1)]
@@ -127,8 +126,8 @@ def test_a_float_call_runs_the_float_binding(monkeypatch):
 def test_integer_literals_are_bound_by_value():
     # one compile, two bindings: the literals become parameters of the
     # factory, except the stop's repetition count
-    make, ints, _ = kernels._factory(kernels._map_template, maps._emit_gen_hk,
-                                     (), 4)
+    make, ints = kernels._factory(kernels._map_template, maps._emit_gen_hk,
+                                  (), 4)
     assert ints == {"_0": 0, "_1": 1, "_m4": -4}
     source = kernels._source(kernels._map_template, maps._emit_cosine,
                              ("sqrt",), 3)
@@ -139,35 +138,9 @@ def test_integer_literals_are_bound_by_value():
     assert len(out) == 3 and all(v != v for v in out) and not reg > 0
 
 
-@pytest.mark.parametrize("name, n", [("kov3", None), ("euler3", 3),
-                                     ("gen-kov", 4), ("gen-euler", 5)])
-def test_get_flow_keeps_one_flowspec(name, n):
-    assert flows.get_flow(name, n, 1.3) is flows.get_flow(name, n, 1.3)
-
-
-def test_a_second_drift_builds_no_flowspec(monkeypatch, capsys):
-    argv = ["drift", "--flow", "gen-kov", "--n", "5", "--alpha", "1.7",
-            "--eps", "0.001", "--steps", "8", "--starts", "2"]
-    assert main(argv) == 0
-    built = []
-    post_init = flows.FlowSpec.__post_init__
-
-    def counting(self):
-        built.append(self.name)
-        post_init(self)
-
-    monkeypatch.setattr(flows.FlowSpec, "__post_init__", counting)
-    assert main(argv) == 0
-    assert built == []
-    out = capsys.readouterr().out
-    assert out[:len(out) // 2] == out[len(out) // 2:]
-
-
 def test_the_sign_of_alpha_keeps_its_flow():
     plus, minus = flows.get_flow("gen-kov", 4, 0.0), flows.get_flow("gen-kov",
                                                                     4, -0.0)
     assert (plus.name, minus.name) == ("gen-kov(N=4,alpha=0)",
                                        "gen-kov(N=4,alpha=-0)")
-    assert plus is flows.get_flow("gen-kov", 4, 0.0)
-    assert minus is flows.get_flow("gen-kov", 4, -0.0)
     assert plus.rhs is not minus.rhs

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mpf
 
 from conftest import admissible_states
-from kovtop.errors import BlowupError, ParameterError
+from kovtop.errors import BlowupError, DimensionError, ParameterError
 from kovtop.flows import (euler_field, euler_top3, generalized_euler,
                           generalized_kovalevskaya, integrate_reference,
                           kovalevskaya3, kovalevskaya_field, quadratic_flow,
@@ -82,7 +82,7 @@ def test_quadratic_flow_tracks_closed_form_flow(field, flow):
 
 def test_rk4_zero_time():
     traj = integrate_reference(euler_top3(), [1.0, 2.0, 3.0], 0.0, 1e-3)
-    assert traj.steps == 0
+    assert len(traj.states) == 1
     np.testing.assert_array_equal(traj.states[0], [1.0, 2.0, 3.0])
 
 
@@ -239,3 +239,16 @@ def test_hyperelliptic_relation_n4():
 def test_hyperelliptic_relation_equilibrium():
     traj = integrate_reference(generalized_euler(4), [0.0, 0.0, 1.5, 2.5], 0.1, 1e-3)
     assert verify_hyperelliptic_relation(4, traj) < 1e-12
+
+
+def test_s_coeffs_need_one_coefficient_per_e_k():
+    with pytest.raises(ParameterError) as exc:
+        generalized_kovalevskaya(4, s_coeffs=[1.0, 0.0])
+    assert str(exc.value) == "s_coeffs must list one coefficient per e_1..e_N"
+
+
+def test_hyperelliptic_relation_rejects_another_dimension():
+    traj = integrate_reference(generalized_euler(3), [1.0, 2.0, 3.0], 0.0, 1e-3)
+    with pytest.raises(DimensionError) as exc:
+        verify_hyperelliptic_relation(4, traj)
+    assert str(exc.value) == "trajectory dimension does not match N"

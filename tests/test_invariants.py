@@ -14,8 +14,9 @@ from reference_writers import reference_drift_csv, reference_drift_json
 from kovtop import cli, invariants, kernels
 from kovtop.cli import main
 from kovtop.errors import DimensionError, DomainError, ParameterError
-from kovtop.flows import (FlowSpec, euler_top3, generalized_euler,
-                          generalized_kovalevskaya, kovalevskaya3, rk4_states)
+from kovtop.flows import (FLOW_NAMES, FlowSpec, euler_top3, generalized_euler,
+                          generalized_kovalevskaya, get_flow, kovalevskaya3,
+                          rk4_states)
 from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                TRACKING_GUARDS, altmap_n4_integrals,
                                _poly_n4_residual, _relation_qq_residual,
@@ -1079,3 +1080,37 @@ def test_cross_ratios_conserved_over_whole_unguarded_orbits(monkeypatch, m,
                           10_000)
     assert all(r.first_blowup_step is None for r in reports)
     assert max(r.max_rel_drift for r in reports) < bound
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: drift_batch("gen-hk", [], [[0.2, 0.3, 0.4, 0.5]], 0.01, 8),
+     TypeError, "cannot iterate str"),
+    (lambda: density_flow_power()([-1.0, 1.0, 2.0], 0.0), DomainError,
+     "flow volume density needs the positive orthant"),
+    (lambda: verify_phi_functional_equation(4, [-0.1, 0.2, 0.3, 0.4], 0.01,
+                                            phi_genhk4()), DomainError,
+     "functional equation check needs positive coordinates"),
+    (lambda: IDENTITIES["step-ratio"][0]([0.0, 0.2, 0.3, 0.4], 0.01),
+     DomainError, "relation needs nonzero coordinates"),
+    (lambda: _relation_qq_residual(euler_hk(), [0.2, 0.3, 0.4], 0.01),
+     ValueError, "relation applies to gen-hk and alt-map"),
+], ids=["drift-of-a-name", "flow-density-orthant", "phi-eq-orthant",
+        "step-ratio-zero", "relation-of-euler-hk"])
+def test_invariant_checks_reject_what_they_cannot_evaluate(call, error,
+                                                           message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", list(MAP_NAMES) + list(FLOW_NAMES))
+def test_every_target_claims_an_invariant(name):
+    # the drift command needs no check for a target without one
+    dims = range(3, 9) if name in ("gen-hk", "alt-map", "gen-kov",
+                                   "gen-euler") else (3,)
+    alphas = (2.0, 1.3, 0.0, -0.0) if name == "gen-kov" else (2.0,)
+    for n in dims:
+        for alpha in alphas:
+            target = (get_map(name, n) if name in MAP_NAMES
+                      else get_flow(name, n, alpha))
+            assert claimed_invariants(target, registry(n, alpha)), (n, alpha)
