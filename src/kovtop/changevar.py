@@ -2,11 +2,12 @@
 families, with exact Jacobians and conjugacy testing.
 
 All root-taking fixes the positive branch and restricts to the positive
-orthant; sign-pattern extensions are rejected rather than guessed.
+orthant; sign-pattern extensions of the inverses are rejected rather than
+guessed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,37 +46,23 @@ def linear_cv() -> ChangeOfVariables:
 
 def nonlinear_cv3() -> ChangeOfVariables:
     """y_i = x_j x_k / x_i with inverse x_i = sqrt(y_j y_k) (principal
-    roots); forward needs nonzero coordinates, backward the positive
-    orthant."""
-
-    def fwd(x):
-        x = as_state(x, 3)
-        if np.any(x == 0.0):
-            raise DomainError("forward map needs all x_i nonzero")
-        p = float(np.prod(x))
-        return p / (x * x)
-
-    def bwd(y):
-        y = as_state(y, 3)
-        if np.any(y <= 0.0):
-            raise DomainError("backward map needs the positive orthant")
-        p = float(np.prod(y))
-        return np.sqrt(p / y)
-
-    return ChangeOfVariables("nonlinear3", 3, fwd, bwd)
+    roots): gen_cv(3) under the name "nonlinear3"."""
+    return replace(gen_cv(3), name="nonlinear3")
 
 
 def gen_cv(N: int) -> ChangeOfVariables:
     """y_i = (prod_{j != i} x_j)/x_i with inverse
-    x_i = sqrt((prod y)^(1/(N-2)) / y_i); positive orthant, positive roots.
+    x_i = sqrt((prod y)^(1/(N-2)) / y_i), positive roots.  The forward map
+    takes every x with no zero coordinate, where it carries gen-euler to
+    gen-kov at alpha = 2; the backward map takes the positive orthant.
     At N = 3 this is nonlinear_cv3."""
     if N < 3:
         raise DimensionError("gen_cv needs N >= 3")
 
     def fwd(x):
         x = as_state(x, N)
-        if np.any(x <= 0.0):
-            raise DomainError("forward map needs the positive orthant")
+        if np.any(x == 0.0):
+            raise DomainError("forward map needs all x_i nonzero")
         p = float(np.prod(x))
         return p / (x * x)
 

@@ -292,7 +292,7 @@ def _cmd_drift(args) -> int:
 def _cmd_convergence(args) -> int:
     m, y0 = _target(args)
     eps_list = _parse_floats(args.eps_list, "--eps-list")
-    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+    if not all(0 < e < math.inf for e in eps_list):
         raise ConfigError("--eps-list must be positive and finite")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("--eps-list must be strictly decreasing")

@@ -200,8 +200,11 @@ MAX_STEPS = 10**7
 
 
 def check_step_count(n: int, what: str) -> int:
-    """n, or ParameterError when the step count n that `what` gives exceeds
-    MAX_STEPS."""
+    """n, or ParameterError when the step count n that `what` gives is
+    negative or exceeds MAX_STEPS; every orbit checks its count by this
+    before its first step."""
+    if n < 0:
+        raise ParameterError("steps must be nonnegative")
     if n > MAX_STEPS:
         # exact, or short where it is too far above the bound to read as it
         shown = n if n < 1000 * MAX_STEPS else f"{n:.3g}"
@@ -247,8 +250,11 @@ def rk4_states(flow: FlowSpec, y0, dt: float,
                nsteps: int) -> tuple[np.ndarray, int, str]:
     """Non-raising RK4 iteration used by the drift harness: returns
     (states, last_step, reason) as `kernels.rk4_orbit` does, last_step <
-    nsteps past kernels.BLOWUP_CAP."""
+    nsteps past kernels.BLOWUP_CAP.  Steps outside 0..MAX_STEPS raise
+    ParameterError before any step (`check_step_count`), as in
+    `maps.DiscreteMap.orbit`."""
     y0 = as_state(y0, flow.dim)
+    check_step_count(nsteps, f"steps={nsteps}")
     return kernels.rk4_orbit(flow.orbit, y0.tolist(), float(dt), nsteps)
 
 

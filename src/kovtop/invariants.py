@@ -488,14 +488,15 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
     worst = np.full(len(invs), -math.inf)
     first_end = np.full(len(invs), steps)
     lo = 0
-    for traj, end, _ in orbits:
+    for traj, _, _ in orbits:
         hi = lo + len(traj)
         # each row up to its first point outside the domain; a start outside
         # the domain (cut 0) certifies no step: its window ends at 0 with no
-        # drift.  An orbit has end + 1 rows, so a whole window keeps its end.
+        # drift.  cut counts the leading in-domain rows among the orbit's
+        # end + 1, so cut - 1 <= end, and a whole window keeps its end.
         inside = np.logical_and.accumulate(dom[:, lo:hi], axis=1)
         cut = inside.sum(axis=1)
-        first_end = np.minimum(first_end, np.minimum(end, np.maximum(cut - 1, 0)))
+        first_end = np.minimum(first_end, np.maximum(cut - 1, 0))
         k = ok[:, lo:hi] & inside
         v = vals[:, lo:hi]
         ref = v[rows, k.argmax(axis=1)]
@@ -854,7 +855,8 @@ def _poly_n4_residual(y, eps):
 
 def _relation_qq_residual(map_, y, eps):
     """Max over i < j of |(ynew_i - ynew_j)/(ynew_i ynew_j) * (y_i y_j)/(y_i -
-    y_j) - q|, q = (1 - eps*s)/(1 + eps*s_new) (gen-hk) or R(y, eps) (alt-map)."""
+    y_j) - q| for `map_` gen-hk or alt-map, q = (1 - eps*s)/(1 + eps*s_new)
+    for gen-hk and R(y, eps) for alt-map."""
     n = len(y)
     if any(v == 0 for v in y):
         raise DomainError("relation needs nonzero coordinates")
@@ -863,10 +865,8 @@ def _relation_qq_residual(map_, y, eps):
     ynew = map_.checked_step(y, eps)
     if map_.name == "gen-hk":
         rhs = (1 - eps * _total(y)) / (1 + eps * _total(ynew))
-    elif map_.name == "alt-map":
-        rhs = _r_factor(y, eps)
     else:
-        raise ValueError("relation applies to gen-hk and alt-map")
+        rhs = _r_factor(y, eps)
     worst = None
     for i in range(n):
         for j in range(i + 1, n):

@@ -349,6 +349,17 @@ def map_step(kernel, y, eps):
         return [nan] * len(y), 0
 
 
+def _run_orbit(orbit, y0, eps, nsteps, theta, resbound, coin_tol, even):
+    # the compiled orbit loop `orbit` from a copy of the sequence y0, by its
+    # float binding where eps and every coordinate are Python floats, with
+    # its rows stacked into one ndarray
+    y = list(y0)
+    if orbit.on_floats(y, eps):
+        orbit = orbit.floats
+    rows, why = orbit(y, eps, nsteps, theta, resbound, coin_tol, even)
+    return np.array(rows), len(rows) - 1, why
+
+
 def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
     """Iterate the step kernel `kernel` (of `compile_map`) from the sequence
     `y0`, stopping at the first untrustworthy step.
@@ -362,12 +373,8 @@ def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
     and the one of STOP_REASONS that ended the orbit, "whole" when all ran.
     Runs the float binding `kernel.orbit.floats` as `map_step` does.
     """
-    y = list(y0)
-    orbit = kernel.orbit
-    if orbit.on_floats(y, eps):
-        orbit = orbit.floats
-    rows, why = orbit(y, eps, nsteps, theta, resbound, coin_tol, even)
-    return np.array(rows), len(rows) - 1, why
+    return _run_orbit(kernel.orbit, y0, eps, nsteps, theta, resbound,
+                      coin_tol, even)
 
 
 def rk4_orbit(orbit, y0, dt, nsteps):
@@ -376,8 +383,4 @@ def rk4_orbit(orbit, y0, dt, nsteps):
     (trajectory ndarray, last_step, reason) as of `map_orbit`, the reason
     "whole", "cap", "non-finite" or, where the rhs divides by zero, "singular".
     Runs the float binding `orbit.floats` as `map_step` does."""
-    y = list(y0)
-    if orbit.on_floats(y, dt):
-        orbit = orbit.floats
-    rows, why = orbit(y, dt, nsteps, 0, inf, 0, False)
-    return np.array(rows), len(rows) - 1, why
+    return _run_orbit(orbit, y0, dt, nsteps, 0, inf, 0, False)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import kernels
 from .core import MapStepScale, as_state, lookup
-from .errors import (DimensionError, DomainError, ParameterError,
-                     SingularStepError)
+from .errors import DimensionError, DomainError, SingularStepError
 from .flows import check_step_count
 from .hk_engine import SINGULAR_RTOL
 
@@ -94,10 +93,9 @@ class DiscreteMap:
               ) -> tuple[np.ndarray, int, str]:
         """Iterate `steps` times under the given guards; returns (states,
         last_step, reason) as `kernels.map_orbit` does.  Steps outside
-        0..`flows.MAX_STEPS` raise ParameterError before any step."""
+        0..`flows.MAX_STEPS` raise ParameterError before any step
+        (`flows.check_step_count`)."""
         y0 = as_state(y0, self.dim)
-        if steps < 0:
-            raise ParameterError("steps must be nonnegative")
         check_step_count(steps, f"steps={steps}")
         return kernels.map_orbit(
             self.kernel, y0.tolist(), float(eps), steps, guards.strain,

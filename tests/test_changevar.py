@@ -91,6 +91,39 @@ def test_gen_cv_flow_conjugacy(N):
         assert conjugacy_check(g, up, down, x, 0.0) < 1e-8
 
 
+def _sign_mixed_points(n, N, seed):
+    # x_i = +-U(0.3, 1.2): no zero coordinate, each sign pattern possible
+    rng = np.random.default_rng(seed)
+    return [rng.choice([-1.0, 1.0], N) * rng.uniform(0.3, 1.2, N)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_gen_cv_flow_conjugacy_off_the_positive_orthant(N):
+    # y_i = prod_{j != i} x_j / x_i carries gen-euler to gen-kov (alpha 2)
+    # wherever no x_i is 0
+    g = gen_cv(N)
+    up = generalized_euler(N)
+    down = generalized_kovalevskaya(N, 2.0)
+    points = _sign_mixed_points(20, N, seed=0)
+    assert any((x < 0).any() for x in points)
+    for x in points:
+        assert conjugacy_check(g, up, down, x, 0.0) < 1e-8
+
+
+def test_nonlinear_cv3_is_gen_cv3():
+    nl, g = nonlinear_cv3(), gen_cv(3)
+    positive = admissible_states(20, 3, seed=61)
+    for x in positive + _sign_mixed_points(20, 3, seed=62):
+        assert nl.forward(x).tobytes() == g.forward(x).tobytes()
+    for y in positive:
+        assert nl.backward(y).tobytes() == g.backward(y).tobytes()
+    for cv in (nl, g):
+        with pytest.raises(DomainError) as exc:
+            cv.forward([1.0, 0.0, -2.0])
+        assert str(exc.value) == "forward map needs all x_i nonzero"
+
+
 def test_integral_transport_linear():
     # K_jk(y(x)) = (x_k^2 - x_j^2)/4 for (i, j, k) cyclic
     cv = linear_cv()
@@ -115,8 +148,8 @@ def test_integral_transport_nonlinear():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: gen_cv(2), DimensionError, "gen_cv needs N >= 3"),
-    (lambda: gen_cv(4).forward([1.0, -1.0, 1.0, 1.0]), DomainError,
-     "forward map needs the positive orthant"),
+    (lambda: gen_cv(4).forward([1.0, 0.0, 1.0, 1.0]), DomainError,
+     "forward map needs all x_i nonzero"),
     (lambda: gen_cv(4).backward([1.0, 1.0, 0.0, 1.0]), DomainError,
      "backward map needs the positive orthant"),
     (lambda: jacobian_gen_cv(4, [1.0, 0.0, 1.0, 1.0]), DomainError,
@@ -124,7 +157,7 @@ def test_integral_transport_nonlinear():
     (lambda: conjugacy_check(nonlinear_cv3(), euler_hk(), euler_top3(),
                              [0.2, 0.3, 0.4], 0.01), TypeError,
      "upstream and downstream must both be maps or both flows"),
-], ids=["gen-cv-n2", "forward-orthant", "backward-orthant",
+], ids=["gen-cv-n2", "forward-zero", "backward-orthant",
         "jacobian-orthant", "map-and-flow"])
 def test_changevar_rejects_what_it_cannot_map(call, error, message):
     with pytest.raises(error) as exc:

@@ -34,7 +34,8 @@ from kovtop import invariants, kernels
 from kovtop.cli import main
 from kovtop.core import as_state
 from kovtop.errors import DomainError, ParameterError, SingularStepError
-from kovtop.flows import MAX_STEPS, _steps_for, euler_field, kovalevskaya_field
+from kovtop.flows import (MAX_STEPS, _steps_for, euler_field, kovalevskaya3,
+                          kovalevskaya_field, rk4_states)
 from kovtop.hk_engine import BilinearStepSystem, hk_step, polarize
 from kovtop.invariants import (IDENTITIES, PARTITIONS_4, convergence_study,
                                density_cross_power, density_euler_hk,
@@ -927,6 +928,19 @@ def test_orbit_rejects_negative_and_unbounded_step_counts(monkeypatch):
     with pytest.raises(ParameterError, match="MAX_STEPS"):
         invariants.drift_batch(m, invariants.registry(4)[:1],
                                [[0.2, 0.3, 0.4, 0.5]], 0.01, MAX_STEPS + 1)
+
+
+def test_rk4_states_rejects_negative_and_unbounded_step_counts(monkeypatch):
+    # the same rule as DiscreteMap.orbit, checked before any RK4 step
+    monkeypatch.setattr(kernels, "rk4_orbit", _refuse)
+    flow = kovalevskaya3()
+    with pytest.raises(ParameterError) as exc:
+        rk4_states(flow, [0.1, 0.2, 0.3], 0.001, -1)
+    assert str(exc.value) == "steps must be nonnegative"
+    with pytest.raises(ParameterError) as exc:
+        rk4_states(flow, [0.1, 0.2, 0.3], 0.001, MAX_STEPS + 1)
+    assert str(exc.value) == ("steps=10000001 gives 10000001 steps, more than "
+                              "MAX_STEPS = 1e+07")
 
 
 def test_convergence_bounds_its_map_steps(monkeypatch):

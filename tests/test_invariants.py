@@ -1092,10 +1092,8 @@ def test_cross_ratios_conserved_over_whole_unguarded_orbits(monkeypatch, m,
      "functional equation check needs positive coordinates"),
     (lambda: IDENTITIES["step-ratio"][0]([0.0, 0.2, 0.3, 0.4], 0.01),
      DomainError, "relation needs nonzero coordinates"),
-    (lambda: _relation_qq_residual(euler_hk(), [0.2, 0.3, 0.4], 0.01),
-     ValueError, "relation applies to gen-hk and alt-map"),
 ], ids=["drift-of-a-name", "flow-density-orthant", "phi-eq-orthant",
-        "step-ratio-zero", "relation-of-euler-hk"])
+        "step-ratio-zero"])
 def test_invariant_checks_reject_what_they_cannot_evaluate(call, error,
                                                            message):
     with pytest.raises(error) as exc:
