@@ -11,9 +11,11 @@ floats: CPython specializes float-float arithmetic but not int-float, and a
 small int converts to a double exactly, so it gives the same bits faster.
 `map_step`, `map_orbit` and `rk4_orbit` run the float binding when eps (or
 dt) and every coordinate are Python floats, and the integer binding on any
-other numbers.  `map_orbit` and `rk4_orbit` return their rows as one
-ndarray.  The kernels accumulate over coordinates in a fixed order, so their
-float results do not depend on any library's reduction order.
+other numbers.  An orbit loop collects its states in one flat list, which
+`map_orbit` and `rk4_orbit` stack once into a (T, N) ndarray, of object
+dtype for `Fraction`s and `mpf`s.  The kernels accumulate over coordinates
+in a fixed order, so their float results do not depend on any library's
+reduction order.
 
 One code generator writes the map steps, the flows' right-hand sides and
 one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
@@ -28,7 +30,9 @@ the integer literals among them (4 as `_4`, -4 as `_m4`).
   as `kernel`; `map_step` runs it and `map_orbit` runs its `.orbit`.  The
   loop writes the step out once more, followed by the cap (as
   -cap <= z <= cap), strain, resolution and coincidence tests, and each
-  stop is a `break` that names its reason, one of STOP_REASONS.  The
+  stop is a `break` that names its reason, one of STOP_REASONS.  It
+  computes a step's regularity only when the strain test is on (theta >
+  0), except the cosine-law step's, which its domain test reads.  The
   coincidence test sorts the state and checks the N - 1 neighbours, so the
   source grows linearly in N, and long sums are folded (`emit_fold`), so
   any N compiles.
@@ -37,10 +41,11 @@ the integer literals among them (4 as `_4`, -4 as `_m4`).
   generalized Euler flows written inline, and a call of any other
   right-hand side) and returns the right-hand side with its orbit as
   ``rhs.orbit``: the same loop around `_rk4` of the emitter, one RK4 step
-  with the right-hand side emitted at each stage.  `rk4_orbit` runs it
-  unguarded, so a flow stops "whole", "cap" or "non-finite" ("singular" only
-  where a right-hand side divides by zero).  A right-hand side skips its
-  zero coefficients, so an overflow there is never read.
+  with the right-hand side emitted at each stage, with the cap and
+  non-finite tests only.  `rk4_orbit` runs it, so a flow stops "whole",
+  "cap" or "non-finite" ("singular" only where a right-hand side divides
+  by zero).  A right-hand side skips its zero coefficients, so an overflow
+  there is never read.
 
 The regularity factor of a map step is the smallest magnitude among the
 step's denominator factors, normalised so that it equals 1 at eps = 0, and
@@ -98,13 +103,14 @@ def _rhs_quadratic_field(terms, y):
 # emitter takes (ins, outs), the names of its N inputs and of its N outputs,
 # and returns the source lines that assign the right-hand side to the outputs.
 # A map's emitter takes (ins, outs, stop) and assigns the new state to the
-# outputs and the step's regularity to `reg`; a step that leaves its real
-# domain runs the statement `stop` under an `if`.  `_rk4` makes a map's
-# emitter of a flow's, with no domain exit and reg = inf.  An emitter may
-# bind temporaries and read its constants, under any name but these, which
-# the templates bind themselves: y, eps, h, w, cap, inf, nan, isfinite, reg,
-# rows, aeps, ncap, res, coin, why, sc, nsteps, theta, resbound, coin_tol,
-# even, flow_rhs, map_step, map_orbit, on_floats, a<i>, p<i>, u<i>, z<i>,
+# outputs and the step's regularity to `reg`, last unless the step reads it
+# (`_split_regularity`); a step that leaves its real domain runs the
+# statement `stop` under an `if`.  `_rk4` writes one RK4 step of a flow's
+# emitter.  An emitter may bind temporaries and read its constants, under
+# any name but these, which the templates bind themselves: y, eps, h, w,
+# cap, inf, nan, isfinite, reg, rows, aeps, ncap, strain, res, coin, why,
+# sc, nsteps, theta, resbound, coin_tol, even, flow_rhs, map_step,
+# map_orbit, on_floats, a<i>, p<i>, u<i>, z<i>,
 # k<stage>_<i>, _<digits> and _m<digits>.  An integer literal of the emitted
 # source becomes a constant (`_factory`), so a string in it holds no digit.
 
@@ -158,72 +164,100 @@ def _unpack(targets):
     return ", ".join(targets) + ", = y"
 
 
-def _rk4(emit):
-    # A flow's emitter as a map's: one classical RK4 step of time eps with
-    # the right-hand side emitted at each of the four stages, in the
+def _rk4(emit, ins, outs):
+    # One classical RK4 step of time eps from `ins` to `outs`, with the
+    # flow's right-hand side emitted at each of the four stages, in the
     # operations of the list form k2 = f([a + h*b for a, b in zip(y, k1)]),
-    # ..., y + w*(k1 + 2*k2 + 2*k3 + k4); no denominator, so reg = inf.
-    # h and w depend on eps alone: the lines _RK4_SETUP bind them once per
-    # orbit, before its loop
-    def emit_rk4(ins, outs, stop):
-        u = _names("u", len(ins))
-        k = [_names(f"k{s}_", len(ins)) for s in range(1, 5)]
-        lines = emit(ins, k[0])
-        for scale, ks, next_ks in zip(("h", "h", "eps"), k, k[1:]):
-            lines += [f"{ui} = {ai} + {scale} * {ki}"
-                      for ui, ai, ki in zip(u, ins, ks)] + emit(u, next_ks)
-        return lines + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
-                        for zi, ai, b1, b2, b3, b4 in zip(outs, ins, *k)
-                        ] + ["reg = inf"]
-    return emit_rk4
+    # ..., y + w*(k1 + 2*k2 + 2*k3 + k4).  h and w depend on eps alone: the
+    # lines _RK4_SETUP bind them once per orbit, before its loop
+    u = _names("u", len(ins))
+    k = [_names(f"k{s}_", len(ins)) for s in range(1, 5)]
+    lines = emit(ins, k[0])
+    for scale, ks, next_ks in zip(("h", "h", "eps"), k, k[1:]):
+        lines += [f"{ui} = {ai} + {scale} * {ki}"
+                  for ui, ai, ki in zip(u, ins, ks)] + emit(u, next_ks)
+    return lines + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+                    for zi, ai, b1, b2, b3, b4 in zip(outs, ins, *k)]
 
 
 _RK4_SETUP = ("h = eps / 2", "w = eps / 6")
 
+#: a map orbit's guard flags and |eps|, bound once per orbit; |eps|*max|y| >
+#: inf never holds, nor a comparison with NaN
+_GUARD_SETUP = ("strain = theta > 0", "aeps = abs(eps)",
+                "res = resbound < inf", "coin = coin_tol > 0")
 
-def _orbit(emit, n, setup=()):
-    # The guarded orbit with the step `emit` writes out in its loop.  The
-    # tests run in the order non-finite, cap, strain, resolution,
-    # coincidence, and each stop is a break that names its reason; a
-    # ZeroDivisionError (a vanishing denominator) ends the loop as
-    # "singular".  The coincidence test sorts the state (its magnitudes when
-    # `even`) and compares neighbours only: across a sign change, or from a
-    # zero to a nonzero, the separation |p - q|/(|p| + |q|) is 1, and within
-    # one sign it grows with the distance in sorted order, so the closest
-    # pair is adjacent and the N - 1 checks decide as all N(N-1)/2 pairs
-    # would.  The cap test reads the coordinates themselves, as
-    # -cap <= z <= cap with -cap negated once per orbit (a NaN fails it as
-    # abs(NaN) <= cap does); only the resolution and coincidence tests take
-    # their magnitudes, and only when they run.  The lines `setup` run once,
-    # before the loop.  `on_floats` says whether eps and every coordinate
-    # are Python floats.
-    a, p, z = _names("a", n), _names("p", n), _names("z", n)
+#: a line that writes a map step's regularity and nothing else: `reg = ...`,
+#: or one compare of `emit_min_abs`'s chain
+_REG_LINE = re.compile(r"reg = |if abs\(\w+\) < reg: reg = ")
+
+
+def _split_regularity(lines):
+    # a map step's lines, and apart from them its trailing regularity lines,
+    # which the orbit loop runs only when its strain test is on; the
+    # cosine-law step's domain test reads its regularity, so that step
+    # writes it first and has no trailing regularity lines
+    k = len(lines)
+    while k and _REG_LINE.match(lines[k - 1]):
+        k -= 1
+    return lines[:k], lines[k:]
+
+
+def _guards(reg, n):
+    # The strain, resolution and coincidence tests of a map orbit, in that
+    # order, each stop a break that names its reason.  The strain test runs
+    # the regularity lines `reg` first, and both only when theta > 0: a
+    # regularity is a magnitude, or the cosine-law step's positive signed
+    # one, so below a theta <= 0 (or NaN) it never falls.  The coincidence
+    # test sorts the state (its magnitudes when `even`) and compares
+    # neighbours only: across a sign change, or from a zero to a nonzero,
+    # the separation |p - q|/(|p| + |q|) is 1, and within one sign it grows
+    # with the distance in sorted order, so the closest pair is adjacent and
+    # the N - 1 checks decide as all N(N-1)/2 pairs would.  Only the
+    # resolution and coincidence tests take the coordinates' magnitudes, and
+    # only when they run.
+    p, z = _names("p", n), _names("z", n)
     neighbours = []
     for lo, hi in zip(p, p[1:]):
         neighbours += [f"sc = abs({lo}) + abs({hi})",
                        f"if sc == 0 or abs({lo} - {hi}) / sc < coin_tol:",
                        "    why = 'coincidence'; break"]
     b = ", ".join(f"abs({zi})" for zi in z)
-    body = (emit(a, z, "why = 'domain'; break")
-            + ["if not (" + " and ".join(f"ncap <= {zi} <= cap" for zi in z)
-               + "):",
-               "    why = 'cap' if " + " and ".join(f"isfinite({zi})" for zi in z)
-               + " else 'non-finite'",
-               "    break",
-               "if reg < theta:",
-               "    why = 'strain'; break",
-               f"if res and aeps * max({b}) > resbound:",
+    return (["if strain:"]
+            + _indent(reg + ["if reg < theta:", "    why = 'strain'; break"], 1)
+            + [f"if res and aeps * max({b}) > resbound:",
                "    why = 'resolution'; break",
                "if coin:",
                f"    {', '.join(p)}, = sorted(({b},) if even "
                f"else ({', '.join(z)},))"]
-            + _indent(neighbours, 1)
+            + _indent(neighbours, 1))
+
+
+def _orbit(step, n, setup, tests):
+    # The orbit loop from the sequence y: each pass runs the lines `step`,
+    # which write the new state to z0..z{N-1}, then the non-finite and cap
+    # tests and the lines `tests`, and appends the state to the one flat list
+    # `rows` (y first), which `_run_orbit` stacks.  Each stop is a break that
+    # names its reason; a ZeroDivisionError (a vanishing denominator) ends
+    # the loop as "singular".  The cap test reads the coordinates themselves,
+    # as -cap <= z <= cap with -cap negated once per orbit (a NaN fails it
+    # as abs(NaN) <= cap does).  Every orbit takes the guard parameters of
+    # `map_orbit`, which a flow's, with no `tests`, does not read.  The lines
+    # `setup` run once, before the loop.  `on_floats` says whether eps and
+    # every coordinate are Python floats.
+    a, z = _names("a", n), _names("z", n)
+    body = (step
+            + ["if not (" + " and ".join(f"ncap <= {zi} <= cap" for zi in z)
+               + "):",
+               "    why = 'cap' if " + " and ".join(f"isfinite({zi})" for zi in z)
+               + " else 'non-finite'",
+               "    break"]
+            + tests
             + [f"{ai} = {zi}" for ai, zi in zip(a, z)]
-            + [f"rows.append([{', '.join(z)}])"])
-    orbit = ([_unpack(a), "rows = [y]", "aeps = abs(eps)", "ncap = -cap",
-              # |eps|*max|y| > inf never holds, nor a comparison with NaN
-              "res = resbound < inf", "coin = coin_tol > 0", "why = 'whole'",
-              *setup, "try:", "    for _ in range(nsteps):"] + _indent(body, 2)
+            + [f"rows += {', '.join(z)},"])
+    orbit = ([_unpack(a), "rows = list(y)", "ncap = -cap", "why = 'whole'",
+              *setup, "try:", "    for _ in range(nsteps):"]
+             + _indent(body, 2)
              + ["except ZeroDivisionError:", "    why = 'singular'",
                 "return rows, why"])
     # the float binding runs where eps and every coordinate are Python floats
@@ -241,17 +275,21 @@ def _map_template(emit, n):
     state = f"[{', '.join(z)}]"
     step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
             + [f"return {state}, reg"])
-    return (["def map_step(y, eps):"] + _indent(step, 1) + _orbit(emit, n)
+    body, reg = _split_regularity(emit(a, z, "why = 'domain'; break"))
+    return (["def map_step(y, eps):"] + _indent(step, 1)
+            + _orbit(body, n, _GUARD_SETUP, _guards(reg, n))
             + ["map_step.orbit = map_orbit", "map_step.on_floats = on_floats",
                "return map_step"])
 
 
 def _flow_template(emit, n):
-    # the right-hand side alone, and the orbit of its RK4 step
+    # the right-hand side alone, and the orbit of its RK4 step, which has no
+    # guard but the cap and non-finite tests
     u, k1 = _names("u", n), _names("k1_", n)
     rhs = [_unpack(u)] + emit(u, k1) + [f"return [{', '.join(k1)}]"]
+    step = _rk4(emit, _names("a", n), _names("z", n))
     return (["def flow_rhs(y):"] + _indent(rhs, 1)
-            + _orbit(_rk4(emit), n, _RK4_SETUP)
+            + _orbit(step, n, _RK4_SETUP, [])
             + ["flow_rhs.orbit = map_orbit", "return flow_rhs"])
 
 
@@ -328,8 +366,9 @@ def compile_map(emit, n, **consts):
     regularity)``; a vanishing denominator raises ZeroDivisionError, and a
     step outside the map's real domain gives NaN coordinates.
     `step.orbit(y, eps, nsteps, theta, resbound, coin_tol, even)` iterates
-    it from the list y with the guards of `map_orbit` inline and returns
-    (rows, reason), the rows as lists and the reason one of STOP_REASONS.
+    it from the sequence y with the guards of `map_orbit` inline and
+    returns (rows, reason): the states one after another in one flat list,
+    N numbers each, and the reason one of STOP_REASONS.
     Compiled and bound as in `compile_flow`: `step` is type-generic and
     `step.floats` (with `step.orbit.floats`) the float binding.
     """
@@ -350,14 +389,15 @@ def map_step(kernel, y, eps):
 
 
 def _run_orbit(orbit, y0, eps, nsteps, theta, resbound, coin_tol, even):
-    # the compiled orbit loop `orbit` from a copy of the sequence y0, by its
-    # float binding where eps and every coordinate are Python floats, with
-    # its rows stacked into one ndarray
-    y = list(y0)
-    if orbit.on_floats(y, eps):
+    # the compiled orbit loop `orbit` from the sequence y0, by its float
+    # binding where eps and every coordinate are Python floats, with its flat
+    # rows stacked once into a (T, N) ndarray (object dtype for `Fraction`s
+    # and `mpf`s)
+    if orbit.on_floats(y0, eps):
         orbit = orbit.floats
-    rows, why = orbit(y, eps, nsteps, theta, resbound, coin_tol, even)
-    return np.array(rows), len(rows) - 1, why
+    rows, why = orbit(y0, eps, nsteps, theta, resbound, coin_tol, even)
+    table = np.array(rows).reshape(-1, len(y0))
+    return table, len(table) - 1, why
 
 
 def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):

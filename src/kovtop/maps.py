@@ -113,9 +113,12 @@ class DiscreteMap:
 
 
 # One emitter per map writes its step for `kernels.compile_map`: the new
-# state into `outs`, the regularity into `reg`, in the operations of the
-# closed form.  Each map is built once, gen-hk and alt-map once per N, since
-# the identity residuals look their maps up per trial.
+# state into `outs`, then the regularity into `reg`, in the operations of
+# the closed form; an orbit computes that regularity only under a strain
+# guard.  The cosine-law step reads its regularity for its domain test, so
+# it writes it first, and every orbit computes it.  Each map is built once,
+# gen-hk and alt-map once per N, since the identity residuals look their
+# maps up per trial.
 
 
 def _emit_euler_hk(ins, outs, stop):
@@ -147,11 +150,11 @@ def _emit_kov_sqrt(ins, outs, stop):
             + [f"g0 = 1 - eps * eps * {y1} * {y2}",
                f"g1 = 1 - eps * eps * {y2} * {y0}",
                f"g2 = 1 - eps * eps * {y0} * {y1}",
-               *kernels.emit_min_abs("reg", None,
-                                     ["c0", "g0", "c1", "g1", "c2", "g2"]),
                f"{outs[0]} = {y0} * c1 * c2 / (c0 * g0)",
                f"{outs[1]} = {y1} * c2 * c0 / (c1 * g1)",
-               f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)"])
+               f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)",
+               *kernels.emit_min_abs("reg", None,
+                                     ["c0", "g0", "c1", "g1", "c2", "g2"])])
 
 
 def _emit_kov_pullback(ins, outs, stop):
@@ -162,10 +165,10 @@ def _emit_kov_pullback(ins, outs, stop):
             f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
             f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
             f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
-            *kernels.emit_min_abs("reg", None, ["glob", "f0", "f1", "f2"]),
             f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
             f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
-            f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)"]
+            f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)",
+            *kernels.emit_min_abs("reg", None, ["glob", "f0", "f1", "f2"])]
 
 
 def _emit_gen_hk(ins, outs, stop):
@@ -179,8 +182,8 @@ def _emit_gen_hk(ins, outs, stop):
             + kernels.emit_fold("t", "0", "+",
                                 [f"{v} / {di}" for v, di in zip(ins, d)])
             + ["S = 1 - eps * t"]
-            + kernels.emit_min_abs("reg", "inf", d + ["S"])
-            + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)])
+            + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)]
+            + kernels.emit_min_abs("reg", "inf", d + ["S"]))
 
 
 def _emit_alt(ins, outs, stop):
@@ -192,8 +195,8 @@ def _emit_alt(ins, outs, stop):
             + [f"{ui} = {v} / {wi}" for ui, v, wi in zip(u, ins, w)]
             + kernels.emit_fold("t", "0", "+", u)
             + [f"{ri} = 1 - eps * (t - {ui})" for ri, ui in zip(r, u)]
-            + kernels.emit_min_abs("reg", "inf", w + r)
-            + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)])
+            + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)]
+            + kernels.emit_min_abs("reg", "inf", w + r))
 
 
 @functools.cache

@@ -225,6 +225,24 @@ def test_flow_emitters_write_no_multiplication_by_one(emit, n):
     assert not re.search(r"(?<![\w.])1 \*|\* 1(?![\w.])", source), source
 
 
+@pytest.mark.parametrize("emit", [flows._emit_e1_only,
+                                  flows._emit_product_complement,
+                                  flows._emit_call])
+@pytest.mark.parametrize("n", [3, 4, 40])
+def test_flow_orbits_write_only_the_cap_test(emit, n):
+    # rk4_orbit runs a flow unguarded, so its orbit takes the guard
+    # parameters of map_orbit but writes no strain, resolution or
+    # coincidence test, and no regularity
+    source = kernels._source(kernels._flow_template, emit, (), n)
+    head = "def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"
+    assert source.count(head) == 1
+    body = source.replace(head, "")
+    for word in ("theta", "resbound", "coin_tol", "even", "strain",
+                 "resolution", "coincidence", "sorted", "reg"):
+        assert not re.search(rf"\b{word}\b", body), word
+    assert "'cap'" in body and "'non-finite'" in body
+
+
 def test_hyperelliptic_relation_n3():
     traj = integrate_reference(generalized_euler(3), [1.0, 2.0, 3.0], 0.5, 1e-3)
     assert verify_hyperelliptic_relation(3, traj) < 1e-8

@@ -186,7 +186,13 @@ MAPS = ([("euler-hk", 3), ("cosine", 3), ("kov-sqrt", 3), ("kov-pullback", 3)]
         + [(name, n) for name in ("gen-hk", "alt-map") for n in range(3, 7)])
 GUARD_SETS = {"raw": RAW_GUARDS, "tracking": TRACKING_GUARDS,
               "strain-coincidence": OrbitGuards(strain=0.01, coincidence=1e-6),
-              "strain": OrbitGuards(strain=0.01)}
+              "strain": OrbitGuards(strain=0.01),
+              # the edges of the strain flag theta > 0, on which the loop
+              # computes a step's regularity
+              "strain-negative": OrbitGuards(strain=-1.0),
+              "strain-nan": OrbitGuards(strain=nan),
+              "strain-inf": OrbitGuards(strain=inf),
+              "strain-subnormal": OrbitGuards(strain=5e-324)}
 
 
 def _bits(values):
@@ -401,3 +407,22 @@ def test_generated_step_is_the_reference_on_exact_types(num, name, n):
     want, want_reg = REFERENCE_STEPS[name](y, eps)
     assert got == want and reg == want_reg
     assert [type(v) for v in got + [reg]] == [type(v) for v in want + [want_reg]]
+
+
+# each map's step at -eps inverts its step at eps; the cosine step's square
+# roots keep it out of exact runs
+@pytest.mark.parametrize("name, n", [(name, n) for name, n in MAPS
+                                     if name != "cosine"],
+                         ids=lambda v: str(v))
+def test_orbit_at_minus_eps_retraces_an_exact_orbit(name, n):
+    m = maps.get_map(name, n)
+    y0 = [Fraction(k, 64) for k in (3, -5, 7, 2, 9, 11)[:n]]
+    eps = Fraction(1, 64)
+    fwd, end, why = kernels.map_orbit(m.kernel, y0, eps, 3, 0, inf, 0, False)
+    back, back_end, back_why = kernels.map_orbit(
+        m.kernel, fwd[-1].tolist(), -eps, 3, 0, inf, 0, False)
+    assert (end, why) == (back_end, back_why) == (3, "whole")
+    for rows in (fwd, back):
+        assert rows.shape == (4, n) and rows.dtype == object
+        assert all(type(v) is Fraction for v in rows.flat)
+    assert back[::-1].tolist() == fwd.tolist()
