@@ -178,7 +178,8 @@ class TrajectoryRecord:
     def _cells(self, spell) -> np.ndarray:
         """The columns step | t | y_1..y_N | invariants as one object array:
         the step an int, t and y floats, and each invariant cell the string
-        `spell` gives for its value, called once per distinct bit pattern."""
+        `spell` gives for its value; `spell` takes the list of distinct bit
+        patterns' floats and returns their strings in order."""
         y = np.asarray(self.states, dtype=float)
         rows, n = y.shape
         m = 0 if self.invariants is None else self.invariants.shape[1]
@@ -189,17 +190,17 @@ class TrajectoryRecord:
         if m:
             bits = np.ascontiguousarray(self.invariants, dtype=float).view(np.int64)
             distinct, which = np.unique(bits, return_inverse=True)
-            words = np.array([spell(v) for v in distinct.view(float).tolist()],
-                             dtype=object)
+            words = np.array(spell(distinct.view(float).tolist()), dtype=object)
             cells[:, 2 + n:] = words[which.reshape(bits.shape)]
         return cells
 
     def to_csv(self) -> str:
         # '%.17g' spells every double, nan and +-inf included, as fmt17
-        # does; the invariant cells are fmt17's own strings
+        # does, the distinct invariant values by one template too
         n, m = self.dim, len(self.invariant_names)
         header = ["step", "t"] + [f"y_{i+1}" for i in range(n)] + list(self.invariant_names)
-        cells = self._cells(fmt17)
+        cells = self._cells(
+            lambda vs: ("%.17g," * len(vs) % tuple(vs)).split(",")[:-1])
         row = "%d" + ",%.17g" * (1 + n) + ",%s" * m + "\n"
         return (",".join(header) + "\n"
                 + (row * len(cells)) % tuple(cells.ravel().tolist()))
@@ -209,7 +210,7 @@ class TrajectoryRecord:
         # does, and the non-finite time and state cells are swapped for
         # json's own tokens
         n = self.dim
-        cells = self._cells(_json_float)
+        cells = self._cells(lambda vs: list(map(_json_float, vs)))
         row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
         if self.invariants is not None:
             row += ', "invariants": {' + ", ".join(

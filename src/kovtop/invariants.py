@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -506,9 +507,9 @@ def drift_batch(target, invs: Sequence[Invariant], starts, eps: float,
         lo = hi
     key = _target_key(target)
     return [DriftReport(map=key, invariant=inv.name, eps=eps, steps=steps,
-                        max_rel_drift=float(w) if w > -math.inf else math.nan,
-                        first_blowup_step=int(e) if e < steps else None)
-            for inv, w, e in zip(invs, worst, first_end)]
+                        max_rel_drift=w if w > -math.inf else math.nan,
+                        first_blowup_step=e if e < steps else None)
+            for inv, w, e in zip(invs, worst.tolist(), first_end.tolist())]
 
 
 def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
@@ -565,30 +566,39 @@ def volume_check(map_: DiscreteMap, psi, y, eps: float) -> float:
     checked as `map_.step` would check it.  psi gets states as lists of
     floats.
 
-    The image and det J do not depend on psi, so the last (map, point, eps)
-    keeps them: each further density checked at that point evaluates only
-    psi.  The key tells 0.0 from -0.0, so a repeat gets the bits a first
-    call gets; a step or stencil that raises caches nothing."""
+    The image and det J do not depend on psi, so the last point keeps them,
+    keyed on the map itself (`is`, not equality) and on the bytes of y and
+    eps as doubles: each further density checked there evaluates only psi.
+    The bytes tell 0.0 from -0.0, so a repeat gets the bits a first call
+    gets; a step or stencil that raises keeps the entry before it."""
+    global _last_image
     y = as_state(y, map_.dim).tolist()
     p0 = _density(psi, y, eps)
     if not math.isfinite(p0) or p0 == 0.0:
         raise DomainError("volume density vanishes or is undefined at y")
     e = float(eps)
-    ynew, J = _image_and_det(map_, tuple(y), e,
-                             tuple(math.copysign(1.0, v) for v in (*y, e)))
+    key = struct.pack(f"{len(y) + 1}d", *y, e)
+    last_map, last_key, image = _last_image
+    if last_map is not map_ or last_key != key:
+        image = _image_and_det(map_, y, e)
+        _last_image = (map_, key, image)
+    ynew, J = image
     p1 = _density(psi, list(ynew), eps)
     return abs(J - p1 / p0) / abs(J)
 
 
-# one entry: criterion 2 checks every density at a point before the next
-# point, and nothing is kept past it
-@functools.lru_cache(maxsize=1)
-def _image_and_det(map_: DiscreteMap, y: tuple, e: float, _signs: tuple
-                   ) -> tuple[tuple, float]:
+# (map, key, (ynew, det J)) of the last point `volume_check` stepped: one
+# entry, since criterion 2 checks every density at a point before the next
+# point, and nothing is kept past it.  One tuple, replaced whole, so a
+# reader never pairs one point's key with another point's image.
+_last_image = (None, b"", None)
+
+
+def _image_and_det(map_: DiscreteMap, y: list, e: float) -> tuple[tuple, float]:
     def step(z):
         return map_.checked_step(z, e)
 
-    ynew = tuple(step(list(y)))
+    ynew = tuple(step(y))
     return ynew, float(np.linalg.det(central_jacobian(step, y)))
 
 

@@ -12,10 +12,10 @@ small int converts to a double exactly, so it gives the same bits faster.
 `map_step`, `map_orbit` and `rk4_orbit` run the float binding when eps (or
 dt) and every coordinate are Python floats, and the integer binding on any
 other numbers.  An orbit loop collects its states in one flat list, which
-`map_orbit` and `rk4_orbit` stack once into a (T, N) ndarray, of object
-dtype for `Fraction`s and `mpf`s.  The kernels accumulate over coordinates
-in a fixed order, so their float results do not depend on any library's
-reduction order.
+`map_orbit` and `rk4_orbit` stack once into a (T, N) ndarray: float64 after
+the float binding, and numpy's own dtype otherwise, object for `Fraction`s
+and `mpf`s.  The kernels accumulate over coordinates in a fixed order, so
+their float results do not depend on any library's reduction order.
 
 One code generator writes the map steps, the flows' right-hand sides and
 one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
@@ -391,12 +391,13 @@ def map_step(kernel, y, eps):
 def _run_orbit(orbit, y0, eps, nsteps, theta, resbound, coin_tol, even):
     # the compiled orbit loop `orbit` from the sequence y0, by its float
     # binding where eps and every coordinate are Python floats, with its flat
-    # rows stacked once into a (T, N) ndarray (object dtype for `Fraction`s
-    # and `mpf`s)
-    if orbit.on_floats(y0, eps):
+    # rows stacked once into a (T, N) ndarray: float64 after the float
+    # binding, numpy's own dtype otherwise (object for `Fraction`s and `mpf`s)
+    floats = orbit.on_floats(y0, eps)
+    if floats:
         orbit = orbit.floats
     rows, why = orbit(y0, eps, nsteps, theta, resbound, coin_tol, even)
-    table = np.array(rows).reshape(-1, len(y0))
+    table = np.array(rows, float if floats else None).reshape(-1, len(y0))
     return table, len(table) - 1, why
 
 

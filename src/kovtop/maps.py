@@ -67,7 +67,7 @@ class DiscreteMap:
 
     def step(self, y, eps: float) -> np.ndarray:
         y = as_state(y, self.dim)
-        return np.array(self.checked_step(y.tolist(), float(eps)))
+        return np.array(self.checked_step(y.tolist(), float(eps)), dtype=float)
 
     def checked_step(self, y: list, eps: float) -> list:
         """One step of the list y of `dim` finite floats at the float eps

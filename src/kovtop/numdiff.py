@@ -8,21 +8,24 @@ def central_jacobian(f, y) -> np.ndarray:
     """Jacobian of a vector map f at y as a C-ordered (M, N) array.
 
     Column i is the central difference (f(y + h_i e_i) - f(y - h_i e_i)) /
-    (2 h_i), formed elementwise in floats.  f gets each stencil point as a
-    list of floats and returns M floats as a list or a 1-D array; it is
-    called 2N times and never at y itself.
+    (2 h_i), formed elementwise in floats.  f gets each stencil point as one
+    list of floats, the same list changed in place between calls, so f must
+    not keep it or return it; f returns M floats as a list or a 1-D array.
+    It is called 2N times and never at y itself.
     """
     y = np.asarray(y, dtype=float).tolist()
+    z = y.copy()
     cols = []
     for i, yi in enumerate(y):
         h = DEFAULT_SCALE * (1.0 + abs(yi))
-        up = y.copy()
-        dn = y.copy()
-        up[i] += h
-        dn[i] -= h
+        z[i] = yi + h
+        up = f(z)
+        z[i] = yi - h
+        dn = f(z)
+        z[i] = yi
         h2 = 2.0 * h
-        cols.append([(p - q) / h2 for p, q in zip(f(up), f(dn))])
-    return np.array(cols).T.copy()
+        cols.append([(p - q) / h2 for p, q in zip(up, dn)])
+    return np.array(cols, dtype=float).T.copy()
 
 
 def central_gradient(f, y) -> np.ndarray:

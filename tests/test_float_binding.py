@@ -1,9 +1,11 @@
 """The float binding of every generated kernel against its integer binding:
 the same compiled code with its integer literals bound as floats gives the
 same bits and stop reasons on floats, runs wherever eps and every coordinate
-are Python floats, and nowhere else.
+are Python floats, and nowhere else.  An orbit of the float binding stacks
+at float64, any other orbit at numpy's own dtype.
 """
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
@@ -144,3 +146,48 @@ def test_the_sign_of_alpha_keeps_its_flow():
     assert (plus.name, minus.name) == ("gen-kov(N=4,alpha=0)",
                                        "gen-kov(N=4,alpha=-0)")
     assert plus.rhs is not minus.rhs
+
+
+# --- the stacked table ------------------------------------------------------
+
+def _stack_runs():
+    genhk = maps.gen_hk(4).kernel
+    euler = flows.get_flow("euler3", 3, 2.0).orbit
+    geneuler = flows.get_flow("gen-euler", 4, 2.0).orbit
+    frac = [Fraction(k, 64) for k in (3, -5, 7, 2)]
+    ints = np.array([3]).dtype
+    return {
+        # name: (runner, its orbit loop, y0, eps, steps, the table's dtype)
+        "map-float": ("map", genhk, [0.2, 0.3, 0.5, 0.7], 0.01, 6, np.float64),
+        "map-fraction": ("map", genhk, frac, Fraction(1, 64), 3, object),
+        "map-int": ("map", genhk, [3, 5, 7, 2], 0, 0, ints),
+        # the integer binding divides: ints in, floats out
+        "map-int-steps": ("map", genhk, [3, 5, 7, 2], 0, 2, np.float64),
+        "rk4-float": ("rk4", euler, [0.2, 0.3, 0.5], 0.01, 6, np.float64),
+        "rk4-fraction": ("rk4", euler, frac[:3], Fraction(1, 64), 3, object),
+        "rk4-int": ("rk4", geneuler, [3, 5, 7, 2], 1, 2, ints),
+    }
+
+
+@pytest.mark.parametrize("runner, fn, y0, eps, steps, dtype",
+                         list(_stack_runs().values()), ids=list(_stack_runs()))
+def test_orbits_stack_float_runs_at_float64_and_others_as_numpy_does(
+        runner, fn, y0, eps, steps, dtype):
+    if runner == "map":
+        got, end, got_why = kernels.map_orbit(fn, y0, eps, steps, 0, inf, 0,
+                                              False)
+        fn = fn.orbit
+    else:
+        got, end, got_why = kernels.rk4_orbit(fn, y0, eps, steps)
+    # the same rows from the binding the runner picks, stacked by numpy's
+    # own dtype discovery
+    loop = fn.floats if fn.on_floats(y0, eps) else fn
+    rows, why = loop(list(y0), eps, steps, 0, inf, 0, False)
+    want = np.array(rows).reshape(-1, len(y0))
+    assert (end, got_why) == (len(want) - 1, why)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    if dtype == object:
+        assert got.tolist() == want.tolist()
+        assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    else:
+        assert got.tobytes() == want.tobytes()

@@ -359,10 +359,13 @@ def _drift_reference(target, invs, starts, eps, steps):
 
 
 def _same_report(a, b):
+    # equal fields of the same Python types: a float drift, an int or None end
     nan_a, nan_b = math.isnan(a.max_rel_drift), math.isnan(b.max_rel_drift)
+    types = [(type(r.max_rel_drift), type(r.first_blowup_step)) for r in (a, b)]
     return (a.map, a.invariant, a.eps, a.steps, a.first_blowup_step, nan_a) == \
         (b.map, b.invariant, b.eps, b.steps, b.first_blowup_step, nan_b) \
-        and (nan_a or a.max_rel_drift == b.max_rel_drift)
+        and (nan_a or a.max_rel_drift == b.max_rel_drift) \
+        and types[0] == types[1] and types[0][0] is float
 
 
 _DRIFT_TARGETS = (

@@ -19,8 +19,8 @@ from kovtop.flows import (euler_top3, generalized_euler,
 from kovtop.invariants import (density_cross_power, density_euler_hk,
                                density_kov_hk, density_kov_product,
                                volume_check)
-from kovtop.maps import (alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
-                         kov_sqrt)
+from kovtop.maps import (DiscreteMap, alt_map, cosine_law, euler_hk, gen_hk,
+                         kov_pullback, kov_sqrt)
 from kovtop.numdiff import DEFAULT_SCALE, central_jacobian
 
 
@@ -166,10 +166,10 @@ def jacobians(monkeypatch):
         count[0] += 1
         return central_jacobian(f, y)
 
-    invariants._image_and_det.cache_clear()
+    invariants._last_image = (None, b"", None)
     monkeypatch.setattr(invariants, "central_jacobian", counted)
     yield count
-    invariants._image_and_det.cache_clear()
+    invariants._last_image = (None, b"", None)
 
 
 def test_densities_at_one_point_share_its_jacobian(jacobians):
@@ -186,6 +186,32 @@ def test_densities_at_one_point_share_its_jacobian(jacobians):
         for psi in psis:
             volume_check(m, psi, y, eps)
     assert jacobians[0] == 3
+
+
+@pytest.mark.parametrize("m, psis, eps", _volume_cases(),
+                         ids=[f"{m.name}-N{m.dim}" for m, _, _ in _volume_cases()])
+def test_a_point_costs_its_stencil_and_one_det(jacobians, monkeypatch, m,
+                                               psis, eps):
+    # the image and 2N stencil points are checked steps, and det J is taken
+    # once, however many densities are checked at the point
+    steps, dets = [0], [0]
+    checked_step, det = DiscreteMap.checked_step, np.linalg.det
+
+    def counted_step(self, y, e):
+        steps[0] += 1
+        return checked_step(self, y, e)
+
+    def counted_det(a):
+        dets[0] += 1
+        return det(a)
+
+    monkeypatch.setattr(DiscreteMap, "checked_step", counted_step)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    for y in admissible_states(5, m.dim, seed=1213):
+        steps[0] = jacobians[0] = dets[0] = 0
+        for psi in psis + psis:
+            volume_check(m, psi, y, eps)
+        assert (steps[0], jacobians[0], dets[0]) == (2 * m.dim + 1, 1, 1)
 
 
 @pytest.mark.parametrize("m, psis, eps", _volume_cases(),
@@ -222,6 +248,16 @@ def test_signed_zeros_are_new_points(jacobians, m, first, second):
                    for y, eps in (first, second)]
 
 
+def test_another_map_at_the_same_point_is_a_new_point(jacobians):
+    # the memo compares the map itself: euler-hk after gen-hk at the same y
+    # and eps steps again
+    y, eps, psi = [0.3, 0.5, 0.7], 0.05, density_euler_hk(0)
+    got = [volume_check(m, psi, y, eps) for m in (gen_hk(3), euler_hk())]
+    assert jacobians[0] == 2
+    assert got == [_reference_volume_check(m, psi, y, eps)
+                   for m in (gen_hk(3), euler_hk())]
+
+
 @pytest.mark.parametrize("y", [[1.0, 4.0, 4.0, 5.0 + 6.000006e-6],
                                [1.0, 4.0, 4.0, 5.0]],
                          ids=["stencil", "step"])
@@ -233,4 +269,4 @@ def test_a_singular_point_raises_on_every_density(jacobians, y):
         with pytest.raises(SingularStepError,
                            match="gen-hk: denominator d_1 vanished"):
             volume_check(m, psi, y, eps)
-    assert invariants._image_and_det.cache_info().currsize == 0
+    assert invariants._last_image == (None, b"", None)
