@@ -134,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--alpha", type=_finite_float, default=2.0)
     sp.add_argument("--y0", default=None)
-    sp.add_argument("--starts", type=int, default=20)
+    sp.add_argument("--starts", type=int, default=None)
     sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--invariant", default=None,
                     help="restrict to one invariant name")
     common(sp)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_seed, default=None)
 
     sp = sub.add_parser("convergence", help="order-of-accuracy study vs RK4")
     sp.add_argument("--map", required=True, choices=MAP_NAMES)
@@ -277,12 +277,21 @@ def _cmd_drift(args) -> int:
         if not invs:
             raise ConfigError(f"no registered invariant {args.invariant!r} "
                               f"claimed for {target.name}")
+    # --starts and --seed draw the starts, so they have no meaning with --y0
+    # and their defaults (20 starts, seed 0) apply only when starts are drawn
     if y0 is not None:
+        drawn = [flag for flag, v in (("--starts", args.starts),
+                                      ("--seed", args.seed)) if v is not None]
+        if drawn:
+            raise ConfigError(f"{' and '.join(drawn)} cannot be used with "
+                              f"--y0, which gives the one start")
         starts = [y0]
-    elif args.starts < 1:
-        raise ConfigError("--starts must be >= 1")
     else:
-        starts = random_starts(args.starts, target.dim, args.seed)
+        n = 20 if args.starts is None else args.starts
+        if n < 1:
+            raise ConfigError("--starts must be >= 1")
+        starts = random_starts(n, target.dim,
+                               0 if args.seed is None else args.seed)
     reports = drift_batch(target, invs, starts, args.eps, args.steps)
     _emit(drift_to_csv(reports) if args.format == "csv"
           else drift_to_json(reports), args.out)

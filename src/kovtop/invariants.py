@@ -563,8 +563,9 @@ def _density(psi, y, eps) -> float:
 def volume_check(map_: DiscreteMap, psi, y, eps: float) -> float:
     """|det(d ynew / d y) - psi(ynew)/psi(y)| / |det|, with the Jacobian from
     central finite differences of `map_.checked_step`: each stencil point is
-    checked as `map_.step` would check it.  psi gets states as lists of
-    floats.
+    checked as `map_.step` would check it.  The image and the 2N stencil
+    points run through one `map_.stepper`, which picks the kernel binding
+    once per point.  psi gets states as lists of floats.
 
     The image and det J do not depend on psi, so the last point keeps them,
     keyed on the map itself (`is`, not equality) and on the bytes of y and
@@ -595,9 +596,7 @@ _last_image = (None, b"", None)
 
 
 def _image_and_det(map_: DiscreteMap, y: list, e: float) -> tuple[tuple, float]:
-    def step(z):
-        return map_.checked_step(z, e)
-
+    step = map_.stepper(y, e)
     ynew = tuple(step(y))
     return ynew, float(np.linalg.det(central_jacobian(step, y)))
 

@@ -52,7 +52,8 @@ class DiscreteMap:
     `kernel` is the step compiled from the map's emitter, which
     `checked_step` runs; `orbit` runs its guarded loop `kernel.orbit`.
     `checked_step` is the list-level step with its domain and singularity
-    checks; `step` validates a state and wraps it.
+    checks, and `stepper` the same step at one eps with the kernel binding
+    picked once; `step` validates a state and wraps it.
     """
 
     name: str
@@ -88,6 +89,27 @@ class DiscreteMap:
                 f"{self.name}: {self._singular_detail(y, eps)}",
                 state=np.array(y), eps=eps)
         return out
+
+    def stepper(self, y: list, eps: float) -> Callable[[list], list]:
+        """`checked_step` at this eps, as a function of the state, for
+        states of y's number type.  The kernel binding is picked once, by
+        `kernels.map_step`'s rule on y and eps.  A state whose step passes
+        `checked_step`'s test gets its new list from that binding; any other
+        goes to `checked_step`, which raises there what it raises."""
+        kernel = self.kernel.floats if self.kernel.on_floats(y, eps) \
+            else self.kernel
+        checked_step = self.checked_step
+
+        def step(z: list) -> list:
+            try:
+                out, reg = kernel(z, eps)
+            except ZeroDivisionError:
+                return checked_step(z, eps)
+            if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
+                return checked_step(z, eps)
+            return out
+
+        return step
 
     def orbit(self, y0, eps: float, steps: int, guards: OrbitGuards = RAW_GUARDS
               ) -> tuple[np.ndarray, int, str]:

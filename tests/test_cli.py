@@ -918,6 +918,16 @@ def test_check_csv(tmp_path, capsys):
       "--seed", "-1"], "argument --seed: must be nonnegative, got '-1'"),
     (["independence", "--family", "cross-ratio", "--n", "4", "--points", "2",
       "--seed", "-1"], "argument --seed: must be nonnegative, got '-1'"),
+    # drift --y0 draws nothing, so the options that draw starts are refused
+    (_OUTSIDE + ["--seed", "5"],
+     "--seed cannot be used with --y0, which gives the one start"),
+    (_OUTSIDE + ["--seed", "0"],
+     "--seed cannot be used with --y0, which gives the one start"),
+    (_OUTSIDE + ["--starts", "7"],
+     "--starts cannot be used with --y0, which gives the one start"),
+    (_OUTSIDE + ["--starts", "1", "--seed", "99"],
+     "--starts and --seed cannot be used with --y0, which gives the one "
+     "start"),
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
         "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
@@ -926,7 +936,8 @@ def test_check_csv(tmp_path, capsys):
         "convergence-eps-list-trailing-comma", "convergence-eps-list-empty",
         "map-y0-not-a-number", "convergence-eps-list-not-a-number",
         "drift-negative-seed", "check-negative-seed",
-        "independence-negative-seed"])
+        "independence-negative-seed", "drift-y0-seed", "drift-y0-seed-zero",
+        "drift-y0-starts", "drift-y0-starts-seed"])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1

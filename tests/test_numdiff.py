@@ -2,9 +2,12 @@
 
 Volume forms (criterion 2) and flow conjugacies (criterion 5) must come out
 bit for bit as before, and a stencil point outside a map's domain or on its
-singular variety must raise what `DiscreteMap.step` raises there.
+singular variety must raise what `DiscreteMap.step` raises there.  The
+stencils run through `DiscreteMap.stepper`, which must return
+`checked_step`'s lists and raise what it raises, at every point.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from kovtop.invariants import (density_cross_power, density_euler_hk,
 from kovtop.maps import (DiscreteMap, alt_map, cosine_law, euler_hk, gen_hk,
                          kov_pullback, kov_sqrt)
 from kovtop.numdiff import DEFAULT_SCALE, central_jacobian
+from test_float_binding import _spy
 
 
 def _reference_jacobian(f, y, scale=DEFAULT_SCALE):
@@ -192,26 +196,30 @@ def test_densities_at_one_point_share_its_jacobian(jacobians):
                          ids=[f"{m.name}-N{m.dim}" for m, _, _ in _volume_cases()])
 def test_a_point_costs_its_stencil_and_one_det(jacobians, monkeypatch, m,
                                                psis, eps):
-    # the image and 2N stencil points are checked steps, and det J is taken
-    # once, however many densities are checked at the point
-    steps, dets = [0], [0]
+    # the image and 2N stencil points are steps of the float binding, none
+    # of them through checked_step, and det J is taken once, however many
+    # densities are checked at the point
+    checked, dets = [0], [0]
     checked_step, det = DiscreteMap.checked_step, np.linalg.det
 
     def counted_step(self, y, e):
-        steps[0] += 1
+        checked[0] += 1
         return checked_step(self, y, e)
 
     def counted_det(a):
         dets[0] += 1
         return det(a)
 
+    steps = _spy(monkeypatch, m.kernel)
     monkeypatch.setattr(DiscreteMap, "checked_step", counted_step)
     monkeypatch.setattr(np.linalg, "det", counted_det)
     for y in admissible_states(5, m.dim, seed=1213):
-        steps[0] = jacobians[0] = dets[0] = 0
+        steps.clear()
+        checked[0] = jacobians[0] = dets[0] = 0
         for psi in psis + psis:
             volume_check(m, psi, y, eps)
-        assert (steps[0], jacobians[0], dets[0]) == (2 * m.dim + 1, 1, 1)
+        assert (len(steps), checked[0], jacobians[0], dets[0]) == \
+            (2 * m.dim + 1, 0, 1, 1)
 
 
 @pytest.mark.parametrize("m, psis, eps", _volume_cases(),
@@ -270,3 +278,93 @@ def test_a_singular_point_raises_on_every_density(jacobians, y):
                            match="gen-hk: denominator d_1 vanished"):
             volume_check(m, psi, y, eps)
     assert invariants._last_image == (None, b"", None)
+
+
+# --- the one-dispatch stepper against checked_step ---------------------------
+
+def _stencil(y):
+    # y and the 2N points central_jacobian steps, in its order
+    pts = [list(y)]
+    for i, yi in enumerate(y):
+        h = DEFAULT_SCALE * (1.0 + abs(yi))
+        for v in (yi + h, yi - h):
+            z = list(y)
+            z[i] = v
+            pts.append(z)
+    return pts
+
+
+def _outcome(step, z):
+    # the step's list with its element types, or what it raised: class,
+    # message and, for a singular step, the state and eps it carries
+    try:
+        out = step(list(z))
+    except (DomainError, SingularStepError) as exc:
+        state = getattr(exc, "state", None)
+        return (type(exc), str(exc),
+                None if state is None else state.tobytes(),
+                getattr(exc, "eps", None))
+    assert type(out) is list
+    return [type(v) for v in out], out, np.array(out).tobytes()
+
+
+def _same_steps(m, y, eps):
+    step = m.stepper(y, eps)
+    got = [_outcome(step, z) for z in _stencil(y)]
+    assert got == [_outcome(lambda z: m.checked_step(z, eps), z)
+                   for z in _stencil(y)]
+    return got
+
+
+@pytest.mark.parametrize("m, psis, eps", _volume_cases(),
+                         ids=[f"{m.name}-N{m.dim}" for m, _, _ in _volume_cases()])
+def test_stepper_is_checked_step_on_every_volume_stencil(m, psis, eps):
+    # criterion 2's points: the image and every stencil point, byte for byte
+    for y in admissible_states(50, m.dim, seed=102):
+        y = y.tolist()
+        seen = []
+        central_jacobian(lambda z: seen.append(list(z)) or [0.0], y)
+        assert seen == _stencil(y)[1:]
+        # a step's outcome holds its list, a raise's its message
+        assert all(type(got[1]) is list for got in _same_steps(m, y, eps))
+
+
+@pytest.mark.parametrize("eps", [0.05, -0.3, 0.9])
+def test_stepper_is_checked_step_on_the_cosine_law_map(eps):
+    for y in admissible_states(50, 3, seed=1215, high=1.0):
+        _same_steps(cosine_law(), y.tolist(), eps)
+
+
+@pytest.mark.parametrize("m, y, eps, raised", [
+    # eps^2 x_j^2 < 1 at y, not at y_2 + h_2
+    (cosine_law(), [0.5, 1.0 - 1e-9, 1.0 - 1e-9], 1.0,
+     (DomainError, "cosine-law map needs eps^2*x_j^2 < 1; violated at index 2")),
+    # d_1 vanishes at y_1 + h_1, not at y
+    (gen_hk(4), [1.0, 4.0, 4.0, 5.0 + 6.000006e-6], 0.1,
+     (SingularStepError, "gen-hk: denominator d_1 vanished")),
+    # d_1 is exactly 0 at y: the kernel divides by zero
+    (gen_hk(4), [1.0, 4.0, 4.0, 5.0], 0.1,
+     (SingularStepError, "gen-hk: denominator d_1 vanished")),
+    # q overflows: the image is NaN at a regularity of inf
+    (euler_hk(), [1e200, 1e200, 1e200], 0.05,
+     (SingularStepError, "euler-hk: step denominator vanished")),
+], ids=["cosine-stencil-domain", "gen-hk-stencil-d1", "gen-hk-image-d1",
+        "euler-hk-non-finite-image"])
+def test_stepper_raises_what_checked_step_raises(m, y, eps, raised):
+    got = _same_steps(m, y, eps)
+    assert raised in [outcome[:2] for outcome in got]
+
+
+@pytest.mark.parametrize("m", [gen_hk(4), alt_map(4), euler_hk(),
+                               kov_pullback()], ids=lambda m: m.name)
+def test_a_fraction_point_runs_the_integer_binding(monkeypatch, m):
+    floats = _spy(monkeypatch, m.kernel)
+    y = [Fraction(k, 8) for k in (1, 3, 5, 7)][:m.dim]
+    eps = Fraction(1, 64)
+    step = m.stepper(y, eps)
+    for z in ([y] + [[v + Fraction(1, 2 ** 20) if j == i else v
+                      for j, v in enumerate(y)] for i in range(m.dim)]):
+        out = step(z)
+        assert out == m.checked_step(z, eps)
+        assert all(type(v) is Fraction for v in out)
+    assert floats == []
