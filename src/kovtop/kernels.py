@@ -28,14 +28,15 @@ the integer literals among them (4 as `_4`, -4 as `_m4`).
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
   orbit loop attached as ``step.orbit``.  `maps.DiscreteMap` carries the step
   as `kernel`; `map_step` runs it and `map_orbit` runs its `.orbit`.  The
-  loop writes the step out once more, followed by the cap (as
-  -cap <= z <= cap), strain, resolution and coincidence tests, and each
-  stop is a `break` that names its reason, one of STOP_REASONS.  It
-  computes a step's regularity only when the strain test is on (theta >
-  0), except the cosine-law step's, which its domain test reads.  The
-  coincidence test sorts the state and checks the N - 1 neighbours, so the
-  source grows linearly in N, and long sums are folded (`emit_fold`), so
-  any N compiles.
+  loop writes the step out once more, followed by the cap test (as
+  -cap <= z <= cap) and, on a tracked orbit, the tracking guards: strain
+  (regularity below STRAIN_FLOOR), resolution (|eps|*max|y| above
+  RESOLUTION_BOUND) and coincidence (relative depth below
+  COINCIDENCE_DEPTH).  Each stop is a `break` that names its reason, one of
+  STOP_REASONS.  A raw orbit computes no regularity, except the cosine-law
+  step's, which its domain test reads.  The coincidence test sorts the state
+  and checks the N - 1 neighbours, so the source grows linearly in N, and
+  long sums are folded (`emit_fold`), so any N compiles.
 - `compile_flow` takes a flow's emitter (`flows` has three: the e_1-only
   generalized Kovalevskaya field and the product complement of the
   generalized Euler flows written inline, and a call of any other
@@ -64,6 +65,13 @@ import numpy as np
 
 #: hard bound on coordinate magnitude for map orbits and RK4 trajectories
 BLOWUP_CAP = 1e12
+
+#: the tracking guards of a map orbit: it stops when a step's regularity
+#: falls below STRAIN_FLOOR, when |eps|*max|y| exceeds RESOLUTION_BOUND, or
+#: when two coordinates come within COINCIDENCE_DEPTH of each other, relative
+STRAIN_FLOOR = 0.01
+RESOLUTION_BOUND = 0.2
+COINCIDENCE_DEPTH = 1e-6
 
 
 def esp_all(y):
@@ -108,8 +116,8 @@ def _rhs_quadratic_field(terms, y):
 # statement `stop` under an `if`.  `_rk4` writes one RK4 step of a flow's
 # emitter.  An emitter may bind temporaries and read its constants, under
 # any name but these, which the templates bind themselves: y, eps, h, w,
-# cap, inf, nan, isfinite, reg, rows, aeps, ncap, strain, res, coin, why,
-# sc, nsteps, theta, resbound, coin_tol, even, flow_rhs, map_step,
+# cap, strain_floor, res_bound, coin_depth, inf, nan, isfinite, reg, rows,
+# aeps, ncap, why, sc, nsteps, tracking, even, flow_rhs, map_step,
 # map_orbit, on_floats, a<i>, p<i>, u<i>, z<i>,
 # k<stage>_<i>, _<digits> and _m<digits>.  An integer literal of the emitted
 # source becomes a constant (`_factory`), so a string in it holds no digit.
@@ -119,8 +127,8 @@ def _rhs_quadratic_field(terms, y):
 #: limit, a flow's N goes up to `flows.MAX_FLOW_DIM` and a map's is unbounded)
 _FOLD_TERMS = 32
 
-#: why an orbit ended: it ran every step ("whole"); a guard of
-#: `maps.OrbitGuards` stopped it; a coordinate passed BLOWUP_CAP ("cap") or
+#: why an orbit ended: it ran every step ("whole"); a tracking guard stopped
+#: it (the next three); a coordinate passed BLOWUP_CAP ("cap") or
 #: was not finite; a step denominator vanished ("singular"); or the step left
 #: the map's real domain ("domain", the cosine-law map's square roots).  A
 #: flow's orbit runs unguarded and has no domain exit.
@@ -182,10 +190,8 @@ def _rk4(emit, ins, outs):
 
 _RK4_SETUP = ("h = eps / 2", "w = eps / 6")
 
-#: a map orbit's guard flags and |eps|, bound once per orbit; |eps|*max|y| >
-#: inf never holds, nor a comparison with NaN
-_GUARD_SETUP = ("strain = theta > 0", "aeps = abs(eps)",
-                "res = resbound < inf", "coin = coin_tol > 0")
+#: the names of BLOWUP_CAP and the tracking guards in every compiled function
+_LOOP_CONSTANTS = ("cap", "strain_floor", "res_bound", "coin_depth")
 
 #: a line that writes a map step's regularity and nothing else: `reg = ...`,
 #: or one compare of `emit_min_abs`'s chain
@@ -194,7 +200,7 @@ _REG_LINE = re.compile(r"reg = |if abs\(\w+\) < reg: reg = ")
 
 def _split_regularity(lines):
     # a map step's lines, and apart from them its trailing regularity lines,
-    # which the orbit loop runs only when its strain test is on; the
+    # which the orbit loop runs only on a tracked orbit; the
     # cosine-law step's domain test reads its regularity, so that step
     # writes it first and has no trailing regularity lines
     k = len(lines)
@@ -204,33 +210,26 @@ def _split_regularity(lines):
 
 
 def _guards(reg, n):
-    # The strain, resolution and coincidence tests of a map orbit, in that
-    # order, each stop a break that names its reason.  The strain test runs
-    # the regularity lines `reg` first, and both only when theta > 0: a
-    # regularity is a magnitude, or the cosine-law step's positive signed
-    # one, so below a theta <= 0 (or NaN) it never falls.  The coincidence
-    # test sorts the state (its magnitudes when `even`) and compares
-    # neighbours only: across a sign change, or from a zero to a nonzero,
-    # the separation |p - q|/(|p| + |q|) is 1, and within one sign it grows
-    # with the distance in sorted order, so the closest pair is adjacent and
-    # the N - 1 checks decide as all N(N-1)/2 pairs would.  Only the
-    # resolution and coincidence tests take the coordinates' magnitudes, and
-    # only when they run.
+    # The tracking guards of a map orbit, all under one `if tracking:`: the
+    # regularity lines `reg`, then the strain, resolution and coincidence
+    # tests, in that order, each stop a break that names its reason.  The
+    # coincidence test sorts the state (its magnitudes when `even`) and
+    # compares neighbours only: across a sign change, or from a zero to a
+    # nonzero, the separation |p - q|/(|p| + |q|) is 1, and within one sign
+    # it grows with the distance in sorted order, so the closest pair is
+    # adjacent and the N - 1 checks decide as all N(N-1)/2 pairs would.
     p, z = _names("p", n), _names("z", n)
-    neighbours = []
-    for lo, hi in zip(p, p[1:]):
-        neighbours += [f"sc = abs({lo}) + abs({hi})",
-                       f"if sc == 0 or abs({lo} - {hi}) / sc < coin_tol:",
-                       "    why = 'coincidence'; break"]
     b = ", ".join(f"abs({zi})" for zi in z)
-    return (["if strain:"]
-            + _indent(reg + ["if reg < theta:", "    why = 'strain'; break"], 1)
-            + [f"if res and aeps * max({b}) > resbound:",
-               "    why = 'resolution'; break",
-               "if coin:",
-               f"    {', '.join(p)}, = sorted(({b},) if even "
-               f"else ({', '.join(z)},))"]
-            + _indent(neighbours, 1))
+    tests = reg + ["if reg < strain_floor:", "    why = 'strain'; break",
+                   f"if aeps * max({b}) > res_bound:",
+                   "    why = 'resolution'; break",
+                   f"{', '.join(p)}, = sorted(({b},) if even "
+                   f"else ({', '.join(z)},))"]
+    for lo, hi in zip(p, p[1:]):
+        tests += [f"sc = abs({lo}) + abs({hi})",
+                  f"if sc == 0 or abs({lo} - {hi}) / sc < coin_depth:",
+                  "    why = 'coincidence'; break"]
+    return ["if tracking:"] + _indent(tests, 1)
 
 
 def _orbit(step, n, setup, tests):
@@ -241,10 +240,10 @@ def _orbit(step, n, setup, tests):
     # names its reason; a ZeroDivisionError (a vanishing denominator) ends
     # the loop as "singular".  The cap test reads the coordinates themselves,
     # as -cap <= z <= cap with -cap negated once per orbit (a NaN fails it
-    # as abs(NaN) <= cap does).  Every orbit takes the guard parameters of
-    # `map_orbit`, which a flow's, with no `tests`, does not read.  The lines
-    # `setup` run once, before the loop.  `on_floats` says whether eps and
-    # every coordinate are Python floats.
+    # as abs(NaN) <= cap does).  A map's orbit, with `tests`, also takes the
+    # parameters `tracking` and `even` those read; a flow's takes neither.
+    # The lines `setup` run once, before the loop.  `on_floats` says whether
+    # eps and every coordinate are Python floats.
     a, z = _names("a", n), _names("z", n)
     body = (step
             + ["if not (" + " and ".join(f"ncap <= {zi} <= cap" for zi in z)
@@ -263,8 +262,8 @@ def _orbit(step, n, setup, tests):
     # the float binding runs where eps and every coordinate are Python floats
     on_floats = ("    return type(eps) is float"
                  + "".join(f" is type({ai})" for ai in a))
-    return (["def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"]
-            + _indent(orbit, 1)
+    params = "y, eps, nsteps, tracking, even" if tests else "y, eps, nsteps"
+    return ([f"def map_orbit({params}):"] + _indent(orbit, 1)
             + ["def on_floats(y, eps):", "    " + _unpack(a), on_floats,
                "map_orbit.on_floats = on_floats"])
 
@@ -277,7 +276,7 @@ def _map_template(emit, n):
             + [f"return {state}, reg"])
     body, reg = _split_regularity(emit(a, z, "why = 'domain'; break"))
     return (["def map_step(y, eps):"] + _indent(step, 1)
-            + _orbit(body, n, _GUARD_SETUP, _guards(reg, n))
+            + _orbit(body, n, ["aeps = abs(eps)"], _guards(reg, n))
             + ["map_step.orbit = map_orbit", "map_step.on_floats = on_floats",
                "return map_step"])
 
@@ -301,9 +300,10 @@ _INT_LITERAL = re.compile(
 
 
 def _source(template, emit, names, n):
-    # a factory `_make(cap, <names>, <ints>)` that binds the constants and
-    # returns the function the template writes, with its companion attached;
-    # <ints> name the source's integer literals, 4 as _4 and -4 as _m4
+    # a factory `_make(<_LOOP_CONSTANTS>, <names>, <ints>)` that binds the
+    # constants and returns the function the template writes, with its
+    # companion attached; <ints> name the source's integer literals, 4 as _4
+    # and -4 as _m4
     ints = set()
 
     def int_name(match):
@@ -313,7 +313,7 @@ def _source(template, emit, names, n):
         return name
 
     body = _INT_LITERAL.sub(int_name, "\n".join(_indent(template(emit, n), 1)))
-    params = ", ".join(("cap",) + names + tuple(sorted(ints)))
+    params = ", ".join(_LOOP_CONSTANTS + names + tuple(sorted(ints)))
     return f"def _make({params}):\n{body}\n"
 
 
@@ -328,7 +328,8 @@ def _factory(template, emit, names, n):
     make = namespace["_make"]
     code = make.__code__
     ints = {p: -int(p[2:]) if p[1] == "m" else int(p[1:])
-            for p in code.co_varnames[1 + len(names):code.co_argcount]}
+            for p in code.co_varnames[len(_LOOP_CONSTANTS) + len(names):
+                                      code.co_argcount]}
     return make, ints
 
 
@@ -336,9 +337,11 @@ def _bind(template, emit, n, consts):
     # The function `template` writes for `emit` at N, bound twice from one
     # compile: with int constants (type-generic) and with the same constants
     # as floats, attached as `.floats` to it and to its companion `.orbit`.
+    # Both read BLOWUP_CAP and the tracking guards as they are at this call.
     make, ints = _factory(template, emit, tuple(consts), n)
-    fn = make(BLOWUP_CAP, **consts, **ints)
-    fn.floats = make(BLOWUP_CAP, **consts,
+    loop = (BLOWUP_CAP, STRAIN_FLOOR, RESOLUTION_BOUND, COINCIDENCE_DEPTH)
+    fn = make(*loop, **consts, **ints)
+    fn.floats = make(*loop, **consts,
                      **{name: float(v) for name, v in ints.items()})
     fn.orbit.floats = fn.floats.orbit
     return fn
@@ -365,10 +368,10 @@ def compile_map(emit, n, **consts):
     `step(y, eps)` maps a sequence of N numbers to ``(new_state,
     regularity)``; a vanishing denominator raises ZeroDivisionError, and a
     step outside the map's real domain gives NaN coordinates.
-    `step.orbit(y, eps, nsteps, theta, resbound, coin_tol, even)` iterates
-    it from the sequence y with the guards of `map_orbit` inline and
-    returns (rows, reason): the states one after another in one flat list,
-    N numbers each, and the reason one of STOP_REASONS.
+    `step.orbit(y, eps, nsteps, tracking, even)` iterates it from the
+    sequence y with the stops of `map_orbit` inline and returns (rows,
+    reason): the states one after another in one flat list, N numbers each,
+    and the reason one of STOP_REASONS.
     Compiled and bound as in `compile_flow`: `step` is type-generic and
     `step.floats` (with `step.orbit.floats`) the float binding.
     """
@@ -388,34 +391,35 @@ def map_step(kernel, y, eps):
         return [nan] * len(y), 0
 
 
-def _run_orbit(orbit, y0, eps, nsteps, theta, resbound, coin_tol, even):
-    # the compiled orbit loop `orbit` from the sequence y0, by its float
-    # binding where eps and every coordinate are Python floats, with its flat
-    # rows stacked once into a (T, N) ndarray: float64 after the float
-    # binding, numpy's own dtype otherwise (object for `Fraction`s and `mpf`s)
+def _run_orbit(orbit, y0, eps, nsteps, *guards):
+    # the compiled orbit loop `orbit` from the sequence y0 (a map's with its
+    # `guards`, tracking and even), by its float binding where eps and every
+    # coordinate are Python floats, with its flat rows stacked once into a
+    # (T, N) ndarray: float64 after the float binding, numpy's own dtype
+    # otherwise (object for `Fraction`s and `mpf`s)
     floats = orbit.on_floats(y0, eps)
     if floats:
         orbit = orbit.floats
-    rows, why = orbit(y0, eps, nsteps, theta, resbound, coin_tol, even)
+    rows, why = orbit(y0, eps, nsteps, *guards)
     table = np.array(rows, float if floats else None).reshape(-1, len(y0))
     return table, len(table) - 1, why
 
 
-def map_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
+def map_orbit(kernel, y0, eps, nsteps, tracking, even):
     """Iterate the step kernel `kernel` (of `compile_map`) from the sequence
     `y0`, stopping at the first untrustworthy step.
 
-    Stops when any coordinate is not finite or exceeds BLOWUP_CAP, when the
-    step regularity drops below `theta`, when |eps|*max|y| exceeds
-    `resbound`, when the state comes within `coin_tol` (relative, > 0 turns
-    the test on) of a coincidence variety, on magnitudes when `even`, on a
+    Stops when any coordinate is not finite or exceeds BLOWUP_CAP, on a
     vanishing denominator, or when the step leaves the map's real domain.
+    A `tracking` orbit also stops when the step regularity drops below
+    STRAIN_FLOOR, when |eps|*max|y| exceeds RESOLUTION_BOUND, or when the
+    state comes within COINCIDENCE_DEPTH (relative) of a coincidence
+    variety, on magnitudes when `even`.
     Returns (trajectory ndarray, last_step, reason): the states 0..last_step
     and the one of STOP_REASONS that ended the orbit, "whole" when all ran.
     Runs the float binding `kernel.orbit.floats` as `map_step` does.
     """
-    return _run_orbit(kernel.orbit, y0, eps, nsteps, theta, resbound,
-                      coin_tol, even)
+    return _run_orbit(kernel.orbit, y0, eps, nsteps, tracking, even)
 
 
 def rk4_orbit(orbit, y0, dt, nsteps):
@@ -424,4 +428,4 @@ def rk4_orbit(orbit, y0, dt, nsteps):
     (trajectory ndarray, last_step, reason) as of `map_orbit`, the reason
     "whole", "cap", "non-finite" or, where the rhs divides by zero, "singular".
     Runs the float binding `orbit.floats` as `map_step` does."""
-    return _run_orbit(orbit, y0, dt, nsteps, 0, inf, 0, False)
+    return _run_orbit(orbit, y0, dt, nsteps)

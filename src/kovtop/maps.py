@@ -25,32 +25,12 @@ from .hk_engine import SINGULAR_RTOL
 
 
 @dataclass(frozen=True)
-class OrbitGuards:
-    """Early-stop rules for orbit iteration; every orbit also stops when a
-    coordinate exceeds `kernels.BLOWUP_CAP`.
-
-    strain: stop when a step's regularity factor (denominator magnitude,
-        normalised to 1 at eps = 0) drops below this.
-    resolution: stop when |eps| * max|y_i| exceeds this.
-    coincidence: stop when the state comes within this relative distance of a
-        coincidence variety (y_i = y_j, or |y_i| = |y_j| for maps whose
-        invariants are even).
-    """
-
-    strain: float = 0.0
-    resolution: float = math.inf
-    coincidence: float = 0.0
-
-
-RAW_GUARDS = OrbitGuards()
-
-
-@dataclass(frozen=True)
 class DiscreteMap:
     """A parametrized step (state, eps) -> state with a declared time scale.
 
     `kernel` is the step compiled from the map's emitter, which
-    `checked_step` runs; `orbit` runs its guarded loop `kernel.orbit`.
+    `checked_step` runs; `orbit` runs its loop `kernel.orbit`, raw or
+    tracked.
     `checked_step` is the list-level step with its domain and singularity
     checks, and `stepper` the same step at one eps with the kernel binding
     picked once; `step` validates a state and wraps it.
@@ -74,71 +54,71 @@ class DiscreteMap:
         """One step of the list y of `dim` finite floats at the float eps
         (`Fraction`s step exactly, except through the cosine-law map).
 
-        Raises DomainError when y is outside the map's real domain and
-        SingularStepError when a denominator vanishes or the result is not
-        finite."""
-        if self.name == "cosine":
-            for j, v in enumerate(y):
-                if eps * eps * v * v >= 1.0:
-                    raise DomainError(
-                        f"cosine-law map needs eps^2*x_j^2 < 1; violated at "
-                        f"index {j + 1}")
+        Raises the error `_step_error` builds when a denominator (nearly)
+        vanishes or the result is not finite: DomainError when y is outside
+        the map's real domain, SingularStepError otherwise."""
         out, reg = kernels.map_step(self.kernel, y, eps)
         if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
-            raise SingularStepError(
-                f"{self.name}: {self._singular_detail(y, eps)}",
-                state=np.array(y), eps=eps)
+            raise self._step_error(y, eps)
         return out
 
     def stepper(self, y: list, eps: float) -> Callable[[list], list]:
         """`checked_step` at this eps, as a function of the state, for
         states of y's number type.  The kernel binding is picked once, by
-        `kernels.map_step`'s rule on y and eps.  A state whose step passes
-        `checked_step`'s test gets its new list from that binding; any other
-        goes to `checked_step`, which raises there what it raises."""
+        `kernels.map_step`'s rule on y and eps.  A step that fails
+        `checked_step`'s test raises the error `checked_step` raises."""
         kernel = self.kernel.floats if self.kernel.on_floats(y, eps) \
             else self.kernel
-        checked_step = self.checked_step
 
         def step(z: list) -> list:
             try:
                 out, reg = kernel(z, eps)
             except ZeroDivisionError:
-                return checked_step(z, eps)
+                out, reg = [math.nan], 0
             if reg < SINGULAR_RTOL or not all(map(math.isfinite, out)):
-                return checked_step(z, eps)
+                raise self._step_error(z, eps)
             return out
 
         return step
 
-    def orbit(self, y0, eps: float, steps: int, guards: OrbitGuards = RAW_GUARDS
+    def orbit(self, y0, eps: float, steps: int, tracking: bool = False
               ) -> tuple[np.ndarray, int, str]:
-        """Iterate `steps` times under the given guards; returns (states,
-        last_step, reason) as `kernels.map_orbit` does.  Steps outside
-        0..`flows.MAX_STEPS` raise ParameterError before any step
+        """Iterate `steps` times, raw or under the tracking guards; returns
+        (states, last_step, reason) as `kernels.map_orbit` does.  Steps
+        outside 0..`flows.MAX_STEPS` raise ParameterError before any step
         (`flows.check_step_count`)."""
         y0 = as_state(y0, self.dim)
         check_step_count(steps, f"steps={steps}")
-        return kernels.map_orbit(
-            self.kernel, y0.tolist(), float(eps), steps, guards.strain,
-            guards.resolution, guards.coincidence, self.even_invariants)
+        return kernels.map_orbit(self.kernel, y0.tolist(), float(eps), steps,
+                                 tracking, self.even_invariants)
 
-    def _singular_detail(self, y, eps) -> str:
+    def _step_error(self, y, eps) -> Exception:
+        # the error of a failed step from y: the cosine-law map's DomainError
+        # at the first index outside its real domain (where its kernel gives
+        # NaN), or else a SingularStepError carrying y and eps
+        if self.name == "cosine":
+            for j, v in enumerate(y):
+                if eps * eps * v * v >= 1.0:
+                    return DomainError(
+                        f"cosine-law map needs eps^2*x_j^2 < 1; violated at "
+                        f"index {j + 1}")
+        detail = "step denominator vanished"
         if self.name == "gen-hk":
             d, S = _d_factors(y, eps)
             i = int(np.argmin(np.abs(d)))
             # a vanishing d_i makes S non-finite (y_i/d_i is inf or NaN)
-            if abs(d[i]) <= abs(S) or not math.isfinite(S):
-                return f"denominator d_{i + 1} vanished"
-            return "denominator S vanished"
-        return "step denominator vanished"
+            detail = (f"denominator d_{i + 1} vanished"
+                      if abs(d[i]) <= abs(S) or not math.isfinite(S)
+                      else "denominator S vanished")
+        return SingularStepError(f"{self.name}: {detail}", state=np.array(y),
+                                 eps=eps)
 
 
 # One emitter per map writes its step for `kernels.compile_map`: the new
 # state into `outs`, then the regularity into `reg`, in the operations of
-# the closed form; an orbit computes that regularity only under a strain
-# guard.  The cosine-law step reads its regularity for its domain test, so
-# it writes it first, and every orbit computes it.  Each map is built once,
+# the closed form; an orbit computes that regularity only when tracked.
+# The cosine-law step reads its regularity for its domain test, so it
+# writes it first, and every orbit computes it.  Each map is built once,
 # gen-hk and alt-map once per N, since the identity residuals look their
 # maps up per trial.
 

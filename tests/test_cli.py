@@ -928,6 +928,11 @@ def test_check_csv(tmp_path, capsys):
     (_OUTSIDE + ["--starts", "1", "--seed", "99"],
      "--starts and --seed cannot be used with --y0, which gives the one "
      "start"),
+    # the time itself is named, not the dt of the RK4 reference it sets
+    (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "-0.2"],
+     "total_time=-0.2 must be positive and finite"),
+    (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "0"],
+     "total_time=0.0 must be positive and finite"),
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
         "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
@@ -937,7 +942,8 @@ def test_check_csv(tmp_path, capsys):
         "map-y0-not-a-number", "convergence-eps-list-not-a-number",
         "drift-negative-seed", "check-negative-seed",
         "independence-negative-seed", "drift-y0-seed", "drift-y0-seed-zero",
-        "drift-y0-starts", "drift-y0-starts-seed"])
+        "drift-y0-starts", "drift-y0-starts-seed",
+        "convergence-total-time-negative", "convergence-total-time-zero"])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1

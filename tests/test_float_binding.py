@@ -5,8 +5,6 @@ are Python floats, and nowhere else.  An orbit of the float binding stacks
 at float64, any other orbit at numpy's own dtype.
 """
 from fractions import Fraction
-from math import inf
-
 import numpy as np
 import pytest
 from mpmath import mpf
@@ -27,18 +25,18 @@ def _user_flow():
                                                 0.5 * y[0] * y[1]])
 
 
-def _orbit_outcome(orbit, y, eps, g, even):
-    rows, why = orbit(list(y), eps, STEPS, g.strain, g.resolution,
-                      g.coincidence, even)
+def _orbit_outcome(orbit, y, eps, guards):
+    rows, why = orbit(list(y), eps, STEPS, *guards)
     return _bits(rows), why
 
 
-def _same_orbits(orbit, n, even=False):
+def _same_orbits(orbit, n, guard_sets=((),)):
+    # a map's orbit under each (tracking, even), a flow's with no guards
     for eps in EPS:
         for y in _states(n, seed=n):
-            for g in GUARD_SETS.values():
-                assert (_orbit_outcome(orbit.floats, y, eps, g, even)
-                        == _orbit_outcome(orbit, y, eps, g, even)), (eps, y, g)
+            for g in guard_sets:
+                assert (_orbit_outcome(orbit.floats, y, eps, g)
+                        == _orbit_outcome(orbit, y, eps, g)), (eps, y, g)
 
 
 @pytest.mark.parametrize("name, n", MAPS, ids=lambda v: str(v))
@@ -49,7 +47,8 @@ def test_float_binding_gives_the_integer_bindings_bits_on_maps(name, n):
         for y in _states(n, seed=n):
             assert (_step_outcome(step.floats, y, eps)
                     == _step_outcome(step, y, eps)), (eps, y)
-    _same_orbits(step.orbit, n, maps.get_map(name, n).even_invariants)
+    even = maps.get_map(name, n).even_invariants
+    _same_orbits(step.orbit, n, [(g, even) for g in GUARD_SETS.values()])
 
 
 @pytest.mark.parametrize("name, n, alpha", FLOWS, ids=lambda v: str(v))
@@ -103,8 +102,7 @@ def test_other_numbers_run_the_integer_binding(monkeypatch, case):
     if case == "fraction":
         assert type(reg) is Fraction
         assert all(type(v) is Fraction for v in out)
-    rows, end, why = kernels.map_orbit(m.kernel, y, eps, 3, 0, np.inf, 0,
-                                       False)
+    rows, end, why = kernels.map_orbit(m.kernel, y, eps, 3, False, False)
     assert (end, why) == (3, "whole")
     flow = flows.get_flow("gen-kov", 4)
     rk4_calls = _spy(monkeypatch, flow.orbit)
@@ -133,7 +131,8 @@ def test_integer_literals_are_bound_by_value():
     assert ints == {"_0": 0, "_1": 1, "_m4": -4}
     source = kernels._source(kernels._map_template, maps._emit_cosine,
                              ("sqrt",), 3)
-    assert source.startswith("def _make(cap, sqrt, _0, _1):")
+    assert source.startswith(
+        "def _make(cap, strain_floor, res_bound, coin_depth, sqrt, _0, _1):")
     assert "return [nan] * 3, reg" in source
     # eps^2 x_3^2 = 1.44 > 1: the float binding leaves the domain too
     out, reg = kernels.map_step(maps.cosine_law().kernel, [0.5, 0.5, 2.0], 0.6)
@@ -174,15 +173,15 @@ def _stack_runs():
 def test_orbits_stack_float_runs_at_float64_and_others_as_numpy_does(
         runner, fn, y0, eps, steps, dtype):
     if runner == "map":
-        got, end, got_why = kernels.map_orbit(fn, y0, eps, steps, 0, inf, 0,
-                                              False)
-        fn = fn.orbit
+        got, end, got_why = kernels.map_orbit(fn, y0, eps, steps, False, False)
+        fn, guards = fn.orbit, (False, False)
     else:
         got, end, got_why = kernels.rk4_orbit(fn, y0, eps, steps)
+        guards = ()
     # the same rows from the binding the runner picks, stacked by numpy's
     # own dtype discovery
     loop = fn.floats if fn.on_floats(y0, eps) else fn
-    rows, why = loop(list(y0), eps, steps, 0, inf, 0, False)
+    rows, why = loop(list(y0), eps, steps, *guards)
     want = np.array(rows).reshape(-1, len(y0))
     assert (end, got_why) == (len(want) - 1, why)
     assert got.dtype == want.dtype == dtype and got.shape == want.shape

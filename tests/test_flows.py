@@ -230,15 +230,15 @@ def test_flow_emitters_write_no_multiplication_by_one(emit, n):
                                   flows._emit_call])
 @pytest.mark.parametrize("n", [3, 4, 40])
 def test_flow_orbits_write_only_the_cap_test(emit, n):
-    # rk4_orbit runs a flow unguarded, so its orbit takes the guard
-    # parameters of map_orbit but writes no strain, resolution or
-    # coincidence test, and no regularity
+    # rk4_orbit runs a flow unguarded, so its orbit takes no tracking
+    # switch and writes no strain, resolution or coincidence test, and no
+    # regularity
     source = kernels._source(kernels._flow_template, emit, (), n)
-    head = "def map_orbit(y, eps, nsteps, theta, resbound, coin_tol, even):"
+    head = "def map_orbit(y, eps, nsteps):"
     assert source.count(head) == 1
     body = source.replace(head, "")
-    for word in ("theta", "resbound", "coin_tol", "even", "strain",
-                 "resolution", "coincidence", "sorted", "reg"):
+    for word in ("tracking", "even", "strain", "resolution", "coincidence",
+                 "sorted", "reg"):
         assert not re.search(rf"\b{word}\b", body), word
     assert "'cap'" in body and "'non-finite'" in body
 

@@ -953,3 +953,13 @@ def test_convergence_bounds_its_map_steps(monkeypatch):
     with pytest.raises(ParameterError, match="MAX_STEPS"):
         convergence_study(get_map("euler-hk"), [0.3, 0.4, 0.5], 1.0, [0.1],
                           dt_ref=1e-300)
+
+
+def test_convergence_rejects_a_total_time_before_the_reference(monkeypatch):
+    _no_loops(monkeypatch)
+    for total_time in (0.0, -0.2, math.inf, math.nan):
+        with pytest.raises(ParameterError) as exc:
+            convergence_study(get_map("euler-hk"), [0.3, 0.4, 0.5],
+                              total_time, [0.01])
+        assert str(exc.value) == (f"total_time={total_time} must be positive "
+                                  "and finite")

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +39,8 @@ from kovtop.invariants import (CANCEL_TOL, IDENTITIES, DriftReport, Invariant,
                                sqrt_quartet_integrals,
                                verify_phi_functional_equation,
                                volume_check)
-from kovtop.maps import (MAP_NAMES, RAW_GUARDS, alt_map, cosine_law, euler_hk,
-                         gen_hk, get_map, kov_pullback, kov_sqrt)
+from kovtop.maps import (MAP_NAMES, alt_map, cosine_law, euler_hk, gen_hk,
+                         get_map, kov_pullback, kov_sqrt)
 from kovtop.numdiff import DEFAULT_SCALE
 
 
@@ -1015,10 +1017,19 @@ def test_drift_writers_match_the_references_on_batch_reports(name, n):
         assert drift_to_csv(reports) == reference_drift_csv(reports)
 
 
-def test_tracking_guards_defaults():
-    assert TRACKING_GUARDS.strain == 0.01
-    assert TRACKING_GUARDS.resolution == 0.2
-    assert TRACKING_GUARDS.coincidence == 1e-6
+def test_readme_states_the_tracking_guards_of_the_loop():
+    # the drift harness runs tracked map orbits, and README's "Drift
+    # certification windows" states the thresholds their loop is bound with
+    assert TRACKING_GUARDS is True
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = " ".join(text.split("\n## Drift certification windows\n")[1]
+                       .split("\n## ")[0].split())
+    number = r"(\d[\d.e-]*)"
+    claims = [(rf"denominator factor below {number}\)", kernels.STRAIN_FLOOR),
+              (rf"`\|eps\| \* max\|y\| > {number}`", kernels.RESOLUTION_BOUND),
+              (rf"within {number} relative", kernels.COINCIDENCE_DEPTH)]
+    for pattern, value in claims:
+        assert [float(v) for v in re.findall(pattern, section)] == [value]
 
 
 def test_registry_drift_property_all_map_pairs():
@@ -1077,7 +1088,7 @@ def test_identity_battery_needs_evaluable_trials():
         "kov-sqrt"])
 def test_cross_ratios_conserved_over_whole_unguarded_orbits(monkeypatch, m,
                                                            worst, bound):
-    monkeypatch.setattr("kovtop.invariants.TRACKING_GUARDS", RAW_GUARDS)
+    monkeypatch.setattr("kovtop.invariants.TRACKING_GUARDS", False)
     starts = random_starts(20, m.dim, seed=1)[[0, worst]]
     reports = drift_batch(m, cross_ratio_integrals(m.dim), starts, 0.01,
                           10_000)

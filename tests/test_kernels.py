@@ -8,11 +8,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import fresh_map, loop_constants
 from kovtop import flows, kernels, maps
 from kovtop.core import TrajectoryRecord
 from kovtop.errors import SingularStepError
-from kovtop.invariants import (TRACKING_GUARDS, claimed_invariants, evaluate,
-                               random_starts, registry)
+from kovtop.invariants import (claimed_invariants, evaluate, random_starts,
+                               registry)
 
 
 def test_esp_kernel_against_bruteforce():
@@ -32,8 +33,8 @@ def _sha(states):
 
 # sha256 of the float64 rows and the end step of each orbit.  Any change to a
 # kernel's arithmetic (operation order, a summation, a rounded constant)
-# changes the bits.  The orbits run from _Y with RAW_GUARDS; cosine leaves its
-# real domain early.
+# changes the bits.  The orbits run raw from _Y; cosine leaves its real
+# domain early.
 _Y = (0.3, 0.7, 1.1, 1.6, 0.45, 1.25)
 
 MAP_ORBITS = {
@@ -98,10 +99,12 @@ def test_map_orbit_matches_pinned_reference(name, n, eps):
 # from `random_starts(5, N, seed)` at seeds 1 and 2, one sha256 over the ten
 # orbits' rows and the tuple of their end steps per (map, N, guards).  Every
 # guard and the stop step it picks are in the bits.
-GUARD_SETS = {"tracking": TRACKING_GUARDS,
-              "strain-coincidence": maps.OrbitGuards(strain=0.01,
-                                                     coincidence=1e-6),
-              "strain": maps.OrbitGuards(strain=0.01)}
+# The other guard sets are tracked orbits of a loop bound at other constants
+# than `kernels`' own: without the resolution test (bound inf), and also
+# with the coincidence test at the least positive depth.
+GUARD_SETS = {"tracking": {},
+              "strain-coincidence": {"RESOLUTION_BOUND": inf},
+              "strain": {"RESOLUTION_BOUND": inf, "COINCIDENCE_DEPTH": 5e-324}}
 
 GUARDED_ORBITS = {
     ("euler-hk", 3, "tracking"):
@@ -217,12 +220,13 @@ GUARDED_ORBITS = {
 
 @pytest.mark.parametrize("name, n, guards", list(GUARDED_ORBITS))
 def test_guarded_orbit_matches_pinned_reference(name, n, guards):
-    m = maps.get_map(name, n)
+    with loop_constants(**GUARD_SETS[guards]):
+        m = fresh_map(name, n)
     h = hashlib.sha256()
     ends = []
     for seed in (1, 2):
         for y0 in random_starts(5, n, seed):
-            states, end, _ = m.orbit(y0, 0.01, 10000, GUARD_SETS[guards])
+            states, end, _ = m.orbit(y0, 0.01, 10000, True)
             h.update(states.tobytes())
             ends.append(end)
     assert (h.hexdigest(), tuple(ends)) == GUARDED_ORBITS[name, n, guards]

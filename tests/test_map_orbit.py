@@ -1,8 +1,9 @@
 """The generated map steps and guarded orbit loops against references written
 as loops: the closed-form step functions, the all-pairs coincidence depth and
 the generic orbit loop they replaced.  Equal bits, equal ends and equal stop
-decisions on every map and guard set, one test per stop reason, exact steps
-on Fractions and mpfs, and source that grows linearly with N.
+decisions on every map, raw and tracked, also with the loop bound at other
+tracking constants, one test per stop reason, exact steps on Fractions and
+mpfs, and source that grows linearly with N.
 """
 from fractions import Fraction
 from math import inf, isfinite, nan, sqrt
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from conftest import fresh_map, loop_constants
 from kovtop import flows, kernels, maps
-from kovtop.invariants import TRACKING_GUARDS, random_starts
-from kovtop.maps import RAW_GUARDS, OrbitGuards
+from kovtop.invariants import random_starts
 
 
 def step_euler_hk(x, eps):
@@ -139,10 +140,14 @@ def _coincidence_depth(y, even):
     return m
 
 
-def _reference_orbit(kernel, y0, eps, nsteps, theta, resbound, coin_tol, even):
+def _reference_orbit(kernel, y0, eps, nsteps, tracking, even):
     # the generic loop the generated one replaced, naming its stop in the
-    # order of its tests; only the cosine step leaves a real domain, and it
-    # says so with NaN coordinates and a regularity that is not > 0
+    # order of its tests, with the tracking guards at the loop's constants or
+    # off; only the cosine step leaves a real domain, and it says so with NaN
+    # coordinates and a regularity that is not > 0
+    theta, resbound, coin_tol = ((kernels.STRAIN_FLOOR, kernels.RESOLUTION_BOUND,
+                                  kernels.COINCIDENCE_DEPTH) if tracking
+                                 else (0, inf, 0))
     cap = kernels.BLOWUP_CAP
     y = list(y0)
     rows = [y]
@@ -184,15 +189,23 @@ def test_coincidence_depth():
 
 MAPS = ([("euler-hk", 3), ("cosine", 3), ("kov-sqrt", 3), ("kov-pullback", 3)]
         + [(name, n) for name in ("gen-hk", "alt-map") for n in range(3, 7)])
-GUARD_SETS = {"raw": RAW_GUARDS, "tracking": TRACKING_GUARDS,
-              "strain-coincidence": OrbitGuards(strain=0.01, coincidence=1e-6),
-              "strain": OrbitGuards(strain=0.01),
-              # the edges of the strain flag theta > 0, on which the loop
-              # computes a step's regularity
-              "strain-negative": OrbitGuards(strain=-1.0),
-              "strain-nan": OrbitGuards(strain=nan),
-              "strain-inf": OrbitGuards(strain=inf),
-              "strain-subnormal": OrbitGuards(strain=5e-324)}
+GUARD_SETS = {"raw": False, "tracking": True}
+
+#: tracked orbits of loops bound at other constants than `kernels`' own:
+#: without the resolution test (bound inf), with the coincidence test at the
+#: least positive depth, and at the edges of the strain floor the loop
+#: compares each step's regularity with
+_LOOSE = {"RESOLUTION_BOUND": inf, "COINCIDENCE_DEPTH": 5e-324}
+REBOUND_GUARDS = {"strain-coincidence": {"RESOLUTION_BOUND": inf},
+                  "strain": _LOOSE,
+                  "strain-negative": {**_LOOSE, "STRAIN_FLOOR": -1.0},
+                  "strain-nan": {**_LOOSE, "STRAIN_FLOOR": nan},
+                  "strain-inf": {**_LOOSE, "STRAIN_FLOOR": inf},
+                  "strain-subnormal": {**_LOOSE, "STRAIN_FLOOR": 5e-324}}
+
+#: gen-hk's d_1 = 1 + 3*eps*y_1 at y_2 = ... = 0 is 0.005 at eps = 0.01, a
+#: strained first step at any N; the step itself is finite
+_STRAIN_Y1 = -(1 - 0.005) / 0.03
 
 
 def _bits(values):
@@ -235,29 +248,31 @@ def test_generated_step_matches_reference_bits(name, n):
 
 
 def _orbit_starts(n):
-    # two seeded starts, and the first with its second coordinate moved near
+    # two seeded starts, the first with its second coordinate moved near
     # the coincidence threshold 1e-6 (relative separation 5e-7 and about
-    # 1e-6), in value and in magnitude only
+    # 1e-6), in value and in magnitude only, and a start whose first gen-hk
+    # step at eps 0.01 strains, a stop no orbit from the others reaches
     starts = random_starts(2, n, seed=7).tolist()
     y = starts[0]
     for k in (1e-6, 2e-6, -1e-6):
         starts.append([y[0], y[0] * (1 + abs(k)) * (1 if k > 0 else -1)] + y[2:])
-    return starts
+    return starts + [[_STRAIN_Y1] + [0.0] * (n - 1)]
 
 
-@pytest.mark.parametrize("guards", list(GUARD_SETS))
+@pytest.mark.parametrize("guards", list(GUARD_SETS) + list(REBOUND_GUARDS))
 @pytest.mark.parametrize("name, n", MAPS, ids=lambda v: str(v))
 def test_generated_orbit_matches_reference_loop(name, n, guards):
-    m = maps.get_map(name, n)
-    g = GUARD_SETS[guards]
-    args = (g.strain, g.resolution, g.coincidence, m.even_invariants)
-    for eps in (1e-4, 0.01, -0.05):
-        for y0 in _orbit_starts(n):
-            got, end, why = kernels.map_orbit(m.kernel, y0, eps, 400, *args)
-            want, want_end, want_why = _reference_orbit(
-                REFERENCE_STEPS[name], y0, eps, 400, *args)
-            assert (end, why) == (want_end, want_why), (eps, y0)
-            assert got.tobytes() == want.tobytes(), (eps, y0)
+    # the reference loop reads the constants the map's loop is bound at
+    with loop_constants(**REBOUND_GUARDS.get(guards, {})):
+        m = fresh_map(name, n)
+        args = (GUARD_SETS.get(guards, True), m.even_invariants)
+        for eps in (1e-4, 0.01, -0.05):
+            for y0 in _orbit_starts(n):
+                got, end, why = kernels.map_orbit(m.kernel, y0, eps, 400, *args)
+                want, want_end, want_why = _reference_orbit(
+                    REFERENCE_STEPS[name], y0, eps, 400, *args)
+                assert (end, why) == (want_end, want_why), (eps, y0)
+                assert got.tobytes() == want.tobytes(), (eps, y0)
 
 
 def test_reference_orbits_reach_the_guards():
@@ -266,12 +281,11 @@ def test_reference_orbits_reach_the_guards():
     seen = set()
     for name, n in MAPS:
         m = maps.get_map(name, n)
-        for g in GUARD_SETS.values():
+        for tracking in GUARD_SETS.values():
             for eps in (1e-4, 0.01, -0.05):
                 for y0 in _orbit_starts(n):
-                    seen.add(kernels.map_orbit(
-                        m.kernel, y0, eps, 400, g.strain, g.resolution,
-                        g.coincidence, m.even_invariants)[2])
+                    seen.add(kernels.map_orbit(m.kernel, y0, eps, 400,
+                                               tracking, m.even_invariants)[2])
     assert {"whole", "strain", "resolution", "coincidence", "domain"} <= seen
 
 
@@ -280,25 +294,23 @@ def test_reference_orbits_reach_the_guards():
 _DIAGONAL_POLE = 0.5 / 0.1 * (1 - 1e-13)    # gen-hk N=3 at eps 0.1, see below
 
 STOPS = {
-    # (map, N, start, eps, guards): (reason, last step)
-    "whole": ("gen-hk", 3, [0.3, 0.4, 0.5], 0.01, TRACKING_GUARDS, 5),
-    # regularity min(d_i, S) = 0.885 at eps = 0.1
-    "strain": ("gen-hk", 3, [0.3, 0.4, 0.5], 0.1, OrbitGuards(strain=0.9), 0),
-    # |eps| * max|y| is about 0.05
-    "resolution": ("gen-hk", 3, [0.3, 0.4, 0.5], 0.1,
-                   OrbitGuards(resolution=0.01), 0),
+    # (map, N, start, eps, tracking): (reason, last step)
+    "whole": ("gen-hk", 3, [0.3, 0.4, 0.5], 0.01, True, 5),
+    # regularity d_1 = 0.005, below the strain floor 0.01
+    "strain": ("gen-hk", 3, [_STRAIN_Y1, 0.0, 0.0], 0.01, True, 0),
+    # regularity 0.505, and |eps| * max|y| is about 0.35 after the step
+    "resolution": ("gen-hk", 3, [0.3, 0.4, 0.5], 0.5, True, 0),
     # the map keeps equal coordinates equal
-    "coincidence": ("alt-map", 4, [0.5, 0.5, 0.9, 1.3], 0.01,
-                    OrbitGuards(coincidence=1e-6), 0),
+    "coincidence": ("alt-map", 4, [0.5, 0.5, 0.9, 1.3], 0.01, True, 0),
     # on the diagonal gen-hk N=3 is y -> y/(1 - 2 eps y), with its pole at
     # y = 1/(2 eps); one step from just below it passes 1e12
-    "cap": ("gen-hk", 3, [_DIAGONAL_POLE] * 3, 0.1, RAW_GUARDS, 0),
+    "cap": ("gen-hk", 3, [_DIAGONAL_POLE] * 3, 0.1, False, 0),
     # q and the numerators overflow: inf / -inf
-    "non-finite": ("euler-hk", 3, [1e200, 1e200, 1e200], 0.1, RAW_GUARDS, 0),
+    "non-finite": ("euler-hk", 3, [1e200, 1e200, 1e200], 0.1, False, 0),
     # eps = 1 zeroes 1 + eps*y_1 exactly
-    "singular": ("alt-map", 3, [-1.0, 0.5, 0.3], 1.0, RAW_GUARDS, 0),
+    "singular": ("alt-map", 3, [-1.0, 0.5, 0.3], 1.0, False, 0),
     # eps^2 x_3^2 = 1.44 > 1
-    "domain": ("cosine", 3, [0.5, 0.5, 2.0], 0.6, RAW_GUARDS, 0),
+    "domain": ("cosine", 3, [0.5, 0.5, 2.0], 0.6, False, 0),
 }
 
 
@@ -308,13 +320,12 @@ def test_stop_reasons_are_documented():
 
 @pytest.mark.parametrize("reason", list(STOPS))
 def test_orbit_names_its_stop(reason):
-    name, n, y0, eps, guards, last = STOPS[reason]
+    name, n, y0, eps, tracking, last = STOPS[reason]
     m = maps.get_map(name, n)
-    states, end, why = m.orbit(y0, eps, 5, guards)
+    states, end, why = m.orbit(y0, eps, 5, tracking)
     assert (why, end) == (reason, last)
     assert states.tolist()[0] == y0 and len(states) == end + 1
-    ref = _reference_orbit(REFERENCE_STEPS[name], y0, eps, 5, guards.strain,
-                           guards.resolution, guards.coincidence,
+    ref = _reference_orbit(REFERENCE_STEPS[name], y0, eps, 5, tracking,
                            m.even_invariants)
     assert (ref[1], ref[2]) == (end, why)
 
@@ -355,9 +366,13 @@ def near_coincidences(draw):
 @settings(deadline=None, max_examples=400)
 @given(near_coincidences())
 def test_sorted_neighbours_decide_as_all_pairs(case):
+    # a step of the identity at eps = 0 passes the strain and resolution
+    # tests, and its loop is bound with the case's coincidence depth
     y, tol, even = case
-    step = kernels.compile_map(_emit_identity, len(y))
-    _, why = step.orbit(list(y), 0.0, 1, 0.0, inf, tol, even)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "COINCIDENCE_DEPTH", tol)
+        step = kernels.compile_map(_emit_identity, len(y))
+    _, why = step.orbit(list(y), 0.0, 1, True, even)
     assert (why == "coincidence") == (_coincidence_depth(y, even) < tol)
 
 
@@ -380,8 +395,7 @@ def test_map_source_grows_linearly(emit):
 def test_large_dimension_orbit_matches_reference_loop(build, guards):
     # no map dimension bound: N = 500 compiles and runs as the loop does
     m = build(500)
-    g = GUARD_SETS[guards]
-    args = (g.strain, g.resolution, g.coincidence, m.even_invariants)
+    args = (GUARD_SETS[guards], m.even_invariants)
     ref = REFERENCE_STEPS[m.name]
     rng = np.random.default_rng(5)
     for y0 in (rng.uniform(0.1, 2.0, 500).tolist(),
@@ -418,9 +432,9 @@ def test_orbit_at_minus_eps_retraces_an_exact_orbit(name, n):
     m = maps.get_map(name, n)
     y0 = [Fraction(k, 64) for k in (3, -5, 7, 2, 9, 11)[:n]]
     eps = Fraction(1, 64)
-    fwd, end, why = kernels.map_orbit(m.kernel, y0, eps, 3, 0, inf, 0, False)
+    fwd, end, why = kernels.map_orbit(m.kernel, y0, eps, 3, False, False)
     back, back_end, back_why = kernels.map_orbit(
-        m.kernel, fwd[-1].tolist(), -eps, 3, 0, inf, 0, False)
+        m.kernel, fwd[-1].tolist(), -eps, 3, False, False)
     assert (end, why) == (back_end, back_why) == (3, "whole")
     for rows in (fwd, back):
         assert rows.shape == (4, n) and rows.dtype == object

@@ -13,10 +13,10 @@ from kovtop.errors import (DimensionError, DomainError, ParameterError,
                            SingularStepError)
 from kovtop.flows import FLOW_NAMES, get_flow, kovalevskaya_field
 from kovtop.hk_engine import hk_step, polarize
-from kovtop.maps import (MAP_NAMES, OrbitGuards, _d_factors, _d_polynomial,
-                         _r_factor, _r_reciprocity_residual,
-                         _s_relation_residuals, alt_map, cosine_law, euler_hk,
-                         gen_hk, get_map, kov_pullback, kov_sqrt)
+from kovtop.maps import (MAP_NAMES, _d_factors, _d_polynomial, _r_factor,
+                         _r_reciprocity_residual, _s_relation_residuals,
+                         alt_map, cosine_law, euler_hk, gen_hk, get_map,
+                         kov_pullback, kov_sqrt)
 
 state3 = st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3).map(np.array)
 small_eps = st.floats(0.005, 0.1)
@@ -205,8 +205,7 @@ def test_alpha_reaches_gen_kov_only():
 def test_orbit_stops_on_guards():
     m = gen_hk(4)
     y0 = np.array([1.0, 1.4, 1.8, 0.6])
-    traj, end, _ = m.orbit(y0, 0.01, 10_000,
-                        OrbitGuards(strain=0.01, resolution=0.2, coincidence=1e-6))
+    traj, end, _ = m.orbit(y0, 0.01, 10_000, tracking=True)
     assert end < 10_000
     assert traj.shape == (end + 1, 4)
     assert 0.01 * np.max(np.abs(traj)) <= 0.2 + 1e-12
