@@ -210,7 +210,7 @@ class TrajectoryRecord:
         # does, and the non-finite time and state cells are swapped for
         # json's own tokens
         n = self.dim
-        cells = self._cells(lambda vs: list(map(_json_float, vs)))
+        cells = self._cells(lambda vs: list(map(json_number, vs)))
         row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
         if self.invariants is not None:
             row += ', "invariants": {' + ", ".join(
@@ -220,16 +220,25 @@ class TrajectoryRecord:
         floats = cells[:, 1:2 + n]
         bad = ~np.isfinite(np.column_stack((self.times, self.states)))
         if bad.any():
-            floats[bad] = [_Verbatim(json.dumps(v)) for v in floats[bad].tolist()]
+            floats[bad] = [_Verbatim(json_number(v))
+                           for v in floats[bad].tolist()]
         return ('{"system": %s, "status": %s, "rows": ['
                 + ", ".join([row] * len(cells)) + "]}") % (
             encode_basestring_ascii(self.system),
             encode_basestring_ascii(self.status), *cells.ravel().tolist())
 
 
-def _json_float(v: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
-    return repr(v) if isfinite(v) else json.dumps(v)
+def json_number(x) -> str:
+    """json.dumps(x) for a float, numpy's float64, an int or None: str of a
+    finite number, which is a float's repr as json writes it (numpy's
+    float64 spells the same), else json.dumps itself (NaN, Infinity,
+    -Infinity, an int past the floats)."""
+    if x is None:
+        return "null"
+    try:
+        return str(x) if isfinite(x) else json.dumps(x)
+    except OverflowError:       # an int past 1.8e308
+        return str(x)
 
 
 class _Verbatim(str):

@@ -195,7 +195,9 @@ def euler_field() -> QuadraticField:
     return QuadraticField.from_terms(3, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0})
 
 
-#: the most steps a step count derived from a time span may ask for
+#: the most steps an orbit may take, given or derived from a time span, and
+#: the most starts or trials one call may draw (`invariants.random_starts`,
+#: `invariants.identity_battery`); a larger count is refused before any work
 MAX_STEPS = 10**7
 
 

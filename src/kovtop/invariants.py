@@ -31,7 +31,6 @@ lands in DriftReport.first_blowup_step.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -40,12 +39,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import as_state
+from .core import as_state, json_number
 from .errors import (DimensionError, DomainError, ParameterError,
                      SingularStepError)
-from .flows import (FlowSpec, _alpha_text, check_step_count, euler_top3,
-                    gen_kov_name, generalized_kovalevskaya, integrate_reference,
-                    kovalevskaya3, kovalevskaya_field, rk4_states)
+from .flows import (MAX_STEPS, FlowSpec, _alpha_text, check_step_count,
+                    euler_top3, gen_kov_name, generalized_kovalevskaya,
+                    integrate_reference, kovalevskaya3, kovalevskaya_field,
+                    rk4_states)
 from .hk_engine import hk_step, polarize
 from .maps import (DiscreteMap, _d_list, _d_polynomial, _product, _r_factor,
                    _r_reciprocity_residual, _s_relation_residuals, _total,
@@ -525,10 +525,13 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
     The draws come in blocks of as many rows as starts are still missing,
     each checked at once, and the accepted rows are kept in stream order: the
     starts and the draws made are those of drawing one row at a time.
-    Raises ParameterError for n < 1 and when MAX_START_DRAWS draws give no
-    start."""
+    Raises ParameterError for n < 1 and n > `flows.MAX_STEPS`, before any
+    draw, and when MAX_START_DRAWS draws give no start."""
     if n < 1:
         raise ParameterError(f"random_starts needs n >= 1 starts, got {n}")
+    if n > MAX_STEPS:
+        raise ParameterError(f"random_starts needs n <= MAX_STEPS = "
+                             f"{MAX_STEPS:.0e} starts, got {n}")
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
     done = 0
@@ -967,9 +970,13 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     not finite is skipped under a drawn eps; under a fixed one it raises
     DomainError or SingularStepError.  Raises DimensionError for a dimension the identity
     does not hold at (below 3 for any-N identities), and ParameterError for
-    trials < 1 and when fewer than half the trials were evaluable."""
+    trials < 1 or above `flows.MAX_STEPS`, before any draw, and when fewer
+    than half the trials were evaluable."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_STEPS:
+        raise ParameterError(f"trials must be <= MAX_STEPS = {MAX_STEPS:.0e}, "
+                             f"got {trials}")
     residual, (lo, hi), dims = IDENTITIES[name]
     if dims is not None and len(dims) == 1:
         n = dims[0]
@@ -1032,17 +1039,6 @@ def drift_to_csv(reports: Sequence[DriftReport]) -> str:
     return "\n".join([DRIFT_CSV_HEADER] + rows) + "\n"
 
 
-def _json_number(x) -> str:
-    """json.dumps(x) for an int, a float or None: null, or repr where that
-    is what json writes (an int, a finite float), else json.dumps itself."""
-    if x is None:
-        return "null"
-    t = type(x)
-    if t is int or t is float and math.isfinite(x):
-        return repr(x)
-    return json.dumps(x)
-
-
 def drift_to_json(reports: Sequence[DriftReport]) -> str:
     """The reports as json.dumps writes {"status": "ok", "reports": [...]},
     one dict of the report's fields each, each report by one template.  An
@@ -1051,10 +1047,10 @@ def drift_to_json(reports: Sequence[DriftReport]) -> str:
     json.dumps spells it."""
     rows = [_DRIFT_JSON_ROW % (
                 encode_basestring_ascii(r.map),
-                encode_basestring_ascii(r.invariant), _json_number(r.eps),
-                _json_number(r.steps),
+                encode_basestring_ascii(r.invariant), json_number(r.eps),
+                json_number(r.steps),
                 "null" if r.max_rel_drift != r.max_rel_drift
-                else _json_number(r.max_rel_drift),
-                _json_number(r.first_blowup_step))
+                else json_number(r.max_rel_drift),
+                json_number(r.first_blowup_step))
             for r in reports]
     return '{"status": "ok", "reports": [%s]}' % ", ".join(rows)

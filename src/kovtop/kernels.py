@@ -28,15 +28,16 @@ the integer literals among them (4 as `_4`, -4 as `_m4`).
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
   orbit loop attached as ``step.orbit``.  `maps.DiscreteMap` carries the step
   as `kernel`; `map_step` runs it and `map_orbit` runs its `.orbit`.  The
-  loop writes the step out once more, followed by the cap test (as
-  -cap <= z <= cap) and, on a tracked orbit, the tracking guards: strain
-  (regularity below STRAIN_FLOOR), resolution (|eps|*max|y| above
-  RESOLUTION_BOUND) and coincidence (relative depth below
-  COINCIDENCE_DEPTH).  Each stop is a `break` that names its reason, one of
-  STOP_REASONS.  A raw orbit computes no regularity, except the cosine-law
-  step's, which its domain test reads.  The coincidence test sorts the state
-  and checks the N - 1 neighbours, so the source grows linearly in N, and
-  long sums are folded (`emit_fold`), so any N compiles.
+  emitter hands over its state lines and its regularity lines apart: the
+  step runs both, and the loop the state lines, then the cap test (as
+  -cap <= z <= cap) and, on a tracked orbit, the regularity lines and the
+  tracking guards: strain (regularity below STRAIN_FLOOR), resolution
+  (|eps|*max|y| above RESOLUTION_BOUND) and coincidence (relative depth
+  below COINCIDENCE_DEPTH, on magnitudes where `compile_map` bound
+  ``even=True``).  Each stop is a `break` that names its reason, one of
+  STOP_REASONS.  The coincidence test sorts the state and checks the N - 1
+  neighbours, so the source grows linearly in N, and long sums are folded
+  (`emit_fold`), so any N compiles.
 - `compile_flow` takes a flow's emitter (`flows` has three: the e_1-only
   generalized Kovalevskaya field and the product complement of the
   generalized Euler flows written inline, and a call of any other
@@ -110,17 +111,22 @@ def _rhs_quadratic_field(terms, y):
 # wraps it in the functions `compile_flow` or `compile_map` returns.  A flow's
 # emitter takes (ins, outs), the names of its N inputs and of its N outputs,
 # and returns the source lines that assign the right-hand side to the outputs.
-# A map's emitter takes (ins, outs, stop) and assigns the new state to the
-# outputs and the step's regularity to `reg`, last unless the step reads it
-# (`_split_regularity`); a step that leaves its real domain runs the
-# statement `stop` under an `if`.  `_rk4` writes one RK4 step of a flow's
-# emitter.  An emitter may bind temporaries and read its constants, under
-# any name but these, which the templates bind themselves: y, eps, h, w,
-# cap, strain_floor, res_bound, coin_depth, inf, nan, isfinite, reg, rows,
-# aeps, ncap, why, sc, nsteps, tracking, even, flow_rhs, map_step,
-# map_orbit, on_floats, a<i>, p<i>, u<i>, z<i>,
-# k<stage>_<i>, _<digits> and _m<digits>.  An integer literal of the emitted
-# source becomes a constant (`_factory`), so a string in it holds no digit.
+# A map's emitter takes (ins, outs, stop) and returns two lists of lines: the
+# state lines, which assign the new state to the outputs, and the regularity
+# lines, which assign the step's regularity to `reg`.  A step whose state
+# lines read the regularity (the cosine-law step's domain test) assigns it
+# there and returns no regularity lines.  A step that leaves its real domain
+# runs the statement `stop` under an `if`.  `_rk4` writes one RK4 step of a
+# flow's emitter.  An emitter may bind temporaries and read its constants,
+# under any name but those its template binds itself:
+# - both templates: y, eps, nsteps, cap, strain_floor, res_bound, coin_depth,
+#   inf, nan, isfinite, rows, ncap, why, map_orbit, on_floats, a<i>, z<i>,
+#   _<digits> and _m<digits>;
+# - the map template: map_step, tracking, even, reg, aeps, sc and p<i>;
+# - the flow template: flow_rhs, h, w, u<i> and k<stage>_<i>,
+# so a map's emitter may use u<i> and w<i>, as `_emit_alt` does.  An integer
+# literal of the emitted source becomes a constant (`_factory`), so a string
+# in it holds no digit.
 
 #: most operands in one emitted expression; longer folds continue in further
 #: statements, so no expression nests N deep (the compiler has a recursion
@@ -193,31 +199,17 @@ _RK4_SETUP = ("h = eps / 2", "w = eps / 6")
 #: the names of BLOWUP_CAP and the tracking guards in every compiled function
 _LOOP_CONSTANTS = ("cap", "strain_floor", "res_bound", "coin_depth")
 
-#: a line that writes a map step's regularity and nothing else: `reg = ...`,
-#: or one compare of `emit_min_abs`'s chain
-_REG_LINE = re.compile(r"reg = |if abs\(\w+\) < reg: reg = ")
-
-
-def _split_regularity(lines):
-    # a map step's lines, and apart from them its trailing regularity lines,
-    # which the orbit loop runs only on a tracked orbit; the
-    # cosine-law step's domain test reads its regularity, so that step
-    # writes it first and has no trailing regularity lines
-    k = len(lines)
-    while k and _REG_LINE.match(lines[k - 1]):
-        k -= 1
-    return lines[:k], lines[k:]
-
 
 def _guards(reg, n):
     # The tracking guards of a map orbit, all under one `if tracking:`: the
     # regularity lines `reg`, then the strain, resolution and coincidence
     # tests, in that order, each stop a break that names its reason.  The
-    # coincidence test sorts the state (its magnitudes when `even`) and
-    # compares neighbours only: across a sign change, or from a zero to a
-    # nonzero, the separation |p - q|/(|p| + |q|) is 1, and within one sign
-    # it grows with the distance in sorted order, so the closest pair is
-    # adjacent and the N - 1 checks decide as all N(N-1)/2 pairs would.
+    # coincidence test sorts the state (its magnitudes where `compile_map`
+    # bound `even` true) and compares neighbours only: across a sign change,
+    # or from a zero to a nonzero, the separation |p - q|/(|p| + |q|) is 1,
+    # and within one sign it grows with the distance in sorted order, so the
+    # closest pair is adjacent and the N - 1 checks decide as all N(N-1)/2
+    # pairs would.
     p, z = _names("p", n), _names("z", n)
     b = ", ".join(f"abs({zi})" for zi in z)
     tests = reg + ["if reg < strain_floor:", "    why = 'strain'; break",
@@ -241,7 +233,7 @@ def _orbit(step, n, setup, tests):
     # the loop as "singular".  The cap test reads the coordinates themselves,
     # as -cap <= z <= cap with -cap negated once per orbit (a NaN fails it
     # as abs(NaN) <= cap does).  A map's orbit, with `tests`, also takes the
-    # parameters `tracking` and `even` those read; a flow's takes neither.
+    # switch `tracking` they run under; a flow's does not.
     # The lines `setup` run once, before the loop.  `on_floats` says whether
     # eps and every coordinate are Python floats.
     a, z = _names("a", n), _names("z", n)
@@ -262,19 +254,19 @@ def _orbit(step, n, setup, tests):
     # the float binding runs where eps and every coordinate are Python floats
     on_floats = ("    return type(eps) is float"
                  + "".join(f" is type({ai})" for ai in a))
-    params = "y, eps, nsteps, tracking, even" if tests else "y, eps, nsteps"
+    params = "y, eps, nsteps, tracking" if tests else "y, eps, nsteps"
     return ([f"def map_orbit({params}):"] + _indent(orbit, 1)
             + ["def on_floats(y, eps):", "    " + _unpack(a), on_floats,
                "map_orbit.on_floats = on_floats"])
 
 
 def _map_template(emit, n):
-    # one map step from the list y, and its guarded orbit
+    # one map step from the list y, and its guarded orbit, which runs the
+    # regularity lines only on a tracked orbit
     a, z = _names("a", n), _names("z", n)
-    state = f"[{', '.join(z)}]"
-    step = ([_unpack(a)] + emit(a, z, f"return [nan] * {n}, reg")
-            + [f"return {state}, reg"])
-    body, reg = _split_regularity(emit(a, z, "why = 'domain'; break"))
+    state, reg = emit(a, z, f"return [nan] * {n}, reg")
+    step = [_unpack(a)] + state + reg + [f"return [{', '.join(z)}], reg"]
+    body, reg = emit(a, z, "why = 'domain'; break")
     return (["def map_step(y, eps):"] + _indent(step, 1)
             + _orbit(body, n, ["aeps = abs(eps)"], _guards(reg, n))
             + ["map_step.orbit = map_orbit", "map_step.on_floats = on_floats",
@@ -361,21 +353,22 @@ def compile_flow(emit, n, **consts):
     return _bind(_flow_template, emit, n, consts)
 
 
-def compile_map(emit, n, **consts):
+def compile_map(emit, n, even=False, **consts):
     """The N-dimensional map step that `emit` writes, with the emitted code
     reading `consts` by name, and its guarded orbit as the attribute `orbit`.
 
     `step(y, eps)` maps a sequence of N numbers to ``(new_state,
     regularity)``; a vanishing denominator raises ZeroDivisionError, and a
     step outside the map's real domain gives NaN coordinates.
-    `step.orbit(y, eps, nsteps, tracking, even)` iterates it from the
-    sequence y with the stops of `map_orbit` inline and returns (rows,
-    reason): the states one after another in one flat list, N numbers each,
-    and the reason one of STOP_REASONS.
+    `step.orbit(y, eps, nsteps, tracking)` iterates it from the sequence y
+    with the stops of `map_orbit` inline and returns (rows, reason): the
+    states one after another in one flat list, N numbers each, and the
+    reason one of STOP_REASONS.  `even`, bound into the loop as its
+    constants are, makes a tracked orbit test coincidence on magnitudes.
     Compiled and bound as in `compile_flow`: `step` is type-generic and
     `step.floats` (with `step.orbit.floats`) the float binding.
     """
-    return _bind(_map_template, emit, n, consts)
+    return _bind(_map_template, emit, n, {"even": even, **consts})
 
 
 def map_step(kernel, y, eps):
@@ -391,21 +384,21 @@ def map_step(kernel, y, eps):
         return [nan] * len(y), 0
 
 
-def _run_orbit(orbit, y0, eps, nsteps, *guards):
+def _run_orbit(orbit, y0, eps, nsteps, *tracking):
     # the compiled orbit loop `orbit` from the sequence y0 (a map's with its
-    # `guards`, tracking and even), by its float binding where eps and every
+    # `tracking` switch), by its float binding where eps and every
     # coordinate are Python floats, with its flat rows stacked once into a
     # (T, N) ndarray: float64 after the float binding, numpy's own dtype
     # otherwise (object for `Fraction`s and `mpf`s)
     floats = orbit.on_floats(y0, eps)
     if floats:
         orbit = orbit.floats
-    rows, why = orbit(y0, eps, nsteps, *guards)
+    rows, why = orbit(y0, eps, nsteps, *tracking)
     table = np.array(rows, float if floats else None).reshape(-1, len(y0))
     return table, len(table) - 1, why
 
 
-def map_orbit(kernel, y0, eps, nsteps, tracking, even):
+def map_orbit(kernel, y0, eps, nsteps, tracking):
     """Iterate the step kernel `kernel` (of `compile_map`) from the sequence
     `y0`, stopping at the first untrustworthy step.
 
@@ -414,12 +407,12 @@ def map_orbit(kernel, y0, eps, nsteps, tracking, even):
     A `tracking` orbit also stops when the step regularity drops below
     STRAIN_FLOOR, when |eps|*max|y| exceeds RESOLUTION_BOUND, or when the
     state comes within COINCIDENCE_DEPTH (relative) of a coincidence
-    variety, on magnitudes when `even`.
+    variety, on magnitudes for a kernel compiled with `even`.
     Returns (trajectory ndarray, last_step, reason): the states 0..last_step
     and the one of STOP_REASONS that ended the orbit, "whole" when all ran.
     Runs the float binding `kernel.orbit.floats` as `map_step` does.
     """
-    return _run_orbit(kernel.orbit, y0, eps, nsteps, tracking, even)
+    return _run_orbit(kernel.orbit, y0, eps, nsteps, tracking)
 
 
 def rk4_orbit(orbit, y0, dt, nsteps):

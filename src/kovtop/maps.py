@@ -30,7 +30,7 @@ class DiscreteMap:
 
     `kernel` is the step compiled from the map's emitter, which
     `checked_step` runs; `orbit` runs its loop `kernel.orbit`, raw or
-    tracked.
+    tracked, whose coincidence test the kernel fixed at compile time.
     `checked_step` is the list-level step with its domain and singularity
     checks, and `stepper` the same step at one eps with the kernel binding
     picked once; `step` validates a state and wraps it.
@@ -40,7 +40,6 @@ class DiscreteMap:
     dim: int
     scale: MapStepScale
     kernel: Callable
-    even_invariants: bool = False
 
     def step_time(self, eps: float) -> float:
         """Continuous time advanced by one application."""
@@ -90,7 +89,7 @@ class DiscreteMap:
         y0 = as_state(y0, self.dim)
         check_step_count(steps, f"steps={steps}")
         return kernels.map_orbit(self.kernel, y0.tolist(), float(eps), steps,
-                                 tracking, self.even_invariants)
+                                 tracking)
 
     def _step_error(self, y, eps) -> Exception:
         # the error of a failed step from y: the cosine-law map's DomainError
@@ -114,11 +113,13 @@ class DiscreteMap:
                                  eps=eps)
 
 
-# One emitter per map writes its step for `kernels.compile_map`: the new
-# state into `outs`, then the regularity into `reg`, in the operations of
-# the closed form; an orbit computes that regularity only when tracked.
-# The cosine-law step reads its regularity for its domain test, so it
-# writes it first, and every orbit computes it.  Each map is built once,
+# One emitter per map writes its step for `kernels.compile_map`, in the
+# operations of the closed form: the lines that write the new state into
+# `outs`, and apart from them the lines that write the regularity into
+# `reg`, which an orbit runs only when tracked.  The cosine-law step reads
+# its regularity for its domain test, so it writes it among its state
+# lines, and every orbit computes it.  The Euler-top maps conserve even
+# functions, so they compile with even=True.  Each map is built once,
 # gen-hk and alt-map once per N, since the identity residuals look their
 # maps up per trial.
 
@@ -130,7 +131,7 @@ def _emit_euler_hk(ins, outs, stop):
     for out, (u, v, w) in zip(outs, ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))):
         lines.append(f"{out} = ({u} + 2 * eps * {v} * {w} "
                      f"+ eps * eps * {u} * (q - 2 * {u} * {u})) / den")
-    return lines + ["reg = abs(den)"]
+    return lines, ["reg = abs(den)"]
 
 
 def _emit_cosine(ins, outs, stop):
@@ -142,7 +143,7 @@ def _emit_cosine(ins, outs, stop):
             + [f"s{j} = sqrt(w{j})" for j in range(3)]
             + [f"{outs[0]} = ({x0} + eps * {x1} * {x2}) / (s1 * s2)",
                f"{outs[1]} = ({x1} + eps * {x2} * {x0}) / (s2 * s0)",
-               f"{outs[2]} = ({x2} + eps * {x0} * {x1}) / (s0 * s1)"])
+               f"{outs[2]} = ({x2} + eps * {x0} * {x1}) / (s0 * s1)"]), []
 
 
 def _emit_kov_sqrt(ins, outs, stop):
@@ -154,23 +155,23 @@ def _emit_kov_sqrt(ins, outs, stop):
                f"g2 = 1 - eps * eps * {y0} * {y1}",
                f"{outs[0]} = {y0} * c1 * c2 / (c0 * g0)",
                f"{outs[1]} = {y1} * c2 * c0 / (c1 * g1)",
-               f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)",
-               *kernels.emit_min_abs("reg", None,
-                                     ["c0", "g0", "c1", "g1", "c2", "g2"])])
+               f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)"],
+            kernels.emit_min_abs("reg", None,
+                                 ["c0", "g0", "c1", "g1", "c2", "g2"]))
 
 
 def _emit_kov_pullback(ins, outs, stop):
     y0, y1, y2 = ins
-    return [f"e2 = {y0} * {y1} + {y1} * {y2} + {y2} * {y0}",
-            f"e3 = {y0} * {y1} * {y2}",
-            "glob = 1 - eps * eps * e2 - 2 * eps * eps * eps * e3",
-            f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
-            f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
-            f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
-            f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
-            f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
-            f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)",
-            *kernels.emit_min_abs("reg", None, ["glob", "f0", "f1", "f2"])]
+    return ([f"e2 = {y0} * {y1} + {y1} * {y2} + {y2} * {y0}",
+             f"e3 = {y0} * {y1} * {y2}",
+             "glob = 1 - eps * eps * e2 - 2 * eps * eps * eps * e3",
+             f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
+             f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
+             f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
+             f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
+             f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
+             f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)"],
+            kernels.emit_min_abs("reg", None, ["glob", "f0", "f1", "f2"]))
 
 
 def _emit_gen_hk(ins, outs, stop):
@@ -184,8 +185,8 @@ def _emit_gen_hk(ins, outs, stop):
             + kernels.emit_fold("t", "0", "+",
                                 [f"{v} / {di}" for v, di in zip(ins, d)])
             + ["S = 1 - eps * t"]
-            + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)]
-            + kernels.emit_min_abs("reg", "inf", d + ["S"]))
+            + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)],
+            kernels.emit_min_abs("reg", "inf", d + ["S"]))
 
 
 def _emit_alt(ins, outs, stop):
@@ -197,16 +198,15 @@ def _emit_alt(ins, outs, stop):
             + [f"{ui} = {v} / {wi}" for ui, v, wi in zip(u, ins, w)]
             + kernels.emit_fold("t", "0", "+", u)
             + [f"{ri} = 1 - eps * (t - {ui})" for ri, ui in zip(r, u)]
-            + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)]
-            + kernels.emit_min_abs("reg", "inf", w + r))
+            + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)],
+            kernels.emit_min_abs("reg", "inf", w + r))
 
 
 @functools.cache
 def euler_hk() -> DiscreteMap:
     """Explicit bilinearized Euler top (one application advances 2*eps)."""
     return DiscreteMap("euler-hk", 3, MapStepScale.TWO_EPS,
-                       kernels.compile_map(_emit_euler_hk, 3),
-                       even_invariants=True)
+                       kernels.compile_map(_emit_euler_hk, 3, even=True))
 
 
 @functools.cache
@@ -215,8 +215,8 @@ def cosine_law() -> DiscreteMap:
     on eps^2 x_j^2 < 1, principal square roots.  The roots make it the one
     map whose kernel has no exact (Fraction) step."""
     return DiscreteMap("cosine", 3, MapStepScale.EPS,
-                       kernels.compile_map(_emit_cosine, 3, sqrt=math.sqrt),
-                       even_invariants=True)
+                       kernels.compile_map(_emit_cosine, 3, even=True,
+                                           sqrt=math.sqrt))
 
 
 @functools.cache

@@ -933,6 +933,19 @@ def test_check_csv(tmp_path, capsys):
      "total_time=-0.2 must be positive and finite"),
     (_CONVERGENCE + ["--eps-list", "0.01", "--total-time", "0"],
      "total_time=0.0 must be positive and finite"),
+    # a count of starts, trials or points above flows.MAX_STEPS, refused
+    # before anything is drawn or allocated
+    *[(argv + [str(count)], message + str(count))
+      for count in (10**15, 10**18)
+      for argv, message in (
+          (["check", "--identity", "d-sum", "--trials"],
+           "trials must be <= MAX_STEPS = 1e+07, got "),
+          (["drift", "--map", "gen-hk", "--n", "4", "--eps", "0.01",
+            "--steps", "5", "--starts"],
+           "random_starts needs n <= MAX_STEPS = 1e+07 starts, got "),
+          (["independence", "--family", "cross-ratio", "--n", "4",
+            "--points"],
+           "random_starts needs n <= MAX_STEPS = 1e+07 starts, got "))],
 ], ids=["check-trials-zero", "independence-family", "drift-invariant",
         "simulate-y0", "map-y0-fixed-dim", "map-y0", "drift-y0",
         "convergence-y0", "map-y0-empty-entry", "map-y0-trailing-comma",
@@ -943,7 +956,9 @@ def test_check_csv(tmp_path, capsys):
         "drift-negative-seed", "check-negative-seed",
         "independence-negative-seed", "drift-y0-seed", "drift-y0-seed-zero",
         "drift-y0-starts", "drift-y0-starts-seed",
-        "convergence-total-time-negative", "convergence-total-time-zero"])
+        "convergence-total-time-negative", "convergence-total-time-zero",
+        *[f"{cmd}-{count}" for count in ("1e15", "1e18")
+          for cmd in ("check-trials", "drift-starts", "independence-points")]])
 def test_rejected_options_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "out.txt"
     assert main(argv + ["--out", str(path)]) == 1

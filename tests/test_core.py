@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from reference_writers import reference_csv, reference_json
 from kovtop.core import (MapStepScale, QuadraticField, TrajectoryRecord,
-                         as_state, fmt17, painleve_condition)
+                         as_state, fmt17, json_number, painleve_condition)
 from kovtop.errors import DimensionError, DomainError, ParameterError
 from kovtop.flows import euler_field, kovalevskaya_field, quadratic_flow
 from kovtop.kernels import esp_all
@@ -225,6 +225,16 @@ def _records():
 def test_trajectory_record_spells_cells_as_fmt17_and_json(rec):
     assert rec.to_csv() == reference_csv(rec)
     assert rec.to_json() == reference_json(rec)
+
+
+@settings(max_examples=300)
+@given(st.floats() | st.integers(-10**400, 10**400) | st.none())
+def test_json_number_is_json_dumps(x):
+    # floats of every kind, ints past the floats' range, None, and numpy's
+    # float64, which json spells by its float's repr
+    assert json_number(x) == json.dumps(x)
+    if isinstance(x, float):
+        assert json_number(np.float64(x)) == json.dumps(x)
 
 
 def test_trajectory_record_rejects_duplicate_invariant_names():

@@ -31,7 +31,7 @@ def _orbit_outcome(orbit, y, eps, guards):
 
 
 def _same_orbits(orbit, n, guard_sets=((),)):
-    # a map's orbit under each (tracking, even), a flow's with no guards
+    # a map's orbit under each tracking switch, a flow's with no guards
     for eps in EPS:
         for y in _states(n, seed=n):
             for g in guard_sets:
@@ -47,8 +47,7 @@ def test_float_binding_gives_the_integer_bindings_bits_on_maps(name, n):
         for y in _states(n, seed=n):
             assert (_step_outcome(step.floats, y, eps)
                     == _step_outcome(step, y, eps)), (eps, y)
-    even = maps.get_map(name, n).even_invariants
-    _same_orbits(step.orbit, n, [(g, even) for g in GUARD_SETS.values()])
+    _same_orbits(step.orbit, n, [(g,) for g in GUARD_SETS.values()])
 
 
 @pytest.mark.parametrize("name, n, alpha", FLOWS, ids=lambda v: str(v))
@@ -102,7 +101,7 @@ def test_other_numbers_run_the_integer_binding(monkeypatch, case):
     if case == "fraction":
         assert type(reg) is Fraction
         assert all(type(v) is Fraction for v in out)
-    rows, end, why = kernels.map_orbit(m.kernel, y, eps, 3, False, False)
+    rows, end, why = kernels.map_orbit(m.kernel, y, eps, 3, False)
     assert (end, why) == (3, "whole")
     flow = flows.get_flow("gen-kov", 4)
     rk4_calls = _spy(monkeypatch, flow.orbit)
@@ -173,8 +172,8 @@ def _stack_runs():
 def test_orbits_stack_float_runs_at_float64_and_others_as_numpy_does(
         runner, fn, y0, eps, steps, dtype):
     if runner == "map":
-        got, end, got_why = kernels.map_orbit(fn, y0, eps, steps, False, False)
-        fn, guards = fn.orbit, (False, False)
+        got, end, got_why = kernels.map_orbit(fn, y0, eps, steps, False)
+        fn, guards = fn.orbit, (False,)
     else:
         got, end, got_why = kernels.rk4_orbit(fn, y0, eps, steps)
         guards = ()

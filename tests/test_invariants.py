@@ -454,6 +454,23 @@ def test_library_entry_points_reject_empty_work():
         identity_battery("d-sum", 4, 0, seed=1)
 
 
+@pytest.mark.parametrize("count", [10**7 + 1, 10**15, 10**18])
+def test_library_entry_points_refuse_a_count_above_max_steps(monkeypatch,
+                                                             count):
+    # refused before any generator is made or any array allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or allocated")
+
+    monkeypatch.setattr(invariants.np, "empty", refuse)
+    monkeypatch.setattr(invariants.np.random, "default_rng", refuse)
+    with pytest.raises(ParameterError, match=f"MAX_STEPS = 1e\\+07 starts, "
+                                             f"got {count}$"):
+        random_starts(count, 4, seed=1)
+    with pytest.raises(ParameterError, match=f"trials must be <= MAX_STEPS "
+                                             f"= 1e\\+07, got {count}$"):
+        identity_battery("d-sum", 4, count, seed=1)
+
+
 def test_random_starts_respects_bounds_and_separation():
     pts = random_starts(50, 4, seed=3)
     assert pts.shape == (50, 4)

@@ -5,6 +5,7 @@ decisions on every map, raw and tracked, also with the loop bound at other
 tracking constants, one test per stop reason, exact steps on Fractions and
 mpfs, and source that grows linearly with N.
 """
+import functools
 from fractions import Fraction
 from math import inf, isfinite, nan, sqrt
 
@@ -189,6 +190,11 @@ def test_coincidence_depth():
 
 MAPS = ([("euler-hk", 3), ("cosine", 3), ("kov-sqrt", 3), ("kov-pullback", 3)]
         + [(name, n) for name in ("gen-hk", "alt-map") for n in range(3, 7)])
+
+#: the maps whose tracked orbits test coincidence on magnitudes: the
+#: Euler-top steps conserve the even functions x_i^2 - x_j^2
+EVEN_MAPS = {"euler-hk", "cosine"}
+
 GUARD_SETS = {"raw": False, "tracking": True}
 
 #: tracked orbits of loops bound at other constants than `kernels`' own:
@@ -265,12 +271,14 @@ def test_generated_orbit_matches_reference_loop(name, n, guards):
     # the reference loop reads the constants the map's loop is bound at
     with loop_constants(**REBOUND_GUARDS.get(guards, {})):
         m = fresh_map(name, n)
-        args = (GUARD_SETS.get(guards, True), m.even_invariants)
+        tracking = GUARD_SETS.get(guards, True)
         for eps in (1e-4, 0.01, -0.05):
             for y0 in _orbit_starts(n):
-                got, end, why = kernels.map_orbit(m.kernel, y0, eps, 400, *args)
+                got, end, why = kernels.map_orbit(m.kernel, y0, eps, 400,
+                                                  tracking)
                 want, want_end, want_why = _reference_orbit(
-                    REFERENCE_STEPS[name], y0, eps, 400, *args)
+                    REFERENCE_STEPS[name], y0, eps, 400, tracking,
+                    name in EVEN_MAPS)
                 assert (end, why) == (want_end, want_why), (eps, y0)
                 assert got.tobytes() == want.tobytes(), (eps, y0)
 
@@ -285,7 +293,7 @@ def test_reference_orbits_reach_the_guards():
             for eps in (1e-4, 0.01, -0.05):
                 for y0 in _orbit_starts(n):
                     seen.add(kernels.map_orbit(m.kernel, y0, eps, 400,
-                                               tracking, m.even_invariants)[2])
+                                               tracking)[2])
     assert {"whole", "strain", "resolution", "coincidence", "domain"} <= seen
 
 
@@ -326,14 +334,14 @@ def test_orbit_names_its_stop(reason):
     assert (why, end) == (reason, last)
     assert states.tolist()[0] == y0 and len(states) == end + 1
     ref = _reference_orbit(REFERENCE_STEPS[name], y0, eps, 5, tracking,
-                           m.even_invariants)
+                           name in EVEN_MAPS)
     assert (ref[1], ref[2]) == (end, why)
 
 
 # --- the sorted-neighbour coincidence test ----------------------------------
 
 def _emit_identity(ins, outs, stop):
-    return [f"{o} = {i}" for i, o in zip(ins, outs)] + ["reg = 1"]
+    return [f"{o} = {i}" for i, o in zip(ins, outs)], ["reg = 1"]
 
 
 @st.composite
@@ -367,13 +375,43 @@ def near_coincidences(draw):
 @given(near_coincidences())
 def test_sorted_neighbours_decide_as_all_pairs(case):
     # a step of the identity at eps = 0 passes the strain and resolution
-    # tests, and its loop is bound with the case's coincidence depth
+    # tests, and its loop is bound with the case's coincidence depth and mode
     y, tol, even = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "COINCIDENCE_DEPTH", tol)
-        step = kernels.compile_map(_emit_identity, len(y))
-    _, why = step.orbit(list(y), 0.0, 1, True, even)
+        step = kernels.compile_map(_emit_identity, len(y), even=even)
+    _, why = step.orbit(list(y), 0.0, 1, True)
     assert (why == "coincidence") == (_coincidence_depth(y, even) < tol)
+
+
+# --- regularity lines only where they are read -----------------------------
+
+def _emit_ticking(ins, outs, stop):
+    # the identity, whose regularity line calls the bound constant `tick`
+    return [f"{o} = {i}" for i, o in zip(ins, outs)], ["reg = tick()"]
+
+
+@pytest.mark.parametrize("num", [float, Fraction], ids=["float", "integer"])
+def test_regularity_lines_run_on_a_step_and_a_tracked_orbit_only(num):
+    # floats run the float binding, Fractions the integer binding: a raw
+    # orbit computes no regularity, a tracked one one per step, a step one
+    calls = []
+
+    def tick():
+        calls.append(None)
+        return 1
+
+    kernel = kernels.compile_map(_emit_ticking, 3, tick=tick)
+    binding = kernel.floats if num is float else kernel
+    y, eps = [num(3) / 10, num(4) / 10, num(5) / 10], num(1) / 100
+    for orbit in (binding.orbit, functools.partial(kernels.map_orbit, kernel)):
+        for tracking, k in ((False, 0), (True, 7)):
+            calls.clear()
+            assert orbit(y, eps, 7, tracking)[-1] == "whole"
+            assert len(calls) == k
+    for step in (binding, functools.partial(kernels.map_step, kernel)):
+        calls.clear()
+        assert step(y, eps) == (y, 1) and len(calls) == 1
 
 
 # --- growth with N ---------------------------------------------------------
@@ -395,13 +433,14 @@ def test_map_source_grows_linearly(emit):
 def test_large_dimension_orbit_matches_reference_loop(build, guards):
     # no map dimension bound: N = 500 compiles and runs as the loop does
     m = build(500)
-    args = (GUARD_SETS[guards], m.even_invariants)
+    tracking = GUARD_SETS[guards]
     ref = REFERENCE_STEPS[m.name]
     rng = np.random.default_rng(5)
     for y0 in (rng.uniform(0.1, 2.0, 500).tolist(),
                (np.linspace(0.1, 2.0, 500) * rng.choice([-1, 1], 500)).tolist()):
-        got, end, why = kernels.map_orbit(m.kernel, y0, 1e-4, 4, *args)
-        want, want_end, want_why = _reference_orbit(ref, y0, 1e-4, 4, *args)
+        got, end, why = kernels.map_orbit(m.kernel, y0, 1e-4, 4, tracking)
+        want, want_end, want_why = _reference_orbit(ref, y0, 1e-4, 4, tracking,
+                                                    m.name in EVEN_MAPS)
         assert (end, why) == (want_end, want_why)
         assert got.tobytes() == want.tobytes()
 
@@ -432,9 +471,9 @@ def test_orbit_at_minus_eps_retraces_an_exact_orbit(name, n):
     m = maps.get_map(name, n)
     y0 = [Fraction(k, 64) for k in (3, -5, 7, 2, 9, 11)[:n]]
     eps = Fraction(1, 64)
-    fwd, end, why = kernels.map_orbit(m.kernel, y0, eps, 3, False, False)
+    fwd, end, why = kernels.map_orbit(m.kernel, y0, eps, 3, False)
     back, back_end, back_why = kernels.map_orbit(
-        m.kernel, fwd[-1].tolist(), -eps, 3, False, False)
+        m.kernel, fwd[-1].tolist(), -eps, 3, False)
     assert (end, why) == (back_end, back_why) == (3, "whole")
     for rows in (fwd, back):
         assert rows.shape == (4, n) and rows.dtype == object
