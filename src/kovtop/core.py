@@ -206,12 +206,12 @@ class TrajectoryRecord:
                 + (row * len(cells)) % tuple(cells.ravel().tolist()))
 
     def to_json(self) -> str:
-        # json.dumps of one dict per row: '%r' spells a finite float as json
-        # does, and the non-finite time and state cells are swapped for
-        # json's own tokens
+        # json.dumps of one dict per row: '%s' spells a finite float cell as
+        # json does (a Python float's str is its repr), and the non-finite
+        # time and state cells are swapped for json's own tokens
         n = self.dim
         cells = self._cells(lambda vs: list(map(json_number, vs)))
-        row = '{"step": %d, "t": %r, "y": [' + ", ".join(["%r"] * n) + "]"
+        row = '{"step": %d, "t": %s, "y": [' + ", ".join(["%s"] * n) + "]"
         if self.invariants is not None:
             row += ', "invariants": {' + ", ".join(
                 encode_basestring_ascii(name).replace("%", "%%") + ": %s"
@@ -220,8 +220,7 @@ class TrajectoryRecord:
         floats = cells[:, 1:2 + n]
         bad = ~np.isfinite(np.column_stack((self.times, self.states)))
         if bad.any():
-            floats[bad] = [_Verbatim(json_number(v))
-                           for v in floats[bad].tolist()]
+            floats[bad] = [json_number(v) for v in floats[bad].tolist()]
         return ('{"system": %s, "status": %s, "rows": ['
                 + ", ".join([row] * len(cells)) + "]}") % (
             encode_basestring_ascii(self.system),
@@ -239,9 +238,3 @@ def json_number(x) -> str:
         return str(x) if isfinite(x) else json.dumps(x)
     except OverflowError:       # an int past 1.8e308
         return str(x)
-
-
-class _Verbatim(str):
-    """A string that '%r' writes as it is."""
-
-    __repr__ = str.__str__

@@ -69,8 +69,8 @@ def _emit_e1_only(ins, outs):
     y_i*1 is y_i on floats, `Fraction`s and `mpf`s at working precision, so
     the fold adds the y_i themselves; its leading 0 + stays, as it gives an
     all-zero sum its sign."""
-    return (kernels.emit_fold("e1", "0", "+", list(ins))
-            + ["s = 0 + c1 * e1"]
+    return (kernels.emit_fold("e1", "0.0", "+", list(ins))
+            + ["s = 0.0 + c1 * e1"]
             + [f"{k} = {v} * (s - alpha * {v})" for v, k in zip(ins, outs)])
 
 

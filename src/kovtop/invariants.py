@@ -47,7 +47,7 @@ from .flows import (MAX_STEPS, FlowSpec, _alpha_text, check_step_count,
                     integrate_reference, kovalevskaya3, kovalevskaya_field,
                     rk4_states)
 from .hk_engine import hk_step, polarize
-from .maps import (DiscreteMap, _d_list, _d_polynomial, _product, _r_factor,
+from .maps import (DiscreteMap, _d_list, _d_polynomial, _r_factor,
                    _r_reciprocity_residual, _s_relation_residuals, _total,
                    alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
                    kov_sqrt)
@@ -67,6 +67,10 @@ TRACKING_GUARDS = True
 
 #: `independence_rank` counts singular values above RANK_RTOL * the largest
 RANK_RTOL = 1e-8
+#: most points `independence_rank` ranks in one stacked pass: a point's
+#: stencil, values and gradients take some 2.6 KB, so an unblocked stack of
+#: MAX_STEPS points would need about 26 GB
+_RANK_BLOCK = 1024
 #: `defect_order` fits only the one-step defects above DEFECT_FLOOR
 DEFECT_FLOOR = 1e-14
 
@@ -642,7 +646,7 @@ def density_cross_power(i: int = 0, j: int = 1):
     def psi(y, eps):
         n = len(y)
         h = (y[i] - y[j]) / (y[i] * y[j])
-        return h ** (n - 1) * _product(y) ** 2
+        return h ** (n - 1) * math.prod(y) ** 2
     return psi
 
 
@@ -651,7 +655,7 @@ def density_flow_power(alpha: float = 2.0):
     flow (positive orthant)."""
     def psi(y, eps):
         n = len(y)
-        P = _product(y)
+        P = math.prod(y)
         if P <= 0:
             raise DomainError("flow volume density needs the positive orthant")
         return P ** ((n + 1.0 - 2.0 * alpha) / (n - alpha))
@@ -694,13 +698,21 @@ def independence_rank(invs: Sequence[Invariant], y,
     """Numerical rank of the stacked finite-difference gradients: an int at a
     point y, a list of ints, one per point, for a (P, N) stack.
 
-    A stack takes one `invariant_gradients` call, one row normalization and
-    one stacked SVD, and ranks each point as it ranks alone.  Rows are
+    A stack of up to 1024 points takes one `invariant_gradients` call, one
+    row normalization and one stacked SVD; a longer one, each of its rows
+    validated first, takes them per block of 1024 points, so its memory
+    stays bounded.  Each point ranks as it ranks alone.  Rows are
     normalized to unit length before the SVD so families mixing scales
     measure functional rank rather than magnitude disparity; singular values
     above RANK_RTOL (1e-8) times the largest count toward the rank.
     """
-    G = invariant_gradients(invs, y, eps)
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim == 2 and len(Y) > _RANK_BLOCK:
+        for row in Y:       # a bad row raises before any block is ranked
+            as_state(row)
+        return [r for i in range(0, len(Y), _RANK_BLOCK)
+                for r in independence_rank(invs, Y[i:i + _RANK_BLOCK], eps)]
+    G = invariant_gradients(invs, Y, eps)
     norms = np.linalg.norm(G, axis=-1, keepdims=True)
     np.divide(G, norms, out=G, where=norms > 1e-12)
     s = np.linalg.svd(G, compute_uv=False)
@@ -812,7 +824,7 @@ def _phi_residual(N, y, eps, phi):
         raise DomainError("image left the positive orthant")
     lhs = phi(ynew, eps) / phi(y, eps)
     rhs = (1 + eps * _total(ynew)) / (1 - eps * _total(y)) \
-        * (_product(y) / _product(ynew)) ** (1 / (N - 2))
+        * (math.prod(y) / math.prod(ynew)) ** (1 / (N - 2))
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -915,7 +927,7 @@ def _step_ratio_residual(y, eps):
 
 
 def _r_product_residual(y, eps):
-    p = _product([1 + eps * v for v in y])
+    p = math.prod([1 + eps * v for v in y])
     return abs(_r_factor(y, eps) * p - _d_polynomial(y, eps))
 
 

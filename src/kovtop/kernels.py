@@ -2,13 +2,14 @@
 
 Python numbers inside, ndarrays at the edge.  Every kernel works on a Python
 sequence of numbers, one state at a time, and every map, flow and command runs
-through them.  Each compiled kernel is bound twice.  Its integer binding
-holds the source's integer literals as ints, so the same code runs on
-floats, on `fractions.Fraction`s (exactly) and on mpmath `mpf`s; only the
-cosine-law step takes a square root, through the `math.sqrt` it binds, so
-it stays out of exact runs.  Its float binding, `.floats`, holds them as
-floats: CPython specializes float-float arithmetic but not int-float, and a
-small int converts to a double exactly, so it gives the same bits faster.
+through them.  Each compiled kernel is bound twice.  Its float binding,
+`.floats`, runs the source as written, with float literals: CPython
+specializes float-float arithmetic but not int-float.  Its integer binding
+is the same code with each whole-number float constant as the equal int,
+so it runs on floats, on `fractions.Fraction`s (exactly) and on mpmath
+`mpf`s; a small int converts to a double exactly, so on floats the two
+give the same bits.  Only the cosine-law step takes a square root, through
+the `math.sqrt` it binds, so it stays out of exact runs.
 `map_step`, `map_orbit` and `rk4_orbit` run the float binding when eps (or
 dt) and every coordinate are Python floats, and the integer binding on any
 other numbers.  An orbit loop collects its states in one flat list, which
@@ -21,8 +22,7 @@ One code generator writes the map steps, the flows' right-hand sides and
 one orbit loop (`_orbit`, for maps and flows alike) as straight-line source
 for a dimension N, with locals a0..a{N-1}.  An emitter writes one formula; a
 template wraps it; `_factory` compiles each (template, emitter, N) once,
-keeping the 32 most recent, and each call binds its own constants by name,
-the integer literals among them (4 as `_4`, -4 as `_m4`).
+keeping the 32 most recent, and each call binds its own constants by name.
 
 - `compile_map` takes a map's emitter (`maps` has one per map) and returns
   its step, ``step(y, eps) -> (new_state, regularity)``, with the guarded
@@ -59,7 +59,7 @@ window.  A vanishing denominator raises `ZeroDivisionError` inside a step;
 exceptions.
 """
 import functools
-import re
+import types
 from math import inf, isfinite, nan
 
 import numpy as np
@@ -117,16 +117,15 @@ def _rhs_quadratic_field(terms, y):
 # lines read the regularity (the cosine-law step's domain test) assigns it
 # there and returns no regularity lines.  A step that leaves its real domain
 # runs the statement `stop` under an `if`.  `_rk4` writes one RK4 step of a
-# flow's emitter.  An emitter may bind temporaries and read its constants,
-# under any name but those its template binds itself:
+# flow's emitter.  Numbers are written as float literals (1.0, -4.0, never
+# -0.0), whole ones as well: the integer binding holds each whole one as the
+# equal int (`_factory`).  An emitter may bind temporaries and read its
+# constants, under any name but those its template binds itself:
 # - both templates: y, eps, nsteps, cap, strain_floor, res_bound, coin_depth,
-#   inf, nan, isfinite, rows, ncap, why, map_orbit, on_floats, a<i>, z<i>,
-#   _<digits> and _m<digits>;
+#   inf, nan, isfinite, rows, ncap, why, map_orbit, on_floats, a<i> and z<i>;
 # - the map template: map_step, tracking, even, reg, aeps, sc and p<i>;
 # - the flow template: flow_rhs, h, w, u<i> and k<stage>_<i>,
-# so a map's emitter may use u<i> and w<i>, as `_emit_alt` does.  An integer
-# literal of the emitted source becomes a constant (`_factory`), so a string
-# in it holds no digit.
+# so a map's emitter may use u<i> and w<i>, as `_emit_alt` does.
 
 #: most operands in one emitted expression; longer folds continue in further
 #: statements, so no expression nests N deep (the compiler has a recursion
@@ -190,14 +189,12 @@ def _rk4(emit, ins, outs):
     for scale, ks, next_ks in zip(("h", "h", "eps"), k, k[1:]):
         lines += [f"{ui} = {ai} + {scale} * {ki}"
                   for ui, ai, ki in zip(u, ins, ks)] + emit(u, next_ks)
-    return lines + [f"{zi} = {ai} + w * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
-                    for zi, ai, b1, b2, b3, b4 in zip(outs, ins, *k)]
+    return lines + [
+        f"{zi} = {ai} + w * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
+        for zi, ai, b1, b2, b3, b4 in zip(outs, ins, *k)]
 
 
-_RK4_SETUP = ("h = eps / 2", "w = eps / 6")
-
-#: the names of BLOWUP_CAP and the tracking guards in every compiled function
-_LOOP_CONSTANTS = ("cap", "strain_floor", "res_bound", "coin_depth")
+_RK4_SETUP = ("h = eps / 2.0", "w = eps / 6.0")
 
 
 def _guards(reg, n):
@@ -219,7 +216,7 @@ def _guards(reg, n):
                    f"else ({', '.join(z)},))"]
     for lo, hi in zip(p, p[1:]):
         tests += [f"sc = abs({lo}) + abs({hi})",
-                  f"if sc == 0 or abs({lo} - {hi}) / sc < coin_depth:",
+                  f"if sc == 0.0 or abs({lo} - {hi}) / sc < coin_depth:",
                   "    why = 'coincidence'; break"]
     return ["if tracking:"] + _indent(tests, 1)
 
@@ -284,57 +281,47 @@ def _flow_template(emit, n):
             + ["flow_rhs.orbit = map_orbit", "return flow_rhs"])
 
 
-#: an integer literal of the generated source, a negative one with its unary
-#: minus; a list's repetition count (the stop's `[nan] * N`) and the parts
-#: of a float literal (0.5, 1e-3) stay literals
-_INT_LITERAL = re.compile(
-    r"(?<![\w.])(?<![eE][-+])(?<!\] \* )-?\d+(?![\w.])")
-
-
 def _source(template, emit, names, n):
-    # a factory `_make(<_LOOP_CONSTANTS>, <names>, <ints>)` that binds the
-    # constants and returns the function the template writes, with its
-    # companion attached; <ints> name the source's integer literals, 4 as _4
-    # and -4 as _m4
-    ints = set()
+    # a factory `_make(<names>)` that binds the constants and returns the
+    # function the template writes, with its companion attached
+    body = "\n".join(_indent(template(emit, n), 1))
+    return f"def _make({', '.join(names)}):\n{body}\n"
 
-    def int_name(match):
-        literal = match.group()
-        name = "_m" + literal[1:] if literal[0] == "-" else "_" + literal
-        ints.add(name)
-        return name
 
-    body = _INT_LITERAL.sub(int_name, "\n".join(_indent(template(emit, n), 1)))
-    params = ", ".join(_LOOP_CONSTANTS + names + tuple(sorted(ints)))
-    return f"def _make({params}):\n{body}\n"
+def _whole_as_int(code):
+    # `code`, nested functions included, with each whole-number float
+    # constant as the equal int
+    return code.replace(co_consts=tuple(
+        _whole_as_int(c) if isinstance(c, types.CodeType)
+        else int(c) if type(c) is float and c.is_integer() else c
+        for c in code.co_consts))
 
 
 @functools.lru_cache(maxsize=32)
 def _factory(template, emit, names, n):
     # one compile per (template, emitter, constant names, N); the 32 most
     # recent are kept, since a generalized Euler orbit's code grows as N^2.
-    # Returns `_make` and the integer constants it takes by name.
+    # Returns the factories of the float binding, `_make` as compiled, and
+    # of the integer binding, the same instructions on ints
     namespace = {"inf": inf, "nan": nan, "isfinite": isfinite}
     exec(compile(_source(template, emit, names, n),
                  f"<{emit.__name__} N={n}>", "exec"), namespace)
     make = namespace["_make"]
-    code = make.__code__
-    ints = {p: -int(p[2:]) if p[1] == "m" else int(p[1:])
-            for p in code.co_varnames[len(_LOOP_CONSTANTS) + len(names):
-                                      code.co_argcount]}
-    return make, ints
+    return make, types.FunctionType(_whole_as_int(make.__code__), namespace)
 
 
 def _bind(template, emit, n, consts):
     # The function `template` writes for `emit` at N, bound twice from one
-    # compile: with int constants (type-generic) and with the same constants
-    # as floats, attached as `.floats` to it and to its companion `.orbit`.
-    # Both read BLOWUP_CAP and the tracking guards as they are at this call.
-    make, ints = _factory(template, emit, tuple(consts), n)
-    loop = (BLOWUP_CAP, STRAIN_FLOOR, RESOLUTION_BOUND, COINCIDENCE_DEPTH)
-    fn = make(*loop, **consts, **ints)
-    fn.floats = make(*loop, **consts,
-                     **{name: float(v) for name, v in ints.items()})
+    # compile, by the integer binding's factory (type-generic) and by the
+    # float binding's, attached as `.floats` to it and to its companion
+    # `.orbit`.  Both read BLOWUP_CAP and the tracking guards as they are at
+    # this call.
+    consts = {"cap": BLOWUP_CAP, "strain_floor": STRAIN_FLOOR,
+              "res_bound": RESOLUTION_BOUND, "coin_depth": COINCIDENCE_DEPTH,
+              **consts}
+    make_floats, make_ints = _factory(template, emit, tuple(consts), n)
+    fn = make_ints(**consts)
+    fn.floats = make_floats(**consts)
     fn.orbit.floats = fn.floats.orbit
     return fn
 
@@ -346,9 +333,9 @@ def compile_flow(emit, n, **consts):
 
     `rhs(y)` maps a sequence of N numbers to a list.  The source is
     compiled once per (emit, constant names, N) and bound twice: `rhs`
-    holds its integer literals as ints, so it runs unchanged on floats,
+    holds its whole-number literals as ints, so it runs unchanged on floats,
     `Fraction`s and `mpf`s, and `rhs.floats` (with `rhs.orbit.floats`) holds
-    them as floats, giving the same bits on floats faster.
+    them as written, as floats, giving the same bits on floats faster.
     """
     return _bind(_flow_template, emit, n, consts)
 

@@ -127,10 +127,11 @@ class DiscreteMap:
 def _emit_euler_hk(ins, outs, stop):
     x1, x2, x3 = ins
     lines = [f"q = {x1} * {x1} + {x2} * {x2} + {x3} * {x3}",
-             f"den = 1 - eps * eps * q - 2 * eps * eps * eps * {x1} * {x2} * {x3}"]
+             f"den = 1.0 - eps * eps * q "
+             f"- 2.0 * eps * eps * eps * {x1} * {x2} * {x3}"]
     for out, (u, v, w) in zip(outs, ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))):
-        lines.append(f"{out} = ({u} + 2 * eps * {v} * {w} "
-                     f"+ eps * eps * {u} * (q - 2 * {u} * {u})) / den")
+        lines.append(f"{out} = ({u} + 2.0 * eps * {v} * {w} + eps * eps "
+                     f"* {u} * (q - 2.0 * {u} * {u})) / den")
     return lines, ["reg = abs(den)"]
 
 
@@ -138,8 +139,9 @@ def _emit_cosine(ins, outs, stop):
     # regularity is the signed minimum of 1 - eps^2 x_j^2: <= 0 (or NaN, when
     # eps^2 overflows) means the square roots leave the real domain
     x0, x1, x2 = ins
-    return ([f"w{j} = 1 - eps * eps * {x} * {x}" for j, x in enumerate(ins)]
-            + ["reg = min(w0, min(w1, w2))", "if not reg > 0:", f"    {stop}"]
+    return ([f"w{j} = 1.0 - eps * eps * {x} * {x}" for j, x in enumerate(ins)]
+            + ["reg = min(w0, min(w1, w2))", "if not reg > 0.0:",
+               f"    {stop}"]
             + [f"s{j} = sqrt(w{j})" for j in range(3)]
             + [f"{outs[0]} = ({x0} + eps * {x1} * {x2}) / (s1 * s2)",
                f"{outs[1]} = ({x1} + eps * {x2} * {x0}) / (s2 * s0)",
@@ -149,10 +151,10 @@ def _emit_cosine(ins, outs, stop):
 def _emit_kov_sqrt(ins, outs, stop):
     # c_i = 1 + eps*y_i, g_i = 1 - eps^2 y_j y_k
     y0, y1, y2 = ins
-    return ([f"c{i} = 1 + eps * {v}" for i, v in enumerate(ins)]
-            + [f"g0 = 1 - eps * eps * {y1} * {y2}",
-               f"g1 = 1 - eps * eps * {y2} * {y0}",
-               f"g2 = 1 - eps * eps * {y0} * {y1}",
+    return ([f"c{i} = 1.0 + eps * {v}" for i, v in enumerate(ins)]
+            + [f"g0 = 1.0 - eps * eps * {y1} * {y2}",
+               f"g1 = 1.0 - eps * eps * {y2} * {y0}",
+               f"g2 = 1.0 - eps * eps * {y0} * {y1}",
                f"{outs[0]} = {y0} * c1 * c2 / (c0 * g0)",
                f"{outs[1]} = {y1} * c2 * c0 / (c1 * g1)",
                f"{outs[2]} = {y2} * c0 * c1 / (c2 * g2)"],
@@ -164,10 +166,13 @@ def _emit_kov_pullback(ins, outs, stop):
     y0, y1, y2 = ins
     return ([f"e2 = {y0} * {y1} + {y1} * {y2} + {y2} * {y0}",
              f"e3 = {y0} * {y1} * {y2}",
-             "glob = 1 - eps * eps * e2 - 2 * eps * eps * eps * e3",
-             f"f0 = 1 + 2 * eps * {y0} + eps * eps * (e2 - 2 * {y1} * {y2})",
-             f"f1 = 1 + 2 * eps * {y1} + eps * eps * (e2 - 2 * {y2} * {y0})",
-             f"f2 = 1 + 2 * eps * {y2} + eps * eps * (e2 - 2 * {y0} * {y1})",
+             "glob = 1.0 - eps * eps * e2 - 2.0 * eps * eps * eps * e3",
+             f"f0 = 1.0 + 2.0 * eps * {y0} "
+             f"+ eps * eps * (e2 - 2.0 * {y1} * {y2})",
+             f"f1 = 1.0 + 2.0 * eps * {y1} "
+             f"+ eps * eps * (e2 - 2.0 * {y2} * {y0})",
+             f"f2 = 1.0 + 2.0 * eps * {y2} "
+             f"+ eps * eps * (e2 - 2.0 * {y0} * {y1})",
              f"{outs[0]} = {y0} * f1 * f2 / (f0 * glob)",
              f"{outs[1]} = {y1} * f2 * f0 / (f1 * glob)",
              f"{outs[2]} = {y2} * f0 * f1 / (f2 * glob)"],
@@ -176,15 +181,15 @@ def _emit_kov_pullback(ins, outs, stop):
 
 def _emit_gen_hk(ins, outs, stop):
     # s = sum y_j, d_i = 1 - eps*(-4*y_i + s), S = 1 - eps * sum y_j/d_j,
-    # each sum from the integer 0 in index order; regularity over the d_i
+    # each sum from 0 in index order; regularity over the d_i
     # and S, from inf
     n = len(ins)
     d = [f"d{i}" for i in range(n)]
-    return (kernels.emit_fold("s", "0", "+", ins)
-            + [f"{di} = 1 - eps * (-4 * {v} + s)" for di, v in zip(d, ins)]
-            + kernels.emit_fold("t", "0", "+",
+    return (kernels.emit_fold("s", "0.0", "+", ins)
+            + [f"{di} = 1.0 - eps * (-4.0 * {v} + s)" for di, v in zip(d, ins)]
+            + kernels.emit_fold("t", "0.0", "+",
                                 [f"{v} / {di}" for v, di in zip(ins, d)])
-            + ["S = 1 - eps * t"]
+            + ["S = 1.0 - eps * t"]
             + [f"{o} = {v} / (S * {di})" for o, v, di in zip(outs, ins, d)],
             kernels.emit_min_abs("reg", "inf", d + ["S"]))
 
@@ -194,10 +199,10 @@ def _emit_alt(ins, outs, stop):
     # regularity over the 1 + eps*y_i, then the R_i, from inf
     n = len(ins)
     w, u, r = ([f"{c}{i}" for i in range(n)] for c in "wur")
-    return ([f"{wi} = 1 + eps * {v}" for wi, v in zip(w, ins)]
+    return ([f"{wi} = 1.0 + eps * {v}" for wi, v in zip(w, ins)]
             + [f"{ui} = {v} / {wi}" for ui, v, wi in zip(u, ins, w)]
-            + kernels.emit_fold("t", "0", "+", u)
-            + [f"{ri} = 1 - eps * (t - {ui})" for ri, ui in zip(r, u)]
+            + kernels.emit_fold("t", "0.0", "+", u)
+            + [f"{ri} = 1.0 - eps * (t - {ui})" for ri, ui in zip(r, u)]
             + [f"{o} = {ui} / {ri}" for o, ui, ri in zip(outs, u, r)],
             kernels.emit_min_abs("reg", "inf", w + r))
 
@@ -281,14 +286,6 @@ def _total(y):
     for v in y:
         t += v
     return t
-
-
-def _product(y):
-    """Product of y in index order, from the integer 1."""
-    p = 1
-    for v in y:
-        p *= v
-    return p
 
 
 def _d_list(y, eps):

@@ -1,10 +1,14 @@
 """The float binding of every generated kernel against its integer binding:
-the same compiled code with its integer literals bound as floats gives the
-same bits and stop reasons on floats, runs wherever eps and every coordinate
-are Python floats, and nowhere else.  An orbit of the float binding stacks
-at float64, any other orbit at numpy's own dtype.
+the same instructions, holding the emitters' float literals where the
+integer binding holds the equal ints, give the same bits and stop reasons
+on floats, run wherever eps and every coordinate are Python floats, and
+nowhere else.  An orbit of the float binding stacks at float64, any other
+orbit at numpy's own dtype.
 """
+import math
+import types
 from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import mpf
@@ -42,7 +46,8 @@ def _same_orbits(orbit, n, guard_sets=((),)):
 @pytest.mark.parametrize("name, n", MAPS, ids=lambda v: str(v))
 def test_float_binding_gives_the_integer_bindings_bits_on_maps(name, n):
     step = maps.get_map(name, n).kernel
-    assert step.floats is not step and step.floats.__code__ is step.__code__
+    assert (step.floats is not step
+            and step.floats.__code__.co_code == step.__code__.co_code)
     for eps in EPS:
         for y in _states(n, seed=n):
             assert (_step_outcome(step.floats, y, eps)
@@ -123,19 +128,88 @@ def test_a_float_call_runs_the_float_binding(monkeypatch):
 
 
 def test_integer_literals_are_bound_by_value():
-    # one compile, two bindings: the literals become parameters of the
-    # factory, except the stop's repetition count
-    make, ints = kernels._factory(kernels._map_template, maps._emit_gen_hk,
-                                  (), 4)
-    assert ints == {"_0": 0, "_1": 1, "_m4": -4}
+    # one compile, two bindings: the float binding holds the float literals
+    # the emitter writes, the integer binding the equal ints; the stop's
+    # repetition count is written as an int
+    def numbers(fn):
+        return [(type(c), c) for c in fn.__code__.co_consts
+                if type(c) in (int, float)]
+
+    step = maps.gen_hk(4).kernel
+    assert numbers(step.floats) == [(float, 0.0), (float, 1.0), (float, -4.0)]
+    assert numbers(step) == [(int, 0), (int, 1), (int, -4)]
+
+    def emit(ins, outs):     # a literal that is not whole stays a float
+        return [f"{o} = 0.5 * {i} - 3.0" for i, o in zip(ins, outs)]
+
+    rhs = kernels.compile_flow(emit, 3)
+    assert numbers(rhs.floats) == [(float, 0.5), (float, 3.0)]
+    assert numbers(rhs) == [(float, 0.5), (int, 3)]
     source = kernels._source(kernels._map_template, maps._emit_cosine,
                              ("sqrt",), 3)
-    assert source.startswith(
-        "def _make(cap, strain_floor, res_bound, coin_depth, sqrt, _0, _1):")
+    assert source.startswith("def _make(sqrt):")
+    assert "    w0 = 1.0 - eps * eps * a0 * a0" in source
     assert "return [nan] * 3, reg" in source
     # eps^2 x_3^2 = 1.44 > 1: the float binding leaves the domain too
     out, reg = kernels.map_step(maps.cosine_law().kernel, [0.5, 0.5, 2.0], 0.6)
     assert len(out) == 3 and all(v != v for v in out) and not reg > 0
+
+
+# --- the two bindings' code -------------------------------------------------
+
+SHIPPED = ([(name, 3) for name in ("euler-hk", "cosine", "kov-sqrt",
+                                    "kov-pullback")]
+           + [(name, n) for name in ("gen-hk", "alt-map") for n in (3, 4, 6, 40)]
+           + [(name, n) for name in ("gen-kov", "gen-kov-alpha", "gen-kov-c1",
+                                     "gen-euler", "user") for n in (3, 4, 40)])
+
+
+def _binding_pairs(name, n):
+    # (integer binding, float binding) of each compiled function of a kernel
+    if name in maps.MAP_NAMES:
+        step = maps.get_map(name, n).kernel
+        orbit, pairs = step.orbit, [(step, step.floats)]
+    else:
+        flow = {
+            "gen-kov": lambda: flows.get_flow("gen-kov", n),
+            "gen-kov-alpha": lambda: flows.get_flow("gen-kov", n, 1.3),
+            "gen-kov-c1": lambda: flows.generalized_kovalevskaya(
+                n, s_coeffs=[2.5] + [0.0] * (n - 1)),
+            "gen-euler": lambda: flows.get_flow("gen-euler", n),
+            "user": lambda: flows.FlowSpec("user", n, lambda y: list(y)),
+        }[name]()
+        orbit = flow.orbit
+        pairs = [(flow.rhs, flow.rhs.floats)] if name != "user" else []
+    return pairs + [(orbit, orbit.floats),
+                    (orbit.on_floats, orbit.floats.on_floats)]
+
+
+def _code_pairs(ints, floats):
+    # two code objects and, level by level, the functions nested in them
+    yield ints, floats
+    for a, b in zip(ints.co_consts, floats.co_consts):
+        if isinstance(b, types.CodeType):
+            yield from _code_pairs(a, b)
+
+
+@pytest.mark.parametrize("name, n", SHIPPED, ids=lambda v: str(v))
+def test_the_bindings_differ_only_in_whole_number_constants(name, n):
+    # the same instructions; the float binding's numbers are floats but the
+    # stop's repetition count, none is -0.0 (an int has no sign to keep),
+    # and the integer binding holds the equal int where one is whole
+    for int_fn, float_fn in _binding_pairs(name, n):
+        for ints, floats in _code_pairs(int_fn.__code__, float_fn.__code__):
+            assert ints.co_code == floats.co_code, floats.co_name
+            assert len(ints.co_consts) == len(floats.co_consts)
+            for a, b in zip(ints.co_consts, floats.co_consts):
+                if type(b) is float:
+                    assert math.copysign(1.0, b) > 0 or b != 0, floats.co_name
+                    assert (a, type(a)) == ((int(b), int) if b.is_integer()
+                                            else (b, float))
+                elif type(b) is int:      # the stop's `[nan] * N`
+                    assert (floats.co_name, b, a) == ("map_step", n, n)
+                elif not isinstance(b, types.CodeType):
+                    assert (a, type(a)) == (b, type(b))
 
 
 def test_the_sign_of_alpha_keeps_its_flow():

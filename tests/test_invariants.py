@@ -790,6 +790,32 @@ def test_independence_rank_evaluates_each_invariant_once(monkeypatch):
     assert calls == [((80, 4), (18, 6))]
 
 
+def test_a_long_stack_ranks_in_blocks_as_its_points_rank_alone(monkeypatch):
+    # 2500 points cross two block edges; no gradient call takes more than a
+    # block, and every row is validated before the first block is ranked
+    invs = cross_ratio_integrals(4)
+    pts = random_starts(2500, 4, seed=5)
+    want = [independence_rank(invs, y, 0.01) for y in pts]
+    sizes = []
+    gradients = invariants.invariant_gradients
+
+    def spy(invs, Y, eps):
+        sizes.append(len(Y))
+        return gradients(invs, Y, eps)
+
+    monkeypatch.setattr(invariants, "invariant_gradients", spy)
+    assert independence_rank(invs, pts, 0.01) == want
+    assert sizes == [1024, 1024, 452]
+    sizes.clear()
+    pts[10, 1] = pts[10, 0]             # off every cross-ratio domain
+    with pytest.raises(DomainError, match="^H13:H12 undefined at this point$"):
+        independence_rank(invs, pts, 0.01)
+    pts[2400, 2] = np.nan               # a bad row past the first block
+    with pytest.raises(DomainError, match="^state coordinates must be finite$"):
+        independence_rank(invs, pts, 0.01)
+    assert sizes == [1024]
+
+
 def _reference_rank(invs, y, eps):
     # the per-row normalization independence_rank replaced
     G = invariant_gradients(invs, y, eps)
