@@ -46,7 +46,7 @@ from .flows import (MAX_STEPS, FlowSpec, _alpha_text, check_step_count,
                     euler_top3, gen_kov_name, generalized_kovalevskaya,
                     integrate_reference, kovalevskaya3, kovalevskaya_field,
                     rk4_states)
-from .hk_engine import hk_step, polarize
+from .hk_engine import hk_solve, hk_step, polarize
 from .maps import (DiscreteMap, _d_list, _d_polynomial, _r_factor,
                    _r_reciprocity_residual, _s_relation_residuals, _total,
                    alt_map, cosine_law, euler_hk, gen_hk, kov_pullback,
@@ -71,6 +71,12 @@ RANK_RTOL = 1e-8
 #: stencil, values and gradients take some 2.6 KB, so an unblocked stack of
 #: MAX_STEPS points would need about 26 GB
 _RANK_BLOCK = 1024
+#: most (N, N) entries one block of starts or trials holds: `random_starts`
+#: checks a block of draws through (rows, N, N) pair arrays and the engine
+#: identity builds a block's (rows, N, N) step matrices, so a block has
+#: _BLOCK_ENTRIES // N^2 rows (65536 at N = 4) and memory stays bounded by
+#: one block whatever the count
+_BLOCK_ENTRIES = 2**20
 #: `defect_order` fits only the one-step defects above DEFECT_FLOOR
 DEFECT_FLOOR = 1e-14
 
@@ -526,22 +532,34 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
     """Seeded uniform starts in the box [0.1, 2]^dim, rejecting a draw with a
     pair |y_i - y_j| <= CANCEL_TOL * (|y_i| + |y_j|), as the masks drop it.
 
-    The draws come in blocks of as many rows as starts are still missing,
-    each checked at once, and the accepted rows are kept in stream order: the
-    starts and the draws made are those of drawing one row at a time.
-    Raises ParameterError for n < 1 and n > `flows.MAX_STEPS`, before any
-    draw, and when MAX_START_DRAWS draws give no start."""
+    The draws come in blocks of at most _BLOCK_ENTRIES // dim^2 rows and at
+    most as many rows as starts are still missing, each block checked at
+    once, and the accepted rows are kept in stream order: the starts and the
+    draws made are those of drawing one row at a time.  Raises
+    ParameterError for n < 1 and n > `flows.MAX_STEPS`, before any draw, and
+    when MAX_START_DRAWS draws in a row give no start."""
     if n < 1:
         raise ParameterError(f"random_starts needs n >= 1 starts, got {n}")
     if n > MAX_STEPS:
         raise ParameterError(f"random_starts needs n <= MAX_STEPS = "
                              f"{MAX_STEPS:.0e} starts, got {n}")
-    rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
+    done = 0
+    for kept in _start_blocks(n, dim, seed):
+        out[done:done + len(kept)] = kept
+        done += len(kept)
+    return out
+
+
+def _start_blocks(n: int, dim: int, seed: int):
+    """The starts of `random_starts(n, dim, seed)` (n checked), as the
+    accepted rows of one block of draws at a time."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ENTRIES // (dim * dim or 1))   # dim 0: no pairs
     done = 0
     misses = 0      # draws rejected since the last accepted one
     while done < n:
-        block = rng.uniform(0.1, 2.0, (n - done, dim))
+        block = rng.uniform(0.1, 2.0, (min(n - done, rows), dim))
         # every ordered pair: (i, j) and (j, i) give the same bits, and the
         # diagonal never passes
         sep = _sep_ok(block[:, :, None], block[:, None, :])
@@ -554,9 +572,8 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
                     f"{MAX_START_DRAWS} draws has every coordinate pair "
                     f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
         kept = block[ok]
-        out[done:done + len(kept)] = kept
         done += len(kept)
-    return out
+        yield kept
 
 
 # --- volume forms -----------------------------------------------------------
@@ -952,6 +969,30 @@ def _engine_residual(y, eps):
     return _gap(gen_hk(len(y)).checked_step(y, eps), ref)
 
 
+def _engine_block(Y, eps_list):
+    # `_engine_residual` of each row of a block, the engine's steps of the
+    # whole block solved in one call; a row's engine error is raised when
+    # its trial is evaluated
+    n = Y.shape[1]
+    m = gen_hk(n)
+    steps = hk_solve(_engine_system(n), Y, eps_list)
+    return (functools.partial(_engine_trial, m, y, e, ref)
+            for y, e, ref in zip(Y.tolist(), eps_list, steps))
+
+
+def _engine_trial(m, y, eps, ref):
+    if isinstance(ref, Exception):
+        raise ref
+    return _gap(m.checked_step(y, eps), ref.tolist())
+
+
+def _per_trial(residual, Y, eps_list):
+    # a scalar residual lifted to a block: one call per trial, made when the
+    # battery evaluates that trial
+    return (functools.partial(residual, y, e)
+            for y, e in zip(Y.tolist(), eps_list))
+
+
 # polynomial identities tolerate any eps; step-based ones are checked on the
 # resolvable region (moderate eps, non-strained steps)
 _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
@@ -971,19 +1012,32 @@ IDENTITIES = {
     "engine": (_engine_residual, _STEP, None),
 }
 
+#: residual -> its block form, which takes a (rows, N) block of starts and
+#: their eps and returns one thunk per trial; `identity_battery` lifts every
+#: other residual with `_per_trial`
+_BLOCK_RESIDUALS = {_engine_residual: _engine_block}
+
 
 def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
     """Worst residual of identity `name` over `trials` seeded starts at
     dimension n, or at the identity's only dimension.  Each trial's eps is
-    drawn from the identity's range, all in one call on a stream apart from
-    the starts', unless `eps` fixes it.  A trial whose residual is undefined
-    (a singular or out-of-domain spot, a float overflow or zero division) or
-    not finite is skipped under a drawn eps; under a fixed one it raises
-    DomainError or SingularStepError.  Raises DimensionError for a dimension the identity
-    does not hold at (below 3 for any-N identities), and ParameterError for
-    trials < 1 or above `flows.MAX_STEPS`, before any draw, and when fewer
-    than half the trials were evaluable."""
+    drawn from the identity's range, on a stream apart from the starts',
+    unless `eps` fixes it.  A trial whose residual is undefined (a singular
+    or out-of-domain spot, a float overflow or zero division) or not finite
+    is skipped under a drawn eps; under a fixed one it raises DomainError or
+    SingularStepError, the first failing trial's.  Raises DimensionError for
+    a dimension the identity does not hold at (below 3 for any-N
+    identities), and ParameterError for trials < 1 or above
+    `flows.MAX_STEPS`, before any draw, and when fewer than half the trials
+    were evaluable.
+
+    The trials run one block of `random_starts`' draws at a time, with that
+    block's eps drawn in one call, so a battery holds one block: the starts,
+    the eps and the result are those of drawing them all at once.  The
+    engine identity solves a block's steps in one `hk_solve` call; every
+    other residual runs once per trial.  Each trial is evaluated and judged
+    in trial order."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if trials > MAX_STEPS:
@@ -997,29 +1051,37 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                              f"{' or '.join(map(str, dims))}, not N = {n}")
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
+    block = _BLOCK_RESIDUALS.get(residual,
+                                 functools.partial(_per_trial, residual))
     rng = np.random.default_rng([seed, 1])
-    eps_list = ([eps] * trials if eps is not None
-                else rng.uniform(lo, hi, trials).tolist())
     worst = 0.0
     evaluated = 0
-    for y, e in zip(random_starts(trials, n, seed).tolist(), eps_list):
-        try:
+    starts = _start_blocks(trials, n, seed)
+    for Y in starts:
+        eps_list = ([eps] * len(Y) if eps is not None
+                    else rng.uniform(lo, hi, len(Y)).tolist())
+        for e, trial in zip(eps_list, block(Y, eps_list)):
             try:
-                r = residual(y, e)
-            except OverflowError as exc:
-                raise DomainError(f"{name}: a float overflows at eps={e:g}"
-                                  ) from exc
-            except ZeroDivisionError as exc:
-                raise DomainError(f"{name}: a float division by zero at "
-                                  f"eps={e:g}") from exc
-            if not math.isfinite(r):
-                raise DomainError(f"{name}: residual {r} at eps={e:g}")
-        except (DomainError, SingularStepError):
-            if eps is not None:
-                raise     # an explicit eps that aborts is a real abort
-            continue      # drawn eps hit a singular/out-of-domain spot
-        worst = max(worst, r)
-        evaluated += 1
+                try:
+                    r = trial()
+                except OverflowError as exc:
+                    raise DomainError(f"{name}: a float overflows at "
+                                      f"eps={e:g}") from exc
+                except ZeroDivisionError as exc:
+                    raise DomainError(f"{name}: a float division by zero "
+                                      f"at eps={e:g}") from exc
+                if not math.isfinite(r):
+                    raise DomainError(f"{name}: residual {r} at eps={e:g}")
+            except (DomainError, SingularStepError):
+                if eps is not None:
+                    # a start the later draws fail to find is reported
+                    # first, as when every start was drawn up front
+                    for _ in starts:
+                        pass
+                    raise     # an explicit eps that aborts is a real abort
+                continue      # drawn eps hit a singular/out-of-domain spot
+            worst = max(worst, r)
+            evaluated += 1
     if evaluated < max(1, trials // 2):
         raise ParameterError(
             f"identity {name!r}: only {evaluated}/{trials} trials were "
