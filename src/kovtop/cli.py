@@ -200,7 +200,7 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _unwritable(out_path, exc) from None

@@ -63,9 +63,10 @@ def polarize(field: QuadraticField) -> BilinearStepSystem:
         # one row per entry of M and per coordinate, one column per state
         cols = y.reshape(-1, dim).T
         M = np.zeros((dim * dim, cols.shape[1]))
-        for entries, coefs, sources in rounds:
-            M[entries] += coefs * cols[sources]
-        A = eye - M * np.asarray(eps, dtype=float).reshape(-1)
+        with np.errstate(all="ignore"):  # an overflow is judged by its value
+            for entries, coefs, sources in rounds:
+                M[entries] += coefs * cols[sources]
+            A = eye - M * np.asarray(eps, dtype=float).reshape(-1)
         return np.ascontiguousarray(A.T).reshape(y.shape[:-1] + (dim, dim))
 
     return BilinearStepSystem(dim=dim, matrix_builder=build)

@@ -96,7 +96,12 @@ def _factor_ok(d, scale):
 
 #: a family formula (Y, eps, idx) -> (values, reliable, in_domain): Y is a
 #: (T, N) stack of states and idx an (M, k) array holding one row of indices
-#: per member; values are (M, T), each mask (M, T), (T,) or None for "all"
+#: per member; values are (M, T), each mask (M, T), (T,) or None for "all".
+#: A formula reads its member columns in one `_columns` gather and computes
+#: a factor its members share once only where each use runs the same
+#: operations in the same order; one that rounds differently in two places
+#: (`_kov_product`'s value and mask denominators) stays twice, so a member
+#: gets the bits it gets alone.
 Formula = Callable[[np.ndarray, float, np.ndarray], tuple]
 
 
@@ -143,9 +148,21 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
     (T, N) or (N,); each is (M, T) with rows in the order of `invs`.
 
     The members are grouped by family and each family formula runs once, on
-    all of its members in the batch, under one errstate.  An object stack
-    keeps its element type, so `Fraction`s stay exact; others become floats."""
-    Y = np.asarray(Y)
+    all of its members in the batch, under one errstate: one gather of
+    their columns, and each factor they share computed once by the
+    operations a member alone runs (see `Formula`), so a member gets the
+    same bits in any batch.  An object stack keeps its element type, so
+    `Fraction`s stay exact; others become floats.
+    Raises DimensionError, before any formula runs, for a Y of any other
+    shape (a ragged one included) and for a member of another dimension."""
+    try:
+        Y = np.asarray(Y)
+    except ValueError:      # numpy refuses a ragged sequence
+        raise DimensionError("expected a state (N,) or a stack (T, N) of "
+                             "states, got a ragged sequence") from None
+    if Y.ndim not in (1, 2):
+        raise DimensionError("expected a state (N,) or a stack (T, N) of "
+                             f"states, got shape {Y.shape}")
     Y = Y if Y.dtype == object else Y.astype(float, copy=False)
     if Y.ndim == 1:
         Y = Y[None, :]
@@ -174,8 +191,9 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
 
 
 def _columns(Y, idx):
-    """The member columns of Y, one (M, T) array per column of idx."""
-    return [Y.T[c] for c in idx.T]
+    """The member columns of Y in one gather: a (k, M, T) array, one (M, T)
+    block per column of the (M, k) idx."""
+    return Y.T[idx.T]
 
 
 # --- invariant families -----------------------------------------------------
@@ -186,9 +204,8 @@ def _members(family, dim, claimed, formula, named):
             for name, index in named]
 
 
-def _kov_K(Y, idx):
-    # K_i = y_i (y_j - y_k) and its guard, from index columns (i, j, k, ...)
-    Yi, Yj, Yk = _columns(Y, idx[:, :3])
+def _kov_K(Yi, Yj, Yk):
+    # K_i = y_i (y_j - y_k) and its guard
     return Yi * (Yj - Yk), _sep_ok(Yj, Yk)
 
 
@@ -196,7 +213,7 @@ _KOV_LABELS = ("K23", "K31", "K12")
 
 
 def _kov_poly(Y, eps, idx):
-    return (*_kov_K(Y, idx), None)
+    return (*_kov_K(*_columns(Y, idx)), None)
 
 
 def kov_poly_integrals() -> list[Invariant]:
@@ -222,10 +239,10 @@ def euler_poly_integrals(N: int = 3) -> list[Invariant]:
 def _euler_hk(Y, eps, idx):
     Ym, Yn, Yj = _columns(Y, idx)
     num = (Ym - Yn) * (Ym + Yn)
-    den = 1 - eps * eps * Yj ** 2
+    t = eps * eps * Yj ** 2
+    den = 1 - t
     return (num / den,
-            _sep_ok(np.abs(Ym), np.abs(Yn))
-            & _factor_ok(den, 1 + eps * eps * Yj ** 2), None)
+            _sep_ok(np.abs(Ym), np.abs(Yn)) & _factor_ok(den, 1 + t), None)
 
 
 def euler_hk_integrals() -> list[Invariant]:
@@ -239,11 +256,12 @@ def euler_hk_integrals() -> list[Invariant]:
 
 
 def _kov_hk(Y, eps, idx):
-    K, K_ok = _kov_K(Y, idx)
-    (Yj,) = _columns(Y, idx[:, 3:])
-    A = Y.sum(axis=1) - 2 * Yj
-    den = 1 - eps * eps * A * A
-    return K / den, K_ok & _factor_ok(den, 1 + eps * eps * A * A), None
+    Yi, Yj, Yk, Yl = _columns(Y, idx)
+    K, K_ok = _kov_K(Yi, Yj, Yk)
+    A = Y.sum(axis=1) - 2 * Yl
+    t = eps * eps * A * A
+    den = 1 - t
+    return K / den, K_ok & _factor_ok(den, 1 + t), None
 
 
 def kov_hk_integrals() -> list[Invariant]:
@@ -256,9 +274,10 @@ def kov_hk_integrals() -> list[Invariant]:
 
 
 def _kov_product(Y, eps, idx):
-    K, K_ok = _kov_K(Y, idx)
-    Ya, Yb = _columns(Y, idx[:, 3:])
+    Yi, Yj, Yk, Ya, Yb = _columns(Y, idx)
+    K, K_ok = _kov_K(Yi, Yj, Yk)
     p = Ya * Yb
+    # eps^2 Ya Yb and eps^2 p round differently: both stay
     return (K / (1 - eps * eps * Ya * Yb),
             K_ok & _factor_ok(1 - eps * eps * p, 1 + eps * eps * np.abs(p)),
             None)
@@ -334,14 +353,19 @@ def sqrt_quartet_integrals() -> list[Invariant]:
                      for (i, j), kl in _pairs_4()))
 
 
+#: the pair (0, 1) of H_12, gathered as one more member row
+_H12 = np.array([[0, 1]])
+
+
 def _cross_ratio(Y, eps, idx):
-    Yi, Yj = _columns(Y, idx)
-    num = (Yi - Yj) / (Yi * Yj)
-    den = (Y[:, 0] - Y[:, 1]) / (Y[:, 0] * Y[:, 1])
-    nonzero = Y.T != 0
-    return (num / den, _sep_ok(Yi, Yj) & _sep_ok(Y[:, 0], Y[:, 1]),
-            nonzero[idx].all(axis=1)
-            & (nonzero[0] & nonzero[1] & (Y[:, 0] != Y[:, 1])))
+    # the last row is H_12's: each member and the denominator get the same
+    # operations, the denominator once
+    Yi, Yj = _columns(Y, np.concatenate([idx, _H12]))
+    H = (Yi - Yj) / (Yi * Yj)
+    sep = _sep_ok(Yi, Yj)
+    nonzero = (Yi != 0) & (Yj != 0)
+    return (H[:-1] / H[-1], sep[:-1] & sep[-1],
+            nonzero[:-1] & (nonzero[-1] & (Yi[-1] != Yj[-1])))
 
 
 def cross_ratio_integrals(N: int) -> list[Invariant]:
@@ -355,28 +379,30 @@ def cross_ratio_integrals(N: int) -> list[Invariant]:
                      if (i, j) != (0, 1)))
 
 
-def _quartet_phi(Y, f1, f2, idx):
-    # K_mn sqrt(prod y) / sqrt(f1 f2) from index columns (m, n, ...); a point
-    # off the domain (prod y, f1 or f2 not positive) gets NaN
-    Ym, Yn = _columns(Y, idx[:, :2])
+def _quartet_phi(Y, Ym, Yn, f, pos):
+    # K_mn sqrt(prod y) / sqrt(f) from the gathered columns (Ym, Yn), with f
+    # the deformation product and pos its factors' positivity; a point off
+    # the domain (prod y or a factor not positive) gets NaN
     P = np.prod(Y, axis=1)
-    pos = (f1 > 0) & (f2 > 0)
-    arg = np.where((P > 0) & pos, f1 * f2, np.nan)
-    K = (Ym - Yn) / (Ym * Yn) * np.where(P > 0, P, np.nan) ** 0.5
-    return (K / arg ** 0.5, _sep_ok(Ym, Yn) & _factor_ok(f1 * f2, 1.0),
+    P_pos = P > 0
+    arg = np.where(P_pos & pos, f, np.nan)
+    K = (Ym - Yn) / (Ym * Yn) * np.where(P_pos, P, np.nan) ** 0.5
+    return (K / arg ** 0.5, _sep_ok(Ym, Yn) & _factor_ok(f, 1.0),
             _positive(Y) & pos)
 
 
 def _genhk4_phi(Y, eps, idx):
-    Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
+    Ym, Yn, Yi, Yj, Yk, Yl = _columns(Y, idx)
     diff = Yi + Yj - Yk - Yl
-    return _quartet_phi(Y, 1 - eps * eps * diff * diff, 1, idx)
+    f = 1 - eps * eps * diff * diff
+    return _quartet_phi(Y, Ym, Yn, f, f > 0)
 
 
 def _altmap4_phi(Y, eps, idx):
-    Yi, Yj, Yk, Yl = _columns(Y, idx[:, 2:])
-    return _quartet_phi(Y, 1 - eps * eps * Yi * Yj,
-                        1 - eps * eps * Yk * Yl, idx)
+    Ym, Yn, Yi, Yj, Yk, Yl = _columns(Y, idx)
+    f1 = 1 - eps * eps * Yi * Yj
+    f2 = 1 - eps * eps * Yk * Yl
+    return _quartet_phi(Y, Ym, Yn, f1 * f2, (f1 > 0) & (f2 > 0))
 
 
 def _quartet_phi_family(family, claimed, suffix, formula) -> list[Invariant]:

@@ -36,7 +36,7 @@ def _schema(name):
         import kovtop
         from pathlib import Path
         SCHEMA_DIR = Path(kovtop.__file__).parent / "schemas"
-    with open(SCHEMA_DIR / f"{name}.schema.json") as fh:
+    with open(SCHEMA_DIR / f"{name}.schema.json", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -786,13 +786,20 @@ _BAD_INPUTS = [
      "t_end/dt must be finite"),
     (["check", "--identity", "engine", "--n", "4", "--trials", "4", "--eps",
       "1e200"], 2, "step matrix numerically singular"),
+    # eps * M overflows in the step-matrix build; the abort is judged by the
+    # value, with no numpy warning
+    (["check", "--identity", "engine", "--eps", "1e308"], 2,
+     "step matrix numerically singular (det = -inf)"),
+    (["check", "--identity", "engine", "--eps", "-1e308"], 2,
+     "step matrix numerically singular (det = -inf)"),
 ]
 
 
 @pytest.mark.parametrize("argv, rc, message", _BAD_INPUTS,
                          ids=["dt-ref-zero", "dt-ref-negative",
                               "eps-subnormal", "eps-tie", "dt-subnormal",
-                              "engine-overflow"])
+                              "engine-overflow", "engine-eps-max",
+                              "engine-eps-min"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bad_inputs_exit_with_a_message(tmp_path, capsys, argv, rc, message,
                                         fmt):
@@ -809,7 +816,8 @@ def test_bad_inputs_exit_with_a_message(tmp_path, capsys, argv, rc, message,
     else:
         assert out.err.startswith("aborted:")
         if fmt == "json":
-            assert json.loads(path.read_text())["status"] == "aborted"
+            text = path.read_text(encoding="utf-8")
+            assert json.loads(text)["status"] == "aborted"
         else:
             assert not path.exists()
 
@@ -824,7 +832,7 @@ def test_simulate_blowup_exits_two_with_partial_output(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "cap stop at step 101\n"
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         if fmt == "csv":
             assert text.split("\n")[-2].startswith("100,1,")
         else:
@@ -855,7 +863,7 @@ def test_convergence_csv_reports_slope_on_stderr(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "slope 2.000020\n"
-    lines = path.read_text().split("\n")
+    lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == "eps,error" and len(lines) == 4 and lines[3] == ""
     assert [float(line.split(",")[0]) for line in lines[1:3]] == [0.01, 0.005]
 
@@ -866,7 +874,7 @@ def test_check_csv(tmp_path, capsys):
                  "3", "--out", str(path)]) == 0
     out = capsys.readouterr()
     assert out.out == "" and out.err == ""
-    header, row, end = path.read_text().split("\n")
+    header, row, end = path.read_text(encoding="utf-8").split("\n")
     assert header == "identity,trials,max_residual" and end == ""
     name, trials, residual = row.split(",")
     assert (name, trials) == ("d-sum", "5")
@@ -1181,10 +1189,10 @@ def test_out_check_truncates_nothing(tmp_path, capsys):
     # an existing --out of a command that is then rejected keeps its bytes;
     # a file in a directory that is not one is refused as open() refuses it
     path = tmp_path / "out.csv"
-    path.write_text("kept\n")
+    path.write_text("kept\n", encoding="utf-8")
     argv = _DRIFT + ["--eps", "0.01", "--invariant", "nope"]
     assert main(argv + ["--out", str(path)]) == 1
-    assert path.read_text() == "kept\n"
+    assert path.read_text(encoding="utf-8") == "kept\n"
     capsys.readouterr()
     inside = path / "x.csv"
     assert main(_MAP + ["--eps", "0.01", "--steps", "3", "--out",
@@ -1192,7 +1200,7 @@ def test_out_check_truncates_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: cannot write --out {str(inside)!r}: Not a directory\n")
     with pytest.raises(NotADirectoryError):
-        open(inside, "w")
+        open(inside, "w", encoding="utf-8")
 
 
 @pytest.mark.parametrize("shape", ["missing/out.csv", "missing/deeper/out.csv",
@@ -1200,11 +1208,11 @@ def test_out_check_truncates_nothing(tmp_path, capsys):
                                    "dir/"])
 def test_out_check_says_what_open_says(tmp_path, capsys, shape):
     # the early refusal names the error open() gives for the same path
-    (tmp_path / "file").write_text("")
+    (tmp_path / "file").write_text("", encoding="utf-8")
     (tmp_path / "dir").mkdir()
     path = str(tmp_path) + os.sep + shape
     with pytest.raises(OSError) as opened:
-        open(path, "w")
+        open(path, "w", encoding="utf-8")
     assert main(_MAP + ["--eps", "0.01", "--steps", "3", "--out", path]) == 1
     assert capsys.readouterr().err == (
         f"error: cannot write --out {path!r}: {opened.value.strerror}\n")

@@ -204,13 +204,86 @@ def test_every_family_evaluates_on_interval_stacks(monkeypatch, invs):
                    for v, f in zip(row, float_row)), inv.name
 
 
-def test_evaluate_shapes_and_dimension_check():
+def _gather_spy(monkeypatch):
+    # the (M, k) index array of every `invariants._columns` call
+    calls = []
+    gather = invariants._columns
+
+    def spy(Y, idx):
+        calls.append(idx.shape)
+        return gather(Y, idx)
+
+    monkeypatch.setattr(invariants, "_columns", spy)
+    return calls
+
+
+def test_evaluate_shapes_and_dimension_check(monkeypatch):
     invs = cross_ratio_integrals(4) + quartet_integrals()
     vals, ok, dom = evaluate(invs, [1.0, 2.0, 3.0, 4.0])
     assert vals.shape == ok.shape == dom.shape == (len(invs), 1)
     assert evaluate([], np.ones((3, 4)))[0].shape == (0, 3)
     with pytest.raises(DimensionError, match="H13:H12 lives in dimension 4"):
         evaluate(invs, np.ones((2, 5)))
+    # a stack that is neither (N,) nor (T, N) is refused, naming its shape,
+    # before any formula gathers a column
+    calls = _gather_spy(monkeypatch)
+    for members in (invs, []):
+        with pytest.raises(DimensionError, match=r"got shape \(2, 3, 4\)"):
+            evaluate(members, np.full((2, 3, 4), 0.5))
+        with pytest.raises(DimensionError, match=r"got shape \(\)"):
+            evaluate(members, np.array(0.5))
+        with pytest.raises(DimensionError, match="got a ragged sequence"):
+            evaluate(members, [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]])
+    assert calls == []
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("alpha", [2.0, 1.3])
+def test_each_family_gathers_its_columns_once(monkeypatch, N, alpha):
+    every = registry(N, alpha)
+    families = {}
+    for inv in every:
+        families.setdefault(inv.family, []).append(inv)
+    Y = _family_stack(N)
+    calls = _gather_spy(monkeypatch)
+    for eps in (0.0, 0.3):
+        calls.clear()
+        evaluate(every, Y, eps)
+        assert len(calls) == len(families)
+        for family, members in families.items():
+            for batch in (members, members[:1]):
+                calls.clear()
+                evaluate(batch, Y, eps)
+                # one gather of every member's columns (the cross-ratios
+                # gather H_12's pair as one more row)
+                (shape,) = calls
+                assert shape[0] - len(batch) in (0, 1), family
+                assert shape[1] == len(batch[0].index), family
+
+
+#: the families whose formulas are rational in the state and eps
+_RATIONAL_FAMILIES = {"cross-ratio", "euler-poly", "kov-poly", "euler-hk-eps",
+                      "kov-hk-eps", "kov-sqrt-eps", "quartet"}
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_rational_families_stay_exact_on_fractions(N):
+    # dyadic states with distinct coordinates, inside every rational domain
+    rng = np.random.default_rng(N)
+    Y = np.array([[Fraction(int(v), 64) for v in rng.permutation(120)[:N] + 7]
+                  for _ in range(5)], dtype=object)
+    invs = [v for v in registry(N) if v.family in _RATIONAL_FAMILIES]
+    assert {v.family for v in invs} == (
+        _RATIONAL_FAMILIES - {"quartet"} if N == 3
+        else {"cross-ratio", "euler-poly", "quartet"} if N == 4
+        else {"cross-ratio", "euler-poly"})
+    for eps in (0, Fraction(1, 64), Fraction(-3, 8)):
+        vals, _, dom = evaluate(invs, Y, eps)
+        assert vals.dtype == object and dom.all()
+        for inv, row in zip(invs, vals):
+            assert all(type(v) is Fraction for v in row), inv.name
+            assert evaluate([inv], Y, eps)[0][0].tolist() == row.tolist(), \
+                inv.name
 
 
 def test_claimed_invariants_pairing():
@@ -1064,7 +1137,8 @@ def test_readme_states_the_tracking_guards_of_the_loop():
     # the drift harness runs tracked map orbits, and README's "Drift
     # certification windows" states the thresholds their loop is bound with
     assert TRACKING_GUARDS is True
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
     section = " ".join(text.split("\n## Drift certification windows\n")[1]
                        .split("\n## ")[0].split())
     number = r"(\d[\d.e-]*)"

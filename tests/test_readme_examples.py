@@ -21,7 +21,7 @@ SCHEMA_OF = {"map": "trajectory", "simulate": "trajectory", "drift": "drift",
 def _cli_examples():
     # the lines of the first bash block after "## CLI", continuation lines
     # joined, comments dropped
-    text = README.read_text().split("\n## CLI\n", 1)[1]
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = text.split("```bash\n", 1)[1].split("```", 1)[0]
     commands = block.replace("\\\n", " ").splitlines()
     return [shlex.split(c) for c in commands if c.startswith("kovtop ")]
@@ -41,5 +41,5 @@ def test_readme_example_runs(capsys, argv):
     assert out
     if "--format" in argv and argv[argv.index("--format") + 1] == "json":
         schema = json.loads((SCHEMAS / f"{SCHEMA_OF[argv[1]]}.schema.json")
-                            .read_text())
+                            .read_text(encoding="utf-8"))
         jsonschema.validate(json.loads(out), schema)
