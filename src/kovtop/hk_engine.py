@@ -81,10 +81,11 @@ def _steps(A, Y, eps) -> list:
         singular = np.abs(det) <= SINGULAR_RTOL * np.prod(
             np.linalg.norm(A, axis=-1), axis=-1)
     out = [None] * len(Y)
+    per_row = np.ndim(eps) != 0     # once: eps may be as long as the stack
     for p in np.flatnonzero(singular).tolist():
         out[p] = SingularStepError(
             f"step matrix numerically singular (det = {det[p]:.3e})",
-            state=Y[p], eps=eps if np.ndim(eps) == 0 else eps[p])
+            state=Y[p], eps=eps[p] if per_row else eps)
     regular = np.flatnonzero(~singular).tolist()
     try:
         solved = _solve(A[regular], Y[regular])

@@ -99,9 +99,9 @@ def _factor_ok(d, scale):
 #: per member; values are (M, T), each mask (M, T), (T,) or None for "all".
 #: A formula reads its member columns in one `_columns` gather and computes
 #: a factor its members share once only where each use runs the same
-#: operations in the same order; one that rounds differently in two places
-#: (`_kov_product`'s value and mask denominators) stays twice, so a member
-#: gets the bits it gets alone.
+#: operations in the same order, so a member gets the bits it gets alone.
+#: A deformed family divides by one denominator 1 - t and guards that one
+#: (`_deformed`).
 Formula = Callable[[np.ndarray, float, np.ndarray], tuple]
 
 
@@ -151,8 +151,9 @@ def evaluate(invs: Sequence[Invariant], Y, eps: float = 0.0):
     all of its members in the batch, under one errstate: one gather of
     their columns, and each factor they share computed once by the
     operations a member alone runs (see `Formula`), so a member gets the
-    same bits in any batch.  An object stack keeps its element type, so
-    `Fraction`s stay exact; others become floats.
+    same bits in any batch.  An eps-family's reliability mask judges the
+    denominator its value divides by.  An object stack keeps its element
+    type, so `Fraction`s stay exact; others become floats.
     Raises DimensionError, before any formula runs, for a Y of any other
     shape (a ragged one included) and for a member of another dimension."""
     try:
@@ -209,6 +210,17 @@ def _kov_K(Yi, Yj, Yk):
     return Yi * (Yj - Yk), _sep_ok(Yj, Yk)
 
 
+def _euler_E(Ym, Yn):
+    # E_mn = y_m^2 - y_n^2 and its guard
+    return (Ym - Yn) * (Ym + Yn), _sep_ok(np.abs(Ym), np.abs(Yn))
+
+
+def _deformed(F, F_ok, t):
+    # F / (1 - t) for the deformation factor t, guarded at that denominator
+    den = 1 - t
+    return F / den, F_ok & _factor_ok(den, 1 + abs(t)), None
+
+
 _KOV_LABELS = ("K23", "K31", "K12")
 
 
@@ -224,8 +236,7 @@ def kov_poly_integrals() -> list[Invariant]:
 
 
 def _euler_poly(Y, eps, idx):
-    Yi, Yj = _columns(Y, idx)
-    return (Yi - Yj) * (Yi + Yj), _sep_ok(np.abs(Yi), np.abs(Yj)), None
+    return (*_euler_E(*_columns(Y, idx)), None)
 
 
 def euler_poly_integrals(N: int = 3) -> list[Invariant]:
@@ -238,11 +249,7 @@ def euler_poly_integrals(N: int = 3) -> list[Invariant]:
 
 def _euler_hk(Y, eps, idx):
     Ym, Yn, Yj = _columns(Y, idx)
-    num = (Ym - Yn) * (Ym + Yn)
-    t = eps * eps * Yj ** 2
-    den = 1 - t
-    return (num / den,
-            _sep_ok(np.abs(Ym), np.abs(Yn)) & _factor_ok(den, 1 + t), None)
+    return _deformed(*_euler_E(Ym, Yn), eps * eps * Yj ** 2)
 
 
 def euler_hk_integrals() -> list[Invariant]:
@@ -257,11 +264,8 @@ def euler_hk_integrals() -> list[Invariant]:
 
 def _kov_hk(Y, eps, idx):
     Yi, Yj, Yk, Yl = _columns(Y, idx)
-    K, K_ok = _kov_K(Yi, Yj, Yk)
     A = Y.sum(axis=1) - 2 * Yl
-    t = eps * eps * A * A
-    den = 1 - t
-    return K / den, K_ok & _factor_ok(den, 1 + t), None
+    return _deformed(*_kov_K(Yi, Yj, Yk), eps * eps * A * A)
 
 
 def kov_hk_integrals() -> list[Invariant]:
@@ -275,12 +279,7 @@ def kov_hk_integrals() -> list[Invariant]:
 
 def _kov_product(Y, eps, idx):
     Yi, Yj, Yk, Ya, Yb = _columns(Y, idx)
-    K, K_ok = _kov_K(Yi, Yj, Yk)
-    p = Ya * Yb
-    # eps^2 Ya Yb and eps^2 p round differently: both stay
-    return (K / (1 - eps * eps * Ya * Yb),
-            K_ok & _factor_ok(1 - eps * eps * p, 1 + eps * eps * np.abs(p)),
-            None)
+    return _deformed(*_kov_K(Yi, Yj, Yk), eps * eps * Ya * Yb)
 
 
 def kov_product_integrals() -> list[Invariant]:
@@ -920,14 +919,10 @@ def _poly_n4_residual(y, eps):
     # D_m, with coordinate m left out
     Dm = [_d_polynomial([v for k, v in enumerate(y) if k != m], eps)
           for m in range(4)]
-    worst = None
-    for (i, j), (k, l) in PARTITIONS_4:
-        lhs = Dm[i] * Dm[j] - eps * eps * y[i] * y[j] \
-            * (1 + eps * y[k]) ** 2 * (1 + eps * y[l]) ** 2
-        rhs = (1 - eps * eps * y[k] * y[l]) * D
-        r = abs(lhs - rhs) / (1 + abs(D))
-        worst = r if worst is None else max(worst, r)
-    return worst
+    return max(abs(Dm[i] * Dm[j] - eps * eps * y[i] * y[j]
+                   * (1 + eps * y[k]) ** 2 * (1 + eps * y[l]) ** 2
+                   - (1 - eps * eps * y[k] * y[l]) * D) / (1 + abs(D))
+               for (i, j), (k, l) in PARTITIONS_4)
 
 
 def _relation_qq_residual(map_, y, eps):
@@ -944,14 +939,9 @@ def _relation_qq_residual(map_, y, eps):
         rhs = (1 - eps * _total(y)) / (1 + eps * _total(ynew))
     else:
         rhs = _r_factor(y, eps)
-    worst = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = (ynew[i] - ynew[j]) / (ynew[i] * ynew[j]) \
-                * (y[i] * y[j]) / (y[i] - y[j])
-            r = abs(lhs - rhs)
-            worst = r if worst is None else max(worst, r)
-    return worst
+    return max(abs((ynew[i] - ynew[j]) / (ynew[i] * ynew[j])
+                   * (y[i] * y[j]) / (y[i] - y[j]) - rhs)
+               for i in range(n) for j in range(i + 1, n))
 
 
 def _gap(x, ref):
@@ -1019,8 +1009,10 @@ def _per_trial(residual, Y, eps_list):
             for y, e in zip(Y.tolist(), eps_list))
 
 
-# polynomial identities tolerate any eps; step-based ones are checked on the
-# resolvable region (moderate eps, non-strained steps)
+# polynomial identities tolerate any eps; step-based ones draw it from a
+# narrower range, the same at every N, and skip (under a drawn eps) only a
+# trial whose step is singular (regularity below `SINGULAR_RTOL`) or whose
+# residual is undefined: no strain test guards a trial
 _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
 
 #: name -> (residual(y, eps) on a sequence y of N numbers, range of the

@@ -10,6 +10,7 @@ block of trials at a time, and `random_starts` drawn in bounded blocks.
 - `random_starts` gives the starts of a one-row-at-a-time draw, gives up at
   the same draw, and holds one block at a time.
 """
+import collections.abc
 import contextlib
 import io
 import json
@@ -110,6 +111,37 @@ def test_stacked_engine_takes_one_eps_for_every_row():
     one = hk_solve(sys_, Y, 0.05)
     each = hk_solve(sys_, Y, [0.05] * 9)
     assert [x.tobytes() for x in one] == [x.tobytes() for x in each]
+
+
+class _CountingEps(collections.abc.Sequence):
+    """One eps per row, by a distinct value each, counting its item reads;
+    a read past `budget` fails at once."""
+
+    def __init__(self, values, budget):
+        self.values, self.budget, self.reads = values, budget, 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, p):
+        value = self.values[p]      # IndexError ends an iteration
+        self.reads += 1
+        assert self.reads <= self.budget, f"more than {self.budget} reads"
+        return value
+
+
+def test_singular_rows_read_their_eps_sequence_a_bounded_number_of_times():
+    # every row singular (eps near 1e300); reading the sequence whole for
+    # each singular row would cost rows^2 reads
+    rows = 4000
+    sys_ = polarize(kovalevskaya_field(4))
+    Y = np.random.default_rng(11).uniform(0.1, 2.0, (rows, 4))
+    values = (1e300 * (1 + np.arange(rows) / rows)).tolist()
+    eps = _CountingEps(values, budget=10 * rows)
+    out = hk_solve(sys_, Y, eps)
+    assert all(isinstance(x, SingularStepError) for x in out)
+    assert [x.eps for x in out] == values
+    assert all(x.state.tobytes() == y.tobytes() for x, y in zip(out, Y))
 
 
 def test_stacked_engine_refuses_what_the_one_state_engine_refuses():

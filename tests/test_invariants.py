@@ -286,6 +286,77 @@ def test_rational_families_stay_exact_on_fractions(N):
                 inv.name
 
 
+def _undeformed_and_t(inv, Y, eps):
+    """(F, F's own guard, t) of an N = 3 eps-family member on a stack Y, by
+    its docstring's formula: the value is F / (1 - t)."""
+    cols = [Y[:, i] for i in inv.index]
+    if inv.family == "euler-hk-eps":
+        Ym, Yn, Yj = cols
+        return ((Ym - Yn) * (Ym + Yn),
+                np.abs(np.abs(Ym) - np.abs(Yn))
+                > CANCEL_TOL * (np.abs(Ym) + np.abs(Yn)),
+                eps * eps * Yj ** 2)
+    Yi, Yj, Yk, *rest = cols
+    K_ok = np.abs(Yj - Yk) > CANCEL_TOL * (np.abs(Yj) + np.abs(Yk))
+    if inv.family == "kov-hk-eps":
+        A = Y[:, 0] + Y[:, 1] + Y[:, 2] - 2 * rest[0]
+        return Yi * (Yj - Yk), K_ok, eps * eps * A * A
+    Ya, Yb = rest
+    return Yi * (Yj - Yk), K_ok, eps * eps * Ya * Yb
+
+
+_EPS_FAMILIES = {"euler-hk-eps": euler_hk_integrals,
+                 "kov-hk-eps": kov_hk_integrals,
+                 "kov-sqrt-eps": kov_product_integrals}
+
+
+def _check_deformed(invs, Y, eps):
+    # each member's value is F / (1 - t) bit for bit, and its mask judges
+    # that 1 - t: F's guard and |1 - t| > CANCEL_TOL (1 + |t|)
+    vals, ok, _ = evaluate(invs, Y, eps)
+    for inv, v, k in zip(invs, vals, ok):
+        F, F_ok, t = _undeformed_and_t(inv, Y, eps)
+        den = 1 - t
+        assert _bits(v) == _bits(F / den), (inv.name, eps)
+        assert np.array_equal(
+            k, F_ok & (np.abs(den) > CANCEL_TOL * (1 + np.abs(t)))), \
+            (inv.name, eps)
+    return ok
+
+
+@pytest.mark.parametrize("family", sorted(_EPS_FAMILIES))
+def test_eps_family_masks_judge_the_denominator_their_values_divide_by(family):
+    # eps scanned over a few ulps either side of the one putting a member's
+    # t at either guard edge, t = (1 -+ CANCEL_TOL) / (1 +- CANCEL_TOL)
+    invs = _EPS_FAMILIES[family]()
+    edges = ((1 - CANCEL_TOL) / (1 + CANCEL_TOL),
+             (1 + CANCEL_TOL) / (1 - CANCEL_TOL))
+    for r, inv in enumerate(invs):
+        Y = random_starts(1, 3, seed=100 + r)
+        # t is eps^2 times a factor of the state alone
+        c = float(_undeformed_and_t(inv, Y, 1.0)[2][0])
+        for edge in edges:
+            eps = math.sqrt(edge / c)
+            for _ in range(12):
+                eps = math.nextafter(eps, 0.0)
+            seen = set()
+            for _ in range(25):
+                seen.add(bool(_check_deformed(invs, Y, eps)[r, 0]))
+                eps = math.nextafter(eps, math.inf)
+            assert seen == {True, False}, (inv.name, edge)
+
+
+def test_kov_sqrt_eps_mask_at_a_rounding_split():
+    # here eps^2 y_1 y_2 and eps^2 (y_1 y_2) round apart, on either side of
+    # the guard: 1 - eps^2 y_1 y_2, the denominator, fails it
+    Y = np.array([[0.587675773222263, 3.4788840960661, 1.9]])
+    eps = 0.7000763732837336
+    invs = kov_product_integrals()
+    ok = _check_deformed(invs, Y, eps)
+    assert [inv.name for inv, k in zip(invs, ok[:, 0]) if not k] == [
+        "K23_sq12", "K31_sq12", "K12_sq12"]
+
+
 def test_claimed_invariants_pairing():
     invs = registry(4)
     got = {v.family for v in claimed_invariants(gen_hk(4), invs)}
