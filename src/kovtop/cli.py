@@ -368,12 +368,58 @@ _COMMANDS = {
 }
 
 
+#: the actions a plain reading takes: an option with one value, and a flag
+_PLAIN = (argparse._StoreAction, argparse._StoreTrueAction)
+
+
+def _plain_args(command, argv):
+    """The namespace `command`, the parser of command argv[0], gives the
+    options argv[1:] when they are a plain line: each a full option string
+    of a store or store-true action, none twice, a store option followed by
+    one value that does not start with '-' and passes its type and choices,
+    every required option and required group given, no group twice.  Read
+    straight from the parser's option table, with the others' defaults.
+    None for any other line."""
+    table = command._option_string_actions
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = table.get(token)
+        if type(action) not in _PLAIN or action in given:
+            return None
+        if type(action) is argparse._StoreTrueAction:
+            given[action] = action.const
+            continue
+        text = next(tokens, "-")        # a missing value reads as a dash
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(a.required and a not in given for a in command._actions):
+        return None
+    for group in command._mutually_exclusive_groups:
+        present = [a for a in group._group_actions if a in given]
+        if len(present) > 1 or (group.required and not present):
+            return None
+    return argparse.Namespace(command=argv[0], **{
+        a.dest: given.get(a, a.default) for a in command._actions
+        if a.default is not argparse.SUPPRESS})
+
+
 def _parse_args(argv):
-    """The namespace of argv, scanned once: a command's options by that
-    command's parser of `build_parser`, into a namespace that already names
-    the command.  Any other argv (none, an unknown command, a top-level -h,
-    an option before the command) goes to the whole parser, which ends it
-    with its usual error or help."""
+    """The namespace of argv.  A command's options are read by
+    `_plain_args` from that command's parser of `build_parser` when they
+    are a plain line, with no argparse scan; any other line of a command
+    (-h, an abbreviation, `--opt=value`, a negative or dash value, a repeat,
+    a stray token, any error) is scanned once by that command's parser,
+    into a namespace that already names the command.  Any other argv (none,
+    an unknown command, a top-level -h, an option before the command) goes
+    to the whole parser, which ends it with its usual error or help."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     commands = next(a.choices for a in parser._actions
@@ -381,16 +427,21 @@ def _parse_args(argv):
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = _plain_args(command, argv)
+    if args is None:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return args
 
 
 def main(argv=None) -> int:
     """Run the `kovtop` command line argv (default sys.argv[1:]) and return
     its exit code: 0 success, 1 invalid configuration (a bad option, or an
     `--out` that cannot be written; one whose directory is missing, or that
-    names a directory, before any work), 2 a domain or singularity abort.  The
-    command's own parser scans its options once (`_parse_args`), the same
-    namespace and errors as `build_parser().parse_args(argv)`."""
+    names a directory, before any work), 2 a domain or singularity abort.  A
+    plain command line is read from its command parser's option table with
+    no argparse scan, and any other is scanned once by the command's own
+    parser (`_parse_args`): the same namespace and errors as
+    `build_parser().parse_args(argv)`."""
     try:
         args = _parse_args(argv)
         if args.out is not None:

@@ -578,7 +578,8 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
 
 def _start_blocks(n: int, dim: int, seed: int):
     """The starts of `random_starts(n, dim, seed)` (n checked), as the
-    accepted rows of one block of draws at a time."""
+    accepted rows of one block of draws at a time; a block with none is
+    not yielded."""
     rng = np.random.default_rng(seed)
     rows = max(1, _BLOCK_ENTRIES // (dim * dim or 1))   # dim 0: no pairs
     done = 0
@@ -597,8 +598,9 @@ def _start_blocks(n: int, dim: int, seed: int):
                     f"{MAX_START_DRAWS} draws has every coordinate pair "
                     f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
         kept = block[ok]
-        done += len(kept)
-        yield kept
+        if len(kept):
+            done += len(kept)
+            yield kept
 
 
 # --- volume forms -----------------------------------------------------------

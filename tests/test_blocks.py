@@ -354,12 +354,22 @@ def test_an_overflowing_fixed_eps_aborts_the_engine_check():
         2, "", "aborted: step matrix numerically singular (det = -inf)\n")
 
 
-def test_engine_check_over_four_blocks_is_pinned():
+def test_engine_check_of_2000_trials_at_n40_is_pinned(monkeypatch):
+    # most draws at N = 40 are rejected, so the 2000 trials come in many
+    # blocks; a block with no accepted start is not solved
+    stacks = []
+
+    def spy(system, Y, eps):
+        stacks.append(len(Y))
+        return hk_solve(system, Y, eps)
+
+    monkeypatch.setattr(invariants, "hk_solve", spy)
     rc, out, err = _cli(["check", "--identity", "engine", "--n", "40",
                          "--trials", "2000", "--seed", "1", "--format",
                          "json"])
     assert (rc, err) == (0, "")
     assert json.loads(out)["max_residual"] == 5.238188640713931e-13
+    assert len(stacks) == 40 and min(stacks) > 0 and sum(stacks) == 2000
 
 
 # --- bounded draws ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import jsonschema
@@ -1018,7 +1022,7 @@ def test_a_write_that_fails_after_the_out_check_exits_one(capsys):
                        f"{os.strerror(errno.ENOSPC)}\n")
 
 
-# --- one scan per command line ----------------------------------------------
+# --- a plain line, or one scan ----------------------------------------------
 
 _README = [argv[1:] for argv in EXAMPLES]
 
@@ -1068,6 +1072,36 @@ _ROUTES = [(argv, "namespace") for argv in _README] + [
     (["map", "--he"], "exit"),
     (["check", "--identity", "d-sum", "-h"], "exit"),
     (["check", "--identity", "nope", "-h"], "error"),
+    # the edges of a plain line: repeats, `=` forms, dash and negative
+    # values, a flag given a value, a missing value or required option
+    (_DRIFT + ["--eps", "0.01", "--eps", "0.02"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--steps", "9"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--format", "json", "--format", "csv"],
+     "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--seed=3"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--seed", "-3"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--y0", "-1,2,3,4"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--invariant", "-"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--invariant", ""], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--map", "gen-hk"], "namespace"),
+    (_DRIFT + ["--eps", "0.01", "--flow", "kov3"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--n"], "error"),
+    (_DRIFT + ["--eps", "0.01", "--n", "four"], "error"),
+    (["drift", "--eps", "0.01", "--steps", "8"], "error"),
+    (["drift", "--flow", "kov3", "--eps", "0.01"], "error"),
+    (["simulate", "--with-invariants", "--with-invariants"] + _SIMULATE[1:]
+     + ["--t-end", "1", "--dt", "0.1"], "namespace"),
+    (["simulate", "--with-invariants", "3"] + _SIMULATE[1:]
+     + ["--t-end", "1", "--dt", "0.1"], "error"),
+    (["simulate", "--with-invariants=3"] + _SIMULATE[1:]
+     + ["--t-end", "1", "--dt", "0.1"], "error"),
+    (["simulate", "--flow", "nope"] + _SIMULATE[1:]
+     + ["--t-end", "1", "--dt", "0.1"], "error"),
+    (["check", "--identity", "d-sum", "--eps", "-0.1"], "namespace"),
+    (["check", "--identity", "d-sum", "--eps", "0.1", "--trials", "-2"],
+     "namespace"),
+    (["independence", "--family", "-x", "--n", "3"], "error"),
+    (["independence", "--family", "x", "--n", "3", "--points"], "error"),
 ] + [([command, "-h"], "exit") for command in ("simulate", "convergence",
                                                  "independence")]
 
@@ -1094,7 +1128,70 @@ def test_main_parses_as_the_whole_parser(capsys, argv, how):
     assert got[0][0] == how
 
 
-def test_a_valid_command_line_is_scanned_once(monkeypatch, capsys):
+_COMMAND_PARSERS = next(a.choices for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+
+#: values that pass each option type, by type
+_FITTING = {None: ["1,2,3,4", "x"], int: ["0", "4"], cli._seed: ["0", "7"],
+            cli._finite_float: ["0.01", "2"]}
+#: values that fail most types or choices, or read as options
+_ODD = ["-3", "-1e-3", "-x", "-", "--", "", "1e-3e", "nan", "x", "json"]
+
+
+@st.composite
+def _command_lines(draw):
+    # a command's required options in any order among others, each spelled
+    # in full with a value that fits it; options may repeat, and a group's
+    # options may come together.  Then, in half the lines, one edit to one
+    # option: abbreviate it, spell it --opt=value, drop its value, give it
+    # an odd value (a flag: any value), add a stray token, or leave it out.
+    name = draw(st.sampled_from(sorted(_COMMAND_PARSERS)))
+    command = _COMMAND_PARSERS[name]
+    options = [a for a in command._actions if a.option_strings]
+    required = [a for a in options if a.required] + [
+        draw(st.sampled_from(g._group_actions))
+        for g in command._mutually_exclusive_groups if g.required]
+    chosen = required + draw(st.lists(st.sampled_from(options), max_size=4))
+    items = []
+    for action in draw(st.permutations(chosen)):
+        flag = draw(st.sampled_from(action.option_strings))
+        fits = list(action.choices or _FITTING[action.type])
+        items.append([flag] + ([] if action.nargs == 0
+                               else [draw(st.sampled_from(fits))]))
+    if items and draw(st.booleans()):
+        item = items[draw(st.integers(0, len(items) - 1))]
+        odd = draw(st.sampled_from(_ODD))
+        edit = draw(st.sampled_from(["abbreviated", "equals", "bare", "odd",
+                                     "stray", "missing"]))
+        if edit == "abbreviated":
+            item[0] = item[0][:draw(st.integers(2, len(item[0])))]
+        elif edit == "equals":
+            item[:] = ["=".join(item if len(item) == 2 else item + [odd])]
+        elif edit == "bare":
+            del item[1:]
+        elif edit == "odd":
+            item[1:] = [odd]
+        elif edit == "stray":
+            item.append(odd)
+        else:
+            item.clear()
+    return [name] + [token for item in items for token in item]
+
+
+@settings(deadline=None, max_examples=400)
+@given(_command_lines())
+def test_a_plain_reading_is_the_whole_parsers_namespace(argv):
+    got = cli._plain_args(_COMMAND_PARSERS[argv[0]], argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            want = build_parser().parse_args(argv)
+        except (ConfigError, SystemExit):
+            want = None
+    # the same values of the same types, in the same order
+    assert got is None or repr(got) == repr(want)
+
+
+def test_a_plain_command_line_takes_no_scan(monkeypatch, capsys):
     scans = []
     scan = argparse.ArgumentParser._parse_known_args
 
@@ -1103,11 +1200,20 @@ def test_a_valid_command_line_is_scanned_once(monkeypatch, capsys):
         return scan(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
-    for argv in _README + [_DRIFT + ["--eps", "-1e-3", "--format", "json"],
-                           _OUTSIDE]:
+    # every README line is read from its command's option table
+    for argv in _README:
         scans.clear()
         assert main(argv) == 0
-        assert scans == [f"kovtop {argv[0]}"]
+        assert scans == [], argv
+    # a negative value, a repeat, an abbreviation or an `=` form is scanned
+    # once, by the command's own parser
+    for tail in (["--eps", "-1e-3", "--format", "json"],
+                 ["--eps", "0.01", "--eps", "0.02"],
+                 ["--eps", "0.01", "--form", "json"],
+                 ["--eps=0.01"]):
+        scans.clear()
+        assert main(_DRIFT + tail) == 0
+        assert scans == ["kovtop drift"], tail
     capsys.readouterr()
     # a command line naming no command is ended by the whole parser
     scans.clear()
