@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--eps", type=_finite_float, default=None,
-                    help="fixed eps (default: drawn per trial from [0.01, 0.3])")
+                    help="fixed eps (default: drawn per trial from the "
+                    "identity's own range)")
     common(sp)
     sp.add_argument("--seed", type=_seed, default=0)
 

@@ -982,33 +982,14 @@ def _engine_system(n):
     return polarize(kovalevskaya_field(n))
 
 
-def _engine_residual(y, eps):
-    ref = hk_step(_engine_system(len(y)), y, eps).tolist()
-    return _gap(gen_hk(len(y)).checked_step(y, eps), ref)
-
-
-def _engine_block(Y, eps_list):
-    # `_engine_residual` of each row of a block, the engine's steps of the
-    # whole block solved in one call; a row's engine error is raised when
-    # its trial is evaluated
-    n = Y.shape[1]
-    m = gen_hk(n)
-    steps = hk_solve(_engine_system(n), Y, eps_list)
-    return (functools.partial(_engine_trial, m, y, e, ref)
-            for y, e, ref in zip(Y.tolist(), eps_list, steps))
-
-
-def _engine_trial(m, y, eps, ref):
-    if isinstance(ref, Exception):
-        raise ref
-    return _gap(m.checked_step(y, eps), ref.tolist())
-
-
-def _per_trial(residual, Y, eps_list):
-    # a scalar residual lifted to a block: one call per trial, made when the
-    # battery evaluates that trial
-    return (functools.partial(residual, y, e)
-            for y, e in zip(Y.tolist(), eps_list))
+def _engine_residual(y, eps, step=None):
+    # `step`: y's row of an `hk_solve` result, the solution used in place of
+    # `hk_step`'s or the row's error, raised here
+    if step is None:
+        step = hk_step(_engine_system(len(y)), y, eps)
+    elif isinstance(step, Exception):
+        raise step
+    return _gap(gen_hk(len(y)).checked_step(y, eps), step.tolist())
 
 
 # polynomial identities tolerate any eps; step-based ones draw it from a
@@ -1018,7 +999,8 @@ def _per_trial(residual, Y, eps_list):
 _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
 
 #: name -> (residual(y, eps) on a sequence y of N numbers, range of the
-#: per-trial eps draw, dimensions the identity holds at, or None for any N)
+#: per-trial eps draw, dimensions the identity holds at, or None for any N;
+#: the engine residual also takes y's step as `hk_solve` solved it)
 IDENTITIES = {
     "n4-poly": (_poly_n4_residual, _POLY, (4,)),
     "s-relations": (lambda y, eps: max(_s_relation_residuals(y, eps)),
@@ -1031,12 +1013,6 @@ IDENTITIES = {
     "sqrt-comp": (_sqrt_comp_residual, _STEP, (3,)),
     "engine": (_engine_residual, _STEP, None),
 }
-
-#: residual -> its block form, which takes a (rows, N) block of starts and
-#: their eps and returns one thunk per trial; `identity_battery` lifts every
-#: other residual with `_per_trial`
-_BLOCK_RESIDUALS = {_engine_residual: _engine_block}
-
 
 def identity_battery(name: str, n: int, trials: int, seed: int,
                      eps: float | None = None) -> float:
@@ -1055,9 +1031,9 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     The trials run one block of `random_starts`' draws at a time, with that
     block's eps drawn in one call, so a battery holds one block: the starts,
     the eps and the result are those of drawing them all at once.  The
-    engine identity solves a block's steps in one `hk_solve` call; every
-    other residual runs once per trial.  Each trial is evaluated and judged
-    in trial order."""
+    engine identity solves a block's steps in one `hk_solve` call and hands
+    each row's step to its residual.  Each trial's residual is called, and
+    its result judged, in trial order."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if trials > MAX_STEPS:
@@ -1071,8 +1047,6 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                              f"{' or '.join(map(str, dims))}, not N = {n}")
     elif n < 3:
         raise DimensionError(f"{name} needs N >= 3, not N = {n}")
-    block = _BLOCK_RESIDUALS.get(residual,
-                                 functools.partial(_per_trial, residual))
     rng = np.random.default_rng([seed, 1])
     worst = 0.0
     evaluated = 0
@@ -1080,10 +1054,14 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     for Y in starts:
         eps_list = ([eps] * len(Y) if eps is not None
                     else rng.uniform(lo, hi, len(Y)).tolist())
-        for e, trial in zip(eps_list, block(Y, eps_list)):
+        # the engine's steps in one call; a row's error raises at its trial
+        steps = (hk_solve(_engine_system(n), Y, eps_list)
+                 if residual is _engine_residual else [None] * len(Y))
+        for y, e, step in zip(Y.tolist(), eps_list, steps):
             try:
                 try:
-                    r = trial()
+                    r = (residual(y, e) if step is None
+                         else residual(y, e, step))
                 except OverflowError as exc:
                     raise DomainError(f"{name}: a float overflows at "
                                       f"eps={e:g}") from exc

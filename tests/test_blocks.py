@@ -307,6 +307,53 @@ def test_engine_battery_solves_each_block_in_one_call(monkeypatch):
     assert sum(calls) == 60 and len(calls) >= 3 and max(calls) <= 25
 
 
+def _bits(fn, *args):
+    # a result's float bits, or the type and message of its error
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: eps None draws each row's eps from the engine's range; at 1e300 and
+#: 5e307 the step matrices overflow and every row is singular
+@pytest.mark.parametrize("n", [3, 4, 12])
+@pytest.mark.parametrize("eps", [None, 1e300, 5e307])
+def test_engine_residual_given_its_solved_step_matches_its_own_step(n, eps):
+    residual = invariants._engine_residual
+    Y = invariants.random_starts(50, n, seed=n)
+    lo, hi = IDENTITIES["engine"][1]
+    eps_list = (np.random.default_rng(n).uniform(lo, hi, len(Y)).tolist()
+                if eps is None else [eps] * len(Y))
+    steps = hk_solve(invariants._engine_system(n), Y, eps_list)
+    kinds = set()
+    for y, e, step in zip(Y.tolist(), eps_list, steps):
+        got = _bits(residual, y, e, step)
+        assert got == _bits(residual, y, e), (y, e)
+        kinds.add(got[0] if isinstance(got, tuple) else float)
+    assert kinds == ({float} if eps is None else {SingularStepError})
+
+
+def test_a_scalar_engine_residual_runs_once_a_trial_without_a_solve(
+        monkeypatch):
+    calls, solves = [], []
+
+    def scalar(y, eps):
+        calls.append((y, eps))
+        return 0.0
+
+    monkeypatch.setitem(IDENTITIES, "engine",
+                        (scalar, *IDENTITIES["engine"][1:]))
+    monkeypatch.setattr(invariants, "hk_solve",
+                        lambda *args: solves.append(args))
+    monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 16 * 25)
+    assert identity_battery("engine", 4, 60, seed=2) == 0.0
+    lo, hi = IDENTITIES["engine"][1]
+    eps = np.random.default_rng([2, 1]).uniform(lo, hi, 60).tolist()
+    assert calls == list(zip(_ref_starts(60, 4, 2)[0].tolist(), eps))
+    assert solves == []
+
+
 def test_a_fixed_eps_raises_the_first_failing_trials_error(monkeypatch):
     # at eps 3.5e76 the step matrix's det overflows at engine trials 13, 26,
     # 33 and 37 of seed 2: the first is in the fourth block of four trials

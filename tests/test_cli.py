@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -483,6 +484,21 @@ def test_check_identity_choices_are_the_identity_table():
     identity = next(a for a in sub.choices["check"]._actions
                     if a.dest == "identity")
     assert identity.choices == tuple(IDENTITIES)
+
+
+def test_check_help_names_no_eps_range_an_identity_does_not_draw_from(
+        capsys):
+    # a range the help names must be the draw range of every identity
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "-h"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    named = {(float(a), float(b)) for a, b in re.findall(
+        r"[\[(]\s*([-+0-9.e]+)\s*,\s*([-+0-9.e]+)\s*[\])]", text)}
+    assert "--eps" in text
+    assert "identity's own range" in " ".join(text.split())
+    for name, (_, drawn, _) in IDENTITIES.items():
+        assert named <= {drawn}, (name, drawn, named)
 
 
 @pytest.mark.parametrize("n", [5, 6])
