@@ -7,8 +7,8 @@ bilinear form doubles the field, so one application advances time 2*eps.
 
 The step matrix builder, the regularity test and the solve take a (P, N)
 stack of states with one eps per row as they take one state: `hk_solve`
-steps a whole stack in one call, and `hk_step` is its one-row case.  Each
-row gets the bits it gets alone.
+steps a whole stack in one call into one array, its failed rows apart, and
+`hk_step` is its one-row case.  Each row gets the bits it gets alone.
 
 The dense partial-pivoting solve here is intentionally independent of the
 closed-form kernels in `maps`; the two routes cross-check each other.
@@ -72,51 +72,47 @@ def polarize(field: QuadraticField) -> BilinearStepSystem:
     return BilinearStepSystem(dim=dim, matrix_builder=build)
 
 
-def _steps(A, Y, eps) -> list:
-    # per row of a (P, N, N) stack of step matrices and its (P, N) states,
-    # eps one number or one per row: the solution of A * y_new = y, or the
-    # error `hk_step` raises for that row alone
+def _steps(A, Y, eps):
+    # a (P, N, N) stack of step matrices and its (P, N) states, eps one
+    # number or one per row: the (P, N) solutions of A * y_new = y, NaN on a
+    # failed row, and the failed rows apart, each with the error `hk_step`
+    # raises for that row alone
     with np.errstate(all="ignore"):  # an overflow is judged by its value
         det = np.linalg.det(A)
         singular = np.abs(det) <= SINGULAR_RTOL * np.prod(
             np.linalg.norm(A, axis=-1), axis=-1)
-    out = [None] * len(Y)
     per_row = np.ndim(eps) != 0     # once: eps may be as long as the stack
-    for p in np.flatnonzero(singular).tolist():
-        out[p] = SingularStepError(
-            f"step matrix numerically singular (det = {det[p]:.3e})",
-            state=Y[p], eps=eps[p] if per_row else eps)
-    regular = np.flatnonzero(~singular).tolist()
+    failed = {p: SingularStepError(
+                  f"step matrix numerically singular (det = {det[p]:.3e})",
+                  state=Y[p], eps=eps[p] if per_row else eps)
+              for p in np.flatnonzero(singular).tolist()}
+    X = np.full(Y.shape, np.nan)
     try:
-        solved = _solve(A[regular], Y[regular])
+        X[~singular] = _solve(A[~singular], Y[~singular])
     except np.linalg.LinAlgError:
         # an exactly singular matrix whose bound is NaN fails the whole
         # stack; alone, only its own step raises
-        solved = [_solve_alone(A[p], Y[p]) for p in regular]
-    for p, x in zip(regular, solved):
-        out[p] = x
-    return out
+        for p in np.flatnonzero(~singular).tolist():
+            try:
+                X[p] = _solve(A[p], Y[p])
+            except np.linalg.LinAlgError as exc:
+                failed[p] = exc
+    return X, failed
 
 
 def _solve(A, Y):
     return np.linalg.solve(A, Y[..., None])[..., 0]
 
 
-def _solve_alone(A, y):
-    try:
-        return _solve(A, y)
-    except np.linalg.LinAlgError as exc:
-        return exc
-
-
-def hk_solve(sys: BilinearStepSystem, Y, eps) -> list:
+def hk_solve(sys: BilinearStepSystem, Y, eps) -> tuple[np.ndarray, dict]:
     """Bilinear steps of a (P, N) stack of states in one build, regularity
     test and solve, with eps one number or one per row (the builder must
-    take stacks, as `polarize`'s does).  Per row: the solution of
-    A(y, eps) * y_new = y as an (N,) array with the bits `hk_step` gives,
-    or the step error `hk_step` raises for that row alone, returned.
-    Raises DimensionError for a stack that is not (P, N) and DomainError
-    for a non-finite coordinate, as `hk_step` does for one state."""
+    take stacks, as `polarize`'s does).  Returns the (P, N) float64
+    solutions of A(y, eps) * y_new = y, each row with the bits `hk_step`
+    gives it and NaN on a failed row, and the failed rows apart: a dict from
+    row index to the error `hk_step` raises for that row alone.  Raises
+    DimensionError for a stack that is not (P, N) and DomainError for a
+    non-finite coordinate, as `hk_step` does for one state."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != sys.dim:
         raise DimensionError(f"expected a (P, {sys.dim}) stack of states, "
@@ -128,9 +124,10 @@ def hk_solve(sys: BilinearStepSystem, Y, eps) -> list:
 
 def hk_step(sys: BilinearStepSystem, y, eps: float) -> np.ndarray:
     """One bilinear step: solve A(y, eps) * y_new = y.  The one-row case of
-    `hk_solve`; the builder is called with the one state."""
+    `hk_solve`, the builder called with the one state: returns its row, or
+    raises its row's error."""
     y = as_state(y, sys.dim)
-    x, = _steps(sys.matrix_builder(y, eps)[None], y[None], eps)
-    if isinstance(x, Exception):
-        raise x
-    return x
+    X, failed = _steps(sys.matrix_builder(y, eps)[None], y[None], eps)
+    if failed:
+        raise failed[0]
+    return X[0]

@@ -578,8 +578,9 @@ def random_starts(n: int, dim: int, seed: int) -> np.ndarray:
 
 def _start_blocks(n: int, dim: int, seed: int):
     """The starts of `random_starts(n, dim, seed)` (n checked), as the
-    accepted rows of one block of draws at a time; a block with none is
-    not yielded."""
+    accepted rows of one block of draws at a time, in stream order: a block
+    with none is not yielded, and where the draws give up, the block's rows
+    accepted before that are yielded first."""
     rng = np.random.default_rng(seed)
     rows = max(1, _BLOCK_ENTRIES // (dim * dim or 1))   # dim 0: no pairs
     done = 0
@@ -590,17 +591,20 @@ def _start_blocks(n: int, dim: int, seed: int):
         # diagonal never passes
         sep = _sep_ok(block[:, :, None], block[:, None, :])
         ok = sep.sum(axis=(1, 2)) == dim * (dim - 1)
-        for accepted in ok.tolist():
+        for row, accepted in enumerate(ok.tolist()):
             misses = 0 if accepted else misses + 1
             if misses == MAX_START_DRAWS:
-                raise ParameterError(
-                    f"no start at N = {dim} in MAX_START_DRAWS = "
-                    f"{MAX_START_DRAWS} draws has every coordinate pair "
-                    f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
+                ok[row:] = False        # the draws give up at this row
+                break
         kept = block[ok]
         if len(kept):
             done += len(kept)
             yield kept
+        if misses == MAX_START_DRAWS:
+            raise ParameterError(
+                f"no start at N = {dim} in MAX_START_DRAWS = "
+                f"{MAX_START_DRAWS} draws has every coordinate pair "
+                f"separated by CANCEL_TOL = {CANCEL_TOL:g}")
 
 
 # --- volume forms -----------------------------------------------------------
@@ -983,12 +987,10 @@ def _engine_system(n):
 
 
 def _engine_residual(y, eps, step=None):
-    # `step`: y's row of an `hk_solve` result, the solution used in place of
-    # `hk_step`'s or the row's error, raised here
+    # `step`: y's row of the array `hk_solve` solved, used in place of
+    # `hk_step`'s solution
     if step is None:
         step = hk_step(_engine_system(len(y)), y, eps)
-    elif isinstance(step, Exception):
-        raise step
     return _gap(gen_hk(len(y)).checked_step(y, eps), step.tolist())
 
 
@@ -1000,7 +1002,7 @@ _POLY, _STEP = (0.01, 0.3), (0.01, 0.1)
 
 #: name -> (residual(y, eps) on a sequence y of N numbers, range of the
 #: per-trial eps draw, dimensions the identity holds at, or None for any N;
-#: the engine residual also takes y's step as `hk_solve` solved it)
+#: the engine residual also takes y's row of the array `hk_solve` solved)
 IDENTITIES = {
     "n4-poly": (_poly_n4_residual, _POLY, (4,)),
     "s-relations": (lambda y, eps: max(_s_relation_residuals(y, eps)),
@@ -1030,10 +1032,12 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
 
     The trials run one block of `random_starts`' draws at a time, with that
     block's eps drawn in one call, so a battery holds one block: the starts,
-    the eps and the result are those of drawing them all at once.  The
-    engine identity solves a block's steps in one `hk_solve` call and hands
-    each row's step to its residual.  Each trial's residual is called, and
-    its result judged, in trial order."""
+    the eps and the result are those of drawing them all at once.  Trials
+    run, and their results are judged, in stream order, so a fixed eps
+    raises the first failure: a trial's error, or the draws giving up
+    before a start.  The engine identity solves a block's steps in one
+    `hk_solve` call; a failed row raises its error at its own trial, and
+    every other row's residual takes its row of the solved array."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if trials > MAX_STEPS:
@@ -1050,18 +1054,18 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
     rng = np.random.default_rng([seed, 1])
     worst = 0.0
     evaluated = 0
-    starts = _start_blocks(trials, n, seed)
-    for Y in starts:
+    for Y in _start_blocks(trials, n, seed):
         eps_list = ([eps] * len(Y) if eps is not None
                     else rng.uniform(lo, hi, len(Y)).tolist())
-        # the engine's steps in one call; a row's error raises at its trial
-        steps = (hk_solve(_engine_system(n), Y, eps_list)
-                 if residual is _engine_residual else [None] * len(Y))
-        for y, e, step in zip(Y.tolist(), eps_list, steps):
+        # the engine's steps in one call
+        X, failed = (hk_solve(_engine_system(n), Y, eps_list)
+                     if residual is _engine_residual else (None, {}))
+        for p, (y, e) in enumerate(zip(Y.tolist(), eps_list)):
             try:
                 try:
-                    r = (residual(y, e) if step is None
-                         else residual(y, e, step))
+                    if p in failed:
+                        raise failed[p]
+                    r = residual(y, e) if X is None else residual(y, e, X[p])
                 except OverflowError as exc:
                     raise DomainError(f"{name}: a float overflows at "
                                       f"eps={e:g}") from exc
@@ -1072,10 +1076,6 @@ def identity_battery(name: str, n: int, trials: int, seed: int,
                     raise DomainError(f"{name}: residual {r} at eps={e:g}")
             except (DomainError, SingularStepError):
                 if eps is not None:
-                    # a start the later draws fail to find is reported
-                    # first, as when every start was drawn up front
-                    for _ in starts:
-                        pass
                     raise     # an explicit eps that aborts is a real abort
                 continue      # drawn eps hit a singular/out-of-domain spot
             worst = max(worst, r)

@@ -288,13 +288,12 @@ def _source(template, emit, names, n):
     return f"def _make({', '.join(names)}):\n{body}\n"
 
 
-def _whole_as_int(code):
-    # `code`, nested functions included, with each whole-number float
-    # constant as the equal int
-    return code.replace(co_consts=tuple(
-        _whole_as_int(c) if isinstance(c, types.CodeType)
-        else int(c) if type(c) is float and c.is_integer() else c
-        for c in code.co_consts))
+def _whole_as_int(c):
+    # `c`, a code object's constants (nested functions included) or a
+    # constant itself, with each whole-number float as the equal int
+    if isinstance(c, types.CodeType):
+        return c.replace(co_consts=tuple(map(_whole_as_int, c.co_consts)))
+    return int(c) if type(c) is float and c.is_integer() else c
 
 
 @functools.lru_cache(maxsize=32)
@@ -312,15 +311,15 @@ def _factory(template, emit, names, n):
 
 def _bind(template, emit, n, consts):
     # The function `template` writes for `emit` at N, bound twice from one
-    # compile, by the integer binding's factory (type-generic) and by the
-    # float binding's, attached as `.floats` to it and to its companion
-    # `.orbit`.  Both read BLOWUP_CAP and the tracking guards as they are at
-    # this call.
+    # compile, by the integer binding's factory (type-generic, each
+    # whole-number float constant bound as the equal int) and by the float
+    # binding's, attached as `.floats` to it and to its companion `.orbit`.
+    # Both read BLOWUP_CAP and the tracking guards as they are at this call.
     consts = {"cap": BLOWUP_CAP, "strain_floor": STRAIN_FLOOR,
               "res_bound": RESOLUTION_BOUND, "coin_depth": COINCIDENCE_DEPTH,
               **consts}
     make_floats, make_ints = _factory(template, emit, tuple(consts), n)
-    fn = make_ints(**consts)
+    fn = make_ints(**{k: _whole_as_int(v) for k, v in consts.items()})
     fn.floats = make_floats(**consts)
     fn.orbit.floats = fn.floats.orbit
     return fn
@@ -333,9 +332,10 @@ def compile_flow(emit, n, **consts):
 
     `rhs(y)` maps a sequence of N numbers to a list.  The source is
     compiled once per (emit, constant names, N) and bound twice: `rhs`
-    holds its whole-number literals as ints, so it runs unchanged on floats,
-    `Fraction`s and `mpf`s, and `rhs.floats` (with `rhs.orbit.floats`) holds
-    them as written, as floats, giving the same bits on floats faster.
+    holds its whole-number literals and constants as ints, so it runs
+    unchanged on floats, `Fraction`s and `mpf`s, and `rhs.floats` (with
+    `rhs.orbit.floats`) holds them as given, as floats, giving the same bits
+    on floats faster.
     """
     return _bind(_flow_template, emit, n, consts)
 

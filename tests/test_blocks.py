@@ -2,11 +2,14 @@
 block of trials at a time, and `random_starts` drawn in bounded blocks.
 
 - `hk_solve` gives every row of a stack the bits the one-state engine gives
-  it: the step matrix, det and Hadamard bound, the solution, or the error.
-  The one-state engine is kept here as the reference.
+  it: the step matrix, det and Hadamard bound, and its row of the one
+  solution array, or, for a failed row, NaN there and the error apart.  The
+  one-state engine is kept here as the reference.
 - `identity_battery` gives the result (or raises the error) of the
   per-trial loop it replaced, kept here, at trial counts around the block
-  size; the block size is made small so that many blocks run.
+  size; the block size is made small so that many blocks run.  Where the
+  start draws give up, it raises the first failure in stream order, and a
+  fixed-eps abort draws no block past its own.
 - `random_starts` gives the starts of a one-row-at-a-time draw, gives up at
   the same draw, and holds one block at a time.
 """
@@ -82,8 +85,8 @@ def test_stacked_engine_has_the_bits_of_one_state_at_a_time(n):
         with np.errstate(all="ignore"):
             det = np.linalg.det(A)
             hadamard = np.prod(np.linalg.norm(A, axis=-1), axis=-1)
-        out = hk_solve(sys_, Y, eps)
-        assert len(out) == len(Y)
+        X, failed = hk_solve(sys_, Y, eps)
+        assert X.shape == Y.shape and X.dtype == np.float64
         for p, (y, e) in enumerate(zip(Y, eps.tolist())):
             ref_A, ref_det, ref_had, ref_x = _ref_step(field, y, e)
             assert A[p].tobytes() == ref_A.tobytes()
@@ -92,15 +95,18 @@ def test_stacked_engine_has_the_bits_of_one_state_at_a_time(n):
             assert hadamard[p].tobytes() == np.float64(ref_had).tobytes()
             if isinstance(ref_x, tuple):
                 kinds.add("singular")
-                assert (type(out[p]), str(out[p])) == ref_x
-                assert out[p].state.tobytes() == y.tobytes()
-                assert out[p].eps == e
+                exc = failed[p]
+                assert (type(exc), str(exc)) == ref_x
+                assert exc.state.tobytes() == y.tobytes()
+                assert exc.eps == e
+                assert np.isnan(X[p]).all()
                 with pytest.raises(SingularStepError) as info:
                     hk_step(sys_, y, e)
                 assert str(info.value) == ref_x[1]
             else:
                 kinds.add("regular")
-                assert out[p].tobytes() == ref_x.tobytes()
+                assert p not in failed
+                assert X[p].tobytes() == ref_x.tobytes()
                 assert hk_step(sys_, y, e).tobytes() == ref_x.tobytes()
     assert kinds == {"singular", "regular"}
 
@@ -108,9 +114,10 @@ def test_stacked_engine_has_the_bits_of_one_state_at_a_time(n):
 def test_stacked_engine_takes_one_eps_for_every_row():
     sys_ = polarize(kovalevskaya_field(5))
     Y = np.random.default_rng(3).uniform(0.1, 2.0, (9, 5))
-    one = hk_solve(sys_, Y, 0.05)
-    each = hk_solve(sys_, Y, [0.05] * 9)
-    assert [x.tobytes() for x in one] == [x.tobytes() for x in each]
+    one, one_failed = hk_solve(sys_, Y, 0.05)
+    each, each_failed = hk_solve(sys_, Y, [0.05] * 9)
+    assert one.tobytes() == each.tobytes()
+    assert one_failed == each_failed == {}
 
 
 class _CountingEps(collections.abc.Sequence):
@@ -138,7 +145,9 @@ def test_singular_rows_read_their_eps_sequence_a_bounded_number_of_times():
     Y = np.random.default_rng(11).uniform(0.1, 2.0, (rows, 4))
     values = (1e300 * (1 + np.arange(rows) / rows)).tolist()
     eps = _CountingEps(values, budget=10 * rows)
-    out = hk_solve(sys_, Y, eps)
+    X, failed = hk_solve(sys_, Y, eps)
+    assert np.isnan(X).all() and sorted(failed) == list(range(rows))
+    out = [failed[p] for p in range(rows)]
     assert all(isinstance(x, SingularStepError) for x in out)
     assert [x.eps for x in out] == values
     assert all(x.state.tobytes() == y.tobytes() for x, y in zip(out, Y))
@@ -160,7 +169,8 @@ def test_stacked_engine_refuses_what_the_one_state_engine_refuses():
 def test_an_exactly_singular_row_with_a_nan_bound_fails_alone():
     # its det is 0 and its Hadamard bound NaN, so the regularity test lets it
     # through and the solve of the whole stack raises; each other row still
-    # gets its own solution, and that row the error hk_step raises for it
+    # gets its own solution, and that row NaN and, apart, the error hk_step
+    # raises for it
     mats = [np.eye(3), np.array([[np.nan, 0, 0], [0, 0, 0], [0, 0, 1.0]]),
             2.0 * np.eye(3)]
 
@@ -173,12 +183,14 @@ def test_an_exactly_singular_row_with_a_nan_bound_fails_alone():
     sys_ = BilinearStepSystem(3, build)
     Y = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
     with np.errstate(invalid="ignore"):
-        out = hk_solve(sys_, Y, 0.1)
-        with pytest.raises(np.linalg.LinAlgError):
+        X, failed = hk_solve(sys_, Y, 0.1)
+        with pytest.raises(np.linalg.LinAlgError) as info:
             hk_step(sys_, Y[1], 0.1)
-    assert out[0].tolist() == [0.0, 1.0, 1.0]
-    assert isinstance(out[1], np.linalg.LinAlgError)
-    assert out[2].tolist() == [1.0, 0.5, 0.5]
+    assert X[0].tolist() == [0.0, 1.0, 1.0]
+    assert list(failed) == [1] and np.isnan(X[1]).all()
+    assert (type(failed[1]), str(failed[1])) == \
+        (type(info.value), str(info.value))
+    assert X[2].tolist() == [1.0, 0.5, 0.5]
 
 
 def test_a_one_state_builder_still_serves_hk_step():
@@ -325,11 +337,15 @@ def test_engine_residual_given_its_solved_step_matches_its_own_step(n, eps):
     lo, hi = IDENTITIES["engine"][1]
     eps_list = (np.random.default_rng(n).uniform(lo, hi, len(Y)).tolist()
                 if eps is None else [eps] * len(Y))
-    steps = hk_solve(invariants._engine_system(n), Y, eps_list)
+    X, failed = hk_solve(invariants._engine_system(n), Y, eps_list)
     kinds = set()
-    for y, e, step in zip(Y.tolist(), eps_list, steps):
-        got = _bits(residual, y, e, step)
-        assert got == _bits(residual, y, e), (y, e)
+    for p, (y, e) in enumerate(zip(Y.tolist(), eps_list)):
+        want = _bits(residual, y, e)
+        if p in failed:
+            got = type(failed[p]), str(failed[p])
+        else:
+            got = _bits(residual, y, e, X[p])
+        assert got == want, (y, e)
         kinds.add(got[0] if isinstance(got, tuple) else float)
     assert kinds == ({float} if eps is None else {SingularStepError})
 
@@ -367,25 +383,57 @@ def test_a_fixed_eps_raises_the_first_failing_trials_error(monkeypatch):
         _ref_starts(30, 4, 2)[0][13].tolist()
 
 
-def test_a_start_a_later_block_misses_is_reported_before_an_abort(
-        monkeypatch):
-    # the engine aborts at its first trial at eps 1e300; with the draw bound
-    # just below the longest run of misses, a later start is never found.
-    # Drawn up front, the starts gave up before any trial ran
-    monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", 2 * 24 * 24)
-    cases = 0
-    for seed in range(4):
+def test_a_fixed_eps_abort_draws_one_block(monkeypatch):
+    # the engine aborts at its first trial at eps 1e300: no later block of
+    # the 10^6 starts is drawn
+    blocks, solves = [], []
+    start_blocks, solve = invariants._start_blocks, invariants.hk_solve
+
+    def drawing(*args):
+        for Y in start_blocks(*args):
+            blocks.append(len(Y))
+            yield Y
+
+    def solving(sys_, Y, eps):
+        solves.append(len(Y))
+        return solve(sys_, Y, eps)
+
+    monkeypatch.setattr(invariants, "_start_blocks", drawing)
+    monkeypatch.setattr(invariants, "hk_solve", solving)
+    with pytest.raises(SingularStepError):
+        identity_battery("engine", 4, 10**6, 1, eps=1e300)
+    assert len(blocks) == 1 and solves == blocks
+
+
+#: (identity, fixed eps): at N = 24 the engine fails every trial at 1e300,
+#: some trials at 0.05, and none at 0.35; step-ratio none at 0.35
+_STREAM_CASES = [("engine", 1e300), ("engine", 0.05), ("engine", 0.35),
+                 ("step-ratio", 0.35)]
+
+
+def test_a_fixed_eps_raises_the_first_failure_in_stream_order(monkeypatch):
+    # with the draw bound just below a seed's longest run of misses, the
+    # stream gives `before` starts and then gives up: the battery raises the
+    # first failing trial's error among them, else the give-up, at every
+    # block size
+    outcomes = set()
+    for seed in range(8):
         draws = _ref_starts(20, 24, seed)[1]
-        if draws.index(max(draws)) == 0:
-            continue
+        before = draws.index(max(draws))
         monkeypatch.setattr(invariants, "MAX_START_DRAWS", max(draws) - 1)
-        args = ("engine", 24, 20, seed, 1e300)
-        got = _outcome(identity_battery, *args)
-        assert got == _outcome(_ref_battery, *args)
-        assert got[0] is ParameterError
+        give_up = _outcome(_ref_starts, 20, 24, seed)
+        for name, eps in _STREAM_CASES:
+            want = (_outcome(_ref_battery, name, 24, before, seed, eps)
+                    if before else give_up)
+            if not isinstance(want, tuple):
+                want = give_up      # every trial before the give-up passed
+            for entries in (24 * 24, 7 * 24 * 24, 2**20):
+                monkeypatch.setattr(invariants, "_BLOCK_ENTRIES", entries)
+                got = _outcome(identity_battery, name, 24, 20, seed, eps)
+                assert got == want, (seed, name, eps, entries)
+            outcomes.add(want[0])
         monkeypatch.setattr(invariants, "MAX_START_DRAWS", 10**4)
-        cases += 1
-    assert cases
+    assert outcomes == {ParameterError, SingularStepError}
 
 
 def _cli(argv):

@@ -349,6 +349,60 @@ def test_map_step_is_exact_on_fractions(name, n):
             assert type(b) is Fraction and a == b, inv.name
 
 
+# Every cross-ratio claim rests on one exact form: in U_i = 1/y_i,
+# H_ij = U_j - U_i, so a step with U' = a*U + b*(1, ..., 1) (a and b scalars
+# of the state) multiplies every H_ij by a and keeps each ratio, and a field
+# with dU/dt = c*U + d*(1, ..., 1) does the same for the flow.
+
+def _affine_fit_residual(U, V):
+    # a and b fitted from the first two coordinates; the largest
+    # |V_i - (a*U_i + b)| over them all
+    a = (V[1] - V[0]) / (U[1] - U[0])
+    b = V[0] - a * U[0]
+    return max(abs(v - (a * u + b)) for u, v in zip(U, V))
+
+
+def _nudged(values):
+    # the last coordinate moved by 2^-40
+    return values[:-1] + [values[-1] + Fraction(1, 2**40)]
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in ("gen-hk", "alt-map")
+                                     for n in (3, 4, 5, 6, 8, 12)]
+                         + [("kov-sqrt", 3), ("kov-pullback", 3)])
+def test_an_exact_step_is_affine_in_one_over_y(name, n):
+    m = maps.get_map(name, n)
+    eps = Fraction(1, 64)
+    for seed in range(3):
+        y = _rational_start(n, seed)
+        ynew, _ = kernels.map_step(m.kernel, y, eps)
+        assert all(type(v) is Fraction for v in ynew)
+        U = [1 / v for v in y]
+        assert _affine_fit_residual(U, [1 / v for v in ynew]) == 0
+        assert _affine_fit_residual(U, [1 / v for v in _nudged(ynew)]) != 0
+
+
+@pytest.mark.parametrize("n, alpha", [(n, alpha) for n in (3, 4, 5, 8)
+                                      for alpha in (2.0, 3.0) if alpha != n])
+def test_the_gen_kov_field_is_affine_in_one_over_y(n, alpha):
+    # y_i' = y_i(s - alpha*y_i) gives U_i' = alpha - s*U_i, s = e_1(y)
+    rhs = flows.generalized_kovalevskaya(n, alpha).rhs
+    # its RK4 orbit stays exact too
+    rows, _, _ = kernels.rk4_orbit(rhs.orbit, _rational_start(n, 0),
+                                   Fraction(1, 64), 1)
+    assert all(type(v) is Fraction for v in rows.ravel())
+    for seed in range(3):
+        y = _rational_start(n, seed)
+        dy = rhs(y)
+        assert all(type(v) is Fraction for v in dy)
+        U = [1 / v for v in y]
+        dU = [-d / (v * v) for d, v in zip(dy, y)]
+        assert dU == [Fraction(alpha) - sum(y) * u for u in U]
+        assert _affine_fit_residual(U, dU) == 0
+        assert _affine_fit_residual(
+            U, [-d / (v * v) for d, v in zip(_nudged(dy), y)]) != 0
+
+
 @pytest.mark.parametrize("name, y0", [("gen-hk", [0.0, 0.0, 0.0, 1.0]),
                                       ("alt-map", [-1.0, 0.5, 0.3])])
 def test_zero_denominator_is_a_non_finite_step(name, y0):

@@ -83,7 +83,8 @@ def _case(key):
         flow = flows.euler_top3() if kind == "euler3" else flows.generalized_euler(N)
         return flow, _reference_product_complement
     if kind == "kov3":
-        return flows.kovalevskaya3(), _reference_e1_only(2.0, 1.0)
+        # alpha 2 and c1 1 are bound into the type-generic rhs as ints
+        return flows.kovalevskaya3(), _reference_e1_only(2, 1)
     field = flows.euler_field() if arg == "euler" else flows.kovalevskaya_field(N)
     return (flows.quadratic_flow(field),
             lambda y: kernels._rhs_quadratic_field(field.terms, y))
